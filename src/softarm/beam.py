@@ -3,9 +3,11 @@
 The arm is a clamped rod loaded by a follower thrust at the motor
 station, distributed weight, and tendon point moments at the fold
 stations. Geometry is piecewise constant per segment; integration is
-fixed-step RK4 and the free-tip condition is met by shooting on the root
-curvature. Coordinates: x horizontal, z up, theta measured from
-horizontal (positive = tip up).
+fixed-step RK4. Marching inward from the free tip, where the bending
+moment vanishes and the outboard force is known, leaves the tip angle as
+the only unknown, which is shot on until the root angle meets the clamp.
+Coordinates: x horizontal, z up, theta measured from horizontal
+(positive = tip up).
 """
 
 from __future__ import annotations
@@ -22,6 +24,14 @@ from .material import BeamTestGeometry, LinearElasticParams, MooneyRivlinParams
 GRAVITY = 9.81
 
 
+def _require_finite(obj, *fields: str) -> None:
+    """Raise ValueError unless every number in the named fields is finite."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Segment:
     """One fold of the arm's lower surface: inclination [deg] and length [m]."""
@@ -30,6 +40,7 @@ class Segment:
     length: float
 
     def __post_init__(self):
+        _require_finite(self, "fold_angle_deg", "length")
         if self.length <= 0:
             raise ValueError("segment length must be > 0")
 
@@ -53,6 +64,8 @@ class ArmGeometry:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "section_inertia", tuple(self.section_inertia))
+        _require_finite(self, "section_inertia", "section_half_depth", "initial_droop_deg",
+                        "motor_station", "linear_density")
         if not 1 <= len(self.segments) <= 8:
             raise ValueError("segment count must be in [1, 8]")
         if len(self.section_inertia) != len(self.segments):
@@ -117,24 +130,29 @@ class LoadCase:
     point_moments: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "point_moments", tuple(tuple(p) for p in self.point_moments))
+        _require_finite(self, "thrust", "gravity", "tendon_tension", "tendon_eccentricity",
+                        "point_moments")
         if self.thrust < 0:
             raise ValueError("thrust must be >= 0")
         if self.tendon_tension < 0:
             raise ValueError("tendon_tension must be >= 0")
-        object.__setattr__(self, "point_moments", tuple(tuple(p) for p in self.point_moments))
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Solver knobs. shooting_tolerance is relative to the applied moment
-    scale (N m of tip-moment defect per N m of load), which keeps the
-    solved shape invariant under joint load/stiffness scaling."""
+    """Solver knobs. shooting_tolerance bounds the root-angle defect [rad]
+    of the shooting and the tip-moment residual of the final march relative
+    to the applied moment scale (N m of defect per N m of load), which keeps
+    the solved shape invariant under joint load/stiffness scaling.
+    max_shooting_iterations caps the RK4 marches of one solve."""
 
     integration_steps: int = 256
     shooting_tolerance: float = 1e-9
     max_shooting_iterations: int = 2000
 
     def __post_init__(self):
+        _require_finite(self, "integration_steps", "shooting_tolerance", "max_shooting_iterations")
         if self.integration_steps < 16:
             raise ValueError("integration_steps must be >= 16")
         if self.shooting_tolerance <= 0:
@@ -147,7 +165,9 @@ class BeamSolution:
 
     stations: array of shape (n, 4) with columns (s, x, z, theta).
     moments/inertias: internal bending moment [N m] and section inertia
-    [m^4] at each station, kept for the stress proxy.
+    [m^4] at each station, kept for the stress proxy. residual is the tip
+    moment [N m] of the final root-to-tip march; integrations counts the RK4
+    marches of the solve.
     """
 
     stations: np.ndarray
@@ -158,6 +178,7 @@ class BeamSolution:
     max_curvature_s: float
     max_fiber_strain: float
     residual: float
+    integrations: int
     contact_expected: bool = False
 
     @property
@@ -221,79 +242,117 @@ def _load_events(geometry: ArmGeometry, loads: LoadCase) -> dict[float, float]:
     return events
 
 
-def _integrate(
-    geometry: ArmGeometry,
-    loads: LoadCase,
-    settings: SolverSettings,
-    e_modulus: float,
-    root_moment: float,
-    theta_motor: float,
-    collect: bool = False,
-):
-    """Forward RK4 sweep from the root given the root moment and an assumed
-    tangent angle at the motor station (fixes the follower thrust
-    direction). Returns the tip moment and, when collecting, the full
-    station history."""
+def _panel_plan(geometry: ArmGeometry, loads: LoadCase, settings: SolverSettings, e_modulus: float):
+    """Panels between consecutive cuts (segment ends, the motor station,
+    point-moment stations), root to tip, as (a, b, EI, steps, inboard)
+    tuples; inboard panels end at or before the motor station and carry the
+    thrust. Both marches step the same panels, so they share one mesh."""
     length = geometry.total_length
     s_motor = geometry.motor_station * length
-    moment_events = _load_events(geometry, loads)
-    # Panel boundaries: segment ends, the motor station, point-moment stations.
-    cuts = set(geometry.segment_bounds) | {s_motor} | set(moment_events)
+    events = _load_events(geometry, loads)
+    cuts = set(geometry.segment_bounds) | {s_motor} | set(events)
     cuts = sorted(c for c in cuts if 0.0 <= c <= length)
     if cuts[0] != 0.0:
         cuts.insert(0, 0.0)
     if cuts[-1] != length:
         cuts.append(length)
-
-    w_z = -geometry.linear_density * loads.gravity  # weight per unit length
-    if loads.thrust > 0:
-        thrust_x = -loads.thrust * math.sin(theta_motor)
-        thrust_z = loads.thrust * math.cos(theta_motor)
-    else:
-        thrust_x = thrust_z = 0.0
-
-    theta = -math.radians(geometry.initial_droop_deg)
-    x = z = 0.0
-    m = root_moment
-    history = []
-    if collect:
-        history.append((theta, x, z, m, 0.0))
-
     seg_len = length / len(geometry.segments)
-    cos, sin = math.cos, math.sin
+    panels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         # Panels never cross a segment boundary, so inertia is constant here.
         ei = e_modulus * geometry.inertia_at(0.5 * (a + b))
-        has_thrust = b <= s_motor and (thrust_x != 0.0 or thrust_z != 0.0)
         n = max(2, int(math.ceil(settings.integration_steps * (b - a) / seg_len)))
+        panels.append((a, b, ei, n, b <= s_motor))
+    return panels, events
+
+
+def _march_in(panels, events, thrust: float, w_z: float, length: float, theta_tip: float):
+    """RK4 march of (theta, M) from the free tip, where M = 0, to the root.
+
+    The force resultant outboard of s is the weight beyond s plus, inboard
+    of the motor station, the thrust, whose direction is fixed as soon as
+    the march reaches the station. Point moments are added on the way in.
+    Returns (theta(0), M(0), theta at the motor station)."""
+    cos, sin = math.cos, math.sin
+    theta, m = theta_tip, 0.0
+    theta_motor = None
+    rx = tz = 0.0
+    for a, b, ei, n, inboard in reversed(panels):
+        m += events.get(b, 0.0)
+        if inboard and theta_motor is None:
+            theta_motor = theta
+            rx = -thrust * sin(theta)
+            tz = thrust * cos(theta)
         h = (b - a) / n
+        half = 0.5 * h
+        s = b
+        for _ in range(n):
+            rz1 = w_z * (length - s) + tz
+            rz2 = w_z * (length - (s - half)) + tz
+            rz4 = w_z * (length - (s - h)) + tz
+            k1t = m / ei
+            k1m = sin(theta) * rx - cos(theta) * rz1
+            t, mm = theta - half * k1t, m - half * k1m
+            k2t = mm / ei
+            k2m = sin(t) * rx - cos(t) * rz2
+            t, mm = theta - half * k2t, m - half * k2m
+            k3t = mm / ei
+            k3m = sin(t) * rx - cos(t) * rz2
+            t, mm = theta - h * k3t, m - h * k3m
+            k4t = mm / ei
+            k4m = sin(t) * rx - cos(t) * rz4
+            theta -= (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+            m -= (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+            s -= h
+    return theta, m, theta_motor
+
+
+def _march_out(panels, events, thrust: float, w_z: float, length: float,
+               theta_root: float, m_root: float, theta_motor: float) -> np.ndarray:
+    """RK4 march of (theta, x, z, M) from the clamped root to the tip with
+    the thrust direction fixed by theta_motor. Returns the station history,
+    one row (theta, x, z, M, s) per step plus one after each point moment."""
+    cos, sin = math.cos, math.sin
+    thrust_x = -thrust * sin(theta_motor)
+    thrust_z = thrust * cos(theta_motor)
+    theta, x, z, m = theta_root, 0.0, 0.0, m_root
+    history = [(theta, x, z, m, 0.0)]
+    for a, b, ei, n, inboard in panels:
+        rx, tz = (thrust_x, thrust_z) if inboard else (0.0, 0.0)
+        h = (b - a) / n
+        half = 0.5 * h
         s = a
         for _ in range(n):
-
-            def rhs(ss, th, mm):
-                rx = thrust_x if has_thrust else 0.0
-                rz = w_z * (length - ss) + (thrust_z if has_thrust else 0.0)
-                c, sn = cos(th), sin(th)
-                return mm / ei, c, sn, -(c * rz - sn * rx)
-
-            k1t, k1x, k1z, k1m = rhs(s, theta, m)
-            k2t, k2x, k2z, k2m = rhs(s + 0.5 * h, theta + 0.5 * h * k1t, m + 0.5 * h * k1m)
-            k3t, k3x, k3z, k3m = rhs(s + 0.5 * h, theta + 0.5 * h * k2t, m + 0.5 * h * k2m)
-            k4t, k4x, k4z, k4m = rhs(s + h, theta + h * k3t, m + h * k3m)
+            rz1 = w_z * (length - s) + tz
+            rz2 = w_z * (length - (s + half)) + tz
+            rz4 = w_z * (length - (s + h)) + tz
+            c1, s1 = cos(theta), sin(theta)
+            k1t = m / ei
+            k1m = -(c1 * rz1 - s1 * rx)
+            t, mm = theta + half * k1t, m + half * k1m
+            c2, s2 = cos(t), sin(t)
+            k2t = mm / ei
+            k2m = -(c2 * rz2 - s2 * rx)
+            t, mm = theta + half * k2t, m + half * k2m
+            c3, s3 = cos(t), sin(t)
+            k3t = mm / ei
+            k3m = -(c3 * rz2 - s3 * rx)
+            t, mm = theta + h * k3t, m + h * k3m
+            c4, s4 = cos(t), sin(t)
+            k4t = mm / ei
+            k4m = -(c4 * rz4 - s4 * rx)
             theta += (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-            x += (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            z += (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            x += (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            z += (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
             m += (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
             s += h
-            if collect:
-                history.append((theta, x, z, m, s))
-        if b in moment_events:
+            history.append((theta, x, z, m, s))
+        if b in events:
             # Crossing a point moment removes its contribution from the
             # internal moment of the remaining part.
-            m -= moment_events[b]
-            if collect:
-                history.append((theta, x, z, m, b))
-    return (theta, x, z, m), history
+            m -= events[b]
+            history.append((theta, x, z, m, b))
+    return np.array(history)
 
 
 def _moment_scale(geometry: ArmGeometry, loads: LoadCase) -> float:
@@ -315,53 +374,54 @@ def solve_elastica(
 ) -> BeamSolution:
     """Solve the clamped-root free-tip elastica for the given loads.
 
-    Shooting on the root moment drives the tip moment to zero; the
-    follower thrust direction is resolved by a fixed-point iteration on
-    the tangent angle at the motor station.
+    Marching inward from the free tip, where the moment vanishes and the
+    force resultant is known, leaves the tip angle as the only unknown; it
+    is shot on until the root angle matches the clamp. One outward march
+    from the converged root moment then gives the shape, and its tip moment
+    is the reported residual [N m].
     """
     settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
+    length = geometry.total_length
+    panels, events = _panel_plan(geometry, loads, settings, e_modulus)
+    w_z = -geometry.linear_density * loads.gravity  # weight per unit length
+    theta_root = -math.radians(geometry.initial_droop_deg)
+    integrations = 0
+    marched: dict[float, tuple[float, float]] = {}
 
-    theta_motor = -math.radians(geometry.initial_droop_deg)
-    root_moment = 0.0
-    evals = 0
-    s_motor = geometry.motor_station * geometry.total_length
-
-    def tip_moment(m0: float) -> float:
-        nonlocal evals
-        evals += 1
-        if evals > settings.max_shooting_iterations:
+    def root_defect(theta_tip: float) -> float:
+        nonlocal integrations
+        integrations += 1
+        if integrations > settings.max_shooting_iterations:
             raise NoConvergence(
                 f"shooting budget of {settings.max_shooting_iterations} integrations exhausted"
             )
-        (_, _, _, m_tip), _ = _integrate(geometry, loads, settings, e_modulus, m0, theta_motor)
-        return m_tip
+        theta0, m0, theta_motor = _march_in(panels, events, loads.thrust, w_z, length, theta_tip)
+        marched[theta_tip] = (m0, theta_motor)
+        return theta0 - theta_root
 
-    moment_scale = _moment_scale(geometry, loads)
-    tolerance = settings.shooting_tolerance * moment_scale
-    for _follower_pass in range(60):
-        root_moment = _shoot(tip_moment, root_moment, moment_scale, tolerance)
-        y_end, hist = _integrate(
-            geometry, loads, settings, e_modulus, root_moment, theta_motor, collect=True
+    theta_tip = _shoot(root_defect, theta_root, settings.shooting_tolerance)
+    m_root, theta_motor = marched[theta_tip]
+    arr = _march_out(panels, events, loads.thrust, w_z, length, theta_root, m_root, theta_motor)
+    integrations += 1
+    residual = float(abs(arr[-1, 3]))
+    tolerance = settings.shooting_tolerance * _moment_scale(geometry, loads)
+    if not residual <= tolerance:
+        raise NoConvergence(
+            f"tip moment {residual:.3g} N m exceeds the tolerance of {tolerance:.3g} N m"
         )
-        arr = np.array(hist)
-        theta_motor_new = float(np.interp(s_motor, arr[:, 4], arr[:, 0]))
-        if loads.thrust == 0 or abs(theta_motor_new - theta_motor) < 1e-12:
-            theta_motor = theta_motor_new
-            break
-        theta_motor = theta_motor_new
-    else:
-        raise NoConvergence("follower-direction fixed point did not settle")
 
     stations = arr[:, [4, 1, 2, 0]].copy()  # (s, x, z, theta)
     moments = arr[:, 3].copy()
-    inertias = np.array([geometry.inertia_at(min(s, geometry.total_length * (1 - 1e-12)))
-                         for s in stations[:, 0]])
+    # A station on a segment boundary belongs to the outboard segment, and
+    # one at or past the tip to the last, as in ArmGeometry.inertia_at.
+    segment = np.searchsorted(geometry.segment_bounds, stations[:, 0], side="right") - 1
+    segment = np.minimum(segment, len(geometry.segments) - 1)
+    inertias = np.asarray(geometry.section_inertia)[segment]
     curvatures = moments / (e_modulus * inertias)
     idx = int(np.argmax(np.abs(curvatures)))
     max_curv = float(abs(curvatures[idx]))
     max_curv_s = float(stations[idx, 0]) if max_curv > 0 else 0.0
-    residual = float(abs(y_end[3]))
     return BeamSolution(
         stations=stations,
         moments=moments,
@@ -371,11 +431,13 @@ def solve_elastica(
         max_curvature_s=max_curv_s,
         max_fiber_strain=max_curv * geometry.section_half_depth,
         residual=residual,
+        integrations=integrations,
     )
 
 
-def _shoot(f, guess: float, scale: float, tol: float) -> float:
-    """Root of f (tip-moment defect as a function of the root moment).
+def _shoot(f, guess: float, tol: float) -> float:
+    """Root of f (root-angle defect as a function of the tip angle, both in
+    radians).
 
     Secant iteration handles the common near-linear case in a handful of
     integrations; if it wanders, the evaluations collected so far seed a
@@ -397,7 +459,7 @@ def _shoot(f, guess: float, scale: float, tol: float) -> float:
     x0, f0 = guess, eval_at(guess)
     if abs(f0) <= tol:
         return x0
-    x1 = guess + (0.01 * scale if f0 < 0 else -0.01 * scale)
+    x1 = guess + (0.01 if f0 < 0 else -0.01)
     f1 = eval_at(x1)
     for _ in range(30):
         if abs(f1) <= tol:
@@ -407,7 +469,7 @@ def _shoot(f, guess: float, scale: float, tol: float) -> float:
         if f1 == f0:
             break
         step = -f1 * (x1 - x0) / (f1 - f0)
-        step = max(-10.0 * scale, min(10.0 * scale, step))
+        step = max(-10.0, min(10.0, step))
         x0, f0 = x1, f1
         x1 = x1 + step
         f1 = eval_at(x1)
@@ -416,7 +478,7 @@ def _shoot(f, guess: float, scale: float, tol: float) -> float:
 
     if neg is None or pos is None:
         # Geometric expansion away from the one-signed points seen so far.
-        step = scale
+        step = 1.0
         for _ in range(80):
             if neg is None and pos is not None:
                 eval_at(min(p for p in (pos[0], guess)) - step)
@@ -426,7 +488,7 @@ def _shoot(f, guess: float, scale: float, tol: float) -> float:
                 break
             step *= 2.0
         else:
-            raise NoConvergence("failed to bracket the root moment")
+            raise NoConvergence("failed to bracket the tip angle")
 
     # False position inside the bracket, with bisection when it stalls.
     for _ in range(300):

@@ -1,4 +1,7 @@
-"""Elastica solver: linear limit, equilibrium, symmetry, stress location."""
+"""Elastica solver: linear limit, equilibrium, symmetry, stress location,
+robustness at large rotation, solver counters and input validation."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ from softarm.beam import (
     solve_elastica,
     tendon_bend,
 )
+from softarm.cli import default_data_dir
 from softarm.errors import LargeDeflectionWarning, NoConvergence, NonPhysicalMaterial
+from softarm.io import read_arm_geometry_json
 from softarm.material import BeamTestGeometry, MooneyRivlinParams
 
 E_SOFT = 1e7
@@ -217,3 +222,114 @@ class TestGeometryValidation:
         assert sol.max_fiber_strain == pytest.approx(
             sol.max_curvature * geom.section_half_depth
         )
+
+
+def moment_scale(geom, loads):
+    """Applied moment scale [N m] the residual tolerance is relative to
+    (thrust and weight only; the loads below carry no point moments)."""
+    length = geom.total_length
+    return loads.thrust * length + geom.linear_density * abs(loads.gravity) * length**2
+
+
+class TestRobustness:
+    def test_thrust_sweep_past_90deg_stays_on_the_zero_load_branch(self):
+        geom = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
+        rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
+        settings = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
+        angles = []
+        for thrust in np.linspace(0.0, 60.0, 61):
+            loads = LoadCase(thrust=float(thrust))
+            sol = solve_elastica(geom, rho6, loads, settings)
+            assert sol.residual <= settings.shooting_tolerance * moment_scale(geom, loads)
+            angles.append(sol.tip_angle_deg)
+            if sol.tip_angle_deg > 90.0:
+                break
+        assert angles[-1] > 90.0
+        assert all(b > a for a, b in zip(angles, angles[1:]))
+
+    def test_soft_uniform_arm_converges_at_30n(self):
+        geom = uniform_arm(length=0.2, inertia=3e-8)  # EI = 0.3 N m^2
+        loads = LoadCase(thrust=30.0, gravity=0)
+        settings = SolverSettings()
+        sol = solve_elastica(geom, E_SOFT, loads, settings)
+        assert sol.residual <= settings.shooting_tolerance * moment_scale(geom, loads)
+        assert 90.0 < sol.tip_angle_deg < 180.0
+
+
+class TestSolverCounters:
+    def test_every_march_is_counted(self):
+        # Zero load: the straight guess meets the clamp, so one inward march
+        # and the outward march.
+        sol = solve_elastica(fold_arm(droop=5.0), E_SOFT, LoadCase(thrust=0, gravity=0))
+        assert sol.integrations == 2
+
+    def test_march_budget(self):
+        with pytest.raises(NoConvergence):
+            solve_elastica(fold_arm(), E_SOFT, LoadCase(thrust=3.0),
+                           SolverSettings(max_shooting_iterations=1))
+
+
+class TestStationInertias:
+    def test_bit_equal_to_inertia_at_including_boundaries(self):
+        geom = fold_arm(inertia=(5e-8, 4e-8, 3e-8, 2e-8), droop=5.0, motor=0.83, density=0.15)
+        # Tendon moments sit on the folds, so the stations include every
+        # interior segment boundary exactly.
+        sol = tendon_bend(geom, E_SOFT, 4.0, eccentricity=0.01)
+        assert set(geom.fold_stations) <= set(sol.s.tolist())
+        expected = [geom.inertia_at(s) for s in sol.s]
+        assert sol.inertias.tolist() == expected
+
+
+FIELD_CASES = [
+    (Segment, {"fold_angle_deg": 10.0, "length": 0.05}, ["fold_angle_deg", "length"]),
+    (
+        ArmGeometry,
+        {
+            "segments": (Segment(0.0, 0.2),),
+            "section_inertia": (1e-9,),
+            "section_half_depth": 0.005,
+            "initial_droop_deg": 5.0,
+            "motor_station": 0.8,
+            "linear_density": 0.1,
+        },
+        ["section_inertia", "section_half_depth", "initial_droop_deg", "motor_station",
+         "linear_density"],
+    ),
+    (
+        LoadCase,
+        {
+            "thrust": 1.0,
+            "gravity": 9.81,
+            "tendon_tension": 2.0,
+            "tendon_eccentricity": 0.01,
+            "point_moments": ((0.1, 0.01),),
+        },
+        ["thrust", "gravity", "tendon_tension", "tendon_eccentricity", "point_moments"],
+    ),
+    (
+        SolverSettings,
+        {"integration_steps": 64, "shooting_tolerance": 1e-7, "max_shooting_iterations": 100},
+        ["integration_steps", "shooting_tolerance", "max_shooting_iterations"],
+    ),
+]
+
+
+def _poison(field, bad):
+    """A value for the field that carries the non-finite number bad."""
+    if field == "section_inertia":
+        return (bad,)
+    if field == "point_moments":
+        return ((0.1, bad),)
+    return bad
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls,kwargs,field",
+    [(cls, kwargs, field) for cls, kwargs, fields in FIELD_CASES for field in fields],
+    ids=[f"{cls.__name__}.{field}" for cls, _, fields in FIELD_CASES for field in fields],
+)
+def test_non_finite_input_rejected(cls, kwargs, field, bad):
+    cls(**kwargs)  # the baseline is valid
+    with pytest.raises(ValueError, match="must be finite"):
+        cls(**{**kwargs, field: _poison(field, bad)})

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from softarm import beam
 from softarm import io as sio
 from softarm.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, default_data_dir, main
 from softarm.deflection import DeflectionModelCoeffs, eval_deflection
@@ -22,6 +23,17 @@ def write_stress_strain(path, params=RHO6, n=40):
         stress_pa = mr_uniaxial_stress(params, float(lam)) * 1e6
         lines.append(f"{lam - 1.0:.12g},{stress_pa:.12g}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def shipped_config():
+    """The shipped analyze config with its file references made absolute."""
+    data = default_data_dir()
+    config = json.loads((data / "config.json").read_text())
+    for key in ("geometry", "efficiency_table", "deflection_coeffs"):
+        config[key] = str(data / config[key])
+    table = config["material"]["hyperelastic_table"]
+    config["material"]["hyperelastic_table"] = str(data / table)
+    return config
 
 
 def run(capsys, argv):
@@ -205,6 +217,41 @@ class TestAnalyzeCommand:
         p.write_text("{}")
         code, _ = run(capsys, ["analyze", "--config", str(p)])
         assert code == EXIT_INPUT
+
+    def test_8pct_infill_converges(self, tmp_path, capsys):
+        config = shipped_config()
+        config["material"]["infill_pct"] = 8
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(config))
+        code, out = run(capsys, ["analyze", "--config", str(p)])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["results"]["beam"]["throttle_sweep"]) == 11
+
+    def test_non_finite_geometry_is_input_error(self, tmp_path, capsys):
+        geometry = json.loads((default_data_dir() / "arm_geometry.json").read_text())
+        geometry["linear_density_kg_m"] = float("nan")
+        (tmp_path / "geometry.json").write_text(json.dumps(geometry))
+        config = shipped_config()
+        config["geometry"] = str(tmp_path / "geometry.json")
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(config))
+        code, _ = run(capsys, ["analyze", "--config", str(p)])
+        assert code == EXIT_INPUT
+
+    def test_solver_integration_count(self, tmp_path, monkeypatch, capsys):
+        solutions = []
+        solve = beam.solve_elastica
+
+        def recording_solve(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(beam, "solve_elastica", recording_solve)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
+        assert len(solutions) == 11
+        assert sum(sol.integrations for sol in solutions) <= 80
+        assert "integrations" not in out.read_text()
 
 
 class TestDeflectCommand:
