@@ -6,6 +6,9 @@ stations. Geometry is piecewise constant per segment; integration is
 fixed-step RK4. Marching inward from the free tip, where the bending
 moment vanishes and the outboard force is known, leaves the tip angle as
 the only unknown, which is shot on until the root angle meets the clamp.
+The shooting runs on a coarse predictor mesh first; one march on the
+requested mesh then checks the prediction, and only a prediction that fails
+the check is refined on the requested mesh.
 Coordinates: x horizontal, z up, theta measured from horizontal
 (positive = tip up).
 """
@@ -22,6 +25,7 @@ from .errors import LargeDeflectionWarning, NoConvergence, NonPhysicalMaterial
 from .material import BeamTestGeometry, LinearElasticParams, MooneyRivlinParams
 
 GRAVITY = 9.81
+PREDICTOR_STEPS = 8  # RK4 steps per segment length of the predictor mesh
 
 
 def _require_finite(obj, *fields: str) -> None:
@@ -141,11 +145,15 @@ class LoadCase:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Solver knobs. shooting_tolerance bounds the root-angle defect [rad]
-    of the shooting and the tip-moment residual of the final march relative
-    to the applied moment scale (N m of defect per N m of load), which keeps
-    the solved shape invariant under joint load/stiffness scaling.
-    max_shooting_iterations caps the RK4 marches of one solve."""
+    """Solver knobs. integration_steps is the number of RK4 steps per
+    segment length of the mesh of the returned shape, on which the shot
+    prediction is checked. shooting_tolerance bounds the root-angle defect
+    [rad] of the shooting, the drift of the thrust direction [rad] in the
+    check, and the tip-moment residual of the final march relative to the
+    applied moment scale (N m of defect per N m of load), which keeps the
+    solved shape invariant under joint load/stiffness scaling.
+    max_shooting_iterations caps the RK4 marches of one solve, counted over
+    the predictor and the requested mesh together."""
 
     integration_steps: int = 256
     shooting_tolerance: float = 1e-9
@@ -167,7 +175,7 @@ class BeamSolution:
     moments/inertias: internal bending moment [N m] and section inertia
     [m^4] at each station, kept for the stress proxy. residual is the tip
     moment [N m] of the final root-to-tip march; integrations counts the RK4
-    marches of the solve.
+    marches of the solve and steps their RK4 steps, on both meshes.
     """
 
     stations: np.ndarray
@@ -179,6 +187,7 @@ class BeamSolution:
     max_fiber_strain: float
     residual: float
     integrations: int
+    steps: int
     contact_expected: bool = False
 
     @property
@@ -242,11 +251,12 @@ def _load_events(geometry: ArmGeometry, loads: LoadCase) -> dict[float, float]:
     return events
 
 
-def _panel_plan(geometry: ArmGeometry, loads: LoadCase, settings: SolverSettings, e_modulus: float):
+def _panel_plan(geometry: ArmGeometry, loads: LoadCase, steps: int, e_modulus: float):
     """Panels between consecutive cuts (segment ends, the motor station,
-    point-moment stations), root to tip, as (a, b, EI, steps, inboard)
-    tuples; inboard panels end at or before the motor station and carry the
-    thrust. Both marches step the same panels, so they share one mesh."""
+    point-moment stations), root to tip, as (a, b, EI, n, inboard) tuples
+    with about `steps` RK4 steps per segment length; inboard panels end at
+    or before the motor station and carry the thrust. Every mesh has the
+    same cuts, so the marches on any two meshes meet at the same stations."""
     length = geometry.total_length
     s_motor = geometry.motor_station * length
     events = _load_events(geometry, loads)
@@ -261,7 +271,7 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, settings: SolverSettings
     for a, b in zip(cuts[:-1], cuts[1:]):
         # Panels never cross a segment boundary, so inertia is constant here.
         ei = e_modulus * geometry.inertia_at(0.5 * (a + b))
-        n = max(2, int(math.ceil(settings.integration_steps * (b - a) / seg_len)))
+        n = max(2, int(math.ceil(steps * (b - a) / seg_len)))
         panels.append((a, b, ei, n, b <= s_motor))
     return panels, events
 
@@ -308,15 +318,17 @@ def _march_in(panels, events, thrust: float, w_z: float, length: float, theta_ti
 
 
 def _march_out(panels, events, thrust: float, w_z: float, length: float,
-               theta_root: float, m_root: float, theta_motor: float) -> np.ndarray:
+               theta_root: float, m_root: float, theta_motor: float):
     """RK4 march of (theta, x, z, M) from the clamped root to the tip with
     the thrust direction fixed by theta_motor. Returns the station history,
-    one row (theta, x, z, M, s) per step plus one after each point moment."""
+    one row (theta, x, z, M, s) per step plus one after each point moment,
+    and the theta the march reaches at the motor station."""
     cos, sin = math.cos, math.sin
     thrust_x = -thrust * sin(theta_motor)
     thrust_z = thrust * cos(theta_motor)
     theta, x, z, m = theta_root, 0.0, 0.0, m_root
     history = [(theta, x, z, m, 0.0)]
+    theta_at_motor = theta
     for a, b, ei, n, inboard in panels:
         rx, tz = (thrust_x, thrust_z) if inboard else (0.0, 0.0)
         h = (b - a) / n
@@ -347,12 +359,14 @@ def _march_out(panels, events, thrust: float, w_z: float, length: float,
             m += (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
             s += h
             history.append((theta, x, z, m, s))
+        if inboard:
+            theta_at_motor = theta
         if b in events:
             # Crossing a point moment removes its contribution from the
             # internal moment of the remaining part.
             m -= events[b]
             history.append((theta, x, z, m, b))
-    return np.array(history)
+    return np.array(history), theta_at_motor
 
 
 def _moment_scale(geometry: ArmGeometry, loads: LoadCase) -> float:
@@ -376,37 +390,58 @@ def solve_elastica(
 
     Marching inward from the free tip, where the moment vanishes and the
     force resultant is known, leaves the tip angle as the only unknown; it
-    is shot on until the root angle matches the clamp. One outward march
-    from the converged root moment then gives the shape, and its tip moment
-    is the reported residual [N m].
+    is shot on until the root angle matches the clamp. The shooting runs
+    first on a predictor mesh with the same cuts and at most
+    PREDICTOR_STEPS steps per segment. One outward march on the requested
+    mesh from the predicted root moment and thrust direction then gives the
+    shape; it is accepted if its tip moment (the reported residual [N m])
+    is within tolerance and its angle at the motor station matches the
+    thrust direction it used. Otherwise the shooting resumes on the
+    requested mesh from the predicted tip angle and marches out again, and
+    then only the tip moment is checked.
     """
     settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
     length = geometry.total_length
-    panels, events = _panel_plan(geometry, loads, settings, e_modulus)
+    out_panels, events = _panel_plan(geometry, loads, settings.integration_steps, e_modulus)
+    predictor, _ = _panel_plan(
+        geometry, loads, min(settings.integration_steps, PREDICTOR_STEPS), e_modulus
+    )
+    out_steps = sum(panel[3] for panel in out_panels)
     w_z = -geometry.linear_density * loads.gravity  # weight per unit length
     theta_root = -math.radians(geometry.initial_droop_deg)
-    integrations = 0
-    marched: dict[float, tuple[float, float]] = {}
-
-    def root_defect(theta_tip: float) -> float:
-        nonlocal integrations
-        integrations += 1
-        if integrations > settings.max_shooting_iterations:
-            raise NoConvergence(
-                f"shooting budget of {settings.max_shooting_iterations} integrations exhausted"
-            )
-        theta0, m0, theta_motor = _march_in(panels, events, loads.thrust, w_z, length, theta_tip)
-        marched[theta_tip] = (m0, theta_motor)
-        return theta0 - theta_root
-
-    theta_tip = _shoot(root_defect, theta_root, settings.shooting_tolerance)
-    m_root, theta_motor = marched[theta_tip]
-    arr = _march_out(panels, events, loads.thrust, w_z, length, theta_root, m_root, theta_motor)
-    integrations += 1
-    residual = float(abs(arr[-1, 3]))
     tolerance = settings.shooting_tolerance * _moment_scale(geometry, loads)
-    if not residual <= tolerance:
+    integrations = steps = 0
+    theta_tip = theta_root  # the straight arm seeds the predictor
+
+    for panels in (predictor, out_panels):
+        march_steps = sum(panel[3] for panel in panels)
+        marched: dict[float, tuple[float, float]] = {}
+
+        def root_defect(theta_tip: float) -> float:
+            nonlocal integrations, steps
+            integrations += 1
+            if integrations > settings.max_shooting_iterations:
+                raise NoConvergence(
+                    f"shooting budget of {settings.max_shooting_iterations} integrations exhausted"
+                )
+            steps += march_steps
+            theta0, m0, theta_motor = _march_in(panels, events, loads.thrust, w_z, length,
+                                                theta_tip)
+            marched[theta_tip] = (m0, theta_motor)
+            return theta0 - theta_root
+
+        theta_tip = _shoot(root_defect, theta_tip, settings.shooting_tolerance)
+        m_root, theta_motor = marched[theta_tip]
+        arr, theta_at_motor = _march_out(out_panels, events, loads.thrust, w_z, length,
+                                         theta_root, m_root, theta_motor)
+        integrations += 1
+        steps += out_steps
+        residual = float(abs(arr[-1, 3]))
+        settled = abs(theta_at_motor - theta_motor) <= settings.shooting_tolerance
+        if residual <= tolerance and (settled or panels is out_panels):
+            break
+    else:
         raise NoConvergence(
             f"tip moment {residual:.3g} N m exceeds the tolerance of {tolerance:.3g} N m"
         )
@@ -432,6 +467,7 @@ def solve_elastica(
         max_fiber_strain=max_curv * geometry.section_half_depth,
         residual=residual,
         integrations=integrations,
+        steps=steps,
     )
 
 

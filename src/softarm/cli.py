@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io as _stdio
 import json
+import math
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -95,7 +97,9 @@ def _make_report(results: dict, inputs: dict, warning_list: list[dict], timestam
 
 
 def _emit_json(report: dict, out: str | None, quiet: bool) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # allow_nan=False: NaN and Infinity are not JSON, so a non-finite value
+    # that got this far is an input error rather than a corrupt report.
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
         if not quiet:
@@ -450,7 +454,23 @@ def cmd_sweep(args) -> tuple[list[str], list[list]]:
 # argument parsing and dispatch
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for numeric options: a float that is neither NaN nor
+    infinite, so a bad number exits 2 instead of reaching a report."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. parse_args returns a
+    fresh namespace on every call and leaves the parser unchanged, so one
+    parser serves every main() call."""
     # Global flags accepted both before and after the subcommand; SUPPRESS
     # keeps the subparser from clobbering values parsed by the main parser.
     common = argparse.ArgumentParser(add_help=False)
@@ -477,36 +497,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-material", help="fit material models from test CSVs", parents=[common])
     p.add_argument("--stress-strain", help="strain,stress_pa CSV for the hyperelastic fit")
-    p.add_argument("--infill", type=float, default=0.0, help="specimen infill rate [%%]")
+    p.add_argument("--infill", type=_finite_float, default=0.0, help="specimen infill rate [%%]")
     p.add_argument("--flexural", help="force_n,deflection_m CSV for the flexural-modulus fit")
-    p.add_argument("--length", type=float, help="cantilever test length [m]")
-    p.add_argument("--inertia", type=float, help="section inertia [m^4]")
-    p.add_argument("--half-depth", type=float, help="section half depth [m]")
+    p.add_argument("--length", type=_finite_float, help="cantilever test length [m]")
+    p.add_argument("--inertia", type=_finite_float, help="section inertia [m^4]")
+    p.add_argument("--half-depth", type=_finite_float, help="section half depth [m]")
     p.set_defaults(handler=cmd_fit_material)
 
     p = sub.add_parser("analyze", help="full analysis pipeline from a run config", parents=[common])
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("deflect", help="evaluate the empirical deflection model", parents=[common])
-    p.add_argument("--rho", type=float, required=True, help="infill rate [%%]")
-    p.add_argument("--throttle-pct", type=float, help="throttle [%%]")
+    p.add_argument("--rho", type=_finite_float, required=True, help="infill rate [%%]")
+    p.add_argument("--throttle-pct", type=_finite_float, help="throttle [%%]")
     p.add_argument("--envelope", action="store_true", help="include the envelope scan")
     p.add_argument("--coeffs", help="deflection coefficients JSON")
-    p.add_argument("--alpha0", type=float, help="override unpowered droop [deg]")
+    p.add_argument("--alpha0", type=_finite_float, help="override unpowered droop [deg]")
     p.set_defaults(handler=cmd_deflect)
 
     p = sub.add_parser("efficiency", help="thrust efficiency lookup and surrogate", parents=[common])
-    p.add_argument("--rpm", type=float, required=True)
-    p.add_argument("--station", type=float, default=aero.OPTIMUM_MOTOR_STATION)
+    p.add_argument("--rpm", type=_finite_float, required=True)
+    p.add_argument("--station", type=_finite_float, default=aero.OPTIMUM_MOTOR_STATION)
     p.add_argument("--table", help="rpm,eta CSV (default: shipped table)")
     p.set_defaults(handler=cmd_efficiency)
 
     p = sub.add_parser("pipe-fit", help="pipe wrap and attachment feasibility", parents=[common])
-    p.add_argument("--diameter", type=float, required=True, help="pipe diameter [m]")
+    p.add_argument("--diameter", type=_finite_float, required=True, help="pipe diameter [m]")
     p.add_argument("--geometry", help="arm geometry JSON (default: shipped geometry)")
-    p.add_argument("--tendon-force", type=float, default=12.0)
-    p.add_argument("--contact-width", type=float, default=0.05)
-    p.add_argument("--infill", type=float, default=6.0)
+    p.add_argument("--tendon-force", type=_finite_float, default=12.0)
+    p.add_argument("--contact-width", type=_finite_float, default=0.05)
+    p.add_argument("--infill", type=_finite_float, default=6.0)
     p.set_defaults(handler=cmd_pipe_fit)
 
     p = sub.add_parser("sweep", help="grid sweeps of the reduced models (CSV)", parents=[common])
@@ -515,10 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["motor_station", "arm_angle", "throttle", "infill"],
     )
-    p.add_argument("--rpm", type=float, default=4000.0)
-    p.add_argument("--rho", type=float, default=6.0)
-    p.add_argument("--tendon-force", type=float, default=12.0)
-    p.add_argument("--contact-width", type=float, default=0.05)
+    p.add_argument("--rpm", type=_finite_float, default=4000.0)
+    p.add_argument("--rho", type=_finite_float, default=6.0)
+    p.add_argument("--tendon-force", type=_finite_float, default=12.0)
+    p.add_argument("--contact-width", type=_finite_float, default=0.05)
     p.add_argument("--table", help="rpm,eta CSV (default: shipped table)")
     p.set_defaults(handler=cmd_sweep)
 

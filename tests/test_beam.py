@@ -2,11 +2,17 @@
 robustness at large rotation, solver counters and input validation."""
 
 import math
+from dataclasses import replace
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from softarm import beam
 from softarm.beam import (
+    PREDICTOR_STEPS,
     ArmGeometry,
     BeamSolution,
     LoadCase,
@@ -263,10 +269,89 @@ class TestSolverCounters:
         sol = solve_elastica(fold_arm(droop=5.0), E_SOFT, LoadCase(thrust=0, gravity=0))
         assert sol.integrations == 2
 
+    def test_steps_count_both_meshes(self):
+        # Zero load: one inward march on the predictor mesh and one outward
+        # march on the requested mesh, which has a station after every step.
+        seg_len = sum(seg.length for seg in FOLD_SEGMENTS) / len(FOLD_SEGMENTS)
+        predictor = sum(math.ceil(PREDICTOR_STEPS * seg.length / seg_len) for seg in FOLD_SEGMENTS)
+        sol = solve_elastica(fold_arm(droop=5.0), E_SOFT, LoadCase(thrust=0, gravity=0),
+                             SolverSettings(integration_steps=64))
+        assert sol.steps == predictor + len(sol.s) - 1
+
     def test_march_budget(self):
         with pytest.raises(NoConvergence):
             solve_elastica(fold_arm(), E_SOFT, LoadCase(thrust=3.0),
                            SolverSettings(max_shooting_iterations=1))
+
+
+SHIPPED_ARM = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
+CLI_SETTINGS = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
+
+
+class TestPredictor:
+    @pytest.fixture
+    def outward(self, monkeypatch):
+        """(tip moment, drift of the thrust direction) of each outward march."""
+        marches = []
+        march_out = beam._march_out
+
+        def recording_march_out(*args):
+            arr, theta_at_motor = march_out(*args)
+            theta_motor = args[-1]
+            marches.append((abs(arr[-1, 3]), abs(theta_at_motor - theta_motor)))
+            return arr, theta_at_motor
+
+        monkeypatch.setattr(beam, "_march_out", recording_march_out)
+        return marches
+
+    def test_failed_tip_moment_falls_back_to_the_requested_mesh(self, outward):
+        # A soft arm bent past 110 deg: the march from the predicted root
+        # moment misses the tip-moment tolerance, so the shooting resumes on
+        # the 64-step mesh.
+        geom = replace(SHIPPED_ARM, motor_station=0.9753)
+        loads = LoadCase(thrust=9.3846)
+        tolerance = CLI_SETTINGS.shooting_tolerance * moment_scale(geom, loads)
+        sol = solve_elastica(geom, 1.118e6, loads, CLI_SETTINGS)
+        assert len(outward) == 2
+        assert outward[0][0] > tolerance
+        assert sol.residual <= tolerance
+        # Shooting on the 64-step mesh alone gives 113.04250449374135 deg at
+        # a shooting tolerance of 1e-12, and 113.04250152835938 deg at 1e-7,
+        # where its secant stops within the root-angle tolerance.
+        assert sol.tip_angle_deg == pytest.approx(113.04250449374135, abs=1e-6)
+        assert sol.tip_angle_deg == pytest.approx(113.04250152835938,
+                                                  abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
+
+    def test_thrust_direction_drift_alone_falls_back(self, outward):
+        # A very soft arm drooping under its weight: the predicted march meets
+        # the tip moment, but its angle at the motor station drifts from the
+        # predicted thrust direction by more than the shooting tolerance.
+        geom = replace(SHIPPED_ARM, motor_station=0.55)
+        loads = LoadCase(thrust=0.2)
+        tolerance = CLI_SETTINGS.shooting_tolerance * moment_scale(geom, loads)
+        sol = solve_elastica(geom, 1.5e4, loads, CLI_SETTINGS)
+        assert len(outward) == 2
+        assert outward[0][0] <= tolerance
+        assert outward[0][1] > CLI_SETTINGS.shooting_tolerance
+        assert sol.residual <= tolerance
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@given(
+    e_modulus=st.floats(0.66e6, 12e6),
+    station=st.floats(0.5, 1.0),
+    thrust=st.floats(0.0, 11.0),
+)
+def test_design_range_converges_or_raises(e_modulus, station, thrust):
+    geom = replace(SHIPPED_ARM, motor_station=station)
+    loads = LoadCase(thrust=thrust)
+    try:
+        sol = solve_elastica(geom, e_modulus, loads, CLI_SETTINGS)
+    except NoConvergence:
+        return
+    assert sol.residual <= CLI_SETTINGS.shooting_tolerance * moment_scale(geom, loads)
+    assert np.all(np.isfinite(sol.stations))
+    assert np.all(np.isfinite(sol.moments))
 
 
 class TestStationInertias:

@@ -9,7 +9,15 @@ import pytest
 
 from softarm import beam
 from softarm import io as sio
-from softarm.cli import EXIT_FIT, EXIT_INPUT, EXIT_OK, default_data_dir, main
+from softarm.cli import (
+    EXIT_FIT,
+    EXIT_INPUT,
+    EXIT_OK,
+    _emit_json,
+    build_parser,
+    default_data_dir,
+    main,
+)
 from softarm.deflection import DeflectionModelCoeffs, eval_deflection
 from softarm.errors import ParseError
 from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
@@ -253,6 +261,23 @@ class TestAnalyzeCommand:
         assert sum(sol.integrations for sol in solutions) <= 80
         assert "integrations" not in out.read_text()
 
+    def test_solver_step_count(self, tmp_path, monkeypatch, capsys):
+        # The shooting runs on the predictor mesh; only the outward marches
+        # step the 64-step mesh (13,932 steps when every march used it).
+        solutions = []
+        solve = beam.solve_elastica
+
+        def recording_solve(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(beam, "solve_elastica", recording_solve)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
+        assert len(solutions) == 11
+        assert sum(sol.steps for sol in solutions) <= 5000
+        assert "steps" not in out.read_text()
+
 
 class TestDeflectCommand:
     def test_point_evaluation(self, capsys):
@@ -355,3 +380,53 @@ class TestGlobalFlags:
         code = main(["--out", str(target), "--quiet", "efficiency", "--rpm", "4500"])
         assert code == EXIT_OK
         assert target.exists()
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_carry_over_between_calls(self, tmp_path, capsys):
+        quiet_json = tmp_path / "a.json"
+        code = main(["efficiency", "--rpm", "4500", "--out", str(quiet_json), "--quiet"])
+        assert code == EXIT_OK and capsys.readouterr().out == ""
+        code, out = run(capsys, ["efficiency", "--rpm", "4500"])
+        assert code == EXIT_OK and json.loads(out)["results"]["efficiency"]["rpm"] == 4500
+        code, out = run(capsys, ["sweep", "--axis", "arm_angle", "--format", "json"])
+        assert code == EXIT_OK and json.loads(out)["results"]["sweep"]["axis"] == "arm_angle"
+        code, out = run(capsys, ["sweep", "--axis", "arm_angle"])
+        assert code == EXIT_OK and out.startswith("alpha_deg,net_vertical_thrust_n\n")
+        echoed = tmp_path / "b.json"
+        code, out = run(capsys, ["--out", str(echoed), "efficiency", "--rpm", "3000"])
+        assert code == EXIT_OK and out.strip() == str(echoed)
+        quiet_csv = tmp_path / "c.csv"
+        code, out = run(capsys, ["sweep", "--axis", "arm_angle", "--out", str(quiet_csv), "--quiet"])
+        assert code == EXIT_OK and out == "" and quiet_csv.exists()
+        code, out = run(capsys, ["efficiency", "--rpm", "3000"])
+        assert code == EXIT_OK and json.loads(out)["results"]["efficiency"]["rpm"] == 3000
+        assert json.loads(quiet_json.read_text())["results"]["efficiency"]["rpm"] == 4500
+        assert json.loads(echoed.read_text())["results"]["efficiency"]["rpm"] == 3000
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["deflect", "--rho", "nan", "--throttle-pct", "50"],
+            ["efficiency", "--rpm", "nan"],
+            ["pipe-fit", "--diameter", "0.2", "--tendon-force", "inf"],
+            ["sweep", "--axis", "throttle", "--rho", "nan"],
+        ],
+        ids=["deflect", "efficiency", "pipe-fit", "sweep"],
+    )
+    def test_non_finite_option_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+    def test_report_with_nan_is_not_written(self, tmp_path):
+        target = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            _emit_json({"results": {"value": float("nan")}}, str(target), quiet=True)
+        assert not target.exists()
