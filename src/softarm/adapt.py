@@ -105,7 +105,6 @@ def attach_check(
 
 def recommend_infill(
     coeffs: DeflectionModelCoeffs,
-    alpha0: float | None = None,
     scan_range: tuple[float, float] = (4.0, 15.0),
     scan_step: float = 0.5,
 ) -> tuple[float, float]:
@@ -115,10 +114,6 @@ def recommend_infill(
     For the measured deflection coefficients the returned range contains
     [6, 8].
     """
-    if alpha0 is not None and alpha0 != coeffs.alpha0:
-        coeffs = DeflectionModelCoeffs(
-            coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, alpha0=alpha0
-        )
     lo, hi = scan_range
     n = int(round((hi - lo) / scan_step))
     feasible = []

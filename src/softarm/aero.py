@@ -46,23 +46,18 @@ class EfficiencyTable:
 
 @dataclass(frozen=True)
 class PropellerModel:
-    """Quadratic thrust law T = k_t * rpm^2 anchored at a nominal point."""
+    """Quadratic thrust law T = k_t * rpm^2."""
 
     thrust_coefficient: float
-    nominal_rpm: float
-    nominal_thrust: float
 
     def __post_init__(self):
         if self.thrust_coefficient <= 0:
             raise ValueError("thrust_coefficient must be > 0")
-        expected = self.thrust_coefficient * self.nominal_rpm**2
-        if abs(expected - self.nominal_thrust) > 1e-9 * max(abs(self.nominal_thrust), 1.0):
-            raise ValueError("nominal_thrust inconsistent with k_t * nominal_rpm^2")
 
     @classmethod
     def from_nominal(cls, thrust: float, rpm: float) -> "PropellerModel":
-        k_t = thrust / rpm**2
-        return cls(thrust_coefficient=k_t, nominal_rpm=rpm, nominal_thrust=k_t * rpm**2)
+        """The law through the nominal point (rpm, thrust)."""
+        return cls(thrust_coefficient=thrust / rpm**2)
 
 
 #: Nominal point: about 500 g of thrust around 4000 rpm.
@@ -113,9 +108,9 @@ class EfficiencyModelParams:
     """
 
     table: EfficiencyTable
-    optimum_station: float = OPTIMUM_MOTOR_STATION
-    base_slope: float = 0.25
-    tip_slope: float = 0.10
+    optimum_station: float
+    base_slope: float
+    tip_slope: float
 
 
 def calibrate_efficiency_model(

@@ -1,13 +1,19 @@
 """Command-line front end: data ingestion, pipeline orchestration, and
 machine-readable JSON/CSV reporting.
 
-Exit codes: 0 ok, 2 input error, 3 fit failure, 4 solver failure.
+Every subcommand is one handler that reads its input files through
+`_read_input` (which records their SHA-256 digests), runs the library and
+returns `(results, inputs)`. `main` wraps them in a report, or writes the
+rows of a `sweep` as CSV, and turns an error into the exit code its class
+carries (see `errors`): 0 ok, 2 input error, 3 fit failure, 4 solver
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io as _stdio
@@ -23,25 +29,25 @@ from . import __version__, adapt, aero, beam, deflection
 from . import io as sio
 from . import material
 from .errors import (
-    CalibrationFailure,
-    ChordTooLong,
-    DegenerateData,
     EmptyRange,
-    EmptyTable,
+    FitError,
+    InputError,
     LargeDeflectionWarning,
     NoConvergence,
-    NonPhysicalMaterial,
     NonPhysicalWarning,
     OutOfEnvelopeWarning,
     ParseError,
-    RankDeficient,
-    ZeroArea,
+    SoftarmError,
 )
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_FIT = 3
-EXIT_SOLVER = 4
+EXIT_INPUT = InputError.exit_code
+EXIT_FIT = FitError.exit_code
+
+#: Solver settings of `softarm analyze`. A config's "solver" block may
+#: override these two fields and no other.
+SOLVER_SETTINGS = beam.SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
+_SOLVER_KEYS = {"integration_steps", "shooting_tolerance"}
 
 _WARNING_CODES = {
     NonPhysicalWarning: "NONPHYSICAL_MATERIAL",
@@ -54,34 +60,20 @@ def default_data_dir() -> Path:
     return Path(str(resources.files("softarm").joinpath("data", "defaults")))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _load_config(path: str | None) -> tuple[dict, Path]:
-    """Load a run configuration; relative file references resolve against
-    the config file's directory."""
-    cfg_path = Path(path) if path else default_data_dir() / "config.json"
-    try:
-        payload = json.loads(cfg_path.read_text())
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(cfg_path)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, path=str(cfg_path)) from None
-    return payload, cfg_path.parent
-
-
-def _resolve(base: Path, ref: str) -> Path:
-    p = Path(ref)
-    return p if p.is_absolute() else base / p
+def _read_input(inputs: dict, label: str, reader, path, *args):
+    """Read one input file with reader(path, *args) and record its SHA-256
+    digest under label in inputs."""
+    path = Path(path)
+    value = reader(path, *args)
+    inputs[label] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return value
 
 
 def _warning_entries(records) -> list[dict]:
-    entries = []
-    for rec in records:
-        code = _WARNING_CODES.get(rec.category, "GENERIC")
-        entries.append({"code": code, "message": str(rec.message)})
-    return entries
+    return [
+        {"code": _WARNING_CODES.get(rec.category, "GENERIC"), "message": str(rec.message)}
+        for rec in records
+    ]
 
 
 def _make_report(results: dict, inputs: dict, warning_list: list[dict], timestamp: bool) -> dict:
@@ -96,28 +88,29 @@ def _make_report(results: dict, inputs: dict, warning_list: list[dict], timestam
     return report
 
 
-def _emit_json(report: dict, out: str | None, quiet: bool) -> None:
-    # allow_nan=False: NaN and Infinity are not JSON, so a non-finite value
-    # that got this far is an input error rather than a corrupt report.
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
-        if not quiet:
-            print(out)
     else:
         sys.stdout.write(text)
 
 
-def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
+def _emit_json(report: dict, out: str | None, quiet: bool) -> None:
+    # allow_nan=False: NaN and Infinity are not JSON, so a non-finite value
+    # that got this far is an input error rather than a corrupt report.
+    _write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
+    if out and not quiet:
+        print(out)
+
+
+def _emit_csv(results: dict, out: str | None) -> None:
+    """Write the rows of the one table in results as CSV, with a header."""
+    ((_, table),) = results.items()
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    if out:
-        Path(out).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    writer.writerow(table["rows"][0].keys())
+    writer.writerows([_fmt(v) for v in row.values()] for row in table["rows"])
+    _write(buf.getvalue(), out)
 
 
 def _fmt(v):
@@ -129,8 +122,7 @@ def _fmt(v):
 
 
 def _mr_params_from_table(path: Path, infill_pct: float) -> material.MooneyRivlinParams:
-    payload = json.loads(path.read_text())
-    for row in payload["rows"]:
+    for row in sio.load_json(path)["rows"]:
         if row["rho_pct"] == infill_pct:
             return material.MooneyRivlinParams(
                 row["c10"], row["c01"], row["c20"], row["c02"], row["c11"]
@@ -139,13 +131,26 @@ def _mr_params_from_table(path: Path, infill_pct: float) -> material.MooneyRivli
 
 
 def _mr_block(params: material.MooneyRivlinParams) -> dict:
+    return {"unit": "MPa", **dataclasses.asdict(params)}
+
+
+def _envelope_block(rep: deflection.EnvelopeReport) -> dict:
     return {
-        "unit": "MPa",
-        "c10": params.c10,
-        "c01": params.c01,
-        "c20": params.c20,
-        "c02": params.c02,
-        "c11": params.c11,
+        "max_abs_deflection_deg": rep.max_abs_deflection,
+        "worst_throttle_t": rep.worst_throttle,
+        "nonlinear_flag": rep.nonlinear_flag,
+        "passes_14deg": rep.passes_14deg,
+    }
+
+
+def _pipe_fit_block(wrap: adapt.WrapResult, verdict: adapt.AttachmentVerdict) -> dict:
+    return {
+        "total_turning_deg": wrap.total_turning,
+        "coverage_ratio": wrap.coverage_ratio,
+        "max_gap_m": wrap.max_gap,
+        "pressure_n_m2": verdict.pressure,
+        "bendable": verdict.bendable,
+        "attached": verdict.attached,
     }
 
 
@@ -159,50 +164,45 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
     if not args.stress_strain and not args.flexural:
         raise ParseError("one of --stress-strain or --flexural is required")
     if args.stress_strain:
-        path = Path(args.stress_strain)
-        curve = sio.read_stress_strain_csv(path, infill_rate=args.infill)
+        curve = _read_input(
+            inputs, "stress_strain_csv", sio.read_stress_strain_csv, args.stress_strain, args.infill
+        )
         params = material.fit_mooney_rivlin(curve)
         e0 = material.mr_small_strain_modulus(params)
         diag = material.mr_fit_diagnostics(curve, params)
         results["material"]["mooney_rivlin"] = _mr_block(params)
         results["material"]["small_strain_modulus_mpa"] = e0
         results["material"].update(diag)
-        inputs["stress_strain_csv"] = _sha256(path)
     if args.flexural:
         if args.length is None or args.inertia is None:
             raise ParseError("--flexural requires --length and --inertia")
-        path = Path(args.flexural)
-        samples = sio.read_flexural_csv(path)
-        geometry = material.BeamTestGeometry(
-            length=args.length, section_inertia=args.inertia, half_depth=args.half_depth
-        )
+        samples = _read_input(inputs, "flexural_csv", sio.read_flexural_csv, args.flexural)
+        geometry = material.BeamTestGeometry(length=args.length, section_inertia=args.inertia)
         e_pa = material.fit_flexural_modulus(samples, geometry)
         results["material"]["flexural_modulus_pa"] = e_pa
-        inputs["flexural_csv"] = _sha256(path)
     return results, inputs
 
 
 def cmd_analyze(args) -> tuple[dict, dict]:
-    config, base = _load_config(args.config)
-    inputs: dict = {}
-
-    geometry_path = _resolve(base, config["geometry"])
-    table_path = _resolve(base, config["efficiency_table"])
-    coeffs_path = _resolve(base, config["deflection_coeffs"])
-    mr_path = _resolve(base, config["material"]["hyperelastic_table"])
-    for label, p in [
-        ("geometry", geometry_path),
-        ("efficiency_table", table_path),
-        ("deflection_coeffs", coeffs_path),
-        ("hyperelastic_table", mr_path),
-    ]:
-        inputs[label] = _sha256(p)
-
-    geometry = sio.read_arm_geometry_json(geometry_path)
-    table = sio.read_efficiency_csv(table_path)
-    coeffs = sio.read_deflection_coeffs_json(coeffs_path)
+    # File references in the config resolve against the config's directory.
+    config = sio.load_json(args.config)
+    base = args.config.parent
     infill = config["material"]["infill_pct"]
-    mr_params = _mr_params_from_table(mr_path, infill)
+    inputs: dict = {}
+    geometry = _read_input(
+        inputs, "geometry", sio.read_arm_geometry_json, base / config["geometry"]
+    )
+    table = _read_input(
+        inputs, "efficiency_table", sio.read_efficiency_csv, base / config["efficiency_table"]
+    )
+    coeffs = _read_input(
+        inputs, "deflection_coeffs", sio.read_deflection_coeffs_json,
+        base / config["deflection_coeffs"],
+    )
+    mr_params = _read_input(
+        inputs, "hyperelastic_table", _mr_params_from_table,
+        base / config["material"]["hyperelastic_table"], infill,
+    )
     e0_mpa = material.mr_small_strain_modulus(mr_params)
 
     prop_cfg = config["propeller"]
@@ -212,10 +212,13 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     max_rpm = prop_cfg["max_rpm"]
 
     solver_cfg = config.get("solver", {})
-    settings = beam.SolverSettings(
-        integration_steps=solver_cfg.get("integration_steps", 64),
-        shooting_tolerance=solver_cfg.get("shooting_tolerance", 1e-7),
-    )
+    unknown = set(solver_cfg) - _SOLVER_KEYS
+    if unknown:
+        raise ParseError(
+            f"unknown solver keys {sorted(unknown)}; expected {sorted(_SOLVER_KEYS)}",
+            path=str(args.config),
+        )
+    settings = dataclasses.replace(SOLVER_SETTINGS, **solver_cfg)
 
     results: dict = {
         "material": {
@@ -229,6 +232,8 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     thr_cfg = config.get("throttle", {})
     max_pct = thr_cfg.get("max_pct", 100)
     step_pct = thr_cfg.get("step_pct", 10)
+    if step_pct <= 0:
+        raise ParseError(f"throttle.step_pct must be > 0, got {step_pct}", path=str(args.config))
     sweep_rows = []
     pct = 0
     while pct <= max_pct:
@@ -269,32 +274,28 @@ def cmd_analyze(args) -> tuple[dict, dict]:
 
     rpm_ref = config.get("rpm", prop_cfg["nominal_rpm"])
     model_params = aero.calibrate_efficiency_model(table)
+    station = aero.optimal_motor_station()
     results["efficiency"] = {
         "rpm": rpm_ref,
         "eta": aero.efficiency_lookup(table, rpm_ref),
-        "optimal_motor_station": aero.optimal_motor_station(),
-        "eta_model_at_optimum": aero.efficiency_model(
-            aero.optimal_motor_station(), rpm_ref, model_params
-        ),
+        "optimal_motor_station": station,
+        "eta_model_at_optimum": aero.efficiency_model(station, rpm_ref, model_params),
     }
 
     defl_cfg = config.get("deflection", {})
-    bound = config.get("thresholds", {}).get("deflection_bound_deg", deflection.DEFLECTION_BOUND_DEG)
-    envelope = {}
-    for rho in defl_cfg.get("infill_rates_pct", [6, 8, 10]):
-        rep = deflection.envelope_check(
-            coeffs,
-            rho,
-            t_max=defl_cfg.get("t_max", deflection.T_MAX_DEFAULT),
-            step=defl_cfg.get("step", 0.1),
-            bound_deg=bound,
+    thresholds = config.get("thresholds", {})
+    envelope = {
+        str(rho): _envelope_block(
+            deflection.envelope_check(
+                coeffs,
+                rho,
+                t_max=defl_cfg.get("t_max", deflection.T_MAX_DEFAULT),
+                step=defl_cfg.get("step", 0.1),
+                bound_deg=thresholds.get("deflection_bound_deg", deflection.DEFLECTION_BOUND_DEG),
+            )
         )
-        envelope[str(rho)] = {
-            "max_abs_deflection_deg": rep.max_abs_deflection,
-            "worst_throttle_t": rep.worst_throttle,
-            "nonlinear_flag": rep.nonlinear_flag,
-            "passes_14deg": rep.passes_14deg,
-        }
+        for rho in defl_cfg.get("infill_rates_pct", [6, 8, 10])
+    }
     try:
         rec_lo, rec_hi = adapt.recommend_infill(coeffs)
         recommended = {"min_pct": rec_lo, "max_pct": rec_hi}
@@ -314,7 +315,6 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     }
 
     pipe_cfg = config["pipe"]
-    thresholds = config.get("thresholds", {})
     wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(pipe_cfg["diameter_m"]))
     pressure = adapt.contact_pressure(
         pipe_cfg["tendon_force_n"], pipe_cfg["contact_width_m"], geometry.total_length
@@ -327,29 +327,15 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         ),
         attach_pressure_min=thresholds.get("attach_pressure_n_m2", adapt.ATTACH_PRESSURE_MIN),
     )
-    results["pipe_fit"] = {
-        "total_turning_deg": wrap.total_turning,
-        "coverage_ratio": wrap.coverage_ratio,
-        "max_gap_m": wrap.max_gap,
-        "pressure_n_m2": verdict.pressure,
-        "bendable": verdict.bendable,
-        "attached": verdict.attached,
-    }
+    results["pipe_fit"] = _pipe_fit_block(wrap, verdict)
     return results, inputs
 
 
 def cmd_deflect(args) -> tuple[dict, dict]:
     inputs: dict = {}
-    if args.coeffs:
-        coeffs_path = Path(args.coeffs)
-    else:
-        coeffs_path = default_data_dir() / "deflection_coeffs.json"
-    coeffs = sio.read_deflection_coeffs_json(coeffs_path)
-    inputs["deflection_coeffs"] = _sha256(coeffs_path)
+    coeffs = _read_input(inputs, "deflection_coeffs", sio.read_deflection_coeffs_json, args.coeffs)
     if args.alpha0 is not None:
-        coeffs = deflection.DeflectionModelCoeffs(
-            coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, alpha0=args.alpha0
-        )
+        coeffs = dataclasses.replace(coeffs, alpha0=args.alpha0)
     results: dict = {"deflection": {"rho_pct": args.rho}}
     if args.throttle_pct is not None:
         t = args.throttle_pct * deflection.THROTTLE_UNIT_PER_PCT
@@ -359,20 +345,13 @@ def cmd_deflect(args) -> tuple[dict, dict]:
         )
     if args.envelope or args.throttle_pct is None:
         rep = deflection.envelope_check(coeffs, args.rho)
-        results["deflection"]["envelope"] = {
-            "max_abs_deflection_deg": rep.max_abs_deflection,
-            "worst_throttle_t": rep.worst_throttle,
-            "nonlinear_flag": rep.nonlinear_flag,
-            "passes_14deg": rep.passes_14deg,
-        }
+        results["deflection"]["envelope"] = _envelope_block(rep)
     return results, inputs
 
 
 def cmd_efficiency(args) -> tuple[dict, dict]:
     inputs: dict = {}
-    table_path = Path(args.table) if args.table else default_data_dir() / "efficiency_table.csv"
-    table = sio.read_efficiency_csv(table_path)
-    inputs["efficiency_table"] = _sha256(table_path)
+    table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
     params = aero.calibrate_efficiency_model(table)
     results = {
         "efficiency": {
@@ -388,66 +367,62 @@ def cmd_efficiency(args) -> tuple[dict, dict]:
 
 def cmd_pipe_fit(args) -> tuple[dict, dict]:
     inputs: dict = {}
-    geometry_path = Path(args.geometry) if args.geometry else default_data_dir() / "arm_geometry.json"
-    geometry = sio.read_arm_geometry_json(geometry_path)
-    inputs["geometry"] = _sha256(geometry_path)
+    geometry = _read_input(inputs, "geometry", sio.read_arm_geometry_json, args.geometry)
     wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(args.diameter))
     pressure = adapt.contact_pressure(args.tendon_force, args.contact_width, geometry.total_length)
     verdict = adapt.attach_check(args.infill, pressure)
-    results = {
-        "pipe_fit": {
-            "total_turning_deg": wrap.total_turning,
-            "coverage_ratio": wrap.coverage_ratio,
-            "max_gap_m": wrap.max_gap,
-            "per_segment_subtended_deg": list(wrap.per_segment_subtended),
-            "pressure_n_m2": verdict.pressure,
-            "bendable": verdict.bendable,
-            "attached": verdict.attached,
-        }
-    }
-    return results, inputs
+    block = _pipe_fit_block(wrap, verdict)
+    block["per_segment_subtended_deg"] = list(wrap.per_segment_subtended)
+    return {"pipe_fit": block}, inputs
 
 
-def cmd_sweep(args) -> tuple[list[str], list[list]]:
-    table_path = Path(args.table) if args.table else default_data_dir() / "efficiency_table.csv"
-    table = sio.read_efficiency_csv(table_path)
+def cmd_sweep(args) -> tuple[dict, dict]:
+    inputs: dict = {}
+    data = default_data_dir()
     if args.axis == "motor_station":
+        table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
         params = aero.calibrate_efficiency_model(table)
-        rows = []
         n = int(round((1.0 - 0.3) / 0.01))
-        for i in range(n + 1):
-            x_c = 0.3 + 0.01 * i
-            rows.append([x_c, aero.efficiency_model(x_c, args.rpm, params)])
-        return ["x_c", "eta"], rows
-    if args.axis == "arm_angle":
-        propeller = aero.DEFAULT_PROPELLER
-        thrust = aero.thrust_from_rpm(propeller, args.rpm)
+        stations = [0.3 + 0.01 * i for i in range(n + 1)]
+        rows = [{"x_c": x, "eta": aero.efficiency_model(x, args.rpm, params)} for x in stations]
+    elif args.axis == "arm_angle":
+        table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
+        thrust = aero.thrust_from_rpm(aero.DEFAULT_PROPELLER, args.rpm)
         eta = aero.efficiency_lookup(table, args.rpm)
-        rows = []
-        for i in range(-45, 46):
-            rows.append([float(i), aero.net_vertical_thrust(thrust, float(i), eta)])
-        return ["alpha_deg", "net_vertical_thrust_n"], rows
-    if args.axis == "throttle":
-        coeffs = sio.read_deflection_coeffs_json(default_data_dir() / "deflection_coeffs.json")
-        rows = []
+        rows = [
+            {"alpha_deg": a, "net_vertical_thrust_n": aero.net_vertical_thrust(thrust, a, eta)}
+            for a in map(float, range(-45, 46))
+        ]
+    elif args.axis == "throttle":
+        coeffs = _read_input(
+            inputs, "deflection_coeffs", sio.read_deflection_coeffs_json,
+            data / "deflection_coeffs.json",
+        )
         n = int(round(deflection.T_MAX_DEFAULT / 0.1))
-        for i in range(n + 1):
-            t = 0.1 * i
-            rows.append([t, deflection.eval_deflection(coeffs, args.rho, t)])
-        return ["throttle_t", "alpha_deg"], rows
-    if args.axis == "infill":
-        geometry = sio.read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
+        rows = [
+            {"throttle_t": t, "alpha_deg": deflection.eval_deflection(coeffs, args.rho, t)}
+            for t in (0.1 * i for i in range(n + 1))
+        ]
+    else:  # infill
+        geometry = _read_input(
+            inputs, "geometry", sio.read_arm_geometry_json, data / "arm_geometry.json"
+        )
         pressure = adapt.contact_pressure(
             args.tendon_force, args.contact_width, geometry.total_length
         )
-        rows = []
         n = int(round((20.0 - 4.0) / 0.5))
-        for i in range(n + 1):
-            rho = 4.0 + 0.5 * i
+        rows = []
+        for rho in (4.0 + 0.5 * i for i in range(n + 1)):
             verdict = adapt.attach_check(rho, pressure)
-            rows.append([rho, verdict.pressure, verdict.bendable, verdict.attached])
-        return ["rho_pct", "pressure_n_m2", "bendable", "attached"], rows
-    raise ParseError(f"unknown sweep axis {args.axis!r}")
+            rows.append(
+                {
+                    "rho_pct": rho,
+                    "pressure_n_m2": verdict.pressure,
+                    "bendable": verdict.bendable,
+                    "attached": verdict.attached,
+                }
+            )
+    return {"sweep": {"axis": args.axis, "rows": rows}}, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +445,13 @@ def _finite_float(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process. parse_args returns a
     fresh namespace on every call and leaves the parser unchanged, so one
-    parser serves every main() call."""
-    # Global flags accepted both before and after the subcommand; SUPPRESS
+    parser serves every main() call. Each option is on the subcommands that
+    read it; an input file option defaults to the shipped file."""
+    data = default_data_dir()
+    # Output flags accepted both before and after the subcommand; SUPPRESS
     # keeps the subparser from clobbering values parsed by the main parser.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", default=argparse.SUPPRESS, help="run configuration JSON (default: shipped config)"
-    )
     common.add_argument("--out", default=argparse.SUPPRESS, help="output file (default: stdout)")
-    common.add_argument("--format", choices=["json", "csv"], default=argparse.SUPPRESS)
     common.add_argument(
         "--quiet", action="store_true", default=argparse.SUPPRESS,
         help="suppress non-essential output",
@@ -501,101 +474,95 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flexural", help="force_n,deflection_m CSV for the flexural-modulus fit")
     p.add_argument("--length", type=_finite_float, help="cantilever test length [m]")
     p.add_argument("--inertia", type=_finite_float, help="section inertia [m^4]")
-    p.add_argument("--half-depth", type=_finite_float, help="section half depth [m]")
     p.set_defaults(handler=cmd_fit_material)
 
     p = sub.add_parser("analyze", help="full analysis pipeline from a run config", parents=[common])
+    p.add_argument(
+        "--config", type=Path, default=data / "config.json",
+        help="run configuration JSON (default: shipped config)",
+    )
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("deflect", help="evaluate the empirical deflection model", parents=[common])
     p.add_argument("--rho", type=_finite_float, required=True, help="infill rate [%%]")
     p.add_argument("--throttle-pct", type=_finite_float, help="throttle [%%]")
     p.add_argument("--envelope", action="store_true", help="include the envelope scan")
-    p.add_argument("--coeffs", help="deflection coefficients JSON")
+    p.add_argument(
+        "--coeffs", default=data / "deflection_coeffs.json",
+        help="deflection coefficients JSON (default: shipped coefficients)",
+    )
     p.add_argument("--alpha0", type=_finite_float, help="override unpowered droop [deg]")
     p.set_defaults(handler=cmd_deflect)
 
     p = sub.add_parser("efficiency", help="thrust efficiency lookup and surrogate", parents=[common])
     p.add_argument("--rpm", type=_finite_float, required=True)
     p.add_argument("--station", type=_finite_float, default=aero.OPTIMUM_MOTOR_STATION)
-    p.add_argument("--table", help="rpm,eta CSV (default: shipped table)")
+    p.add_argument(
+        "--table", default=data / "efficiency_table.csv",
+        help="rpm,eta CSV (default: shipped table)",
+    )
     p.set_defaults(handler=cmd_efficiency)
 
     p = sub.add_parser("pipe-fit", help="pipe wrap and attachment feasibility", parents=[common])
     p.add_argument("--diameter", type=_finite_float, required=True, help="pipe diameter [m]")
-    p.add_argument("--geometry", help="arm geometry JSON (default: shipped geometry)")
+    p.add_argument(
+        "--geometry", default=data / "arm_geometry.json",
+        help="arm geometry JSON (default: shipped geometry)",
+    )
     p.add_argument("--tendon-force", type=_finite_float, default=12.0)
     p.add_argument("--contact-width", type=_finite_float, default=0.05)
     p.add_argument("--infill", type=_finite_float, default=6.0)
     p.set_defaults(handler=cmd_pipe_fit)
 
-    p = sub.add_parser("sweep", help="grid sweeps of the reduced models (CSV)", parents=[common])
+    p = sub.add_parser("sweep", help="grid sweeps of the reduced models", parents=[common])
     p.add_argument(
         "--axis",
         required=True,
         choices=["motor_station", "arm_angle", "throttle", "infill"],
     )
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--rpm", type=_finite_float, default=4000.0)
     p.add_argument("--rho", type=_finite_float, default=6.0)
     p.add_argument("--tendon-force", type=_finite_float, default=12.0)
     p.add_argument("--contact-width", type=_finite_float, default=0.05)
-    p.add_argument("--table", help="rpm,eta CSV (default: shipped table)")
+    p.add_argument(
+        "--table", default=data / "efficiency_table.csv",
+        help="rpm,eta CSV for the motor_station and arm_angle axes (default: shipped table)",
+    )
     p.set_defaults(handler=cmd_sweep)
 
     return parser
 
 
-_GLOBAL_FLAG_DEFAULTS = {
-    "config": None,
-    "out": None,
-    "format": None,
-    "quiet": False,
-    "timestamp": False,
-}
+#: Fallbacks for the output flags (SUPPRESS leaves them unset when absent)
+#: and for --format, which only `sweep` takes: every other command writes JSON.
+_FLAG_DEFAULTS = {"out": None, "format": "json", "quiet": False, "timestamp": False}
+
+
+def _report_error(exc: Exception, kind: type[SoftarmError]) -> int:
+    print(f"softarm: {kind.label} error: {exc}", file=sys.stderr)
+    return kind.exit_code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # The shared flags use SUPPRESS defaults so a value parsed before the
-    # subcommand survives; fill in the fallbacks afterwards.
-    for key, value in _GLOBAL_FLAG_DEFAULTS.items():
+    args = build_parser().parse_args(argv)
+    for key, value in _FLAG_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always")
-            outcome = args.handler(args)
-        if args.command == "sweep":
-            header, rows = outcome
-            if args.format == "json":
-                payload = [dict(zip(header, row)) for row in rows]
-                report = _make_report(
-                    {"sweep": {"axis": args.axis, "rows": payload}},
-                    {},
-                    _warning_entries(records),
-                    args.timestamp,
-                )
-                _emit_json(report, args.out, args.quiet)
-            else:
-                _emit_csv(header, rows, args.out)
+            results, inputs = args.handler(args)
+        if args.format == "csv":
+            _emit_csv(results, args.out)
         else:
-            results, inputs = outcome
             report = _make_report(results, inputs, _warning_entries(records), args.timestamp)
             _emit_json(report, args.out, args.quiet)
         return EXIT_OK
-    except (ParseError, ChordTooLong, ZeroArea, EmptyTable, FileNotFoundError, OSError) as exc:
-        print(f"softarm: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (RankDeficient, DegenerateData, CalibrationFailure, EmptyRange) as exc:
-        print(f"softarm: fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
-    except (NoConvergence, NonPhysicalMaterial) as exc:
-        print(f"softarm: solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"softarm: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except SoftarmError as exc:
+        return _report_error(exc, type(exc))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return _report_error(exc, InputError)
 
 
 def entrypoint() -> None:

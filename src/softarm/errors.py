@@ -2,50 +2,72 @@
 
 
 class SoftarmError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. Every concrete error derives from
+    one of the three bases below, which carry the exit code of the `softarm`
+    command and the label of the message it prints."""
+
+    exit_code, label = 1, "unexpected"
 
 
-class DegenerateData(SoftarmError):
+class InputError(SoftarmError):
+    """The inputs are malformed or describe an impossible set-up."""
+
+    exit_code, label = 2, "input"
+
+
+class FitError(SoftarmError):
+    """A model cannot be fitted or calibrated to the data given."""
+
+    exit_code, label = 3, "fit"
+
+
+class SolverError(SoftarmError):
+    """A solve failed, or its material makes it meaningless."""
+
+    exit_code, label = 4, "solver"
+
+
+class DegenerateData(FitError):
     """Input data carries no usable signal (e.g. all-zero deflections)."""
 
 
-class InvalidStretch(SoftarmError):
+class InvalidStretch(InputError):
     """Uniaxial stretch ratio must be strictly positive."""
 
 
-class RankDeficient(SoftarmError):
+class RankDeficient(FitError):
     """Least-squares design matrix is numerically rank deficient."""
 
 
-class NoConvergence(SoftarmError):
+class NoConvergence(SolverError):
     """Iterative solver failed to converge within its iteration budget."""
 
 
-class NonPhysicalMaterial(SoftarmError):
+class NonPhysicalMaterial(SolverError):
     """Effective elastic modulus is zero or negative."""
 
 
-class EmptyTable(SoftarmError):
+class EmptyTable(InputError):
     """Lookup table has no rows."""
 
 
-class CalibrationFailure(SoftarmError):
+class CalibrationFailure(FitError):
     """Surrogate model calibration constraints cannot be satisfied."""
 
 
-class ChordTooLong(SoftarmError):
+class ChordTooLong(InputError):
     """A fold chord is longer than the pipe diameter it must span."""
 
 
-class ZeroArea(SoftarmError):
+class ZeroArea(InputError):
     """Contact patch area is zero or negative."""
 
 
-class EmptyRange(SoftarmError):
+class EmptyRange(FitError):
     """No infill rate satisfies all feasibility constraints."""
 
 
-class ParseError(SoftarmError):
+class ParseError(InputError):
     """Input file could not be parsed; carries the offending line number."""
 
     def __init__(self, message: str, line: int | None = None, path: str | None = None):

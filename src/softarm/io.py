@@ -1,21 +1,49 @@
 """File formats: CSV ingestion with line-numbered errors, geometry JSON,
-and solution export."""
+and solution export. Every read goes through `load_json` or `_read_csv_rows`,
+the one place where a bad file or a non-finite number becomes a ParseError."""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from .aero import EfficiencyTable
 from .beam import ArmGeometry, BeamSolution, Segment
 from .deflection import THROTTLE_UNIT_PER_PCT, DeflectionModelCoeffs, DeflectionSample
 from .errors import ParseError
-from .material import FlexuralSample, GridPattern, StressStrainCurve
+from .material import FlexuralSample, StressStrainCurve
+
+
+def _finite_float(text: str) -> float:
+    """float(text), refusing NaN and infinities with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not allowed")
+    return value
+
+
+def load_json(path: str | Path):
+    """Parse a JSON input file. An unreadable file, malformed JSON and a
+    non-finite number (the NaN/Infinity literals, or an overflowing one such
+    as 1e999) all raise ParseError."""
+    path = Path(path)
+    try:
+        return json.loads(
+            path.read_text(), parse_constant=_finite_float, parse_float=_finite_float
+        )
+    except OSError as exc:
+        raise ParseError(str(exc), path=str(path)) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), path=str(path)) from None
 
 
 def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[int, list[float]]]:
-    """Rows of a numeric CSV as (line_number, values), header validated."""
+    """Rows of a numeric CSV as (line_number, values), header validated;
+    a cell that is not a finite number is a ParseError naming its line."""
     path = Path(path)
     try:
         with open(path, newline="") as fh:
@@ -41,7 +69,7 @@ def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[i
                         path=str(path),
                     )
                 try:
-                    rows.append((lineno, [float(c) for c in row]))
+                    rows.append((lineno, [_finite_float(c) for c in row]))
                 except ValueError as exc:
                     raise ParseError(str(exc), line=lineno, path=str(path)) from None
             return rows
@@ -49,9 +77,7 @@ def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[i
         raise ParseError(str(exc), path=str(path)) from None
 
 
-def read_stress_strain_csv(
-    path: str | Path, infill_rate: float = 0.0, grid_pattern: GridPattern = GridPattern.CUBIC
-) -> StressStrainCurve:
+def read_stress_strain_csv(path: str | Path, infill_rate: float = 0.0) -> StressStrainCurve:
     """Load a `strain,stress_pa` CSV into a stress-strain curve."""
     rows = _read_csv_rows(path, ["strain", "stress_pa"])
     if not rows:
@@ -60,7 +86,6 @@ def read_stress_strain_csv(
         return StressStrainCurve(
             tuple((strain, stress) for _, (strain, stress) in rows),
             infill_rate=infill_rate,
-            grid_pattern=grid_pattern,
         )
     except ValueError as exc:
         raise ParseError(str(exc), line=rows[0][0], path=str(path)) from None
@@ -117,13 +142,7 @@ def read_arm_geometry_json(path: str | Path) -> ArmGeometry:
     (per segment), half_depth_m, alpha0_deg, motor_station,
     linear_density_kg_m.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
+    payload = load_json(path)
     try:
         segments = tuple(
             Segment(fold_angle_deg=s["beta_deg"], length=s["length_mm"] * 1e-3)
@@ -143,13 +162,7 @@ def read_arm_geometry_json(path: str | Path) -> ArmGeometry:
 
 def read_deflection_coeffs_json(path: str | Path) -> DeflectionModelCoeffs:
     """Load deflection coefficients JSON with keys a1, a2, b1, b2, alpha0_deg."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
+    payload = load_json(path)
     try:
         return DeflectionModelCoeffs(
             a1=payload["a1"],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,14 +25,6 @@ from .errors import (
 
 #: Condition-number threshold above which a fit is declared rank deficient.
 COND_LIMIT = 1e12
-
-
-class GridPattern(Enum):
-    """Internal infill grid arrangement selected at print time."""
-
-    CUBIC = "cubic"
-    ZIGZAG = "zigzag"
-    GYROID = "gyroid"
 
 
 @dataclass(frozen=True)
@@ -82,7 +73,6 @@ class StressStrainCurve:
 
     samples: tuple[tuple[float, float], ...]
     infill_rate: float
-    grid_pattern: GridPattern = GridPattern.CUBIC
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(tuple(p) for p in self.samples))
@@ -296,8 +286,7 @@ def mr_small_strain_modulus(params: MooneyRivlinParams) -> float:
 
 
 def stress_strain_from_flexural(
-    samples: list[FlexuralSample], geometry: BeamTestGeometry, infill_rate: float = 0.0,
-    grid_pattern: GridPattern = GridPattern.CUBIC,
+    samples: list[FlexuralSample], geometry: BeamTestGeometry, infill_rate: float = 0.0
 ) -> StressStrainCurve:
     """Outer-fiber root bending stress/strain from force-deflection data.
 
@@ -317,4 +306,4 @@ def stress_strain_from_flexural(
     strains = [p[0] for p in pts]
     if len(set(strains)) != len(strains):
         raise DegenerateData("duplicate deflection values map to equal strains")
-    return StressStrainCurve(tuple(pts), infill_rate=infill_rate, grid_pattern=grid_pattern)
+    return StressStrainCurve(tuple(pts), infill_rate=infill_rate)

@@ -132,8 +132,3 @@ class TestRecommendInfill:
         steep = DeflectionModelCoeffs(2.0, 0.0, 0.0, 0.0)
         with pytest.raises(EmptyRange):
             recommend_infill(steep)
-
-    def test_alpha0_does_not_change_range(self):
-        a = recommend_infill(DeflectionModelCoeffs.measured())
-        b = recommend_infill(DeflectionModelCoeffs.measured(), alpha0=-5.0)
-        assert a == b

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from softarm.aero import (
     DEFAULT_PROPELLER,
     EfficiencyTable,
-    PropellerModel,
     calibrate_efficiency_model,
     efficiency_lookup,
     efficiency_model,
@@ -45,10 +44,6 @@ class TestThrustLaw:
     def test_negative_rpm_rejected(self):
         with pytest.raises(ValueError):
             thrust_from_rpm(DEFAULT_PROPELLER, -1.0)
-
-    def test_inconsistent_nominal_rejected(self):
-        with pytest.raises(ValueError):
-            PropellerModel(thrust_coefficient=1e-7, nominal_rpm=4000.0, nominal_thrust=5.0)
 
 
 class TestEfficiencyLookup:

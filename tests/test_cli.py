@@ -1,18 +1,20 @@
 """File formats and the command-line front end."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from softarm import beam
+from softarm import beam, errors
 from softarm import io as sio
 from softarm.cli import (
     EXIT_FIT,
     EXIT_INPUT,
     EXIT_OK,
+    SOLVER_SETTINGS,
     _emit_json,
     build_parser,
     default_data_dir,
@@ -430,3 +432,161 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError):
             _emit_json({"results": {"value": float("nan")}}, str(target), quiet=True)
         assert not target.exists()
+
+
+def _concrete_errors(cls=errors.SoftarmError):
+    found = []
+    for sub in cls.__subclasses__():
+        if sub not in (errors.InputError, errors.FitError, errors.SolverError):
+            found.append(sub)
+        found += _concrete_errors(sub)
+    return found
+
+
+class TestExitCodes:
+    EXPECTED = {
+        "ParseError": (2, "input"),
+        "ChordTooLong": (2, "input"),
+        "ZeroArea": (2, "input"),
+        "EmptyTable": (2, "input"),
+        "InvalidStretch": (2, "input"),
+        "RankDeficient": (3, "fit"),
+        "DegenerateData": (3, "fit"),
+        "CalibrationFailure": (3, "fit"),
+        "EmptyRange": (3, "fit"),
+        "NoConvergence": (4, "solver"),
+        "NonPhysicalMaterial": (4, "solver"),
+    }
+
+    def test_every_concrete_error_is_listed(self):
+        assert sorted(c.__name__ for c in _concrete_errors()) == sorted(self.EXPECTED)
+
+    @pytest.mark.parametrize("cls", _concrete_errors(), ids=lambda c: c.__name__)
+    def test_exit_code_and_label(self, cls, monkeypatch, capsys):
+        code, kind = self.EXPECTED[cls.__name__]
+        assert cls.exit_code == code
+
+        def failing_read(path):
+            raise cls("boom")
+
+        monkeypatch.setattr(sio, "read_efficiency_csv", failing_read)
+        assert main(["efficiency", "--rpm", "4500"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"softarm: {kind} error: boom\n"
+
+    def test_stdlib_error_is_input_error(self, monkeypatch, capsys):
+        def failing_read(path):
+            raise KeyError("rows")
+
+        monkeypatch.setattr(sio, "read_efficiency_csv", failing_read)
+        assert main(["efficiency", "--rpm", "4500"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("softarm: input error: ")
+
+
+def write_config(tmp_path, config):
+    """Write a config (a dict, or JSON text) and return its path."""
+    p = tmp_path / "config.json"
+    p.write_text(config if isinstance(config, str) else json.dumps(config))
+    return str(p)
+
+
+class TestParseBoundary:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_load_json_rejects_non_finite(self, literal, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_text('{"a": [1.0, %s]}' % literal)
+        with pytest.raises(ParseError) as info:
+            sio.load_json(p)
+        assert info.value.path == str(p)
+
+    def test_load_json_reports_line_of_syntax_error(self, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_text('{\n"a": 1,\n}')
+        with pytest.raises(ParseError) as info:
+            sio.load_json(p)
+        assert info.value.line == 3
+
+    def test_nan_threshold_in_config_exits_2(self, tmp_path, capsys):
+        text = json.dumps(shipped_config()).replace(
+            '"attach_pressure_n_m2": 1000.0', '"attach_pressure_n_m2": NaN'
+        )
+        assert "NaN" in text
+        code, out = run(capsys, ["analyze", "--config", write_config(tmp_path, text)])
+        assert code == EXIT_INPUT and out == ""
+
+    def test_nan_row_in_efficiency_csv_names_line(self, tmp_path, capsys):
+        p = tmp_path / "table.csv"
+        p.write_text("rpm,eta\n4000,0.895\nnan,0.9\n")
+        with pytest.raises(ParseError) as info:
+            sio.read_efficiency_csv(p)
+        assert info.value.line == 3
+        assert main(["efficiency", "--rpm", "4500", "--table", str(p)]) == EXIT_INPUT
+        assert f"{p}:3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [0, -10])
+    def test_non_positive_throttle_step_exits_2(self, step, tmp_path, capsys):
+        config = shipped_config()
+        config["throttle"]["step_pct"] = step
+        assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
+        assert "throttle.step_pct must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["shooting_tolerence", "max_shooting_iterations"])
+    def test_unknown_solver_key_exits_2(self, key, tmp_path, capsys):
+        config = shipped_config()
+        config["solver"] = {key: 1e-7}
+        assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
+        assert key in capsys.readouterr().err
+
+    def test_solver_block_at_cli_settings_changes_nothing(self, tmp_path, capsys):
+        assert (SOLVER_SETTINGS.integration_steps, SOLVER_SETTINGS.shooting_tolerance) == (
+            64, 1e-7
+        )
+        config = shipped_config()
+        config["solver"] = {"integration_steps": 64, "shooting_tolerance": 1e-7}
+        _, with_block = run(capsys, ["analyze", "--config", write_config(tmp_path, config)])
+        _, shipped = run(capsys, ["analyze"])
+        assert with_block == shipped
+
+
+class TestFlagsWhereRead:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["efficiency", "--rpm", "4500", "--config", "x"],
+            ["deflect", "--rho", "6", "--format", "csv"],
+            ["fit-material", "--flexural", "f.csv", "--length", "0.3", "--inertia", "1e-9",
+             "--half-depth", "0.01"],
+            ["--config", "x", "analyze"],
+        ],
+        ids=["efficiency-config", "deflect-format", "fit-material-half-depth", "config-first"],
+    )
+    def test_flag_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "axis, files",
+        [
+            ("motor_station", {"efficiency_table": "efficiency_table.csv"}),
+            ("arm_angle", {"efficiency_table": "efficiency_table.csv"}),
+            ("throttle", {"deflection_coeffs": "deflection_coeffs.json"}),
+            ("infill", {"geometry": "arm_geometry.json"}),
+        ],
+    )
+    def test_sweep_json_lists_digests_of_files_read(self, axis, files, capsys):
+        code, out = run(capsys, ["sweep", "--axis", axis, "--format", "json"])
+        assert code == EXIT_OK
+        want = {
+            label: hashlib.sha256((default_data_dir() / name).read_bytes()).hexdigest()
+            for label, name in files.items()
+        }
+        assert json.loads(out)["inputs"] == want
+
+    def test_sweep_ignores_table_on_axes_without_it(self, tmp_path, capsys):
+        code, _ = run(
+            capsys, ["sweep", "--axis", "throttle", "--table", str(tmp_path / "missing.csv")]
+        )
+        assert code == EXIT_OK
