@@ -10,7 +10,7 @@ import numpy as np
 
 from .beam import ArmGeometry
 from .deflection import DeflectionModelCoeffs, envelope_check
-from .errors import ChordTooLong, EmptyRange, ZeroArea
+from .errors import ChordTooLong, EmptyRange, ZeroArea, require_finite
 
 #: Above this infill rate [%] the arm is too rigid to wrap a pipe.
 BENDABLE_INFILL_MAX_PCT = 15.0
@@ -85,6 +85,8 @@ def wrap_geometry(geometry: ArmGeometry, pipe: PipeSpec) -> WrapResult:
 
 def contact_pressure(tendon_force: float, contact_width: float, contact_arc_length: float) -> float:
     """Uniform contact pressure [N/m^2] of the tendon force over the patch."""
+    require_finite(tendon_force=tendon_force, contact_width=contact_width,
+                   contact_arc_length=contact_arc_length)
     if contact_width <= 0 or contact_arc_length <= 0:
         raise ZeroArea("contact patch dimensions must be > 0")
     return tendon_force / (contact_width * contact_arc_length)
@@ -98,6 +100,8 @@ def attach_check(
 ) -> AttachmentVerdict:
     """Attachment feasibility: bendable below the infill limit (exclusive),
     attached when additionally at or above the pressure threshold."""
+    require_finite(infill=infill, pressure=pressure, bendable_infill_max=bendable_infill_max,
+                   attach_pressure_min=attach_pressure_min)
     bendable = infill < bendable_infill_max
     attached = bendable and pressure >= attach_pressure_min
     return AttachmentVerdict(bendable=bendable, pressure=pressure, attached=attached)

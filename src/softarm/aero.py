@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationFailure, EmptyTable
+from .errors import CalibrationFailure, EmptyTable, require_finite
 
 #: Normalized motor position x/c with the best simulated thrust efficiency.
 OPTIMUM_MOTOR_STATION = 0.83
@@ -66,6 +66,7 @@ DEFAULT_PROPELLER = PropellerModel.from_nominal(thrust=0.5 * 9.81, rpm=4000.0)
 
 def thrust_from_rpm(model: PropellerModel, rpm: float) -> float:
     """Isolated-propeller thrust [N] at the given rotational speed."""
+    require_finite(rpm=rpm)
     if rpm < 0:
         raise ValueError("rpm must be >= 0")
     return model.thrust_coefficient * rpm**2
@@ -73,6 +74,7 @@ def thrust_from_rpm(model: PropellerModel, rpm: float) -> float:
 
 def efficiency_lookup(table: EfficiencyTable, rpm: float) -> float:
     """Piecewise-linear interpolation of eta in rpm, clamped to the table ends."""
+    require_finite(rpm=rpm)
     if not table.rows:
         raise EmptyTable("efficiency table has no rows")
     rpms = np.array([r for r, _ in table.rows])
@@ -83,6 +85,7 @@ def efficiency_lookup(table: EfficiencyTable, rpm: float) -> float:
 def net_vertical_thrust(thrust: float, arm_angle_deg: float, eta: float) -> float:
     """Vertical component [N] of the arm-integrated thrust at a deflected
     arm angle: thrust * eta * cos(angle)."""
+    require_finite(thrust=thrust, arm_angle_deg=arm_angle_deg, eta=eta)
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
     if abs(arm_angle_deg) >= 90.0:

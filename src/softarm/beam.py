@@ -5,10 +5,10 @@ station, distributed weight, and tendon point moments at the fold
 stations. Geometry is piecewise constant per segment; integration is
 fixed-step RK4. Marching inward from the free tip, where the bending
 moment vanishes and the outboard force is known, leaves the tip angle as
-the only unknown, which is shot on until the root angle meets the clamp.
-The shooting runs on a coarse predictor mesh first; one march on the
-requested mesh then checks the prediction, and only a prediction that fails
-the check is refined on the requested mesh.
+the only unknown, which is shot on until the root angle meets the clamp:
+first on a coarse predictor mesh, then, from the predicted tip angle, on
+the requested mesh. The shape is the requested-mesh march at the accepted
+tip angle, which also integrates the centerline coordinates.
 Coordinates: x horizontal, z up, theta measured from horizontal
 (positive = tip up).
 """
@@ -146,21 +146,14 @@ class LoadCase:
 @dataclass(frozen=True)
 class SolverSettings:
     """Solver knobs. integration_steps is the number of RK4 steps per
-    segment length of the mesh of the returned shape, on which the shot
-    prediction is checked. shooting_tolerance bounds the root-angle defect
-    [rad] of the shooting, the drift of the thrust direction [rad] in the
-    check, and the tip-moment residual of the final march relative to the
-    applied moment scale (N m of defect per N m of load), which keeps the
-    solved shape invariant under joint load/stiffness scaling.
-    max_shooting_iterations caps the RK4 marches of one solve, counted over
-    the predictor and the requested mesh together."""
+    segment length of the mesh of the returned shape. shooting_tolerance
+    bounds the root-angle defect [rad] of the returned shape."""
 
     integration_steps: int = 256
     shooting_tolerance: float = 1e-9
-    max_shooting_iterations: int = 2000
 
     def __post_init__(self):
-        _require_finite(self, "integration_steps", "shooting_tolerance", "max_shooting_iterations")
+        _require_finite(self, "integration_steps", "shooting_tolerance")
         if self.integration_steps < 16:
             raise ValueError("integration_steps must be >= 16")
         if self.shooting_tolerance <= 0:
@@ -173,9 +166,10 @@ class BeamSolution:
 
     stations: array of shape (n, 4) with columns (s, x, z, theta).
     moments/inertias: internal bending moment [N m] and section inertia
-    [m^4] at each station, kept for the stress proxy. residual is the tip
-    moment [N m] of the final root-to-tip march; integrations counts the RK4
-    marches of the solve and steps their RK4 steps, on both meshes.
+    [m^4] at each station, kept for the stress proxy; the tip moment is 0.
+    residual is the root-angle defect [rad] of the shape, at most the
+    shooting tolerance; integrations counts the RK4 marches of the solve
+    and steps their RK4 steps, on both meshes.
     """
 
     stations: np.ndarray
@@ -276,21 +270,30 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, steps: int, e_modulus: f
     return panels, events
 
 
-def _march_in(panels, events, thrust: float, w_z: float, length: float, theta_tip: float):
+def _march(panels, events, thrust: float, w_z: float, length: float, theta_tip: float,
+           history: list | None = None) -> float:
     """RK4 march of (theta, M) from the free tip, where M = 0, to the root.
 
     The force resultant outboard of s is the weight beyond s plus, inboard
     of the motor station, the thrust, whose direction is fixed as soon as
     the march reaches the station. Point moments are added on the way in.
-    Returns (theta(0), M(0), theta at the motor station)."""
+    Given a history list, the march also integrates x and z from the tip and
+    appends one row (s, x, z, theta, M) per step plus one after each point
+    moment. Returns theta(0)."""
     cos, sin = math.cos, math.sin
-    theta, m = theta_tip, 0.0
-    theta_motor = None
+    theta, m, x, z = theta_tip, 0.0, 0.0, 0.0
+    record = history is not None
+    if record:
+        history.append((length, x, z, theta, m))
+    thrust_fixed = False
     rx = tz = 0.0
     for a, b, ei, n, inboard in reversed(panels):
-        m += events.get(b, 0.0)
-        if inboard and theta_motor is None:
-            theta_motor = theta
+        if b in events:
+            m += events[b]
+            if record:
+                history.append((b, x, z, theta, m))
+        if inboard and not thrust_fixed:
+            thrust_fixed = True
             rx = -thrust * sin(theta)
             tz = thrust * cos(theta)
         h = (b - a) / n
@@ -300,84 +303,31 @@ def _march_in(panels, events, thrust: float, w_z: float, length: float, theta_ti
             rz1 = w_z * (length - s) + tz
             rz2 = w_z * (length - (s - half)) + tz
             rz4 = w_z * (length - (s - h)) + tz
+            c1, s1 = cos(theta), sin(theta)
             k1t = m / ei
-            k1m = sin(theta) * rx - cos(theta) * rz1
+            k1m = s1 * rx - c1 * rz1
             t, mm = theta - half * k1t, m - half * k1m
+            c2, s2 = cos(t), sin(t)
             k2t = mm / ei
-            k2m = sin(t) * rx - cos(t) * rz2
+            k2m = s2 * rx - c2 * rz2
             t, mm = theta - half * k2t, m - half * k2m
+            c3, s3 = cos(t), sin(t)
             k3t = mm / ei
-            k3m = sin(t) * rx - cos(t) * rz2
+            k3m = s3 * rx - c3 * rz2
             t, mm = theta - h * k3t, m - h * k3m
+            c4, s4 = cos(t), sin(t)
             k4t = mm / ei
-            k4m = sin(t) * rx - cos(t) * rz4
+            k4m = s4 * rx - c4 * rz4
             theta -= (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
             m -= (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
             s -= h
-    return theta, m, theta_motor
-
-
-def _march_out(panels, events, thrust: float, w_z: float, length: float,
-               theta_root: float, m_root: float, theta_motor: float):
-    """RK4 march of (theta, x, z, M) from the clamped root to the tip with
-    the thrust direction fixed by theta_motor. Returns the station history,
-    one row (theta, x, z, M, s) per step plus one after each point moment,
-    and the theta the march reaches at the motor station."""
-    cos, sin = math.cos, math.sin
-    thrust_x = -thrust * sin(theta_motor)
-    thrust_z = thrust * cos(theta_motor)
-    theta, x, z, m = theta_root, 0.0, 0.0, m_root
-    history = [(theta, x, z, m, 0.0)]
-    theta_at_motor = theta
-    for a, b, ei, n, inboard in panels:
-        rx, tz = (thrust_x, thrust_z) if inboard else (0.0, 0.0)
-        h = (b - a) / n
-        half = 0.5 * h
-        s = a
-        for _ in range(n):
-            rz1 = w_z * (length - s) + tz
-            rz2 = w_z * (length - (s + half)) + tz
-            rz4 = w_z * (length - (s + h)) + tz
-            c1, s1 = cos(theta), sin(theta)
-            k1t = m / ei
-            k1m = -(c1 * rz1 - s1 * rx)
-            t, mm = theta + half * k1t, m + half * k1m
-            c2, s2 = cos(t), sin(t)
-            k2t = mm / ei
-            k2m = -(c2 * rz2 - s2 * rx)
-            t, mm = theta + half * k2t, m + half * k2m
-            c3, s3 = cos(t), sin(t)
-            k3t = mm / ei
-            k3m = -(c3 * rz2 - s3 * rx)
-            t, mm = theta + h * k3t, m + h * k3m
-            c4, s4 = cos(t), sin(t)
-            k4t = mm / ei
-            k4m = -(c4 * rz4 - s4 * rx)
-            theta += (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-            x += (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            z += (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            m += (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-            s += h
-            history.append((theta, x, z, m, s))
-        if inboard:
-            theta_at_motor = theta
-        if b in events:
-            # Crossing a point moment removes its contribution from the
-            # internal moment of the remaining part.
-            m -= events[b]
-            history.append((theta, x, z, m, b))
-    return np.array(history), theta_at_motor
-
-
-def _moment_scale(geometry: ArmGeometry, loads: LoadCase) -> float:
-    length = geometry.total_length
-    scale = (
-        loads.thrust * length
-        + geometry.linear_density * abs(loads.gravity) * length**2
-        + loads.tendon_tension * abs(loads.tendon_eccentricity) * len(geometry.fold_stations)
-        + sum(abs(m) for _, m in loads.point_moments)
-    )
-    return max(scale, 1e-12)
+            if record:
+                x -= (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                z -= (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                history.append((s, x, z, theta, m))
+        if record:
+            history[-1] = (a, x, z, theta, m)  # the panel ends exactly on its cut
+    return theta
 
 
 def solve_elastica(
@@ -386,68 +336,39 @@ def solve_elastica(
     loads: LoadCase,
     settings: SolverSettings | None = None,
 ) -> BeamSolution:
-    """Solve the clamped-root free-tip elastica for the given loads.
-
-    Marching inward from the free tip, where the moment vanishes and the
-    force resultant is known, leaves the tip angle as the only unknown; it
-    is shot on until the root angle matches the clamp. The shooting runs
-    first on a predictor mesh with the same cuts and at most
-    PREDICTOR_STEPS steps per segment. One outward march on the requested
-    mesh from the predicted root moment and thrust direction then gives the
-    shape; it is accepted if its tip moment (the reported residual [N m])
-    is within tolerance and its angle at the motor station matches the
-    thrust direction it used. Otherwise the shooting resumes on the
-    requested mesh from the predicted tip angle and marches out again, and
-    then only the tip moment is checked.
-    """
+    """Solve the clamped-root free-tip elastica for the given loads by
+    shooting on the tip angle, first on a predictor mesh, then on the
+    requested mesh."""
     settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
     length = geometry.total_length
-    out_panels, events = _panel_plan(geometry, loads, settings.integration_steps, e_modulus)
-    predictor, _ = _panel_plan(
-        geometry, loads, min(settings.integration_steps, PREDICTOR_STEPS), e_modulus
-    )
-    out_steps = sum(panel[3] for panel in out_panels)
     w_z = -geometry.linear_density * loads.gravity  # weight per unit length
     theta_root = -math.radians(geometry.initial_droop_deg)
-    tolerance = settings.shooting_tolerance * _moment_scale(geometry, loads)
     integrations = steps = 0
     theta_tip = theta_root  # the straight arm seeds the predictor
 
-    for panels in (predictor, out_panels):
+    for mesh_steps, record in ((PREDICTOR_STEPS, False), (settings.integration_steps, True)):
+        panels, events = _panel_plan(geometry, loads, mesh_steps, e_modulus)
         march_steps = sum(panel[3] for panel in panels)
-        marched: dict[float, tuple[float, float]] = {}
+        marched: dict[float, tuple[float, list | None]] = {}
 
         def root_defect(theta_tip: float) -> float:
             nonlocal integrations, steps
             integrations += 1
-            if integrations > settings.max_shooting_iterations:
-                raise NoConvergence(
-                    f"shooting budget of {settings.max_shooting_iterations} integrations exhausted"
-                )
             steps += march_steps
-            theta0, m0, theta_motor = _march_in(panels, events, loads.thrust, w_z, length,
-                                                theta_tip)
-            marched[theta_tip] = (m0, theta_motor)
-            return theta0 - theta_root
+            history = [] if record else None
+            defect = _march(panels, events, loads.thrust, w_z, length, theta_tip,
+                            history) - theta_root
+            marched[theta_tip] = (defect, history)
+            return defect
 
         theta_tip = _shoot(root_defect, theta_tip, settings.shooting_tolerance)
-        m_root, theta_motor = marched[theta_tip]
-        arr, theta_at_motor = _march_out(out_panels, events, loads.thrust, w_z, length,
-                                         theta_root, m_root, theta_motor)
-        integrations += 1
-        steps += out_steps
-        residual = float(abs(arr[-1, 3]))
-        settled = abs(theta_at_motor - theta_motor) <= settings.shooting_tolerance
-        if residual <= tolerance and (settled or panels is out_panels):
-            break
-    else:
-        raise NoConvergence(
-            f"tip moment {residual:.3g} N m exceeds the tolerance of {tolerance:.3g} N m"
-        )
 
-    stations = arr[:, [4, 1, 2, 0]].copy()  # (s, x, z, theta)
-    moments = arr[:, 3].copy()
+    defect, history = marched[theta_tip]
+    arr = np.array(history[::-1])  # root to tip, columns (s, x, z, theta, M)
+    stations = arr[:, :4].copy()
+    stations[:, 1:3] -= stations[0, 1:3]  # the root sits at the origin
+    moments = arr[:, 4].copy()
     # A station on a segment boundary belongs to the outboard segment, and
     # one at or past the tip to the last, as in ArmGeometry.inertia_at.
     segment = np.searchsorted(geometry.segment_bounds, stations[:, 0], side="right") - 1
@@ -465,7 +386,7 @@ def solve_elastica(
         max_curvature=max_curv,
         max_curvature_s=max_curv_s,
         max_fiber_strain=max_curv * geometry.section_half_depth,
-        residual=residual,
+        residual=abs(defect),
         integrations=integrations,
         steps=steps,
     )

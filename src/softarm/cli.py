@@ -48,6 +48,11 @@ EXIT_FIT = FitError.exit_code
 #: override these two fields and no other.
 SOLVER_SETTINGS = beam.SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
 _SOLVER_KEYS = {"integration_steps", "shooting_tolerance"}
+#: The object sections of an analyze config, in the order cmd_analyze
+#: unpacks them; the optional ones read as {} when absent.
+_CONFIG_SECTIONS = ("material", "propeller", "solver", "throttle", "deflection", "thresholds",
+                    "pipe")
+_REQUIRED_SECTIONS = {"material", "propeller", "pipe"}
 
 _WARNING_CODES = {
     NonPhysicalWarning: "NONPHYSICAL_MATERIAL",
@@ -121,6 +126,21 @@ def _fmt(v):
     return v
 
 
+def _config_section(config: dict, key: str, path: Path) -> dict:
+    """The JSON object under key in an analyze config."""
+    if key not in config:
+        if key in _REQUIRED_SECTIONS:
+            raise ParseError(f"config has no {key!r} section", path=str(path))
+        return {}
+    section = config[key]
+    if not isinstance(section, dict):
+        raise ParseError(
+            f"config section {key!r} must be an object, got {type(section).__name__}",
+            path=str(path),
+        )
+    return section
+
+
 def _mr_params_from_table(path: Path, infill_pct: float) -> material.MooneyRivlinParams:
     for row in sio.load_json(path)["rows"]:
         if row["rho_pct"] == infill_pct:
@@ -184,10 +204,15 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
 
 
 def cmd_analyze(args) -> tuple[dict, dict]:
-    # File references in the config resolve against the config's directory.
     config = sio.load_json(args.config)
+    if not isinstance(config, dict):
+        raise ParseError("config must be a JSON object", path=str(args.config))
+    mat_cfg, prop_cfg, solver_cfg, thr_cfg, defl_cfg, thresholds, pipe_cfg = (
+        _config_section(config, key, args.config) for key in _CONFIG_SECTIONS
+    )
+    # File references in the config resolve against the config's directory.
     base = args.config.parent
-    infill = config["material"]["infill_pct"]
+    infill = mat_cfg["infill_pct"]
     inputs: dict = {}
     geometry = _read_input(
         inputs, "geometry", sio.read_arm_geometry_json, base / config["geometry"]
@@ -201,17 +226,15 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     )
     mr_params = _read_input(
         inputs, "hyperelastic_table", _mr_params_from_table,
-        base / config["material"]["hyperelastic_table"], infill,
+        base / mat_cfg["hyperelastic_table"], infill,
     )
     e0_mpa = material.mr_small_strain_modulus(mr_params)
 
-    prop_cfg = config["propeller"]
     propeller = aero.PropellerModel.from_nominal(
         thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
     )
     max_rpm = prop_cfg["max_rpm"]
 
-    solver_cfg = config.get("solver", {})
     unknown = set(solver_cfg) - _SOLVER_KEYS
     if unknown:
         raise ParseError(
@@ -229,7 +252,6 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     }
 
     # Thrust/deflection sweep over the throttle grid.
-    thr_cfg = config.get("throttle", {})
     max_pct = thr_cfg.get("max_pct", 100)
     step_pct = thr_cfg.get("step_pct", 10)
     if step_pct <= 0:
@@ -282,8 +304,6 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         "eta_model_at_optimum": aero.efficiency_model(station, rpm_ref, model_params),
     }
 
-    defl_cfg = config.get("deflection", {})
-    thresholds = config.get("thresholds", {})
     envelope = {
         str(rho): _envelope_block(
             deflection.envelope_check(
@@ -314,7 +334,6 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         "recommended_infill": recommended,
     }
 
-    pipe_cfg = config["pipe"]
     wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(pipe_cfg["diameter_m"]))
     pressure = adapt.contact_pressure(
         pipe_cfg["tendon_force_n"], pipe_cfg["contact_width_m"], geometry.total_length

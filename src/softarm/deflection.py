@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfEnvelopeWarning, RankDeficient
+from .errors import OutOfEnvelopeWarning, RankDeficient, require_finite
 from .material import COND_LIMIT
 
 #: Throttle units per percent throttle.
@@ -88,6 +88,7 @@ def eval_deflection(
     t_max: float = T_MAX_DEFAULT,
 ) -> float:
     """Arm deflection angle [deg] at the given infill and throttle."""
+    require_finite(infill=infill, throttle=throttle, t_max=t_max)
     if not 0.0 <= throttle <= t_max:
         raise ValueError(f"throttle {throttle} outside the model range [0, {t_max}]")
     if infill < NONLINEAR_INFILL_PCT and throttle > 0.8 * t_max:
@@ -135,6 +136,7 @@ def envelope_check(
     bound_deg: float = DEFLECTION_BOUND_DEG,
 ) -> EnvelopeReport:
     """Scan |alpha(T) - alpha0| over [0, t_max] and report the worst case."""
+    require_finite(infill=infill, t_max=t_max, step=step, bound_deg=bound_deg)
     if step <= 0:
         raise ValueError("step must be > 0")
     n = int(round(t_max / step))

@@ -1,4 +1,14 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and the
+finiteness check of the library's numeric arguments."""
+
+import math
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class SoftarmError(Exception):

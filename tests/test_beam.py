@@ -1,5 +1,5 @@
-"""Elastica solver: linear limit, equilibrium, symmetry, stress location,
-robustness at large rotation, solver counters and input validation."""
+"""Elastica solver: linear limit, closed-form arc, equilibrium, symmetry, stress
+location, robustness at large rotation, solver counters and input validation."""
 
 import math
 from dataclasses import replace
@@ -125,6 +125,23 @@ class TestLargeDeflection:
         assert sol.residual <= settings.shooting_tolerance
 
 
+class TestClosedForm:
+    @pytest.mark.parametrize("angle_deg", [10.0, 90.0, 180.0, 270.0])
+    def test_pure_tip_moment_bends_a_circular_arc(self, angle_deg):
+        # A tip moment M alone gives the constant curvature k = M/EI, so
+        # theta_tip = ML/EI and the centerline is an arc of radius 1/k.
+        geom = uniform_arm()
+        length, ei = geom.total_length, E_SOFT * geom.section_inertia[0]
+        moment = math.radians(angle_deg) * ei / length
+        loads = LoadCase(thrust=0, gravity=0, point_moments=((length, moment),))
+        sol = solve_elastica(geom, E_SOFT, loads,
+                             SolverSettings(integration_steps=64, shooting_tolerance=1e-9))
+        assert sol.tip_angle_deg == pytest.approx(math.degrees(moment * length / ei), abs=1e-9)
+        k = moment / ei
+        np.testing.assert_allclose(sol.x, np.sin(k * sol.s) / k, rtol=0, atol=5e-9)
+        np.testing.assert_allclose(sol.z, (1.0 - np.cos(k * sol.s)) / k, rtol=0, atol=5e-9)
+
+
 class TestSymmetry:
     def test_mirrored_loads_mirror_the_shape(self):
         geom = fold_arm(density=0.15)
@@ -230,23 +247,18 @@ class TestGeometryValidation:
         )
 
 
-def moment_scale(geom, loads):
-    """Applied moment scale [N m] the residual tolerance is relative to
-    (thrust and weight only; the loads below carry no point moments)."""
-    length = geom.total_length
-    return loads.thrust * length + geom.linear_density * abs(loads.gravity) * length**2
+SHIPPED_ARM = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
+CLI_SETTINGS = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
 
 
 class TestRobustness:
     def test_thrust_sweep_past_90deg_stays_on_the_zero_load_branch(self):
-        geom = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
-        settings = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
         angles = []
         for thrust in np.linspace(0.0, 60.0, 61):
-            loads = LoadCase(thrust=float(thrust))
-            sol = solve_elastica(geom, rho6, loads, settings)
-            assert sol.residual <= settings.shooting_tolerance * moment_scale(geom, loads)
+            sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=float(thrust)), CLI_SETTINGS)
+            assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+            assert sol.moments[-1] == 0.0
             angles.append(sol.tip_angle_deg)
             if sol.tip_angle_deg > 90.0:
                 break
@@ -258,82 +270,69 @@ class TestRobustness:
         loads = LoadCase(thrust=30.0, gravity=0)
         settings = SolverSettings()
         sol = solve_elastica(geom, E_SOFT, loads, settings)
-        assert sol.residual <= settings.shooting_tolerance * moment_scale(geom, loads)
+        assert sol.residual <= settings.shooting_tolerance
+        assert sol.moments[-1] == 0.0
         assert 90.0 < sol.tip_angle_deg < 180.0
+
+    def test_very_soft_drooping_arm_converges(self):
+        # A very soft arm drooping under its weight, thrust inboard of the tip.
+        geom = replace(SHIPPED_ARM, motor_station=0.55)
+        sol = solve_elastica(geom, 1.5e4, LoadCase(thrust=0.2), CLI_SETTINGS)
+        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+        assert sol.moments[-1] == 0.0
+        assert np.all(np.isfinite(sol.stations))
 
 
 class TestSolverCounters:
     def test_every_march_is_counted(self):
-        # Zero load: the straight guess meets the clamp, so one inward march
-        # and the outward march.
+        # Zero load: the straight guess meets the clamp, so one march on each
+        # mesh.
         sol = solve_elastica(fold_arm(droop=5.0), E_SOFT, LoadCase(thrust=0, gravity=0))
         assert sol.integrations == 2
 
     def test_steps_count_both_meshes(self):
-        # Zero load: one inward march on the predictor mesh and one outward
-        # march on the requested mesh, which has a station after every step.
+        # Zero load: one march on the predictor mesh and one on the requested
+        # mesh, which records a station after every step.
         seg_len = sum(seg.length for seg in FOLD_SEGMENTS) / len(FOLD_SEGMENTS)
         predictor = sum(math.ceil(PREDICTOR_STEPS * seg.length / seg_len) for seg in FOLD_SEGMENTS)
         sol = solve_elastica(fold_arm(droop=5.0), E_SOFT, LoadCase(thrust=0, gravity=0),
                              SolverSettings(integration_steps=64))
         assert sol.steps == predictor + len(sol.s) - 1
 
-    def test_march_budget(self):
-        with pytest.raises(NoConvergence):
-            solve_elastica(fold_arm(), E_SOFT, LoadCase(thrust=3.0),
-                           SolverSettings(max_shooting_iterations=1))
-
-
-SHIPPED_ARM = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
-CLI_SETTINGS = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
-
 
 class TestPredictor:
     @pytest.fixture
-    def outward(self, monkeypatch):
-        """(tip moment, drift of the thrust direction) of each outward march."""
+    def full_mesh_marches(self, monkeypatch):
+        """Tip angle of each march on the requested mesh (the recording ones)."""
         marches = []
-        march_out = beam._march_out
+        march = beam._march
 
-        def recording_march_out(*args):
-            arr, theta_at_motor = march_out(*args)
-            theta_motor = args[-1]
-            marches.append((abs(arr[-1, 3]), abs(theta_at_motor - theta_motor)))
-            return arr, theta_at_motor
+        def recording_march(*args):
+            if args[-1] is not None:
+                marches.append(args[-2])
+            return march(*args)
 
-        monkeypatch.setattr(beam, "_march_out", recording_march_out)
+        monkeypatch.setattr(beam, "_march", recording_march)
         return marches
 
-    def test_failed_tip_moment_falls_back_to_the_requested_mesh(self, outward):
-        # A soft arm bent past 110 deg: the march from the predicted root
-        # moment misses the tip-moment tolerance, so the shooting resumes on
-        # the 64-step mesh.
+    def test_prediction_within_tolerance_takes_one_full_mesh_march(self, full_mesh_marches):
+        sol = solve_elastica(SHIPPED_ARM, 1.118e6, LoadCase(thrust=3.0), CLI_SETTINGS)
+        assert len(full_mesh_marches) == 1
+        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+
+    def test_failed_tip_moment_falls_back_to_the_requested_mesh(self, full_mesh_marches):
+        # A soft arm bent past 110 deg: the predicted tip angle misses the
+        # root angle on the 64-step mesh, so the shooting resumes there.
         geom = replace(SHIPPED_ARM, motor_station=0.9753)
-        loads = LoadCase(thrust=9.3846)
-        tolerance = CLI_SETTINGS.shooting_tolerance * moment_scale(geom, loads)
-        sol = solve_elastica(geom, 1.118e6, loads, CLI_SETTINGS)
-        assert len(outward) == 2
-        assert outward[0][0] > tolerance
-        assert sol.residual <= tolerance
+        sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), CLI_SETTINGS)
+        assert len(full_mesh_marches) > 1
+        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
         # Shooting on the 64-step mesh alone gives 113.04250449374135 deg at
         # a shooting tolerance of 1e-12, and 113.04250152835938 deg at 1e-7,
         # where its secant stops within the root-angle tolerance.
         assert sol.tip_angle_deg == pytest.approx(113.04250449374135, abs=1e-6)
         assert sol.tip_angle_deg == pytest.approx(113.04250152835938,
                                                   abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
-
-    def test_thrust_direction_drift_alone_falls_back(self, outward):
-        # A very soft arm drooping under its weight: the predicted march meets
-        # the tip moment, but its angle at the motor station drifts from the
-        # predicted thrust direction by more than the shooting tolerance.
-        geom = replace(SHIPPED_ARM, motor_station=0.55)
-        loads = LoadCase(thrust=0.2)
-        tolerance = CLI_SETTINGS.shooting_tolerance * moment_scale(geom, loads)
-        sol = solve_elastica(geom, 1.5e4, loads, CLI_SETTINGS)
-        assert len(outward) == 2
-        assert outward[0][0] <= tolerance
-        assert outward[0][1] > CLI_SETTINGS.shooting_tolerance
-        assert sol.residual <= tolerance
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
@@ -349,7 +348,8 @@ def test_design_range_converges_or_raises(e_modulus, station, thrust):
         sol = solve_elastica(geom, e_modulus, loads, CLI_SETTINGS)
     except NoConvergence:
         return
-    assert sol.residual <= CLI_SETTINGS.shooting_tolerance * moment_scale(geom, loads)
+    assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+    assert sol.moments[-1] == 0.0
     assert np.all(np.isfinite(sol.stations))
     assert np.all(np.isfinite(sol.moments))
 
@@ -393,8 +393,8 @@ FIELD_CASES = [
     ),
     (
         SolverSettings,
-        {"integration_steps": 64, "shooting_tolerance": 1e-7, "max_shooting_iterations": 100},
-        ["integration_steps", "shooting_tolerance", "max_shooting_iterations"],
+        {"integration_steps": 64, "shooting_tolerance": 1e-7},
+        ["integration_steps", "shooting_tolerance"],
     ),
 ]
 

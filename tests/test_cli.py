@@ -524,6 +524,30 @@ class TestParseBoundary:
         assert main(["efficiency", "--rpm", "4500", "--table", str(p)]) == EXIT_INPUT
         assert f"{p}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section",
+        ["material", "propeller", "solver", "throttle", "deflection", "thresholds", "pipe"],
+    )
+    @pytest.mark.parametrize("value", [5, [1], "x"], ids=["number", "array", "string"])
+    def test_config_section_that_is_not_an_object_exits_2(self, section, value, tmp_path,
+                                                          capsys):
+        config = shipped_config()
+        config[section] = value
+        assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"config section '{section}' must be an object" in err
+
+    @pytest.mark.parametrize("section", ["material", "propeller", "pipe"])
+    def test_config_missing_required_section_names_it(self, section, tmp_path, capsys):
+        config = shipped_config()
+        del config[section]
+        assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
+        assert f"config has no '{section}' section" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        assert main(["analyze", "--config", write_config(tmp_path, "[1]")]) == EXIT_INPUT
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("step", [0, -10])
     def test_non_positive_throttle_step_exits_2(self, step, tmp_path, capsys):
         config = shipped_config()
