@@ -26,6 +26,7 @@ class PipeSpec:
     diameter: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.diameter <= 0:
             raise ValueError("diameter must be > 0")
 

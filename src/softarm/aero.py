@@ -33,6 +33,7 @@ class EfficiencyTable:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        require_finite(**vars(self))
         rpms = [r for r, _ in self.rows]
         if any(b <= a for a, b in zip(rpms, rpms[1:])):
             raise ValueError("rpm values must be strictly increasing")
@@ -51,12 +52,16 @@ class PropellerModel:
     thrust_coefficient: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.thrust_coefficient <= 0:
             raise ValueError("thrust_coefficient must be > 0")
 
     @classmethod
     def from_nominal(cls, thrust: float, rpm: float) -> "PropellerModel":
         """The law through the nominal point (rpm, thrust)."""
+        require_finite(rpm=rpm)
+        if rpm <= 0:
+            raise ValueError(f"nominal rpm must be > 0, got {rpm}")
         return cls(thrust_coefficient=thrust / rpm**2)
 
 

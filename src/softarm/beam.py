@@ -16,24 +16,15 @@ Coordinates: x horizontal, z up, theta measured from horizontal
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LargeDeflectionWarning, NoConvergence, NonPhysicalMaterial
-from .material import BeamTestGeometry, LinearElasticParams, MooneyRivlinParams
+from .errors import NoConvergence, NonPhysicalMaterial, require_finite
+from .material import MooneyRivlinParams
 
 GRAVITY = 9.81
 PREDICTOR_STEPS = 8  # RK4 steps per segment length of the predictor mesh
-
-
-def _require_finite(obj, *fields: str) -> None:
-    """Raise ValueError unless every number in the named fields is finite."""
-    for name in fields:
-        value = getattr(obj, name)
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +35,7 @@ class Segment:
     length: float
 
     def __post_init__(self):
-        _require_finite(self, "fold_angle_deg", "length")
+        require_finite(**vars(self))
         if self.length <= 0:
             raise ValueError("segment length must be > 0")
 
@@ -68,8 +59,7 @@ class ArmGeometry:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "section_inertia", tuple(self.section_inertia))
-        _require_finite(self, "section_inertia", "section_half_depth", "initial_droop_deg",
-                        "motor_station", "linear_density")
+        require_finite(**{k: v for k, v in vars(self).items() if k != "segments"})
         if not 1 <= len(self.segments) <= 8:
             raise ValueError("segment count must be in [1, 8]")
         if len(self.section_inertia) != len(self.segments):
@@ -135,8 +125,7 @@ class LoadCase:
 
     def __post_init__(self):
         object.__setattr__(self, "point_moments", tuple(tuple(p) for p in self.point_moments))
-        _require_finite(self, "thrust", "gravity", "tendon_tension", "tendon_eccentricity",
-                        "point_moments")
+        require_finite(**vars(self))
         if self.thrust < 0:
             raise ValueError("thrust must be >= 0")
         if self.tendon_tension < 0:
@@ -153,7 +142,7 @@ class SolverSettings:
     shooting_tolerance: float = 1e-9
 
     def __post_init__(self):
-        _require_finite(self, "integration_steps", "shooting_tolerance")
+        require_finite(**vars(self))
         if self.integration_steps < 16:
             raise ValueError("integration_steps must be >= 16")
         if self.shooting_tolerance <= 0:
@@ -177,7 +166,6 @@ class BeamSolution:
     inertias: np.ndarray
     tip_angle_deg: float
     max_curvature: float
-    max_curvature_s: float
     max_fiber_strain: float
     residual: float
     integrations: int
@@ -201,28 +189,9 @@ class BeamSolution:
         return self.stations[:, 3]
 
 
-def linear_tip_deflection(e_modulus: float, geometry: BeamTestGeometry, force: float) -> float:
-    """Small-deflection cantilever tip displacement F L^3 / (3 E I) [m].
-
-    Warns when the result leaves the small-deflection range (delta > L/10).
-    """
-    if e_modulus <= 0:
-        raise NonPhysicalMaterial("modulus must be > 0")
-    delta = force * geometry.length**3 / (3.0 * e_modulus * geometry.section_inertia)
-    if abs(delta) > 0.1 * geometry.length:
-        warnings.warn(
-            f"deflection {delta:.4g} m exceeds 10% of length; linear theory is inaccurate",
-            LargeDeflectionWarning,
-            stacklevel=2,
-        )
-    return delta
-
-
 def effective_modulus(material) -> float:
     """Constant Young's modulus [Pa] used by the solver for a material input."""
-    if isinstance(material, LinearElasticParams):
-        e = material.youngs_modulus
-    elif isinstance(material, MooneyRivlinParams):
+    if isinstance(material, MooneyRivlinParams):
         e = 6.0 * (material.c10 + material.c01) * 1e6
     elif isinstance(material, (int, float)):
         e = float(material)
@@ -375,16 +344,13 @@ def solve_elastica(
     segment = np.minimum(segment, len(geometry.segments) - 1)
     inertias = np.asarray(geometry.section_inertia)[segment]
     curvatures = moments / (e_modulus * inertias)
-    idx = int(np.argmax(np.abs(curvatures)))
-    max_curv = float(abs(curvatures[idx]))
-    max_curv_s = float(stations[idx, 0]) if max_curv > 0 else 0.0
+    max_curv = float(np.max(np.abs(curvatures)))
     return BeamSolution(
         stations=stations,
         moments=moments,
         inertias=inertias,
         tip_angle_deg=math.degrees(stations[-1, 3]),
         max_curvature=max_curv,
-        max_curvature_s=max_curv_s,
         max_fiber_strain=max_curv * geometry.section_half_depth,
         residual=abs(defect),
         integrations=integrations,

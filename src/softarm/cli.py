@@ -32,7 +32,6 @@ from .errors import (
     EmptyRange,
     FitError,
     InputError,
-    LargeDeflectionWarning,
     NoConvergence,
     NonPhysicalWarning,
     OutOfEnvelopeWarning,
@@ -57,7 +56,6 @@ _REQUIRED_SECTIONS = {"material", "propeller", "pipe"}
 _WARNING_CODES = {
     NonPhysicalWarning: "NONPHYSICAL_MATERIAL",
     OutOfEnvelopeWarning: "OUT_OF_ENVELOPE",
-    LargeDeflectionWarning: "LARGE_DEFLECTION",
 }
 
 

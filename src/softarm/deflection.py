@@ -8,7 +8,6 @@ infill rate in percent and T the throttle in tens-of-percent units
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,8 +45,7 @@ class DeflectionModelCoeffs:
     alpha0: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a1, self.a2, self.b1, self.b2, self.alpha0))):
-            raise ValueError("all coefficients must be finite")
+        require_finite(**vars(self))
 
     @classmethod
     def measured(cls, alpha0: float = 0.0) -> "DeflectionModelCoeffs":
@@ -63,6 +61,7 @@ class DeflectionSample:
     angle: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.throttle < 0:
             raise ValueError("throttle must be >= 0")
         if not 0.0 < self.infill_rate < 100.0:

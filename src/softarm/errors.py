@@ -1,14 +1,26 @@
 """Exception and warning types shared across the toolkit, and the
-finiteness check of the library's numeric arguments."""
+finiteness check of the library's numeric arguments and dataclass fields."""
 
 import math
 
 
-def require_finite(**values: float) -> None:
-    """Raise ValueError naming the first argument that is NaN or infinite."""
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first argument that is NaN, infinite or
+    not a number (a JSON null, say). A tuple is checked number by number,
+    nested tuples included; a frozen dataclass of numbers checks itself with
+    require_finite(**vars(self))."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not _all_finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_all_finite, value))
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 class SoftarmError(Exception):
@@ -97,7 +109,3 @@ class NonPhysicalWarning(UserWarning):
 
 class OutOfEnvelopeWarning(UserWarning):
     """Inputs are outside the validated operating envelope of a model."""
-
-
-class LargeDeflectionWarning(UserWarning):
-    """Linear beam theory applied outside its small-deflection range."""

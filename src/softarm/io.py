@@ -1,5 +1,5 @@
-"""File formats: CSV ingestion with line-numbered errors, geometry JSON,
-and solution export. Every read goes through `load_json` or `_read_csv_rows`,
+"""File formats: CSV ingestion with line-numbered errors, and geometry and
+coefficient JSON. Every read goes through `load_json` or `_read_csv_rows`,
 the one place where a bad file or a non-finite number becomes a ParseError."""
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ import math
 from pathlib import Path
 
 from .aero import EfficiencyTable
-from .beam import ArmGeometry, BeamSolution, Segment
-from .deflection import THROTTLE_UNIT_PER_PCT, DeflectionModelCoeffs, DeflectionSample
+from .beam import ArmGeometry, Segment
+from .deflection import DeflectionModelCoeffs
 from .errors import ParseError
 from .material import FlexuralSample, StressStrainCurve
 
@@ -43,7 +43,8 @@ def load_json(path: str | Path):
 
 def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[int, list[float]]]:
     """Rows of a numeric CSV as (line_number, values), header validated;
-    a cell that is not a finite number is a ParseError naming its line."""
+    a cell that is not a finite number, and a file without data rows, is a
+    ParseError naming its line."""
     path = Path(path)
     try:
         with open(path, newline="") as fh:
@@ -72,16 +73,16 @@ def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[i
                     rows.append((lineno, [_finite_float(c) for c in row]))
                 except ValueError as exc:
                     raise ParseError(str(exc), line=lineno, path=str(path)) from None
-            return rows
     except OSError as exc:
         raise ParseError(str(exc), path=str(path)) from None
+    if not rows:
+        raise ParseError("no data rows", line=2, path=str(path))
+    return rows
 
 
 def read_stress_strain_csv(path: str | Path, infill_rate: float = 0.0) -> StressStrainCurve:
     """Load a `strain,stress_pa` CSV into a stress-strain curve."""
     rows = _read_csv_rows(path, ["strain", "stress_pa"])
-    if not rows:
-        raise ParseError("no data rows", line=2, path=str(path))
     try:
         return StressStrainCurve(
             tuple((strain, stress) for _, (strain, stress) in rows),
@@ -94,8 +95,6 @@ def read_stress_strain_csv(path: str | Path, infill_rate: float = 0.0) -> Stress
 def read_flexural_csv(path: str | Path) -> list[FlexuralSample]:
     """Load a `force_n,deflection_m` CSV into flexural samples."""
     rows = _read_csv_rows(path, ["force_n", "deflection_m"])
-    if not rows:
-        raise ParseError("no data rows", line=2, path=str(path))
     samples = []
     for lineno, (force, deflection) in rows:
         try:
@@ -108,31 +107,10 @@ def read_flexural_csv(path: str | Path) -> list[FlexuralSample]:
 def read_efficiency_csv(path: str | Path) -> EfficiencyTable:
     """Load a `rpm,eta` CSV into an efficiency table."""
     rows = _read_csv_rows(path, ["rpm", "eta"])
-    if not rows:
-        raise ParseError("no data rows", line=2, path=str(path))
     try:
         return EfficiencyTable(tuple((rpm, eta) for _, (rpm, eta) in rows))
     except ValueError as exc:
         raise ParseError(str(exc), line=rows[0][0], path=str(path)) from None
-
-
-def read_deflection_sweep_csv(path: str | Path) -> list[DeflectionSample]:
-    """Load a `rho_percent,throttle_pct,alpha_deg` CSV; throttle percent is
-    converted to throttle units."""
-    rows = _read_csv_rows(path, ["rho_percent", "throttle_pct", "alpha_deg"])
-    if not rows:
-        raise ParseError("no data rows", line=2, path=str(path))
-    samples = []
-    for lineno, (rho, pct, alpha) in rows:
-        try:
-            samples.append(
-                DeflectionSample(
-                    infill_rate=rho, throttle=pct * THROTTLE_UNIT_PER_PCT, angle=alpha
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, path=str(path)) from None
-    return samples
 
 
 def read_arm_geometry_json(path: str | Path) -> ArmGeometry:
@@ -173,12 +151,3 @@ def read_deflection_coeffs_json(path: str | Path) -> DeflectionModelCoeffs:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coefficients: {exc}", path=str(path)) from None
-
-
-def write_solution_csv(path: str | Path, solution: BeamSolution) -> None:
-    """Export a solved centerline as `s_m,x_m,z_m,theta_rad`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s_m", "x_m", "z_m", "theta_rad"])
-        for s, x, z, theta in solution.stations:
-            writer.writerow([f"{s:.9g}", f"{x:.9g}", f"{z:.9g}", f"{theta:.9g}"])

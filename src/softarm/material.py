@@ -1,8 +1,8 @@
 """Material characterization for 3D-printed TPU arms.
 
-Linear flexural modulus from cantilever force-deflection tests, a
+Linear flexural modulus from cantilever force-deflection tests, and a
 five-coefficient hyperelastic model fitted to uniaxial stress-strain
-curves, and the small-strain constants derived from either.
+curves with the small-strain modulus derived from it.
 
 Unit conventions: stresses and moduli in SI (Pa) except the hyperelastic
 coefficients and everything derived directly from them, which are in MPa
@@ -21,6 +21,7 @@ from .errors import (
     InvalidStretch,
     NonPhysicalWarning,
     RankDeficient,
+    require_finite,
 )
 
 #: Condition-number threshold above which a fit is declared rank deficient.
@@ -36,31 +37,25 @@ class FlexuralSample:
     tip_deflection: float
 
     def __post_init__(self):
-        if not np.isfinite(self.force) or self.force < 0:
-            raise ValueError(f"force must be finite and >= 0, got {self.force}")
-        if not np.isfinite(self.tip_deflection):
-            raise ValueError("tip_deflection must be finite")
+        require_finite(**vars(self))
+        if self.force < 0:
+            raise ValueError(f"force must be >= 0, got {self.force}")
 
 
 @dataclass(frozen=True)
 class BeamTestGeometry:
-    """Geometry of the bending test specimen.
-
-    half_depth (distance from neutral axis to outer fiber, m) is only
-    needed when converting force-deflection data to stress-strain.
-    """
+    """Geometry of the bending test specimen: cantilever length [m] and
+    section inertia [m^4]."""
 
     length: float
     section_inertia: float
-    half_depth: float | None = None
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.length <= 0:
             raise ValueError("length must be > 0")
         if self.section_inertia <= 0:
             raise ValueError("section_inertia must be > 0")
-        if self.half_depth is not None and self.half_depth <= 0:
-            raise ValueError("half_depth must be > 0 when given")
 
 
 @dataclass(frozen=True)
@@ -76,6 +71,7 @@ class StressStrainCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(tuple(p) for p in self.samples))
+        require_finite(**vars(self))
         strains = self.strains
         if np.any(np.diff(strains) <= 0):
             raise ValueError("strains must be strictly increasing")
@@ -104,35 +100,10 @@ class MooneyRivlinParams:
     c11: float
 
     def __post_init__(self):
-        vals = (self.c10, self.c01, self.c20, self.c02, self.c11)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("all coefficients must be finite")
+        require_finite(**vars(self))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c10, self.c01, self.c20, self.c02, self.c11])
-
-
-@dataclass(frozen=True)
-class LinearElasticParams:
-    """Isotropic linear-elastic constants: E [Pa] and Poisson ratio."""
-
-    youngs_modulus: float
-    poisson_ratio: float
-
-    def __post_init__(self):
-        if self.youngs_modulus <= 0:
-            raise ValueError("youngs_modulus must be > 0")
-        if not -1.0 < self.poisson_ratio < 0.5:
-            raise ValueError("poisson_ratio must be in (-1, 0.5)")
-
-    @property
-    def shear_modulus(self) -> float:
-        return self.youngs_modulus / (2.0 * (1.0 + self.poisson_ratio))
-
-    @property
-    def lame_lambda(self) -> float:
-        e, nu = self.youngs_modulus, self.poisson_ratio
-        return e * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
 
 
 @dataclass(frozen=True)
@@ -143,6 +114,7 @@ class UniaxialInvariants:
     i2: float
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.i1 < 3.0 - 1e-12 or self.i2 < 3.0 - 1e-12:
             raise ValueError("invariants must be >= 3")
 
@@ -283,27 +255,3 @@ def mr_small_strain_modulus(params: MooneyRivlinParams) -> float:
             stacklevel=2,
         )
     return e0
-
-
-def stress_strain_from_flexural(
-    samples: list[FlexuralSample], geometry: BeamTestGeometry, infill_rate: float = 0.0
-) -> StressStrainCurve:
-    """Outer-fiber root bending stress/strain from force-deflection data.
-
-    sigma = F L c / I and eps = 3 c delta / L^2 with c the section half
-    depth; output ordered by increasing strain.
-    """
-    if len(samples) < 2:
-        raise DegenerateData("need at least 2 samples")
-    if geometry.half_depth is None:
-        raise DegenerateData("geometry.half_depth is required for stress conversion")
-    c = geometry.half_depth
-    length, inertia = geometry.length, geometry.section_inertia
-    pts = sorted(
-        (3.0 * c * s.tip_deflection / length**2, s.force * length * c / inertia)
-        for s in samples
-    )
-    strains = [p[0] for p in pts]
-    if len(set(strains)) != len(strains):
-        raise DegenerateData("duplicate deflection values map to equal strains")
-    return StressStrainCurve(tuple(pts), infill_rate=infill_rate)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from softarm.aero import (
     DEFAULT_PROPELLER,
     EfficiencyTable,
+    PropellerModel,
     calibrate_efficiency_model,
     efficiency_lookup,
     efficiency_model,
@@ -44,6 +45,11 @@ class TestThrustLaw:
     def test_negative_rpm_rejected(self):
         with pytest.raises(ValueError):
             thrust_from_rpm(DEFAULT_PROPELLER, -1.0)
+
+    @pytest.mark.parametrize("rpm", [0.0, -4000.0, math.nan, math.inf])
+    def test_nominal_rpm_must_be_finite_and_positive(self, rpm):
+        with pytest.raises(ValueError, match="rpm"):
+            PropellerModel.from_nominal(thrust=4.905, rpm=rpm)
 
 
 class TestEfficiencyLookup:

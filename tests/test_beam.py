@@ -1,5 +1,6 @@
 """Elastica solver: linear limit, closed-form arc, equilibrium, symmetry, stress
-location, robustness at large rotation, solver counters and input validation."""
+location, robustness at large rotation, solver counters and input validation
+(the non-finite cases cover the validated input dataclasses of every module)."""
 
 import math
 from dataclasses import replace
@@ -11,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from softarm import beam
+from softarm.adapt import PipeSpec
+from softarm.aero import EfficiencyTable, PropellerModel
 from softarm.beam import (
     PREDICTOR_STEPS,
     ArmGeometry,
@@ -18,15 +21,21 @@ from softarm.beam import (
     LoadCase,
     Segment,
     SolverSettings,
-    linear_tip_deflection,
     max_stress_station,
     solve_elastica,
     tendon_bend,
 )
 from softarm.cli import default_data_dir
-from softarm.errors import LargeDeflectionWarning, NoConvergence, NonPhysicalMaterial
+from softarm.deflection import DeflectionModelCoeffs, DeflectionSample
+from softarm.errors import NoConvergence, NonPhysicalMaterial
 from softarm.io import read_arm_geometry_json
-from softarm.material import BeamTestGeometry, MooneyRivlinParams
+from softarm.material import (
+    BeamTestGeometry,
+    FlexuralSample,
+    MooneyRivlinParams,
+    StressStrainCurve,
+    UniaxialInvariants,
+)
 
 E_SOFT = 1e7
 
@@ -58,23 +67,6 @@ def fold_arm(inertia=(5e-8,) * 4, droop=0.0, motor=1.0, density=0.0):
         motor_station=motor,
         linear_density=density,
     )
-
-
-class TestLinearTipDeflection:
-    GEOM = BeamTestGeometry(length=0.3, section_inertia=1e-9)
-
-    def test_zero_force(self):
-        assert linear_tip_deflection(10e6, self.GEOM, 0.0) == 0.0
-
-    def test_arithmetic_with_warning(self):
-        with pytest.warns(LargeDeflectionWarning):
-            delta = linear_tip_deflection(10e6, self.GEOM, 1.0)
-        assert delta == pytest.approx(0.9, rel=1e-12)
-
-    def test_linearity(self):
-        d1 = linear_tip_deflection(10e6, self.GEOM, 0.001)
-        d2 = linear_tip_deflection(10e6, self.GEOM, 0.002)
-        assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
 
 class TestUnloaded:
@@ -396,15 +388,39 @@ FIELD_CASES = [
         {"integration_steps": 64, "shooting_tolerance": 1e-7},
         ["integration_steps", "shooting_tolerance"],
     ),
+    (FlexuralSample, {"force": 1.0, "tip_deflection": 0.01}, ["force", "tip_deflection"]),
+    (BeamTestGeometry, {"length": 0.3, "section_inertia": 1e-9}, ["length", "section_inertia"]),
+    (
+        StressStrainCurve,
+        {"samples": ((0.0, 0.0), (0.1, 1e5)), "infill_rate": 6.0},
+        ["samples", "infill_rate"],
+    ),
+    (
+        MooneyRivlinParams,
+        {"c10": -3.19, "c01": 4.23, "c20": 0.64, "c02": -2.65, "c11": 4.37},
+        ["c10", "c01", "c20", "c02", "c11"],
+    ),
+    (UniaxialInvariants, {"i1": 3.5, "i2": 3.5}, ["i1", "i2"]),
+    (
+        DeflectionModelCoeffs,
+        {"a1": 2.4, "a2": -0.2, "b1": -0.16, "b2": 0.015, "alpha0": 5.0},
+        ["a1", "a2", "b1", "b2", "alpha0"],
+    ),
+    (
+        DeflectionSample,
+        {"infill_rate": 6.0, "throttle": 5.0, "angle": 4.4},
+        ["infill_rate", "throttle", "angle"],
+    ),
+    (PipeSpec, {"diameter": 0.2}, ["diameter"]),
+    (EfficiencyTable, {"rows": ((4000.0, 0.895), (5000.0, 0.909))}, ["rows"]),
+    (PropellerModel, {"thrust_coefficient": 3e-7}, ["thrust_coefficient"]),
 ]
 
 
-def _poison(field, bad):
-    """A value for the field that carries the non-finite number bad."""
-    if field == "section_inertia":
-        return (bad,)
-    if field == "point_moments":
-        return ((0.1, bad),)
+def _poison(value, bad):
+    """The value with its first number replaced by the non-finite number bad."""
+    if isinstance(value, tuple):
+        return (_poison(value[0], bad), *value[1:])
     return bad
 
 
@@ -417,4 +433,4 @@ def _poison(field, bad):
 def test_non_finite_input_rejected(cls, kwargs, field, bad):
     cls(**kwargs)  # the baseline is valid
     with pytest.raises(ValueError, match="must be finite"):
-        cls(**{**kwargs, field: _poison(field, bad)})
+        cls(**{**kwargs, field: _poison(kwargs[field], bad)})

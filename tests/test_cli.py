@@ -20,7 +20,7 @@ from softarm.cli import (
     default_data_dir,
     main,
 )
-from softarm.deflection import DeflectionModelCoeffs, eval_deflection
+from softarm.deflection import eval_deflection
 from softarm.errors import ParseError
 from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
 
@@ -83,11 +83,17 @@ class TestCsvIngestion:
         table = sio.read_efficiency_csv(p)
         assert len(table.rows) == 2
 
-    def test_deflection_sweep_converts_percent(self, tmp_path):
-        p = tmp_path / "sweep.csv"
-        p.write_text("rho_percent,throttle_pct,alpha_deg\n6,50,4.4\n")
-        (sample,) = sio.read_deflection_sweep_csv(p)
-        assert sample.throttle == pytest.approx(5.0)
+    @pytest.mark.parametrize(
+        "reader,header",
+        [(sio.read_flexural_csv, "force_n,deflection_m"), (sio.read_efficiency_csv, "rpm,eta")],
+        ids=["flexural", "efficiency"],
+    )
+    def test_header_only_reports_line_two(self, reader, header, tmp_path):
+        p = tmp_path / "header_only.csv"
+        p.write_text(header + "\n\n")
+        with pytest.raises(ParseError, match="no data rows") as info:
+            reader(p)
+        assert info.value.line == 2
 
 
 class TestGeometryJson:
@@ -101,23 +107,6 @@ class TestGeometryJson:
         p.write_text('{"segments": []}')
         with pytest.raises(ParseError):
             sio.read_arm_geometry_json(p)
-
-    def test_solution_csv_round_trip(self, tmp_path):
-        from softarm.beam import ArmGeometry, LoadCase, Segment, solve_elastica
-
-        geom = ArmGeometry(
-            segments=(Segment(0.0, 0.3),),
-            section_inertia=(1e-9,),
-            section_half_depth=0.005,
-        )
-        sol = solve_elastica(geom, 1e7, LoadCase(thrust=0.01, gravity=0))
-        out = tmp_path / "solution.csv"
-        sio.write_solution_csv(out, sol)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["s_m", "x_m", "z_m", "theta_rad"]
-        assert len(rows) - 1 == len(sol.s)
-        assert float(rows[-1][0]) == pytest.approx(0.3)
 
 
 class TestFitMaterialCommand:
@@ -554,6 +543,22 @@ class TestParseBoundary:
         config["throttle"]["step_pct"] = step
         assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
         assert "throttle.step_pct must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rpm", [0, -4000])
+    def test_non_positive_nominal_rpm_exits_2(self, rpm, tmp_path, capsys):
+        config = shipped_config()
+        config["propeller"]["nominal_rpm"] = rpm
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert "softarm: input error: nominal rpm must be > 0" in captured.err
+
+    @pytest.mark.parametrize("key", ["integration_steps", "shooting_tolerance"])
+    def test_null_solver_value_names_the_key(self, key, tmp_path, capsys):
+        config = shipped_config()
+        config["solver"] = {key: None}
+        assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
+        assert f"{key} must be finite, got None" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["shooting_tolerence", "max_shooting_iterations"])
     def test_unknown_solver_key_exits_2(self, key, tmp_path, capsys):

@@ -18,7 +18,6 @@ from softarm.material import (
     mr_small_strain_modulus,
     mr_strain_energy,
     mr_uniaxial_stress,
-    stress_strain_from_flexural,
     uniaxial_invariants,
 )
 
@@ -205,34 +204,6 @@ class TestSmallStrainModulus:
         with pytest.warns(NonPhysicalWarning):
             e0 = mr_small_strain_modulus(RHO10)
         assert e0 == pytest.approx(-2.1, abs=1e-12)
-
-
-class TestStressStrainFromFlexural:
-    GEOM = BeamTestGeometry(length=0.3, section_inertia=1e-9, half_depth=0.005)
-
-    def test_zero_force_point(self):
-        samples = [FlexuralSample(0.0, 0.0), FlexuralSample(1.0, 0.01)]
-        curve = stress_strain_from_flexural(samples, self.GEOM)
-        assert curve.samples[0] == (0.0, 0.0)
-
-    def test_secant_modulus_consistency(self):
-        e_true = 10e6
-        forces = np.linspace(0.2, 2.0, 10)
-        deltas = forces * self.GEOM.length**3 / (3.0 * e_true * self.GEOM.section_inertia)
-        samples = [FlexuralSample(f, d) for f, d in zip(forces, deltas)]
-        curve = stress_strain_from_flexural(samples, self.GEOM)
-        for eps, sigma in curve.samples:
-            assert sigma / eps == pytest.approx(e_true, rel=1e-9)
-
-    def test_sorted_output(self):
-        samples = [FlexuralSample(2.0, 0.02), FlexuralSample(1.0, 0.01)]
-        curve = stress_strain_from_flexural(samples, self.GEOM)
-        assert list(curve.strains) == sorted(curve.strains)
-
-    def test_requires_half_depth(self):
-        geom = BeamTestGeometry(length=0.3, section_inertia=1e-9)
-        with pytest.raises(DegenerateData):
-            stress_strain_from_flexural([FlexuralSample(0, 0), FlexuralSample(1, 0.01)], geom)
 
 
 class TestCurveValidation:
