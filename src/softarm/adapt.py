@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .beam import ArmGeometry
 from .deflection import DeflectionModelCoeffs, envelope_check
 from .errors import ChordTooLong, EmptyRange, ZeroArea, require_finite
@@ -88,6 +86,8 @@ def contact_pressure(tendon_force: float, contact_width: float, contact_arc_leng
     """Uniform contact pressure [N/m^2] of the tendon force over the patch."""
     require_finite(tendon_force=tendon_force, contact_width=contact_width,
                    contact_arc_length=contact_arc_length)
+    if tendon_force < 0:
+        raise ValueError(f"tendon_force must be >= 0, got {tendon_force}")
     if contact_width <= 0 or contact_arc_length <= 0:
         raise ZeroArea("contact patch dimensions must be > 0")
     return tendon_force / (contact_width * contact_arc_length)
@@ -108,22 +108,16 @@ def attach_check(
     return AttachmentVerdict(bendable=bendable, pressure=pressure, attached=attached)
 
 
-def recommend_infill(
-    coeffs: DeflectionModelCoeffs,
-    scan_range: tuple[float, float] = (4.0, 15.0),
-    scan_step: float = 0.5,
-) -> tuple[float, float]:
+def recommend_infill(coeffs: DeflectionModelCoeffs) -> tuple[float, float]:
     """Infill range [%] that keeps deflections within bounds, stays in the
-    linear regime, and remains soft enough to wrap a pipe.
+    linear regime, and remains soft enough to wrap a pipe, scanned from 4%
+    to 15% in 0.5% steps.
 
     For the measured deflection coefficients the returned range contains
     [6, 8].
     """
-    lo, hi = scan_range
-    n = int(round((hi - lo) / scan_step))
     feasible = []
-    for rho in np.linspace(lo, hi, n + 1):
-        rho = float(rho)
+    for rho in (4.0 + 0.5 * i for i in range(23)):
         report = envelope_check(coeffs, rho)
         if report.passes_14deg and not report.nonlinear_flag and rho < BENDABLE_INFILL_MAX_PCT:
             feasible.append(rho)

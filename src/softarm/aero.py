@@ -103,57 +103,37 @@ def optimal_motor_station() -> float:
     return OPTIMUM_MOTOR_STATION
 
 
-@dataclass(frozen=True)
-class EfficiencyModelParams:
-    """Calibrated surrogate for eta(x/c, rpm).
+#: Slopes of the efficiency surrogate, a tent in x/c that peaks at
+#: OPTIMUM_MOTOR_STATION, where it reproduces the lookup table exactly:
+#: efficiency lost per unit x/c toward the arm base (wider arm, more drag,
+#: minus the near-base recirculation credit), and per unit x/c past the
+#: optimum (recirculation thrust no longer recovered).
+BASE_SLOPE = 0.25
+TIP_SLOPE = 0.10
 
-    The surrogate is a tent function in x/c peaking at optimum_station,
-    where it reproduces the lookup table exactly. base_slope is the
-    efficiency lost per unit x/c moving toward the arm base (wider arm,
-    more drag, minus the near-base recirculation credit); tip_slope the
-    loss per unit x/c past the optimum (recirculation thrust no longer
-    recovered).
-    """
-
-    table: EfficiencyTable
-    optimum_station: float
-    base_slope: float
-    tip_slope: float
+#: Corners of the (x/c, rpm) domain over which the surrogate must stay in (0, 1].
+CALIBRATION_STATIONS = (0.3, 1.0)
+CALIBRATION_RPMS = (3000.0, 6500.0)
 
 
-def calibrate_efficiency_model(
-    table: EfficiencyTable,
-    optimum_station: float = OPTIMUM_MOTOR_STATION,
-    base_slope: float = 0.25,
-    tip_slope: float = 0.10,
-    station_range: tuple[float, float] = (0.3, 1.0),
-    rpm_range: tuple[float, float] = (3000.0, 6500.0),
-) -> EfficiencyModelParams:
-    """Build surrogate parameters, checking that the calibrated surface has
-    an interior maximum at the optimum station and stays within (0, 1]
-    over the stated domain."""
-    if not 0.0 < optimum_station <= 1.0:
-        raise CalibrationFailure("optimum_station must be in (0, 1]")
-    if base_slope <= 0 or tip_slope <= 0:
-        raise CalibrationFailure("slopes must be positive for an interior optimum")
-    params = EfficiencyModelParams(table, optimum_station, base_slope, tip_slope)
-    for rpm in rpm_range:
-        for x_c in station_range:
-            eta = efficiency_model(x_c, rpm, params)
+def calibrate_efficiency_model(table: EfficiencyTable) -> EfficiencyTable:
+    """Check that the surrogate over this table stays within (0, 1] over the
+    calibration domain, and return the table for efficiency_model."""
+    for rpm in CALIBRATION_RPMS:
+        for x_c in CALIBRATION_STATIONS:
+            eta = efficiency_model(x_c, rpm, table)
             if not 0.0 < eta <= 1.0:
-                raise CalibrationFailure(
-                    f"eta({x_c}, {rpm}) = {eta:.4g} leaves (0, 1]; adjust slopes"
-                )
-    return params
+                raise CalibrationFailure(f"eta({x_c}, {rpm}) = {eta:.4g} leaves (0, 1]")
+    return table
 
 
-def efficiency_model(x_c: float, rpm: float, params: EfficiencyModelParams) -> float:
+def efficiency_model(x_c: float, rpm: float, table: EfficiencyTable) -> float:
     """Surrogate thrust efficiency at motor position x/c and speed rpm."""
     if not 0.0 < x_c <= 1.0:
         raise ValueError("x_c must be in (0, 1]")
     if rpm <= 0:
         raise ValueError("rpm must be > 0")
-    peak = efficiency_lookup(params.table, rpm)
-    if x_c <= params.optimum_station:
-        return peak - params.base_slope * (params.optimum_station - x_c)
-    return peak - params.tip_slope * (x_c - params.optimum_station)
+    peak = efficiency_lookup(table, rpm)
+    if x_c <= OPTIMUM_MOTOR_STATION:
+        return peak - BASE_SLOPE * (OPTIMUM_MOTOR_STATION - x_c)
+    return peak - TIP_SLOPE * (x_c - OPTIMUM_MOTOR_STATION)

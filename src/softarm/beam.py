@@ -151,11 +151,11 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class BeamSolution:
-    """Solved centerline shape and derived bending quantities.
+    """Solved centerline shape and bending moments.
 
     stations: array of shape (n, 4) with columns (s, x, z, theta).
-    moments/inertias: internal bending moment [N m] and section inertia
-    [m^4] at each station, kept for the stress proxy; the tip moment is 0.
+    moments: internal bending moment [N m] at each station; the tip moment
+    is 0.
     residual is the root-angle defect [rad] of the shape, at most the
     shooting tolerance; integrations counts the RK4 marches of the solve
     and steps their RK4 steps, on both meshes.
@@ -163,10 +163,7 @@ class BeamSolution:
 
     stations: np.ndarray
     moments: np.ndarray
-    inertias: np.ndarray
     tip_angle_deg: float
-    max_curvature: float
-    max_fiber_strain: float
     residual: float
     integrations: int
     steps: int
@@ -337,21 +334,10 @@ def solve_elastica(
     arr = np.array(history[::-1])  # root to tip, columns (s, x, z, theta, M)
     stations = arr[:, :4].copy()
     stations[:, 1:3] -= stations[0, 1:3]  # the root sits at the origin
-    moments = arr[:, 4].copy()
-    # A station on a segment boundary belongs to the outboard segment, and
-    # one at or past the tip to the last, as in ArmGeometry.inertia_at.
-    segment = np.searchsorted(geometry.segment_bounds, stations[:, 0], side="right") - 1
-    segment = np.minimum(segment, len(geometry.segments) - 1)
-    inertias = np.asarray(geometry.section_inertia)[segment]
-    curvatures = moments / (e_modulus * inertias)
-    max_curv = float(np.max(np.abs(curvatures)))
     return BeamSolution(
         stations=stations,
-        moments=moments,
-        inertias=inertias,
+        moments=arr[:, 4].copy(),
         tip_angle_deg=math.degrees(stations[-1, 3]),
-        max_curvature=max_curv,
-        max_fiber_strain=max_curv * geometry.section_half_depth,
         residual=abs(defect),
         integrations=integrations,
         steps=steps,
@@ -436,26 +422,22 @@ def max_stress_station(solution: BeamSolution, geometry: ArmGeometry) -> float:
     """Arc length [m] of the maximum outer-fiber bending stress proxy
     sigma(s) = |M(s)| c / I(s). Ties (e.g. an unloaded arm) resolve to the
     root by convention."""
-    sigma = np.abs(solution.moments) * geometry.section_half_depth / solution.inertias
+    inertias = np.array([geometry.inertia_at(s) for s in solution.s])
+    sigma = np.abs(solution.moments) * geometry.section_half_depth / inertias
     if np.max(sigma) <= 0:
         return 0.0
     return float(solution.s[int(np.argmax(sigma))])
 
 
-def tendon_bend(
-    geometry: ArmGeometry,
-    material,
-    tension: float,
-    eccentricity: float,
-    settings: SolverSettings | None = None,
-) -> BeamSolution:
+def tendon_bend(geometry: ArmGeometry, material, tension: float,
+                eccentricity: float) -> BeamSolution:
     """Arm shape under tendon tension alone (no thrust, no weight beyond
     the configured gravity). Flags contact_expected when the total turning
     exceeds the fold budget plus a quarter turn."""
     if tension < 0:
         raise ValueError("tension must be >= 0")
     loads = LoadCase(thrust=0.0, tendon_tension=tension, tendon_eccentricity=eccentricity)
-    solution = solve_elastica(geometry, material, loads, settings)
+    solution = solve_elastica(geometry, material, loads)
     turning = abs(solution.tip_angle_deg + geometry.initial_droop_deg)
     if turning > geometry.total_turning_deg + 90.0:
         solution = replace(solution, contact_expected=True)

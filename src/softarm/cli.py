@@ -254,6 +254,9 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     step_pct = thr_cfg.get("step_pct", 10)
     if step_pct <= 0:
         raise ParseError(f"throttle.step_pct must be > 0, got {step_pct}", path=str(args.config))
+    if not 0 <= max_pct <= 100:
+        raise ParseError(f"throttle.max_pct must be in [0, 100], got {max_pct}",
+                         path=str(args.config))
     sweep_rows = []
     pct = 0
     while pct <= max_pct:
@@ -293,13 +296,13 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     }
 
     rpm_ref = config.get("rpm", prop_cfg["nominal_rpm"])
-    model_params = aero.calibrate_efficiency_model(table)
+    aero.calibrate_efficiency_model(table)
     station = aero.optimal_motor_station()
     results["efficiency"] = {
         "rpm": rpm_ref,
         "eta": aero.efficiency_lookup(table, rpm_ref),
         "optimal_motor_station": station,
-        "eta_model_at_optimum": aero.efficiency_model(station, rpm_ref, model_params),
+        "eta_model_at_optimum": aero.efficiency_model(station, rpm_ref, table),
     }
 
     envelope = {
@@ -369,13 +372,13 @@ def cmd_deflect(args) -> tuple[dict, dict]:
 def cmd_efficiency(args) -> tuple[dict, dict]:
     inputs: dict = {}
     table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
-    params = aero.calibrate_efficiency_model(table)
+    aero.calibrate_efficiency_model(table)
     results = {
         "efficiency": {
             "rpm": args.rpm,
             "eta": aero.efficiency_lookup(table, args.rpm),
             "station": args.station,
-            "eta_model": aero.efficiency_model(args.station, args.rpm, params),
+            "eta_model": aero.efficiency_model(args.station, args.rpm, table),
             "optimal_motor_station": aero.optimal_motor_station(),
         }
     }
@@ -398,10 +401,10 @@ def cmd_sweep(args) -> tuple[dict, dict]:
     data = default_data_dir()
     if args.axis == "motor_station":
         table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
-        params = aero.calibrate_efficiency_model(table)
+        aero.calibrate_efficiency_model(table)
         n = int(round((1.0 - 0.3) / 0.01))
         stations = [0.3 + 0.01 * i for i in range(n + 1)]
-        rows = [{"x_c": x, "eta": aero.efficiency_model(x, args.rpm, params)} for x in stations]
+        rows = [{"x_c": x, "eta": aero.efficiency_model(x, args.rpm, table)} for x in stations]
     elif args.axis == "arm_angle":
         table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
         thrust = aero.thrust_from_rpm(aero.DEFAULT_PROPELLER, args.rpm)

@@ -80,17 +80,12 @@ class EnvelopeReport:
             raise ValueError("max_abs_deflection must be >= 0")
 
 
-def eval_deflection(
-    coeffs: DeflectionModelCoeffs,
-    infill: float,
-    throttle: float,
-    t_max: float = T_MAX_DEFAULT,
-) -> float:
+def eval_deflection(coeffs: DeflectionModelCoeffs, infill: float, throttle: float) -> float:
     """Arm deflection angle [deg] at the given infill and throttle."""
-    require_finite(infill=infill, throttle=throttle, t_max=t_max)
-    if not 0.0 <= throttle <= t_max:
-        raise ValueError(f"throttle {throttle} outside the model range [0, {t_max}]")
-    if infill < NONLINEAR_INFILL_PCT and throttle > 0.8 * t_max:
+    require_finite(infill=infill, throttle=throttle)
+    if not 0.0 <= throttle <= T_MAX_DEFAULT:
+        raise ValueError(f"throttle {throttle} outside the model range [0, {T_MAX_DEFAULT}]")
+    if infill < NONLINEAR_INFILL_PCT and throttle > 0.8 * T_MAX_DEFAULT:
         warnings.warn(
             f"infill {infill}% at throttle {throttle} is in the strongly "
             "nonlinear regime; the quadratic model underestimates deflection",
@@ -136,8 +131,9 @@ def envelope_check(
 ) -> EnvelopeReport:
     """Scan |alpha(T) - alpha0| over [0, t_max] and report the worst case."""
     require_finite(infill=infill, t_max=t_max, step=step, bound_deg=bound_deg)
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    for name, value in (("t_max", t_max), ("step", step), ("bound_deg", bound_deg)):
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
     n = int(round(t_max / step))
     grid = np.linspace(0.0, t_max, n + 1)
     a_lin = coeffs.a1 + infill * coeffs.a2

@@ -44,7 +44,7 @@ class FitError(SoftarmError):
 
 
 class SolverError(SoftarmError):
-    """A solve failed, or its material makes it meaningless."""
+    """A solve failed to converge."""
 
     exit_code, label = 4, "solver"
 
@@ -65,7 +65,7 @@ class NoConvergence(SolverError):
     """Iterative solver failed to converge within its iteration budget."""
 
 
-class NonPhysicalMaterial(SolverError):
+class NonPhysicalMaterial(InputError):
     """Effective elastic modulus is zero or negative."""
 
 

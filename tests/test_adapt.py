@@ -84,6 +84,11 @@ class TestContactPressure:
         with pytest.raises(ZeroArea):
             contact_pressure(1.0, 0.1, -0.1)
 
+    def test_negative_force_rejected_zero_allowed(self):
+        with pytest.raises(ValueError, match="tendon_force must be >= 0"):
+            contact_pressure(-5.0, 0.05, 0.175)
+        assert contact_pressure(0.0, 0.05, 0.175) == 0.0
+
 
 class TestAttachCheck:
     @pytest.mark.parametrize(

@@ -126,7 +126,7 @@ class TestPositionSurrogate:
         for rpm in (4000.0, 4500.0, 5000.0, 6000.0):
             peak = efficiency_model(optimal_motor_station(), rpm, self.PARAMS)
             assert peak == pytest.approx(
-                efficiency_lookup(self.PARAMS.table, rpm), abs=1e-9
+                efficiency_lookup(self.PARAMS, rpm), abs=1e-9
             )
 
     def test_interior_maximum_near_0p83(self):
@@ -156,15 +156,7 @@ class TestPositionSurrogate:
         with pytest.raises(ValueError):
             efficiency_model(1.1, 5000.0, self.PARAMS)
 
-    def test_calibration_rejects_flat_slope(self):
-        with pytest.raises(CalibrationFailure):
-            calibrate_efficiency_model(EfficiencyTable.default(), base_slope=0.0)
-
     def test_calibration_rejects_excessive_slope(self):
-        # A steep base-side slope drives eta negative at x/c = 0.3.
+        # On a low-eta table the base-side slope drives eta negative at x/c = 0.3.
         with pytest.raises(CalibrationFailure):
-            calibrate_efficiency_model(EfficiencyTable.default(), base_slope=2.0)
-
-    def test_calibration_rejects_exterior_optimum(self):
-        with pytest.raises(CalibrationFailure):
-            calibrate_efficiency_model(EfficiencyTable.default(), optimum_station=1.2)
+            calibrate_efficiency_model(EfficiencyTable(((4000, 0.1), (6000, 0.12))))

@@ -269,6 +269,19 @@ class TestAnalyzeCommand:
         assert sum(sol.steps for sol in solutions) <= 5000
         assert "steps" not in out.read_text()
 
+    def test_solver_failure_exits_4_without_a_report(self, tmp_path, capsys):
+        # Under this thrust the shooting fails at 80% throttle. Should a later
+        # solver converge here, replace the case with one that still fails
+        # rather than loosen these assertions.
+        config = shipped_config()
+        config["propeller"]["nominal_thrust_n"] = 1e5
+        out = tmp_path / "report.json"
+        code = main(["analyze", "--config", write_config(tmp_path, config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("softarm: solver error: elastica failed at throttle 80%: ")
+        assert not out.exists()
+
 
 class TestDeflectCommand:
     def test_point_evaluation(self, capsys):
@@ -307,6 +320,17 @@ class TestPipeFitCommand:
     def test_pipe_too_small_is_input_error(self, capsys):
         code, _ = run(capsys, ["pipe-fit", "--diameter", "0.054"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pipe-fit", "--diameter", "0.2"], ["sweep", "--axis", "infill"]],
+        ids=["pipe-fit", "sweep"],
+    )
+    def test_negative_tendon_force_is_input_error(self, argv, capsys):
+        code = main([*argv, "--tendon-force", "-5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == "softarm: input error: tendon_force must be >= 0, got -5.0\n"
 
 
 class TestSweepCommand:
@@ -439,12 +463,12 @@ class TestExitCodes:
         "ZeroArea": (2, "input"),
         "EmptyTable": (2, "input"),
         "InvalidStretch": (2, "input"),
+        "NonPhysicalMaterial": (2, "input"),
         "RankDeficient": (3, "fit"),
         "DegenerateData": (3, "fit"),
         "CalibrationFailure": (3, "fit"),
         "EmptyRange": (3, "fit"),
         "NoConvergence": (4, "solver"),
-        "NonPhysicalMaterial": (4, "solver"),
     }
 
     def test_every_concrete_error_is_listed(self):
@@ -543,6 +567,30 @@ class TestParseBoundary:
         config["throttle"]["step_pct"] = step
         assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
         assert "throttle.step_pct must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("throttle", "max_pct", -5, "throttle.max_pct must be in [0, 100], got -5"),
+            ("throttle", "max_pct", 1000, "throttle.max_pct must be in [0, 100], got 1000"),
+            ("deflection", "t_max", -1, "t_max must be > 0, got -1"),
+            ("thresholds", "deflection_bound_deg", -1, "bound_deg must be > 0, got -1"),
+            ("pipe", "tendon_force_n", -5, "tendon_force must be >= 0, got -5"),
+            # The shipped 10% hyperelastic row has c10 + c01 < 0.
+            ("material", "infill_pct", 10, "effective modulus -2.1e+06 Pa is not positive"),
+        ],
+        ids=["max_pct_negative", "max_pct_over_100", "t_max", "deflection_bound_deg",
+             "tendon_force_n", "infill_10pct"],
+    )
+    def test_out_of_range_config_value_exits_2(self, section, key, value, message, tmp_path,
+                                               capsys):
+        config = shipped_config()
+        config[section][key] = value
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("softarm: input error: ")
+        assert message in captured.err
 
     @pytest.mark.parametrize("rpm", [0, -4000])
     def test_non_positive_nominal_rpm_exits_2(self, rpm, tmp_path, capsys):

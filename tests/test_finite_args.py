@@ -9,8 +9,8 @@ from softarm import adapt, aero, deflection
 COEFFS = deflection.DeflectionModelCoeffs.measured()
 
 CASES = [
-    (deflection.eval_deflection, {"coeffs": COEFFS, "infill": 6.0, "throttle": 5.0, "t_max": 10.0},
-     ["infill", "throttle", "t_max"]),
+    (deflection.eval_deflection, {"coeffs": COEFFS, "infill": 6.0, "throttle": 5.0},
+     ["infill", "throttle"]),
     (
         deflection.envelope_check,
         {"coeffs": COEFFS, "infill": 6.0, "t_max": 10.0, "step": 0.1, "bound_deg": 14.0},
