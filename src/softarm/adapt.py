@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .beam import ArmGeometry
-from .deflection import DeflectionModelCoeffs, envelope_check
+from .deflection import DeflectionModelCoeffs, envelope_check, require_infill
 from .errors import ChordTooLong, EmptyRange, ZeroArea, require_finite
 
 #: Above this infill rate [%] the arm is too rigid to wrap a pipe.
@@ -93,18 +93,13 @@ def contact_pressure(tendon_force: float, contact_width: float, contact_arc_leng
     return tendon_force / (contact_width * contact_arc_length)
 
 
-def attach_check(
-    infill: float,
-    pressure: float,
-    bendable_infill_max: float = BENDABLE_INFILL_MAX_PCT,
-    attach_pressure_min: float = ATTACH_PRESSURE_MIN,
-) -> AttachmentVerdict:
-    """Attachment feasibility: bendable below the infill limit (exclusive),
-    attached when additionally at or above the pressure threshold."""
-    require_finite(infill=infill, pressure=pressure, bendable_infill_max=bendable_infill_max,
-                   attach_pressure_min=attach_pressure_min)
-    bendable = infill < bendable_infill_max
-    attached = bendable and pressure >= attach_pressure_min
+def attach_check(infill: float, pressure: float) -> AttachmentVerdict:
+    """Attachment feasibility: bendable below BENDABLE_INFILL_MAX_PCT (exclusive),
+    attached when additionally at or above ATTACH_PRESSURE_MIN."""
+    require_finite(infill=infill, pressure=pressure)
+    require_infill(infill=infill)
+    bendable = infill < BENDABLE_INFILL_MAX_PCT
+    attached = bendable and pressure >= ATTACH_PRESSURE_MIN
     return AttachmentVerdict(bendable=bendable, pressure=pressure, attached=attached)
 
 

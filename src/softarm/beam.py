@@ -413,6 +413,8 @@ def _shoot(f, guess: float, tol: float) -> float:
             mid = 0.5 * (lo + hi)
             if abs(eval_at(mid)) <= tol:
                 return mid
+            if (neg, pos) == ((xa, fa), (xb, fb)):
+                break  # f is deterministic, so the next pass would repeat this one
         if abs(neg[0] - pos[0]) < 1e-300:
             break
     raise NoConvergence("bisection/secant did not reach the shooting tolerance")

@@ -43,15 +43,22 @@ EXIT_OK = 0
 EXIT_INPUT = InputError.exit_code
 EXIT_FIT = FitError.exit_code
 
-#: Solver settings of `softarm analyze`. A config's "solver" block may
-#: override these two fields and no other.
+#: How `softarm analyze` analyses the arm its config describes: the solver
+#: settings, the throttle grid [%] of the elastica sweep and the infill rows
+#: [%] of the deflection envelope.
 SOLVER_SETTINGS = beam.SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
-_SOLVER_KEYS = {"integration_steps", "shooting_tolerance"}
-#: The object sections of an analyze config, in the order cmd_analyze
-#: unpacks them; the optional ones read as {} when absent.
-_CONFIG_SECTIONS = ("material", "propeller", "solver", "throttle", "deflection", "thresholds",
-                    "pipe")
-_REQUIRED_SECTIONS = {"material", "propeller", "pipe"}
+THROTTLE_GRID_PCT = range(0, 101, 10)
+ENVELOPE_INFILL_PCT = (6, 8, 10)
+#: The keys of an analyze config, all required and no others accepted: a
+#: section maps to the keys of its object, a file reference to None.
+_CONFIG_KEYS = {
+    "geometry": None,
+    "efficiency_table": None,
+    "deflection_coeffs": None,
+    "material": ("hyperelastic_table", "infill_pct"),
+    "propeller": ("nominal_thrust_n", "nominal_rpm", "max_rpm"),
+    "pipe": ("diameter_m", "contact_width_m", "tendon_force_n"),
+}
 
 _WARNING_CODES = {
     NonPhysicalWarning: "NONPHYSICAL_MATERIAL",
@@ -124,19 +131,22 @@ def _fmt(v):
     return v
 
 
-def _config_section(config: dict, key: str, path: Path) -> dict:
-    """The JSON object under key in an analyze config."""
-    if key not in config:
-        if key in _REQUIRED_SECTIONS:
-            raise ParseError(f"config has no {key!r} section", path=str(path))
-        return {}
-    section = config[key]
-    if not isinstance(section, dict):
-        raise ParseError(
-            f"config section {key!r} must be an object, got {type(section).__name__}",
-            path=str(path),
-        )
-    return section
+def _check_keys(obj: dict, expected, path: Path, prefix: str = "") -> None:
+    """Raise ParseError naming the keys of obj that expected lacks, or the
+    first key of expected that obj lacks; then check each section alike."""
+    unknown = [repr(prefix + key) for key in obj if key not in expected]
+    if unknown:
+        raise ParseError(f"unknown config keys: {', '.join(unknown)}", path=str(path))
+    for key in expected:
+        fields = expected[key] if isinstance(expected, dict) else None
+        if key not in obj:
+            kind = "section" if fields else "key"
+            raise ParseError(f"config has no {prefix + key!r} {kind}", path=str(path))
+        if fields:
+            if not isinstance(obj[key], dict):
+                raise ParseError(f"config section {key!r} must be an object, "
+                                 f"got {type(obj[key]).__name__}", path=str(path))
+            _check_keys(obj[key], fields, path, f"{key}.")
 
 
 def _mr_params_from_table(path: Path, infill_pct: float) -> material.MooneyRivlinParams:
@@ -205,9 +215,8 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     config = sio.load_json(args.config)
     if not isinstance(config, dict):
         raise ParseError("config must be a JSON object", path=str(args.config))
-    mat_cfg, prop_cfg, solver_cfg, thr_cfg, defl_cfg, thresholds, pipe_cfg = (
-        _config_section(config, key, args.config) for key in _CONFIG_SECTIONS
-    )
+    _check_keys(config, _CONFIG_KEYS, args.config)
+    mat_cfg, prop_cfg, pipe_cfg = config["material"], config["propeller"], config["pipe"]
     # File references in the config resolve against the config's directory.
     base = args.config.parent
     infill = mat_cfg["infill_pct"]
@@ -231,15 +240,6 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     propeller = aero.PropellerModel.from_nominal(
         thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
     )
-    max_rpm = prop_cfg["max_rpm"]
-
-    unknown = set(solver_cfg) - _SOLVER_KEYS
-    if unknown:
-        raise ParseError(
-            f"unknown solver keys {sorted(unknown)}; expected {sorted(_SOLVER_KEYS)}",
-            path=str(args.config),
-        )
-    settings = dataclasses.replace(SOLVER_SETTINGS, **solver_cfg)
 
     results: dict = {
         "material": {
@@ -250,21 +250,13 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     }
 
     # Thrust/deflection sweep over the throttle grid.
-    max_pct = thr_cfg.get("max_pct", 100)
-    step_pct = thr_cfg.get("step_pct", 10)
-    if step_pct <= 0:
-        raise ParseError(f"throttle.step_pct must be > 0, got {step_pct}", path=str(args.config))
-    if not 0 <= max_pct <= 100:
-        raise ParseError(f"throttle.max_pct must be in [0, 100], got {max_pct}",
-                         path=str(args.config))
     sweep_rows = []
-    pct = 0
-    while pct <= max_pct:
-        rpm = max_rpm * pct / 100.0
+    for pct in THROTTLE_GRID_PCT:
+        rpm = prop_cfg["max_rpm"] * pct / 100.0
         thrust = aero.thrust_from_rpm(propeller, rpm)
         loads = beam.LoadCase(thrust=thrust, gravity=beam.GRAVITY)
         try:
-            sol = beam.solve_elastica(geometry, mr_params, loads, settings)
+            sol = beam.solve_elastica(geometry, mr_params, loads, SOLVER_SETTINGS)
         except NoConvergence as exc:
             raise NoConvergence(f"elastica failed at throttle {pct}%: {exc}") from exc
         eta = aero.efficiency_lookup(table, rpm) if rpm > 0 else 1.0
@@ -289,13 +281,12 @@ def cmd_analyze(args) -> tuple[dict, dict]:
                 ),
             }
         )
-        pct += step_pct
     results["beam"] = {
         "throttle_sweep": sweep_rows,
         "max_abs_tip_angle_deg": max(abs(r["tip_angle_deg"]) for r in sweep_rows),
     }
 
-    rpm_ref = config.get("rpm", prop_cfg["nominal_rpm"])
+    rpm_ref = prop_cfg["nominal_rpm"]
     aero.calibrate_efficiency_model(table)
     station = aero.optimal_motor_station()
     results["efficiency"] = {
@@ -306,16 +297,8 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     }
 
     envelope = {
-        str(rho): _envelope_block(
-            deflection.envelope_check(
-                coeffs,
-                rho,
-                t_max=defl_cfg.get("t_max", deflection.T_MAX_DEFAULT),
-                step=defl_cfg.get("step", 0.1),
-                bound_deg=thresholds.get("deflection_bound_deg", deflection.DEFLECTION_BOUND_DEG),
-            )
-        )
-        for rho in defl_cfg.get("infill_rates_pct", [6, 8, 10])
+        str(rho): _envelope_block(deflection.envelope_check(coeffs, rho))
+        for rho in ENVELOPE_INFILL_PCT
     }
     try:
         rec_lo, rec_hi = adapt.recommend_infill(coeffs)
@@ -339,14 +322,7 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     pressure = adapt.contact_pressure(
         pipe_cfg["tendon_force_n"], pipe_cfg["contact_width_m"], geometry.total_length
     )
-    verdict = adapt.attach_check(
-        infill,
-        pressure,
-        bendable_infill_max=thresholds.get(
-            "bendable_infill_max_pct", adapt.BENDABLE_INFILL_MAX_PCT
-        ),
-        attach_pressure_min=thresholds.get("attach_pressure_n_m2", adapt.ATTACH_PRESSURE_MIN),
-    )
+    verdict = adapt.attach_check(infill, pressure)
     results["pipe_fit"] = _pipe_fit_block(wrap, verdict)
     return results, inputs
 

@@ -33,6 +33,13 @@ NONLINEAR_INFILL_PCT = 5.0
 MEASURED_COEFF_VALUES = {"a1": 2.4387, "a2": -0.1997, "b1": -0.162, "b2": 0.0151}
 
 
+def require_infill(**values) -> None:
+    """Raise ValueError naming the first infill rate [%] outside (0, 100)."""
+    for name, value in values.items():
+        if not 0.0 < value < 100.0:
+            raise ValueError(f"{name} must be in (0, 100), got {value}")
+
+
 @dataclass(frozen=True)
 class DeflectionModelCoeffs:
     """Quadratic model coefficients; a1/b1 in deg per T (resp. T^2), a2/b2
@@ -64,8 +71,7 @@ class DeflectionSample:
         require_finite(**vars(self))
         if self.throttle < 0:
             raise ValueError("throttle must be >= 0")
-        if not 0.0 < self.infill_rate < 100.0:
-            raise ValueError("infill_rate must be in (0, 100)")
+        require_infill(infill_rate=self.infill_rate)
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,7 @@ class EnvelopeReport:
 def eval_deflection(coeffs: DeflectionModelCoeffs, infill: float, throttle: float) -> float:
     """Arm deflection angle [deg] at the given infill and throttle."""
     require_finite(infill=infill, throttle=throttle)
+    require_infill(infill=infill)
     if not 0.0 <= throttle <= T_MAX_DEFAULT:
         raise ValueError(f"throttle {throttle} outside the model range [0, {T_MAX_DEFAULT}]")
     if infill < NONLINEAR_INFILL_PCT and throttle > 0.8 * T_MAX_DEFAULT:
@@ -122,20 +129,16 @@ def fit_deflection_coeffs(
     return DeflectionModelCoeffs(*coeffs, alpha0=alpha0)
 
 
-def envelope_check(
-    coeffs: DeflectionModelCoeffs,
-    infill: float,
-    t_max: float = T_MAX_DEFAULT,
-    step: float = 0.1,
-    bound_deg: float = DEFLECTION_BOUND_DEG,
-) -> EnvelopeReport:
-    """Scan |alpha(T) - alpha0| over [0, t_max] and report the worst case."""
-    require_finite(infill=infill, t_max=t_max, step=step, bound_deg=bound_deg)
-    for name, value in (("t_max", t_max), ("step", step), ("bound_deg", bound_deg)):
-        if value <= 0:
-            raise ValueError(f"{name} must be > 0, got {value}")
-    n = int(round(t_max / step))
-    grid = np.linspace(0.0, t_max, n + 1)
+def envelope_check(coeffs: DeflectionModelCoeffs, infill: float,
+                   step: float = 0.1) -> EnvelopeReport:
+    """Scan |alpha(T) - alpha0| over [0, T_MAX_DEFAULT] and report the worst
+    case against DEFLECTION_BOUND_DEG."""
+    require_finite(infill=infill, step=step)
+    require_infill(infill=infill)
+    if step <= 0:
+        raise ValueError(f"step must be > 0, got {step}")
+    n = int(round(T_MAX_DEFAULT / step))
+    grid = np.linspace(0.0, T_MAX_DEFAULT, n + 1)
     a_lin = coeffs.a1 + infill * coeffs.a2
     b_quad = coeffs.b1 + infill * coeffs.b2
     dev = np.abs(a_lin * grid + b_quad * grid**2)
@@ -144,7 +147,7 @@ def envelope_check(
         max_abs_deflection=float(dev[idx]),
         worst_throttle=float(grid[idx]),
         nonlinear_flag=infill < NONLINEAR_INFILL_PCT,
-        passes_14deg=float(dev[idx]) < bound_deg,
+        passes_14deg=float(dev[idx]) < DEFLECTION_BOUND_DEG,
     )
 
 

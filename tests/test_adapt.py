@@ -107,10 +107,6 @@ class TestAttachCheck:
         assert verdict.attached is attached
         assert verdict.pressure == pressure
 
-    def test_custom_thresholds(self):
-        verdict = attach_check(18.0, 1500.0, bendable_infill_max=20.0)
-        assert verdict.attached
-
     def test_verdict_invariant_enforced(self):
         with pytest.raises(ValueError):
             AttachmentVerdict(bendable=False, pressure=5000.0, attached=True)

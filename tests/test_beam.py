@@ -236,6 +236,23 @@ class TestGeometryValidation:
         assert np.all(np.diff(sol.s) >= 0)
 
 
+    @pytest.mark.parametrize("load", [1.0, 3.0, 10.0])
+    def test_tip_angle_converges_at_fourth_order(self, load):
+        # RK4: halving the step divides the tip-angle error by about 2^4.
+        # Follower tip force F with FL^2/EI = load on a uniform arm, EI = 0.01 N m^2.
+        geom = uniform_arm(length=0.2)
+        loads = LoadCase(thrust=load * E_SOFT * 1e-9 / 0.2**2, gravity=0)
+
+        def tip_angle(steps):
+            settings = SolverSettings(integration_steps=steps, shooting_tolerance=1e-14)
+            return solve_elastica(geom, E_SOFT, loads, settings).tip_angle_deg
+
+        reference = tip_angle(2048)
+        errors = [abs(tip_angle(steps) - reference) for steps in (16, 32, 64, 128)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 <= coarse / fine <= 24.0
+
+
 SHIPPED_ARM = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
 CLI_SETTINGS = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
 
@@ -270,6 +287,24 @@ class TestRobustness:
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
         assert sol.moments[-1] == 0.0
         assert np.all(np.isfinite(sol.stations))
+
+
+    def test_stalled_bracket_gives_up_instead_of_repeating(self, monkeypatch):
+        # The 80% throttle of a 1e5 N nominal propeller on the 6% row: the
+        # false-position passes stop moving the bracket. Repeating them until
+        # the pass budget runs out takes 640 marches, only 26 of them distinct.
+        marches = []
+        march = beam._march
+
+        def recording_march(*args):
+            marches.append(args[-2])
+            return march(*args)
+
+        monkeypatch.setattr(beam, "_march", recording_march)
+        rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
+        with pytest.raises(NoConvergence, match="did not reach the shooting tolerance"):
+            solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=144000.0), CLI_SETTINGS)
+        assert len(marches) <= 60
 
 
 class TestSolverCounters:

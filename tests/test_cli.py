@@ -14,7 +14,6 @@ from softarm.cli import (
     EXIT_FIT,
     EXIT_INPUT,
     EXIT_OK,
-    SOLVER_SETTINGS,
     _emit_json,
     build_parser,
     default_data_dir,
@@ -447,6 +446,24 @@ class TestNonFiniteInput:
         assert not target.exists()
 
 
+class TestInfillRange:
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["deflect", "--rho", "-50", "--throttle-pct", "50"], -50.0),
+            (["deflect", "--rho", "150"], 150.0),
+            (["sweep", "--axis", "throttle", "--rho", "-20"], -20.0),
+            (["pipe-fit", "--diameter", "0.2", "--infill", "-5"], -5.0),
+        ],
+        ids=["deflect-point", "deflect-envelope", "sweep-throttle", "pipe-fit"],
+    )
+    def test_infill_outside_0_100_exits_2(self, argv, value, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == f"softarm: input error: infill must be in (0, 100), got {value}\n"
+
+
 def _concrete_errors(cls=errors.SoftarmError):
     found = []
     for sub in cls.__subclasses__():
@@ -522,7 +539,7 @@ class TestParseBoundary:
 
     def test_nan_threshold_in_config_exits_2(self, tmp_path, capsys):
         text = json.dumps(shipped_config()).replace(
-            '"attach_pressure_n_m2": 1000.0', '"attach_pressure_n_m2": NaN'
+            '"tendon_force_n": 12.0', '"tendon_force_n": NaN'
         )
         assert "NaN" in text
         code, out = run(capsys, ["analyze", "--config", write_config(tmp_path, text)])
@@ -537,10 +554,7 @@ class TestParseBoundary:
         assert main(["efficiency", "--rpm", "4500", "--table", str(p)]) == EXIT_INPUT
         assert f"{p}:3:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "section",
-        ["material", "propeller", "solver", "throttle", "deflection", "thresholds", "pipe"],
-    )
+    @pytest.mark.parametrize("section", ["material", "propeller", "pipe"])
     @pytest.mark.parametrize("value", [5, [1], "x"], ids=["number", "array", "string"])
     def test_config_section_that_is_not_an_object_exits_2(self, section, value, tmp_path,
                                                           capsys):
@@ -561,26 +575,53 @@ class TestParseBoundary:
         assert main(["analyze", "--config", write_config(tmp_path, "[1]")]) == EXIT_INPUT
         assert "config must be a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("step", [0, -10])
-    def test_non_positive_throttle_step_exits_2(self, step, tmp_path, capsys):
+    def test_parent_config_names_the_removed_keys(self, tmp_path, capsys):
+        # Sections of older configs: the analysis grid, thresholds and solver
+        # settings they set are constants of the tool.
+        config = {
+            **shipped_config(),
+            "rpm": 4000,
+            "throttle": {"max_pct": 100, "step_pct": 10},
+            "deflection": {"infill_rates_pct": [6, 8, 10], "t_max": 10.0, "step": 0.1},
+            "thresholds": {"attach_pressure_n_m2": 1000.0, "bendable_infill_max_pct": 15.0,
+                           "deflection_bound_deg": 14.0},
+        }
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("softarm: input error: ")
+        assert "unknown config keys: 'rpm', 'throttle', 'deflection', 'thresholds'" in captured.err
+
+    @pytest.mark.parametrize(
+        "section,key,renamed,message",
+        [
+            ("pipe", "diameter_m", "diametre_m", "unknown config keys: 'pipe.diametre_m'"),
+            ("propeller", "max_rpm", None, "config has no 'propeller.max_rpm' key"),
+            (None, "geometry", None, "config has no 'geometry' key"),
+        ],
+        ids=["misspelled", "missing", "missing_file_reference"],
+    )
+    def test_config_key_outside_the_table_exits_2(self, section, key, renamed, message,
+                                                  tmp_path, capsys):
         config = shipped_config()
-        config["throttle"]["step_pct"] = step
-        assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
-        assert "throttle.step_pct must be > 0" in capsys.readouterr().err
+        obj = config if section is None else config[section]
+        value = obj.pop(key)
+        if renamed is not None:
+            obj[renamed] = value
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("softarm: input error: ")
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "section,key,value,message",
         [
-            ("throttle", "max_pct", -5, "throttle.max_pct must be in [0, 100], got -5"),
-            ("throttle", "max_pct", 1000, "throttle.max_pct must be in [0, 100], got 1000"),
-            ("deflection", "t_max", -1, "t_max must be > 0, got -1"),
-            ("thresholds", "deflection_bound_deg", -1, "bound_deg must be > 0, got -1"),
             ("pipe", "tendon_force_n", -5, "tendon_force must be >= 0, got -5"),
             # The shipped 10% hyperelastic row has c10 + c01 < 0.
             ("material", "infill_pct", 10, "effective modulus -2.1e+06 Pa is not positive"),
         ],
-        ids=["max_pct_negative", "max_pct_over_100", "t_max", "deflection_bound_deg",
-             "tendon_force_n", "infill_10pct"],
+        ids=["tendon_force_n", "infill_10pct"],
     )
     def test_out_of_range_config_value_exits_2(self, section, key, value, message, tmp_path,
                                                capsys):
@@ -600,30 +641,6 @@ class TestParseBoundary:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert "softarm: input error: nominal rpm must be > 0" in captured.err
-
-    @pytest.mark.parametrize("key", ["integration_steps", "shooting_tolerance"])
-    def test_null_solver_value_names_the_key(self, key, tmp_path, capsys):
-        config = shipped_config()
-        config["solver"] = {key: None}
-        assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
-        assert f"{key} must be finite, got None" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["shooting_tolerence", "max_shooting_iterations"])
-    def test_unknown_solver_key_exits_2(self, key, tmp_path, capsys):
-        config = shipped_config()
-        config["solver"] = {key: 1e-7}
-        assert main(["analyze", "--config", write_config(tmp_path, config)]) == EXIT_INPUT
-        assert key in capsys.readouterr().err
-
-    def test_solver_block_at_cli_settings_changes_nothing(self, tmp_path, capsys):
-        assert (SOLVER_SETTINGS.integration_steps, SOLVER_SETTINGS.shooting_tolerance) == (
-            64, 1e-7
-        )
-        config = shipped_config()
-        config["solver"] = {"integration_steps": 64, "shooting_tolerance": 1e-7}
-        _, with_block = run(capsys, ["analyze", "--config", write_config(tmp_path, config)])
-        _, shipped = run(capsys, ["analyze"])
-        assert with_block == shipped
 
 
 class TestFlagsWhereRead:

@@ -1,6 +1,8 @@
-"""The numeric arguments of the reduced-model functions must be finite."""
+"""The numeric arguments of the reduced-model functions must be finite, and an
+infill rate must lie in (0, 100)."""
 
 import math
+import re
 
 import pytest
 
@@ -11,17 +13,9 @@ COEFFS = deflection.DeflectionModelCoeffs.measured()
 CASES = [
     (deflection.eval_deflection, {"coeffs": COEFFS, "infill": 6.0, "throttle": 5.0},
      ["infill", "throttle"]),
-    (
-        deflection.envelope_check,
-        {"coeffs": COEFFS, "infill": 6.0, "t_max": 10.0, "step": 0.1, "bound_deg": 14.0},
-        ["infill", "t_max", "step", "bound_deg"],
-    ),
-    (
-        adapt.attach_check,
-        {"infill": 6.0, "pressure": 1200.0, "bendable_infill_max": 15.0,
-         "attach_pressure_min": 1000.0},
-        ["infill", "pressure", "bendable_infill_max", "attach_pressure_min"],
-    ),
+    (deflection.envelope_check, {"coeffs": COEFFS, "infill": 6.0, "step": 0.1},
+     ["infill", "step"]),
+    (adapt.attach_check, {"infill": 6.0, "pressure": 1200.0}, ["infill", "pressure"]),
     (
         adapt.contact_pressure,
         {"tendon_force": 12.0, "contact_width": 0.05, "contact_arc_length": 0.175},
@@ -44,3 +38,14 @@ def test_non_finite_argument_rejected(func, kwargs, arg, bad):
     func(**kwargs)  # the baseline is valid
     with pytest.raises(ValueError, match=f"{arg} must be finite"):
         func(**{**kwargs, arg: bad})
+
+
+@pytest.mark.parametrize("bad", [-50.0, 0.0, 100.0, 150.0])
+@pytest.mark.parametrize(
+    "func,kwargs",
+    [(func, kwargs) for func, kwargs, args in CASES if "infill" in args],
+    ids=[func.__name__ for func, _, args in CASES if "infill" in args],
+)
+def test_infill_outside_0_100_rejected(func, kwargs, bad):
+    with pytest.raises(ValueError, match=re.escape(f"infill must be in (0, 100), got {bad}")):
+        func(**{**kwargs, "infill": bad})
