@@ -25,6 +25,7 @@ from .material import MooneyRivlinParams
 
 GRAVITY = 9.81
 PREDICTOR_STEPS = 8  # RK4 steps per segment length of the predictor mesh
+SHOOTING_MARCHES = 40  # marches per mesh before the shooting gives up
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,9 @@ def _load_events(geometry: ArmGeometry, loads: LoadCase) -> dict[float, float]:
         for s_f in geometry.fold_stations:
             events[s_f] = events.get(s_f, 0.0) + m_tendon
     for s_f, m in loads.point_moments:
+        if not 0.0 <= s_f <= geometry.total_length:
+            raise ValueError(f"point moment at s = {s_f} m is off the arm, "
+                             f"which spans [0, {geometry.total_length}] m")
         events[s_f] = events.get(s_f, 0.0) + m
     return events
 
@@ -220,12 +224,7 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, steps: int, e_modulus: f
     length = geometry.total_length
     s_motor = geometry.motor_station * length
     events = _load_events(geometry, loads)
-    cuts = set(geometry.segment_bounds) | {s_motor} | set(events)
-    cuts = sorted(c for c in cuts if 0.0 <= c <= length)
-    if cuts[0] != 0.0:
-        cuts.insert(0, 0.0)
-    if cuts[-1] != length:
-        cuts.append(length)
+    cuts = sorted(set(geometry.segment_bounds) | {s_motor} | set(events))
     seg_len = length / len(geometry.segments)
     panels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -304,7 +303,9 @@ def solve_elastica(
 ) -> BeamSolution:
     """Solve the clamped-root free-tip elastica for the given loads by
     shooting on the tip angle, first on a predictor mesh, then on the
-    requested mesh."""
+    requested mesh; the shape is the last march, the one at the accepted
+    tip angle. Raises NoConvergence when the shooting on either mesh misses
+    the tolerance within SHOOTING_MARCHES marches."""
     settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
     length = geometry.total_length
@@ -312,25 +313,25 @@ def solve_elastica(
     theta_root = -math.radians(geometry.initial_droop_deg)
     integrations = steps = 0
     theta_tip = theta_root  # the straight arm seeds the predictor
+    last = None  # (defect, history) of the latest march
 
     for mesh_steps, record in ((PREDICTOR_STEPS, False), (settings.integration_steps, True)):
         panels, events = _panel_plan(geometry, loads, mesh_steps, e_modulus)
         march_steps = sum(panel[3] for panel in panels)
-        marched: dict[float, tuple[float, list | None]] = {}
 
         def root_defect(theta_tip: float) -> float:
-            nonlocal integrations, steps
+            nonlocal integrations, steps, last
             integrations += 1
             steps += march_steps
             history = [] if record else None
             defect = _march(panels, events, loads.thrust, w_z, length, theta_tip,
                             history) - theta_root
-            marched[theta_tip] = (defect, history)
+            last = (defect, history)
             return defect
 
         theta_tip = _shoot(root_defect, theta_tip, settings.shooting_tolerance)
 
-    defect, history = marched[theta_tip]
+    defect, history = last  # the march at the accepted tip angle
     arr = np.array(history[::-1])  # root to tip, columns (s, x, z, theta, M)
     stations = arr[:, :4].copy()
     stations[:, 1:3] -= stations[0, 1:3]  # the root sits at the origin
@@ -346,78 +347,40 @@ def solve_elastica(
 
 def _shoot(f, guess: float, tol: float) -> float:
     """Root of f (root-angle defect as a function of the tip angle, both in
-    radians).
+    radians), which is always the last point f was evaluated at.
 
-    Secant iteration handles the common near-linear case in a handful of
-    integrations; if it wanders, the evaluations collected so far seed a
-    sign-change bracket that is closed by safeguarded false position with
-    bisection fallback.
+    Secant steps, clipped to 10 rad, until f changes sign; then false
+    position inside the bracket of the latest point of each sign, or its
+    midpoint when the false-position point is not strictly inside or the
+    last step did not reduce |f| on its side. One loop of at most
+    SHOOTING_MARCHES evaluations.
     """
-    neg = None  # (x, fx) with the least-negative fx seen
-    pos = None  # (x, fx) with the least-positive fx seen
-
-    def eval_at(x: float) -> float:
-        nonlocal neg, pos
+    neg = pos = None  # the latest (x, f(x)) with f < 0 and with f > 0
+    prev = None  # the previous point of the secant
+    x = guess
+    for _ in range(SHOOTING_MARCHES):
         fx = f(x)
-        if fx < 0 and (neg is None or fx > neg[1]):
-            neg = (x, fx)
-        elif fx > 0 and (pos is None or fx < pos[1]):
-            pos = (x, fx)
-        return fx
-
-    x0, f0 = guess, eval_at(guess)
-    if abs(f0) <= tol:
-        return x0
-    x1 = guess + (0.01 if f0 < 0 else -0.01)
-    f1 = eval_at(x1)
-    for _ in range(30):
-        if abs(f1) <= tol:
-            return x1
-        if neg is not None and pos is not None:
-            break
-        if f1 == f0:
-            break
-        step = -f1 * (x1 - x0) / (f1 - f0)
-        step = max(-10.0, min(10.0, step))
-        x0, f0 = x1, f1
-        x1 = x1 + step
-        f1 = eval_at(x1)
-    if abs(f1) <= tol:
-        return x1
-
-    if neg is None or pos is None:
-        # Geometric expansion away from the one-signed points seen so far.
-        step = 1.0
-        for _ in range(80):
-            if neg is None and pos is not None:
-                eval_at(min(p for p in (pos[0], guess)) - step)
-            elif pos is None and neg is not None:
-                eval_at(max(p for p in (neg[0], guess)) + step)
-            if neg is not None and pos is not None:
-                break
-            step *= 2.0
+        if abs(fx) <= tol:
+            return x
+        if fx < 0:
+            same, neg = neg, (x, fx)
         else:
-            raise NoConvergence("failed to bracket the tip angle")
-
-    # False position inside the bracket, with bisection when it stalls.
-    for _ in range(300):
+            same, pos = pos, (x, fx)
+        if neg is None or pos is None:
+            if prev is None:
+                step = 0.01 if fx < 0 else -0.01
+            elif fx == prev[1]:
+                break
+            else:
+                step = max(-10.0, min(10.0, -fx * (x - prev[0]) / (fx - prev[1])))
+            prev = (x, fx)
+            x += step
+            continue
         (xa, fa), (xb, fb) = neg, pos
-        lo, hi = min(xa, xb), max(xa, xb)
-        sec = xa - fa * (xb - xa) / (fb - fa)
-        if not lo < sec < hi:
-            sec = 0.5 * (lo + hi)
-        fs = eval_at(sec)
-        if abs(fs) <= tol:
-            return sec
-        if (neg, pos) == ((xa, fa), (xb, fb)):
-            mid = 0.5 * (lo + hi)
-            if abs(eval_at(mid)) <= tol:
-                return mid
-            if (neg, pos) == ((xa, fa), (xb, fb)):
-                break  # f is deterministic, so the next pass would repeat this one
-        if abs(neg[0] - pos[0]) < 1e-300:
-            break
-    raise NoConvergence("bisection/secant did not reach the shooting tolerance")
+        x = xa - fa * (xb - xa) / (fb - fa)
+        if not min(xa, xb) < x < max(xa, xb) or (same and abs(fx) >= abs(same[1])):
+            x = 0.5 * (xa + xb)
+    raise NoConvergence("the tip angle did not reach the shooting tolerance")
 
 
 def max_stress_station(solution: BeamSolution, geometry: ArmGeometry) -> float:

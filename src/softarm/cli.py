@@ -4,9 +4,9 @@ machine-readable JSON/CSV reporting.
 Every subcommand is one handler that reads its input files through
 `_read_input` (which records their SHA-256 digests), runs the library and
 returns `(results, inputs)`. `main` wraps them in a report, or writes the
-rows of a `sweep` as CSV, and turns an error into the exit code its class
-carries (see `errors`): 0 ok, 2 input error, 3 fit failure, 4 solver
-failure.
+rows of a `sweep` as CSV and its warnings to stderr, and turns an error
+into the exit code its class carries (see `errors`): 0 ok, 2 input error,
+3 fit failure, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import functools
 import hashlib
 import io as _stdio
 import json
-import math
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -425,18 +424,6 @@ def cmd_sweep(args) -> tuple[dict, dict]:
 # argument parsing and dispatch
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for numeric options: a float that is neither NaN nor
-    infinite, so a bad number exits 2 instead of reaching a report."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process. parse_args returns a
@@ -466,10 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-material", help="fit material models from test CSVs", parents=[common])
     p.add_argument("--stress-strain", help="strain,stress_pa CSV for the hyperelastic fit")
-    p.add_argument("--infill", type=_finite_float, default=0.0, help="specimen infill rate [%%]")
+    p.add_argument("--infill", type=sio._finite_float, default=0.0,
+                   help="specimen infill rate [%%]")
     p.add_argument("--flexural", help="force_n,deflection_m CSV for the flexural-modulus fit")
-    p.add_argument("--length", type=_finite_float, help="cantilever test length [m]")
-    p.add_argument("--inertia", type=_finite_float, help="section inertia [m^4]")
+    p.add_argument("--length", type=sio._finite_float, help="cantilever test length [m]")
+    p.add_argument("--inertia", type=sio._finite_float, help="section inertia [m^4]")
     p.set_defaults(handler=cmd_fit_material)
 
     p = sub.add_parser("analyze", help="full analysis pipeline from a run config", parents=[common])
@@ -480,19 +468,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("deflect", help="evaluate the empirical deflection model", parents=[common])
-    p.add_argument("--rho", type=_finite_float, required=True, help="infill rate [%%]")
-    p.add_argument("--throttle-pct", type=_finite_float, help="throttle [%%]")
+    p.add_argument("--rho", type=sio._finite_float, required=True, help="infill rate [%%]")
+    p.add_argument("--throttle-pct", type=sio._finite_float, help="throttle [%%]")
     p.add_argument("--envelope", action="store_true", help="include the envelope scan")
     p.add_argument(
         "--coeffs", default=data / "deflection_coeffs.json",
         help="deflection coefficients JSON (default: shipped coefficients)",
     )
-    p.add_argument("--alpha0", type=_finite_float, help="override unpowered droop [deg]")
+    p.add_argument("--alpha0", type=sio._finite_float, help="override unpowered droop [deg]")
     p.set_defaults(handler=cmd_deflect)
 
     p = sub.add_parser("efficiency", help="thrust efficiency lookup and surrogate", parents=[common])
-    p.add_argument("--rpm", type=_finite_float, required=True)
-    p.add_argument("--station", type=_finite_float, default=aero.OPTIMUM_MOTOR_STATION)
+    p.add_argument("--rpm", type=sio._finite_float, required=True)
+    p.add_argument("--station", type=sio._finite_float, default=aero.OPTIMUM_MOTOR_STATION)
     p.add_argument(
         "--table", default=data / "efficiency_table.csv",
         help="rpm,eta CSV (default: shipped table)",
@@ -500,14 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_efficiency)
 
     p = sub.add_parser("pipe-fit", help="pipe wrap and attachment feasibility", parents=[common])
-    p.add_argument("--diameter", type=_finite_float, required=True, help="pipe diameter [m]")
+    p.add_argument("--diameter", type=sio._finite_float, required=True, help="pipe diameter [m]")
     p.add_argument(
         "--geometry", default=data / "arm_geometry.json",
         help="arm geometry JSON (default: shipped geometry)",
     )
-    p.add_argument("--tendon-force", type=_finite_float, default=12.0)
-    p.add_argument("--contact-width", type=_finite_float, default=0.05)
-    p.add_argument("--infill", type=_finite_float, default=6.0)
+    p.add_argument("--tendon-force", type=sio._finite_float, default=12.0)
+    p.add_argument("--contact-width", type=sio._finite_float, default=0.05)
+    p.add_argument("--infill", type=sio._finite_float, default=6.0)
     p.set_defaults(handler=cmd_pipe_fit)
 
     p = sub.add_parser("sweep", help="grid sweeps of the reduced models", parents=[common])
@@ -517,10 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["motor_station", "arm_angle", "throttle", "infill"],
     )
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.add_argument("--rpm", type=_finite_float, default=4000.0)
-    p.add_argument("--rho", type=_finite_float, default=6.0)
-    p.add_argument("--tendon-force", type=_finite_float, default=12.0)
-    p.add_argument("--contact-width", type=_finite_float, default=0.05)
+    p.add_argument("--rpm", type=sio._finite_float, default=4000.0)
+    p.add_argument("--rho", type=sio._finite_float, default=6.0)
+    p.add_argument("--tendon-force", type=sio._finite_float, default=12.0)
+    p.add_argument("--contact-width", type=sio._finite_float, default=0.05)
     p.add_argument(
         "--table", default=data / "efficiency_table.csv",
         help="rpm,eta CSV for the motor_station and arm_angle axes (default: shipped table)",
@@ -549,10 +537,14 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always")
             results, inputs = args.handler(args)
+        warning_list = _warning_entries(records)
         if args.format == "csv":
+            # A CSV table has no place for warnings, so they go to stderr.
+            for entry in warning_list:
+                print(f"softarm: warning: {entry['code']}: {entry['message']}", file=sys.stderr)
             _emit_csv(results, args.out)
         else:
-            report = _make_report(results, inputs, _warning_entries(records), args.timestamp)
+            report = _make_report(results, inputs, warning_list, args.timestamp)
             _emit_json(report, args.out, args.quiet)
         return EXIT_OK
     except SoftarmError as exc:

@@ -17,7 +17,9 @@ from .material import FlexuralSample, StressStrainCurve
 
 
 def _finite_float(text: str) -> float:
-    """float(text), refusing NaN and infinities with ValueError."""
+    """float(text), refusing NaN and infinities with ValueError. Also the
+    argparse type of the CLI's numeric options: argparse turns the
+    ValueError into a usage error, exit 2."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text} is not allowed")

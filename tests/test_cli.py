@@ -360,6 +360,17 @@ class TestSweepCommand:
         assert rows[15.0]["attached"] == "false"
         assert rows[15.0]["bendable"] == "false"
 
+    def test_csv_warnings_go_to_stderr(self, capsys):
+        argv = ["sweep", "--axis", "throttle", "--rho", "4"]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        entries = json.loads(capsys.readouterr().out)["warnings"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert len(entries) == 20 and captured.out.startswith("throttle_t,alpha_deg\n")
+        assert captured.err.splitlines() == [
+            f"softarm: warning: {e['code']}: {e['message']}" for e in entries
+        ]
+
     def test_json_format(self, capsys):
         code, out = run(
             capsys, ["sweep", "--axis", "arm_angle", "--format", "json"]
