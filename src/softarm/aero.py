@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CalibrationFailure, EmptyTable, require_finite
 
 #: Normalized motor position x/c with the best simulated thrust efficiency.
@@ -78,13 +76,20 @@ def thrust_from_rpm(model: PropellerModel, rpm: float) -> float:
 
 
 def efficiency_lookup(table: EfficiencyTable, rpm: float) -> float:
-    """Piecewise-linear interpolation of eta in rpm, clamped to the table ends."""
+    """Piecewise-linear interpolation of eta in rpm, clamped to the table
+    ends; the same floats as np.interp(rpm, rpms, etas)."""
     require_finite(rpm=rpm)
-    if not table.rows:
+    rows = table.rows
+    if not rows:
         raise EmptyTable("efficiency table has no rows")
-    rpms = np.array([r for r, _ in table.rows])
-    etas = np.array([e for _, e in table.rows])
-    return float(np.interp(rpm, rpms, etas))
+    if rpm <= rows[0][0]:
+        return float(rows[0][1])
+    for (r0, e0), (r1, e1) in zip(rows, rows[1:]):
+        if rpm < r1:
+            if rpm == r0:
+                return float(e0)
+            return float((e1 - e0) / (r1 - r0) * (rpm - r0) + e0)
+    return float(rows[-1][1])
 
 
 def net_vertical_thrust(thrust: float, arm_angle_deg: float, eta: float) -> float:

@@ -16,12 +16,15 @@ Coordinates: x horizontal, z up, theta measured from horizontal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import NoConvergence, NonPhysicalMaterial, require_finite
 from .material import MooneyRivlinParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRAVITY = 9.81
 PREDICTOR_STEPS = 8  # RK4 steps per segment length of the predictor mesh
@@ -154,21 +157,37 @@ class SolverSettings:
 class BeamSolution:
     """Solved centerline shape and bending moments.
 
-    stations: array of shape (n, 4) with columns (s, x, z, theta).
-    moments: internal bending moment [N m] at each station; the tip moment
-    is 0.
+    history: the rows (s, x, z, theta, M) of the march at the accepted tip
+    angle, tip to root, with x and z measured from the tip.
+    stations: array of shape (n, 4) with columns (s, x, z, theta), root to
+    tip, the root at the origin. moments: internal bending moment [N m] at
+    each station; the tip moment is 0. Both arrays are built on first
+    access, so a caller that reads only tip_angle_deg never imports numpy.
     residual is the root-angle defect [rad] of the shape, at most the
     shooting tolerance; integrations counts the RK4 marches of the solve
     and steps their RK4 steps, on both meshes.
     """
 
-    stations: np.ndarray
-    moments: np.ndarray
+    history: list[tuple[float, float, float, float, float]] = field(repr=False)
     tip_angle_deg: float
     residual: float
     integrations: int
     steps: int
     contact_expected: bool = False
+
+    @cached_property
+    def stations(self) -> np.ndarray:
+        import numpy as np
+
+        stations = np.array([row[:4] for row in reversed(self.history)])
+        stations[:, 1:3] -= stations[0, 1:3]  # the root sits at the origin
+        return stations
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([row[4] for row in reversed(self.history)])
 
     @property
     def s(self) -> np.ndarray:
@@ -332,13 +351,9 @@ def solve_elastica(
         theta_tip = _shoot(root_defect, theta_tip, settings.shooting_tolerance)
 
     defect, history = last  # the march at the accepted tip angle
-    arr = np.array(history[::-1])  # root to tip, columns (s, x, z, theta, M)
-    stations = arr[:, :4].copy()
-    stations[:, 1:3] -= stations[0, 1:3]  # the root sits at the origin
     return BeamSolution(
-        stations=stations,
-        moments=arr[:, 4].copy(),
-        tip_angle_deg=math.degrees(stations[-1, 3]),
+        history=history,
+        tip_angle_deg=math.degrees(history[0][3]),
         residual=abs(defect),
         integrations=integrations,
         steps=steps,
@@ -387,11 +402,13 @@ def max_stress_station(solution: BeamSolution, geometry: ArmGeometry) -> float:
     """Arc length [m] of the maximum outer-fiber bending stress proxy
     sigma(s) = |M(s)| c / I(s). Ties (e.g. an unloaded arm) resolve to the
     root by convention."""
-    inertias = np.array([geometry.inertia_at(s) for s in solution.s])
-    sigma = np.abs(solution.moments) * geometry.section_half_depth / inertias
-    if np.max(sigma) <= 0:
-        return 0.0
-    return float(solution.s[int(np.argmax(sigma))])
+    half_depth = geometry.section_half_depth
+    worst_sigma, worst_s = 0.0, 0.0
+    for s, _, _, _, m in reversed(solution.history):  # root to tip
+        sigma = abs(m) * half_depth / geometry.inertia_at(s)
+        if sigma > worst_sigma:
+            worst_sigma, worst_s = sigma, s
+    return float(worst_s)
 
 
 def tendon_bend(geometry: ArmGeometry, material, tension: float,

@@ -11,8 +11,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutOfEnvelopeWarning, RankDeficient, require_finite
 from .material import COND_LIMIT
 
@@ -114,6 +112,8 @@ def fit_deflection_coeffs(
     Regressors are (T, rho*T, T^2, rho*T^2) against angle - alpha0; the
     samples must cover at least two infill rates and three throttles.
     """
+    import numpy as np
+
     if len(samples) < 4:
         raise RankDeficient("need at least 4 samples")
     rho = np.array([s.infill_rate for s in samples])
@@ -137,18 +137,29 @@ def envelope_check(coeffs: DeflectionModelCoeffs, infill: float,
     require_infill(infill=infill)
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    n = int(round(T_MAX_DEFAULT / step))
-    grid = np.linspace(0.0, T_MAX_DEFAULT, n + 1)
     a_lin = coeffs.a1 + infill * coeffs.a2
     b_quad = coeffs.b1 + infill * coeffs.b2
-    dev = np.abs(a_lin * grid + b_quad * grid**2)
-    idx = int(np.argmax(dev))
+    worst_dev = worst_t = -1.0
+    for t in _throttle_grid(int(round(T_MAX_DEFAULT / step))):
+        dev = abs(a_lin * t + b_quad * (t * t))  # numpy's grid**2 multiplies too
+        if dev > worst_dev:  # the first maximum, as np.argmax
+            worst_dev, worst_t = dev, t
     return EnvelopeReport(
-        max_abs_deflection=float(dev[idx]),
-        worst_throttle=float(grid[idx]),
+        max_abs_deflection=worst_dev,
+        worst_throttle=worst_t,
         nonlinear_flag=infill < NONLINEAR_INFILL_PCT,
-        passes_14deg=float(dev[idx]) < DEFLECTION_BOUND_DEG,
+        passes_14deg=worst_dev < DEFLECTION_BOUND_DEG,
     )
+
+
+def _throttle_grid(n: int) -> list[float]:
+    """n + 1 throttles from 0 to T_MAX_DEFAULT, the same floats as
+    np.linspace(0, T_MAX_DEFAULT, n + 1): i * step, and the last point is
+    T_MAX_DEFAULT itself."""
+    if n == 0:
+        return [0.0]
+    step = T_MAX_DEFAULT / n
+    return [i * step for i in range(n)] + [T_MAX_DEFAULT]
 
 
 def compare_to_elastica(
@@ -172,7 +183,7 @@ def compare_to_elastica(
     from .beam import LoadCase, solve_elastica
 
     if throttles is None:
-        throttles = np.linspace(0.0, T_MAX_DEFAULT, 11)
+        throttles = _throttle_grid(10)
     rows = []
     for t in throttles:
         alpha_emp = eval_deflection(coeffs, infill, float(t))

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateData,
@@ -23,6 +22,9 @@ from .errors import (
     RankDeficient,
     require_finite,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Condition-number threshold above which a fit is declared rank deficient.
 COND_LIMIT = 1e12
@@ -72,20 +74,24 @@ class StressStrainCurve:
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(tuple(p) for p in self.samples))
         require_finite(**vars(self))
-        strains = self.strains
-        if np.any(np.diff(strains) <= 0):
+        strains = [s for s, _ in self.samples]
+        if any(b <= a for a, b in zip(strains, strains[1:])):
             raise ValueError("strains must be strictly increasing")
-        if np.any(strains <= -1):
+        if any(s <= -1 for s in strains):
             raise ValueError("engineering strain must be > -1")
-        if len(self.samples) and strains[0] == 0.0 and self.samples[0][1] != 0.0:
+        if strains and strains[0] == 0.0 and self.samples[0][1] != 0.0:
             raise ValueError("sample at zero strain must have zero stress")
 
     @property
     def strains(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([s for s, _ in self.samples])
 
     @property
     def stresses(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p for _, p in self.samples])
 
 
@@ -103,6 +109,8 @@ class MooneyRivlinParams:
         require_finite(**vars(self))
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.c10, self.c01, self.c20, self.c02, self.c11])
 
 
@@ -127,6 +135,8 @@ def fit_flexural_modulus(
     Through-origin least squares of F against delta gives the slope, and
     E = slope * L^3 / (3 I).
     """
+    import numpy as np
+
     if len(samples) < 2:
         raise DegenerateData("need at least 2 samples")
     forces = np.array([s.force for s in samples])
@@ -196,6 +206,8 @@ def _stress_basis(stretches: np.ndarray) -> np.ndarray:
 
     Exploits linearity of the uniaxial response in (C10, C01, C20, C02, C11).
     """
+    import numpy as np
+
     lam = np.asarray(stretches, dtype=float)
     i1 = lam**2 + 2.0 / lam
     i2 = 2.0 * lam + lam**-2
@@ -217,6 +229,8 @@ def _stress_basis(stretches: np.ndarray) -> np.ndarray:
 def fit_mooney_rivlin(curve: StressStrainCurve) -> MooneyRivlinParams:
     """Fit the five coefficients [MPa] to a uniaxial curve by linear least
     squares on the engineering-stress response (stretch = 1 + strain)."""
+    import numpy as np
+
     strains = curve.strains
     if np.count_nonzero(np.unique(strains) > 0) < 5:
         raise RankDeficient("need at least 5 distinct positive strains")
@@ -234,6 +248,8 @@ def fit_mooney_rivlin(curve: StressStrainCurve) -> MooneyRivlinParams:
 
 def mr_fit_diagnostics(curve: StressStrainCurve, params: MooneyRivlinParams) -> dict:
     """Residual norm [MPa] and design condition number for a finished fit."""
+    import numpy as np
+
     lam = 1.0 + curve.strains
     design = _stress_basis(lam)
     resid = design @ params.as_array() - curve.stresses / 1e6

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softarm.aero import (
@@ -72,6 +72,22 @@ class TestEfficiencyLookup:
         rpms = np.linspace(4000.0, 6000.0, 41)
         etas = [efficiency_lookup(self.TABLE, float(r)) for r in rpms]
         assert all(b >= a for a, b in zip(etas, etas[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.floats(100.0, 20000.0), st.floats(0.01, 1.0)),
+                      min_size=1, max_size=6, unique_by=lambda row: row[0]),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        beyond=st.floats(0.001, 5000.0),
+    )
+    def test_equals_np_interp_to_the_bit(self, rows, fractions, beyond):
+        table = EfficiencyTable(sorted(rows))
+        rpms = [r for r, _ in table.rows]
+        etas = [e for _, e in table.rows]
+        xs = rpms + [rpms[0] - beyond, rpms[-1] + beyond]
+        xs += [a + f * (b - a) for a, b in zip(rpms, rpms[1:]) for f in fractions]
+        for x in xs:
+            assert efficiency_lookup(table, x) == float(np.interp(x, rpms, etas))
 
     def test_empty_table(self):
         table = EfficiencyTable(())

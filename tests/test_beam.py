@@ -338,6 +338,36 @@ class TestSolverCounters:
         assert sol.steps == predictor + len(sol.s) - 1
 
 
+class TestSolutionArrays:
+    """BeamSolution keeps the recorded march rows and builds its arrays on
+    first access."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        loads = LoadCase(thrust=0.5, tendon_tension=2.0, tendon_eccentricity=0.01)
+        return solve_elastica(fold_arm(droop=5.0, motor=0.8, density=0.05), E_SOFT, loads,
+                              SolverSettings(integration_steps=64))
+
+    def test_arrays_equal_the_eager_construction(self, sol):
+        rows = np.array(sol.history[::-1])  # root to tip, columns (s, x, z, theta, M)
+        stations = rows[:, :4].copy()
+        stations[:, 1:3] -= stations[0, 1:3]
+        assert sol.stations.shape == stations.shape
+        assert sol.stations.tobytes() == stations.tobytes()
+        assert sol.moments.tobytes() == rows[:, 4].copy().tobytes()
+        assert sol.tip_angle_deg == math.degrees(sol.theta[-1])
+
+    def test_repeated_access_returns_the_same_array(self, sol):
+        assert sol.stations is sol.stations
+        assert sol.moments is sol.moments
+
+    def test_replaced_solution_keeps_its_arrays(self, sol):
+        flagged = replace(sol, contact_expected=True)  # as tendon_bend does
+        assert flagged.contact_expected
+        assert np.array_equal(flagged.stations, sol.stations)
+        assert np.array_equal(flagged.moments, sol.moments)
+
+
 class TestPredictor:
     @pytest.fixture
     def full_mesh_marches(self, monkeypatch):

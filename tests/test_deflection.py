@@ -149,6 +149,7 @@ class TestEnvelope:
     def test_zero_coeffs(self):
         report = envelope_check(DeflectionModelCoeffs(0, 0, 0, 0, alpha0=3.0), 6.0)
         assert report.max_abs_deflection == 0.0
+        assert report.worst_throttle == 0.0  # the first of equal maxima
         assert report.passes_14deg
 
     def test_droop_excluded_from_deviation(self):
@@ -178,6 +179,23 @@ class TestEnvelope:
         dev = abs(eval_deflection(coeffs, 6.0, t_grid))
         assert report.max_abs_deflection >= dev - 1e-9
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        a1=st.floats(-5, 5),
+        a2=st.floats(-0.5, 0.5),
+        b1=st.floats(-0.5, 0.5),
+        b2=st.floats(-0.05, 0.05),
+        infill=st.floats(0.5, 99.5),
+        step=st.sampled_from([0.1, 0.05, 0.3, 0.07]),
+    )
+    def test_scan_equals_numpy_formula_to_the_bit(self, a1, a2, b1, b2, infill, step):
+        grid = np.linspace(0.0, 10.0, int(round(10.0 / step)) + 1)
+        dev = np.abs((a1 + infill * a2) * grid + (b1 + infill * b2) * grid**2)
+        idx = int(np.argmax(dev))
+        report = envelope_check(DeflectionModelCoeffs(a1, a2, b1, b2), infill, step)
+        assert report.max_abs_deflection == float(dev[idx])
+        assert report.worst_throttle == float(grid[idx])
+
     def test_bound_matches_constant(self):
         assert DEFLECTION_BOUND_DEG == 14.0
 
@@ -198,6 +216,7 @@ class TestCompareToElastica:
             coeffs, 6.0, 1e7, self.GEOM, thrust_map=lambda t: 0.0
         )
         assert out["max_abs_discrepancy_deg"] == pytest.approx(0.0, abs=1e-9)
+        assert [t for t, _, _ in out["rows"]] == list(np.linspace(0.0, 10.0, 11))
 
     def test_rows_cover_grid_and_discrepancy_finite(self):
         coeffs = DeflectionModelCoeffs.measured(alpha0=-5.0)

@@ -19,7 +19,11 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 COMMANDS = {
     "analyze.json": ["analyze"],
     "deflect_rho6_envelope.json": ["deflect", "--rho", "6", "--envelope"],
+    "deflect_rho4_envelope.json": ["deflect", "--rho", "4", "--envelope"],
     "efficiency_rpm4500.json": ["efficiency", "--rpm", "4500"],
+    "efficiency_rpm4000.json": ["efficiency", "--rpm", "4000"],
+    "efficiency_rpm3000.json": ["efficiency", "--rpm", "3000"],
+    "efficiency_rpm7000.json": ["efficiency", "--rpm", "7000"],
     "pipe_fit_d0.2.json": ["pipe-fit", "--diameter", "0.2"],
     "sweep_motor_station.csv": ["sweep", "--axis", "motor_station"],
     "sweep_arm_angle.csv": ["sweep", "--axis", "arm_angle"],
