@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CalibrationFailure, EmptyTable, require_finite
+from .errors import CalibrationFailure, require_finite
 
 #: Normalized motor position x/c with the best simulated thrust efficiency.
 OPTIMUM_MOTOR_STATION = 0.83
@@ -25,13 +25,15 @@ EFFICIENCY_ANGLE_LIMIT_DEG = 20.0
 
 @dataclass(frozen=True)
 class EfficiencyTable:
-    """Thrust efficiency eta versus rotational speed, strictly increasing rpm."""
+    """Thrust efficiency eta versus rotational speed; non-empty, strictly increasing rpm."""
 
     rows: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         require_finite(**vars(self))
+        if not self.rows:
+            raise ValueError("efficiency table has no rows")
         rpms = [r for r, _ in self.rows]
         if any(b <= a for a, b in zip(rpms, rpms[1:])):
             raise ValueError("rpm values must be strictly increasing")
@@ -80,8 +82,6 @@ def efficiency_lookup(table: EfficiencyTable, rpm: float) -> float:
     ends; the same floats as np.interp(rpm, rpms, etas)."""
     require_finite(rpm=rpm)
     rows = table.rows
-    if not rows:
-        raise EmptyTable("efficiency table has no rows")
     if rpm <= rows[0][0]:
         return float(rows[0][1])
     for (r0, e0), (r1, e1) in zip(rows, rows[1:]):

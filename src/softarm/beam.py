@@ -99,15 +99,12 @@ class ArmGeometry:
     def total_turning_deg(self) -> float:
         return sum(seg.fold_angle_deg for seg in self.segments)
 
-    def segment_index(self, s: float) -> int:
+    def inertia_at(self, s: float) -> float:
         bounds = self.segment_bounds
         for i in range(len(self.segments)):
             if s < bounds[i + 1]:
-                return i
-        return len(self.segments) - 1
-
-    def inertia_at(self, s: float) -> float:
-        return self.section_inertia[self.segment_index(s)]
+                return self.section_inertia[i]
+        return self.section_inertia[-1]
 
 
 @dataclass(frozen=True)
@@ -416,8 +413,6 @@ def tendon_bend(geometry: ArmGeometry, material, tension: float,
     """Arm shape under tendon tension alone (no thrust, no weight beyond
     the configured gravity). Flags contact_expected when the total turning
     exceeds the fold budget plus a quarter turn."""
-    if tension < 0:
-        raise ValueError("tension must be >= 0")
     loads = LoadCase(thrust=0.0, tendon_tension=tension, tendon_eccentricity=eccentricity)
     solution = solve_elastica(geometry, material, loads)
     turning = abs(solution.tip_angle_deg + geometry.initial_droop_deg)

@@ -148,15 +148,6 @@ def _check_keys(obj: dict, expected, path: Path, prefix: str = "") -> None:
             _check_keys(obj[key], fields, path, f"{key}.")
 
 
-def _mr_params_from_table(path: Path, infill_pct: float) -> material.MooneyRivlinParams:
-    for row in sio.load_json(path)["rows"]:
-        if row["rho_pct"] == infill_pct:
-            return material.MooneyRivlinParams(
-                row["c10"], row["c01"], row["c20"], row["c02"], row["c11"]
-            )
-    raise ParseError(f"no hyperelastic row for infill {infill_pct}%", path=str(path))
-
-
 def _mr_block(params: material.MooneyRivlinParams) -> dict:
     return {"unit": "MPa", **dataclasses.asdict(params)}
 
@@ -204,8 +195,7 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
         if args.length is None or args.inertia is None:
             raise ParseError("--flexural requires --length and --inertia")
         samples = _read_input(inputs, "flexural_csv", sio.read_flexural_csv, args.flexural)
-        geometry = material.BeamTestGeometry(length=args.length, section_inertia=args.inertia)
-        e_pa = material.fit_flexural_modulus(samples, geometry)
+        e_pa = material.fit_flexural_modulus(samples, args.length, args.inertia)
         results["material"]["flexural_modulus_pa"] = e_pa
     return results, inputs
 
@@ -231,7 +221,7 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         base / config["deflection_coeffs"],
     )
     mr_params = _read_input(
-        inputs, "hyperelastic_table", _mr_params_from_table,
+        inputs, "hyperelastic_table", sio.read_hyperelastic_row,
         base / mat_cfg["hyperelastic_table"], infill,
     )
     e0_mpa = material.mr_small_strain_modulus(mr_params)
@@ -261,8 +251,8 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         eta = aero.efficiency_lookup(table, rpm) if rpm > 0 else 1.0
         if abs(sol.tip_angle_deg) > aero.EFFICIENCY_ANGLE_LIMIT_DEG:
             warnings.warn(
-                f"arm angle {sol.tip_angle_deg:.1f} deg at throttle {pct}% is outside "
-                "the +/-20 deg validity range of the efficiency table",
+                f"arm angle {sol.tip_angle_deg:.1f} deg at throttle {pct}% is outside the +/-"
+                f"{aero.EFFICIENCY_ANGLE_LIMIT_DEG:g} deg validity range of the efficiency table",
                 OutOfEnvelopeWarning,
                 stacklevel=2,
             )

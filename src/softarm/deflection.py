@@ -161,34 +161,3 @@ def _throttle_grid(n: int) -> list[float]:
     step = T_MAX_DEFAULT / n
     return [i * step for i in range(n)] + [T_MAX_DEFAULT]
 
-
-def compare_to_elastica(
-    coeffs: DeflectionModelCoeffs,
-    infill: float,
-    material,
-    geometry,
-    thrust_map,
-    throttles=None,
-    settings=None,
-) -> dict:
-    """Evaluate the empirical model and the elastica solver over a common
-    throttle grid.
-
-    thrust_map maps throttle [T] to thrust [N]. Returns a dict with rows
-    (throttle, alpha_empirical_deg, alpha_simulated_deg) and the maximum
-    absolute discrepancy. The measured alpha0 already includes gravity
-    sag, so the twin uses the geometry's initial droop alone (gravity off)
-    and that droop should equal -alpha0.
-    """
-    from .beam import LoadCase, solve_elastica
-
-    if throttles is None:
-        throttles = _throttle_grid(10)
-    rows = []
-    for t in throttles:
-        alpha_emp = eval_deflection(coeffs, infill, float(t))
-        loads = LoadCase(thrust=float(thrust_map(t)), gravity=0.0)
-        sol = solve_elastica(geometry, material, loads, settings)
-        rows.append((float(t), alpha_emp, sol.tip_angle_deg))
-    discrepancy = max(abs(emp - sim) for _, emp, sim in rows)
-    return {"rows": rows, "max_abs_discrepancy_deg": discrepancy}

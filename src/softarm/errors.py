@@ -69,10 +69,6 @@ class NonPhysicalMaterial(InputError):
     """Effective elastic modulus is zero or negative."""
 
 
-class EmptyTable(InputError):
-    """Lookup table has no rows."""
-
-
 class CalibrationFailure(FitError):
     """Surrogate model calibration constraints cannot be satisfied."""
 

@@ -1,6 +1,7 @@
-"""File formats: CSV ingestion with line-numbered errors, and geometry and
-coefficient JSON. Every read goes through `load_json` or `_read_csv_rows`,
-the one place where a bad file or a non-finite number becomes a ParseError."""
+"""File formats: CSV ingestion with line-numbered errors, and the geometry,
+coefficient and hyperelastic-table JSON. Every input file of the commands is
+read here, through `load_json` or `_read_csv_rows`, the one place where a bad
+file or a non-finite number becomes a ParseError."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .aero import EfficiencyTable
 from .beam import ArmGeometry, Segment
 from .deflection import DeflectionModelCoeffs
 from .errors import ParseError
-from .material import FlexuralSample, StressStrainCurve
+from .material import FlexuralSample, MooneyRivlinParams, StressStrainCurve
 
 
 def _finite_float(text: str) -> float:
@@ -82,37 +83,49 @@ def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[i
     return rows
 
 
+def _from_rows(path: str | Path, rows: list[tuple[int, list[float]]], make):
+    """The record make(values) builds from the rows' values. A record's checks
+    hold for every leading part of valid rows, so a ValueError from make
+    becomes a ParseError at the first line where the rows up to it fail."""
+    values = [row for _, row in rows]
+    try:
+        return make(values)
+    except ValueError:
+        for k, (lineno, _) in enumerate(rows, start=1):
+            try:
+                make(values[:k])
+            except ValueError as exc:  # at the latest when k covers every row
+                raise ParseError(str(exc), line=lineno, path=str(path)) from None
+
+
 def read_stress_strain_csv(path: str | Path, infill_rate: float = 0.0) -> StressStrainCurve:
     """Load a `strain,stress_pa` CSV into a stress-strain curve."""
     rows = _read_csv_rows(path, ["strain", "stress_pa"])
-    try:
-        return StressStrainCurve(
-            tuple((strain, stress) for _, (strain, stress) in rows),
-            infill_rate=infill_rate,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc), line=rows[0][0], path=str(path)) from None
+    return _from_rows(path, rows, lambda pairs: StressStrainCurve(pairs, infill_rate))
 
 
 def read_flexural_csv(path: str | Path) -> list[FlexuralSample]:
     """Load a `force_n,deflection_m` CSV into flexural samples."""
     rows = _read_csv_rows(path, ["force_n", "deflection_m"])
-    samples = []
-    for lineno, (force, deflection) in rows:
-        try:
-            samples.append(FlexuralSample(force=force, tip_deflection=deflection))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, path=str(path)) from None
-    return samples
+    return _from_rows(path, rows, lambda pairs: [FlexuralSample(*pair) for pair in pairs])
 
 
 def read_efficiency_csv(path: str | Path) -> EfficiencyTable:
     """Load a `rpm,eta` CSV into an efficiency table."""
-    rows = _read_csv_rows(path, ["rpm", "eta"])
+    return _from_rows(path, _read_csv_rows(path, ["rpm", "eta"]), EfficiencyTable)
+
+
+def read_hyperelastic_row(path: str | Path, infill_pct: float) -> MooneyRivlinParams:
+    """Load the Mooney-Rivlin coefficients [MPa] of one infill rate [%] from
+    a hyperelastic table JSON: rows of {rho_pct, c10, c01, c20, c02, c11}."""
+    payload = load_json(path)
     try:
-        return EfficiencyTable(tuple((rpm, eta) for _, (rpm, eta) in rows))
-    except ValueError as exc:
-        raise ParseError(str(exc), line=rows[0][0], path=str(path)) from None
+        for row in payload["rows"]:
+            if row["rho_pct"] == infill_pct:
+                return MooneyRivlinParams(*(row[k] for k in ("c10", "c01", "c20", "c02", "c11")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad hyperelastic table: {exc}", path=str(path)) from None
+    raise ParseError(f"no hyperelastic row for infill {infill_pct}%", path=str(path))
 
 
 def read_arm_geometry_json(path: str | Path) -> ArmGeometry:

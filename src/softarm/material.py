@@ -45,22 +45,6 @@ class FlexuralSample:
 
 
 @dataclass(frozen=True)
-class BeamTestGeometry:
-    """Geometry of the bending test specimen: cantilever length [m] and
-    section inertia [m^4]."""
-
-    length: float
-    section_inertia: float
-
-    def __post_init__(self):
-        require_finite(**vars(self))
-        if self.length <= 0:
-            raise ValueError("length must be > 0")
-        if self.section_inertia <= 0:
-            raise ValueError("section_inertia must be > 0")
-
-
-@dataclass(frozen=True)
 class StressStrainCurve:
     """Uniaxial engineering stress-strain samples for one printed specimen.
 
@@ -128,15 +112,21 @@ class UniaxialInvariants:
 
 
 def fit_flexural_modulus(
-    samples: list[FlexuralSample], geometry: BeamTestGeometry
+    samples: list[FlexuralSample], length: float, section_inertia: float
 ) -> float:
-    """Flexural Young's modulus [Pa] from force-deflection pairs.
+    """Flexural Young's modulus [Pa] from force-deflection pairs of a
+    cantilever test of the given length [m] and section inertia [m^4].
 
     Through-origin least squares of F against delta gives the slope, and
     E = slope * L^3 / (3 I).
     """
     import numpy as np
 
+    require_finite(length=length, section_inertia=section_inertia)
+    if length <= 0:
+        raise ValueError(f"length must be > 0, got {length}")
+    if section_inertia <= 0:
+        raise ValueError(f"section_inertia must be > 0, got {section_inertia}")
     if len(samples) < 2:
         raise DegenerateData("need at least 2 samples")
     forces = np.array([s.force for s in samples])
@@ -149,7 +139,7 @@ def fit_flexural_modulus(
     slope = float(forces @ defl) / denom
     if slope <= 0:
         raise DegenerateData(f"non-positive force/deflection slope {slope}")
-    return slope * geometry.length**3 / (3.0 * geometry.section_inertia)
+    return slope * length**3 / (3.0 * section_inertia)
 
 
 def uniaxial_invariants(stretch: float) -> UniaxialInvariants:

@@ -18,7 +18,7 @@ from softarm.aero import (
     optimal_motor_station,
     thrust_from_rpm,
 )
-from softarm.errors import CalibrationFailure, EmptyTable
+from softarm.errors import CalibrationFailure
 
 
 class TestThrustLaw:
@@ -90,9 +90,8 @@ class TestEfficiencyLookup:
             assert efficiency_lookup(table, x) == float(np.interp(x, rpms, etas))
 
     def test_empty_table(self):
-        table = EfficiencyTable(())
-        with pytest.raises(EmptyTable):
-            efficiency_lookup(table, 5000.0)
+        with pytest.raises(ValueError, match="efficiency table has no rows"):
+            EfficiencyTable(())
 
     def test_unsorted_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from softarm.deflection import DeflectionModelCoeffs, DeflectionSample
 from softarm.errors import NoConvergence, NonPhysicalMaterial
 from softarm.io import read_arm_geometry_json
 from softarm.material import (
-    BeamTestGeometry,
     FlexuralSample,
     MooneyRivlinParams,
     StressStrainCurve,
@@ -450,7 +449,6 @@ FIELD_CASES = [
         ["integration_steps", "shooting_tolerance"],
     ),
     (FlexuralSample, {"force": 1.0, "tip_deflection": 0.01}, ["force", "tip_deflection"]),
-    (BeamTestGeometry, {"length": 0.3, "section_inertia": 1e-9}, ["length", "section_inertia"]),
     (
         StressStrainCurve,
         {"samples": ((0.0, 0.0), (0.1, 1e5)), "infill_rate": 6.0},

@@ -95,6 +95,29 @@ class TestCsvIngestion:
         assert info.value.line == 2
 
 
+    @pytest.mark.parametrize(
+        "reader,text,line,message",
+        [
+            (sio.read_efficiency_csv, "rpm,eta\n4000,0.895\n5000,0.909\n4500,0.9\n", 4,
+             "rpm values must be strictly increasing"),
+            (sio.read_efficiency_csv, "rpm,eta\n4000,0.895\n5000,0.909\n6000,1.5\n", 4,
+             "eta values must be in (0, 1]"),
+            (sio.read_stress_strain_csv, "strain,stress_pa\n0,0\n0.1,1e5\n0.2,2e5\n0.15,1.5e5\n",
+             5, "strains must be strictly increasing"),
+            (sio.read_flexural_csv, "force_n,deflection_m\n1,0.01\n-2,0.02\n", 3,
+             "force must be >= 0, got -2.0"),
+        ],
+        ids=["rpm_decreasing", "eta_above_1", "strain_decreasing", "negative_force"],
+    )
+    def test_record_error_names_its_line(self, reader, text, line, message, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as info:
+            reader(p)
+        assert info.value.line == line
+        assert str(info.value) == f"{p}:{line}: {message}"
+
+
 class TestGeometryJson:
     def test_shipped_geometry_units(self):
         geom = sio.read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
@@ -489,7 +512,6 @@ class TestExitCodes:
         "ParseError": (2, "input"),
         "ChordTooLong": (2, "input"),
         "ZeroArea": (2, "input"),
-        "EmptyTable": (2, "input"),
         "InvalidStretch": (2, "input"),
         "NonPhysicalMaterial": (2, "input"),
         "RankDeficient": (3, "fit"),
@@ -652,6 +674,29 @@ class TestParseBoundary:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert "softarm: input error: nominal rpm must be > 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ({"rows": [{"rho_pct": 6, "c10": -3.19, "c01": 4.23, "c20": 0.64, "c02": -2.65}]},
+             "bad hyperelastic table: 'c11'"),
+            ([{"rho_pct": 6}],
+             "bad hyperelastic table: list indices must be integers or slices, not str"),
+            ({"rows": [{"rho_pct": 8, "c10": -4.07, "c01": 4.18, "c20": 0.71, "c02": -2.62,
+                        "c11": 4.54}]},
+             "no hyperelastic row for infill 6%"),
+        ],
+        ids=["row_without_c11", "list", "no_row_for_infill"],
+    )
+    def test_bad_hyperelastic_table_names_the_file(self, table, message, tmp_path, capsys):
+        p = tmp_path / "hyperelastic.json"
+        p.write_text(json.dumps(table))
+        config = shipped_config()
+        config["material"]["hyperelastic_table"] = str(p)
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == f"softarm: input error: {p}: {message}\n"
 
 
 class TestFlagsWhereRead:

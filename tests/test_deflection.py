@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softarm.beam import ArmGeometry, Segment
 from softarm.deflection import (
     DEFLECTION_BOUND_DEG,
     DeflectionModelCoeffs,
     DeflectionSample,
-    compare_to_elastica,
     envelope_check,
     eval_deflection,
     fit_deflection_coeffs,
@@ -199,37 +197,3 @@ class TestEnvelope:
     def test_bound_matches_constant(self):
         assert DEFLECTION_BOUND_DEG == 14.0
 
-
-class TestCompareToElastica:
-    GEOM = ArmGeometry(
-        segments=(Segment(0.0, 0.3),),
-        section_inertia=(1e-9,),
-        section_half_depth=0.005,
-        initial_droop_deg=5.0,
-        motor_station=1.0,
-        linear_density=0.0,
-    )
-
-    def test_unloaded_twin_agrees_exactly(self):
-        coeffs = DeflectionModelCoeffs(0, 0, 0, 0, alpha0=-5.0)
-        out = compare_to_elastica(
-            coeffs, 6.0, 1e7, self.GEOM, thrust_map=lambda t: 0.0
-        )
-        assert out["max_abs_discrepancy_deg"] == pytest.approx(0.0, abs=1e-9)
-        assert [t for t, _, _ in out["rows"]] == list(np.linspace(0.0, 10.0, 11))
-
-    def test_rows_cover_grid_and_discrepancy_finite(self):
-        coeffs = DeflectionModelCoeffs.measured(alpha0=-5.0)
-        out = compare_to_elastica(
-            coeffs,
-            6.0,
-            1e7,
-            self.GEOM,
-            thrust_map=lambda t: 0.004 * t,
-            throttles=np.linspace(0.0, 8.0, 5),
-        )
-        assert len(out["rows"]) == 5
-        assert out["rows"][0][0] == 0.0
-        assert np.isfinite(out["max_abs_discrepancy_deg"])
-        sims = [sim for _, _, sim in out["rows"]]
-        assert all(b > a for a, b in zip(sims, sims[1:]))  # thrust lifts the arm

@@ -1,14 +1,15 @@
-"""The numeric arguments of the reduced-model functions must be finite, and an
-infill rate must lie in (0, 100)."""
+"""The numeric arguments of the reduced-model functions and of the flexural
+fit must be finite, and an infill rate must lie in (0, 100)."""
 
 import math
 import re
 
 import pytest
 
-from softarm import adapt, aero, deflection
+from softarm import adapt, aero, deflection, material
 
 COEFFS = deflection.DeflectionModelCoeffs.measured()
+FLEXURAL = [material.FlexuralSample(1.0, 0.01), material.FlexuralSample(2.0, 0.02)]
 
 CASES = [
     (deflection.eval_deflection, {"coeffs": COEFFS, "infill": 6.0, "throttle": 5.0},
@@ -25,6 +26,9 @@ CASES = [
     (aero.thrust_from_rpm, {"model": aero.DEFAULT_PROPELLER, "rpm": 4500.0}, ["rpm"]),
     (aero.net_vertical_thrust, {"thrust": 5.0, "arm_angle_deg": 10.0, "eta": 0.9},
      ["thrust", "arm_angle_deg", "eta"]),
+    (material.fit_flexural_modulus,
+     {"samples": FLEXURAL, "length": 0.3, "section_inertia": 1e-9},
+     ["length", "section_inertia"]),
 ]
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from softarm.errors import DegenerateData, InvalidStretch, NonPhysicalWarning, RankDeficient
 from softarm.material import (
-    BeamTestGeometry,
     FlexuralSample,
     MooneyRivlinParams,
     StressStrainCurve,
@@ -39,32 +38,41 @@ def make_curve(params, lam_lo=1.01, lam_hi=1.5, n=50, infill=6.0):
 
 
 class TestFlexuralFit:
-    GEOM = BeamTestGeometry(length=0.3, section_inertia=1e-9)
+    LENGTH, INERTIA = 0.3, 1e-9
 
     def test_exact_single_point(self):
         e_true = 10e6
-        delta = 1.0 * self.GEOM.length**3 / (3.0 * e_true * self.GEOM.section_inertia)
+        delta = 1.0 * self.LENGTH**3 / (3.0 * e_true * self.INERTIA)
         samples = [FlexuralSample(1.0, delta), FlexuralSample(2.0, 2 * delta)]
-        assert fit_flexural_modulus(samples, self.GEOM) == pytest.approx(e_true, rel=1e-12)
+        assert fit_flexural_modulus(samples, self.LENGTH, self.INERTIA) == pytest.approx(e_true, rel=1e-12)
 
     def test_noisy_recovery_within_2pct(self):
         rng = np.random.default_rng(42)
         e_true = 25e6
         forces = np.linspace(0.5, 5.0, 20)
-        deltas = forces * self.GEOM.length**3 / (3.0 * e_true * self.GEOM.section_inertia)
+        deltas = forces * self.LENGTH**3 / (3.0 * e_true * self.INERTIA)
         deltas *= 1.0 + 0.01 * rng.uniform(-1, 1, size=20)
         samples = [FlexuralSample(f, d) for f, d in zip(forces, deltas)]
-        assert fit_flexural_modulus(samples, self.GEOM) == pytest.approx(e_true, rel=0.02)
+        assert fit_flexural_modulus(samples, self.LENGTH, self.INERTIA) == pytest.approx(e_true, rel=0.02)
 
     def test_zero_deflections_degenerate(self):
         samples = [FlexuralSample(1.0, 0.0), FlexuralSample(2.0, 0.0)]
         with pytest.raises(DegenerateData):
-            fit_flexural_modulus(samples, self.GEOM)
+            fit_flexural_modulus(samples, self.LENGTH, self.INERTIA)
 
     def test_equal_forces_degenerate(self):
         samples = [FlexuralSample(1.0, 0.01), FlexuralSample(1.0, 0.02)]
         with pytest.raises(DegenerateData):
-            fit_flexural_modulus(samples, self.GEOM)
+            fit_flexural_modulus(samples, self.LENGTH, self.INERTIA)
+
+    @pytest.mark.parametrize("length,inertia,name", [
+        (0.0, 1e-9, "length"), (-0.3, 1e-9, "length"),
+        (0.3, 0.0, "section_inertia"), (0.3, -1e-9, "section_inertia"),
+    ])
+    def test_non_positive_size_rejected(self, length, inertia, name):
+        samples = [FlexuralSample(1.0, 0.01), FlexuralSample(2.0, 0.02)]
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            fit_flexural_modulus(samples, length, inertia)
 
     @given(factor=st.floats(0.1, 10.0))
     def test_scale_equivariance(self, factor):
@@ -72,8 +80,8 @@ class TestFlexuralFit:
         scaled = [
             FlexuralSample(s.force * factor, s.tip_deflection * factor) for s in samples
         ]
-        e1 = fit_flexural_modulus(samples, self.GEOM)
-        e2 = fit_flexural_modulus(scaled, self.GEOM)
+        e1 = fit_flexural_modulus(samples, self.LENGTH, self.INERTIA)
+        e2 = fit_flexural_modulus(scaled, self.LENGTH, self.INERTIA)
         assert e2 == pytest.approx(e1, rel=1e-12)
 
 
