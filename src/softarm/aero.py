@@ -59,7 +59,7 @@ class PropellerModel:
     @classmethod
     def from_nominal(cls, thrust: float, rpm: float) -> "PropellerModel":
         """The law through the nominal point (rpm, thrust)."""
-        require_finite(rpm=rpm)
+        require_finite(thrust=thrust, rpm=rpm)
         if rpm <= 0:
             raise ValueError(f"nominal rpm must be > 0, got {rpm}")
         return cls(thrust_coefficient=thrust / rpm**2)

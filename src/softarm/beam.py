@@ -90,12 +90,6 @@ class ArmGeometry:
         return tuple(bounds)
 
     @property
-    def fold_stations(self) -> tuple[float, ...]:
-        """Arc lengths of the interior folds (a moment at the clamped root
-        would be absorbed by the support, so the root fold is excluded)."""
-        return self.segment_bounds[1:-1]
-
-    @property
     def total_turning_deg(self) -> float:
         return sum(seg.fold_angle_deg for seg in self.segments)
 
@@ -208,6 +202,7 @@ def effective_modulus(material) -> float:
     if isinstance(material, MooneyRivlinParams):
         e = 6.0 * (material.c10 + material.c01) * 1e6
     elif isinstance(material, (int, float)):
+        require_finite(material=material)
         e = float(material)
     else:
         raise TypeError(f"unsupported material type {type(material)!r}")
@@ -216,65 +211,59 @@ def effective_modulus(material) -> float:
     return e
 
 
-def _load_events(geometry: ArmGeometry, loads: LoadCase) -> dict[float, float]:
-    """Map of arc length -> applied point moment [N m]."""
-    events: dict[float, float] = {}
-    if loads.tendon_tension > 0 and loads.tendon_eccentricity != 0:
-        m_tendon = -loads.tendon_tension * loads.tendon_eccentricity
-        for s_f in geometry.fold_stations:
-            events[s_f] = events.get(s_f, 0.0) + m_tendon
-    for s_f, m in loads.point_moments:
-        if not 0.0 <= s_f <= geometry.total_length:
-            raise ValueError(f"point moment at s = {s_f} m is off the arm, "
-                             f"which spans [0, {geometry.total_length}] m")
-        events[s_f] = events.get(s_f, 0.0) + m
-    return events
-
-
 def _panel_plan(geometry: ArmGeometry, loads: LoadCase, steps: int, e_modulus: float):
     """Panels between consecutive cuts (segment ends, the motor station,
-    point-moment stations), root to tip, as (a, b, EI, n, inboard) tuples
-    with about `steps` RK4 steps per segment length; inboard panels end at
-    or before the motor station and carry the thrust. Every mesh has the
-    same cuts, so the marches on any two meshes meet at the same stations."""
+    point-moment stations), root to tip, as (a, b, EI, n, jump, motor)
+    tuples with about `steps` RK4 steps per segment length: jump is the
+    point moment [N m] applied at b (tendon and point_moments), None when
+    there is none, and motor is whether b is the motor station. A moment at
+    s = 0 ends no panel; the clamp absorbs it. Every mesh has the same cuts,
+    so the marches on any two meshes meet at the same stations."""
     length = geometry.total_length
     s_motor = geometry.motor_station * length
-    events = _load_events(geometry, loads)
-    cuts = sorted(set(geometry.segment_bounds) | {s_motor} | set(events))
+    bounds = geometry.segment_bounds
+    jumps: dict[float, float] = {}
+    if loads.tendon_tension > 0 and loads.tendon_eccentricity != 0:
+        m_tendon = -loads.tendon_tension * loads.tendon_eccentricity
+        for s_f in bounds[1:-1]:
+            jumps[s_f] = jumps.get(s_f, 0.0) + m_tendon
+    for s_f, m in loads.point_moments:
+        if not 0.0 <= s_f <= length:
+            raise ValueError(f"point moment at s = {s_f} m is off the arm, "
+                             f"which spans [0, {length}] m")
+        jumps[s_f] = jumps.get(s_f, 0.0) + m
+    cuts = sorted(set(bounds) | {s_motor} | set(jumps))
     seg_len = length / len(geometry.segments)
     panels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         # Panels never cross a segment boundary, so inertia is constant here.
         ei = e_modulus * geometry.inertia_at(0.5 * (a + b))
         n = max(2, int(math.ceil(steps * (b - a) / seg_len)))
-        panels.append((a, b, ei, n, b <= s_motor))
-    return panels, events
+        panels.append((a, b, ei, n, jumps.get(b), b == s_motor))
+    return panels
 
 
-def _march(panels, events, thrust: float, w_z: float, length: float, theta_tip: float,
+def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
            history: list | None = None) -> float:
-    """RK4 march of (theta, M) from the free tip, where M = 0, to the root.
-
+    """RK4 march of (theta, M) from the free tip, where M = 0, to the root,
+    panel by panel: on reaching a panel's outboard end it adds the panel's
+    point moment and, at the motor station, fixes the thrust direction.
     The force resultant outboard of s is the weight beyond s plus, inboard
-    of the motor station, the thrust, whose direction is fixed as soon as
-    the march reaches the station. Point moments are added on the way in.
-    Given a history list, the march also integrates x and z from the tip and
-    appends one row (s, x, z, theta, M) per step plus one after each point
-    moment. Returns theta(0)."""
+    of the motor station, the thrust. Given a history list, the march also
+    integrates x and z from the tip and appends one row (s, x, z, theta, M)
+    per step plus one after each point moment. Returns theta(0)."""
     cos, sin = math.cos, math.sin
     theta, m, x, z = theta_tip, 0.0, 0.0, 0.0
     record = history is not None
     if record:
         history.append((length, x, z, theta, m))
-    thrust_fixed = False
     rx = tz = 0.0
-    for a, b, ei, n, inboard in reversed(panels):
-        if b in events:
-            m += events[b]
+    for a, b, ei, n, jump, motor in reversed(panels):
+        if jump is not None:
+            m += jump
             if record:
                 history.append((b, x, z, theta, m))
-        if inboard and not thrust_fixed:
-            thrust_fixed = True
+        if motor:
             rx = -thrust * sin(theta)
             tz = thrust * cos(theta)
         h = (b - a) / n
@@ -332,7 +321,7 @@ def solve_elastica(
     last = None  # (defect, history) of the latest march
 
     for mesh_steps, record in ((PREDICTOR_STEPS, False), (settings.integration_steps, True)):
-        panels, events = _panel_plan(geometry, loads, mesh_steps, e_modulus)
+        panels = _panel_plan(geometry, loads, mesh_steps, e_modulus)
         march_steps = sum(panel[3] for panel in panels)
 
         def root_defect(theta_tip: float) -> float:
@@ -340,8 +329,7 @@ def solve_elastica(
             integrations += 1
             steps += march_steps
             history = [] if record else None
-            defect = _march(panels, events, loads.thrust, w_z, length, theta_tip,
-                            history) - theta_root
+            defect = _march(panels, loads.thrust, w_z, length, theta_tip, history) - theta_root
             last = (defect, history)
             return defect
 
@@ -361,14 +349,15 @@ def _shoot(f, guess: float, tol: float) -> float:
     """Root of f (root-angle defect as a function of the tip angle, both in
     radians), which is always the last point f was evaluated at.
 
-    Secant steps, clipped to 10 rad, until f changes sign; then false
-    position inside the bracket of the latest point of each sign, or its
-    midpoint when the false-position point is not strictly inside or the
-    last step did not reduce |f| on its side. One loop of at most
-    SHOOTING_MARCHES evaluations.
+    Secant steps through `same`, the previous point of the latest point's
+    sign, clipped to 10 rad, until f changes sign (before that every point
+    has one sign, so `same` is the previous point); then false position
+    inside the bracket of the latest point of each sign, or its midpoint
+    when the false-position point is not strictly inside or the last step
+    did not reduce |f| on its side. One loop of at most SHOOTING_MARCHES
+    evaluations.
     """
     neg = pos = None  # the latest (x, f(x)) with f < 0 and with f > 0
-    prev = None  # the previous point of the secant
     x = guess
     for _ in range(SHOOTING_MARCHES):
         fx = f(x)
@@ -379,13 +368,12 @@ def _shoot(f, guess: float, tol: float) -> float:
         else:
             same, pos = pos, (x, fx)
         if neg is None or pos is None:
-            if prev is None:
+            if same is None:
                 step = 0.01 if fx < 0 else -0.01
-            elif fx == prev[1]:
+            elif fx == same[1]:
                 break
             else:
-                step = max(-10.0, min(10.0, -fx * (x - prev[0]) / (fx - prev[1])))
-            prev = (x, fx)
+                step = max(-10.0, min(10.0, -fx * (x - same[0]) / (fx - same[1])))
             x += step
             continue
         (xa, fa), (xb, fb) = neg, pos

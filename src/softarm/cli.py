@@ -36,6 +36,7 @@ from .errors import (
     OutOfEnvelopeWarning,
     ParseError,
     SoftarmError,
+    require_finite,
 )
 
 EXIT_OK = 0
@@ -229,6 +230,7 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     propeller = aero.PropellerModel.from_nominal(
         thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
     )
+    require_finite(max_rpm=prop_cfg["max_rpm"])  # the sweep's arithmetic would take true as 1
 
     results: dict = {
         "material": {

@@ -6,9 +6,9 @@ import math
 
 def require_finite(**values) -> None:
     """Raise ValueError naming the first argument that is NaN, infinite or
-    not a number (a JSON null, say). A tuple is checked number by number,
-    nested tuples included; a frozen dataclass of numbers checks itself with
-    require_finite(**vars(self))."""
+    not a number (a JSON null or boolean, say). A tuple is checked number
+    by number, nested tuples included; a frozen dataclass of numbers checks
+    itself with require_finite(**vars(self))."""
     for name, value in values.items():
         if not _all_finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -18,7 +18,7 @@ def _all_finite(value) -> bool:
     if isinstance(value, tuple):
         return all(map(_all_finite, value))
     try:
-        return math.isfinite(value)
+        return not isinstance(value, bool) and math.isfinite(value)
     except TypeError:
         return False
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from .aero import EfficiencyTable
 from .beam import ArmGeometry, Segment
 from .deflection import DeflectionModelCoeffs
-from .errors import ParseError
+from .errors import ParseError, require_finite
 from .material import FlexuralSample, MooneyRivlinParams, StressStrainCurve
 
 
@@ -100,6 +100,7 @@ def _from_rows(path: str | Path, rows: list[tuple[int, list[float]]], make):
 
 def read_stress_strain_csv(path: str | Path, infill_rate: float = 0.0) -> StressStrainCurve:
     """Load a `strain,stress_pa` CSV into a stress-strain curve."""
+    require_finite(infill_rate=infill_rate)  # the caller's, not the file's
     rows = _read_csv_rows(path, ["strain", "stress_pa"])
     return _from_rows(path, rows, lambda pairs: StressStrainCurve(pairs, infill_rate))
 

@@ -214,6 +214,13 @@ class TestMaterialHandling:
         b = solve_elastica(geom, 6.24e6, LoadCase(thrust=0.002, gravity=0))
         assert a.tip_angle_deg == pytest.approx(b.tip_angle_deg, rel=1e-9)
 
+    @pytest.mark.parametrize("modulus", [math.nan, math.inf, True], ids=["nan", "inf", "true"])
+    def test_non_finite_or_boolean_modulus_rejected(self, modulus):
+        # Unchecked, NaN ends in NoConvergence (a solver error), inf in a
+        # rigid arm and True in a 1 Pa one.
+        with pytest.raises(ValueError, match="material must be finite"):
+            solve_elastica(SHIPPED_ARM, modulus, LoadCase(thrust=1.0), CLI_SETTINGS)
+
 
 class TestGeometryValidation:
     def test_segment_count_limit(self):
@@ -400,6 +407,66 @@ class TestPredictor:
         assert sol.tip_angle_deg == pytest.approx(113.04250449374135, abs=1e-6)
         assert sol.tip_angle_deg == pytest.approx(113.04250152835938,
                                                   abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
+
+
+class TestShoot:
+    """beam._shoot on scalar functions, from guess 0 at tolerance 1e-9."""
+
+    @staticmethod
+    def shoot(f):
+        """The root found (None on NoConvergence) and every point evaluated."""
+        points = []
+
+        def recorded(x):
+            points.append(x)
+            return f(x)
+
+        try:
+            return beam._shoot(recorded, 0.0, 1e-9), points
+        except NoConvergence:
+            return None, points
+
+    def test_first_step_then_false_position(self):
+        assert self.shoot(lambda x: x - 0.005) == (0.005, [0.0, 0.01, 0.005])
+
+    def test_clipped_secant_steps_reach_a_far_root(self):
+        root, points = self.shoot(lambda x: math.atan(x - 30.0))
+        assert abs(root - 30.0) <= 1e-9 and len(points) == 8
+        # The secant steps from 0.01 are clipped to 10 rad until f changes sign.
+        assert points[1:5] == pytest.approx([0.01, 10.01, 20.01, 30.01], abs=1e-12)
+
+    def test_flat_secant_gives_up(self):
+        root, points = self.shoot(lambda x: 2.0)
+        assert root is None and len(points) == 2
+
+    def test_no_root_spends_the_march_budget(self):
+        root, points = self.shoot(lambda x: 1.0 + x**2)
+        assert root is None and len(points) == beam.SHOOTING_MARCHES
+
+
+class TestLoadLayout:
+    """Where the loads act: the tendon is a point moment -T*e at each
+    interior fold, and a moment at the root goes into the clamp."""
+
+    @staticmethod
+    def march_bytes(geometry, loads):
+        sol = solve_elastica(geometry, 1.118e6, loads, CLI_SETTINGS)
+        return np.array(sol.history).tobytes(), sol.integrations, sol.steps
+
+    @pytest.mark.parametrize("motor", [0.83, 1.0])
+    def test_tendon_is_point_moments_at_the_interior_folds(self, motor):
+        geom = replace(SHIPPED_ARM, motor_station=motor)
+        tension, eccentricity = 5.0, 0.01
+        tendon = LoadCase(thrust=1.0, tendon_tension=tension, tendon_eccentricity=eccentricity)
+        folds = geom.segment_bounds[1:-1]
+        moments = LoadCase(thrust=1.0,
+                           point_moments=[(s, -tension * eccentricity) for s in folds])
+        assert self.march_bytes(geom, tendon) == self.march_bytes(geom, moments)
+
+    def test_moment_at_the_root_is_absorbed_by_the_clamp(self):
+        loads = LoadCase(thrust=1.0)
+        at_root = replace(loads, point_moments=((0.0, 0.3),))
+        assert self.march_bytes(SHIPPED_ARM, at_root) == self.march_bytes(SHIPPED_ARM, loads)
 
 
 @hypothesis.settings(max_examples=40, deadline=None)

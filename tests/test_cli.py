@@ -117,6 +117,12 @@ class TestCsvIngestion:
         assert info.value.line == line
         assert str(info.value) == f"{p}:{line}: {message}"
 
+    def test_non_finite_infill_rate_blames_the_argument_not_the_file(self, tmp_path):
+        p = tmp_path / "ss.csv"
+        write_stress_strain(p, n=2)
+        with pytest.raises(ValueError, match="^infill_rate must be finite, got nan$"):
+            sio.read_stress_strain_csv(p, infill_rate=float("nan"))
+
 
 class TestGeometryJson:
     def test_shipped_geometry_units(self):
@@ -665,6 +671,37 @@ class TestParseBoundary:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("softarm: input error: ")
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "where,key,field",
+        [
+            ("pipe", "diameter_m", "diameter"),
+            ("pipe", "contact_width_m", "contact_width"),
+            ("pipe", "tendon_force_n", "tendon_force"),
+            ("propeller", "nominal_thrust_n", "thrust"),
+            ("propeller", "max_rpm", "max_rpm"),
+            ("propeller", "nominal_rpm", "rpm"),
+            ("geometry", "motor_station", "motor_station"),
+            ("geometry", "half_depth_m", "section_half_depth"),
+            ("geometry", "linear_density_kg_m", "linear_density"),
+        ],
+    )
+    def test_json_boolean_for_a_number_exits_2(self, where, key, field, tmp_path, capsys):
+        # A JSON true is a Python bool, an int that arithmetic takes as 1: a
+        # 1 m pipe, a motor at the tip, or (nominal_rpm) a failed solve.
+        config = shipped_config()
+        if where == "geometry":
+            geometry = json.loads(Path(config["geometry"]).read_text())
+            geometry[key] = True
+            config["geometry"] = str(tmp_path / "geometry.json")
+            Path(config["geometry"]).write_text(json.dumps(geometry))
+        else:
+            config[where][key] = True
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("softarm: input error: ")
+        assert captured.err.endswith(f" {field} must be finite, got True\n")
 
     @pytest.mark.parametrize("rpm", [0, -4000])
     def test_non_positive_nominal_rpm_exits_2(self, rpm, tmp_path, capsys):
