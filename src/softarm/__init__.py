@@ -1,5 +1,3 @@
 """Design and analysis toolkit for soft 3D-printed propelled arms."""
 
 __version__ = "0.1.0"
-
-from . import adapt, aero, beam, deflection, errors, io, material  # noqa: F401

@@ -63,7 +63,7 @@ def wrap_geometry(geometry: ArmGeometry, pipe: PipeSpec) -> WrapResult:
     """
     d = pipe.diameter
     subtended = []
-    max_gap = 0.0
+    max_gap = covered = 0.0  # covered [deg] adds left to right, as sum() did before 3.12
     for i, seg in enumerate(geometry.segments):
         if seg.length > d:
             raise ChordTooLong(
@@ -71,9 +71,10 @@ def wrap_geometry(geometry: ArmGeometry, pipe: PipeSpec) -> WrapResult:
             )
         angle = 2.0 * math.asin(seg.length / d)
         subtended.append(math.degrees(angle))
+        covered += subtended[-1]
         sagitta = 0.5 * d * (1.0 - math.cos(0.5 * angle))
         max_gap = max(max_gap, sagitta)
-    coverage = min(sum(subtended) / 360.0, 1.0)
+    coverage = min(covered / 360.0, 1.0)
     return WrapResult(
         total_turning=geometry.total_turning_deg,
         per_segment_subtended=tuple(subtended),

@@ -16,15 +16,12 @@ Coordinates: x horizontal, z up, theta measured from horizontal
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import TYPE_CHECKING
+from functools import cached_property, reduce
 
 from .errors import NoConvergence, NonPhysicalMaterial, require_finite
 from .material import MooneyRivlinParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 GRAVITY = 9.81
 PREDICTOR_STEPS = 8  # RK4 steps per segment length of the predictor mesh
@@ -79,7 +76,7 @@ class ArmGeometry:
 
     @property
     def total_length(self) -> float:
-        return sum(seg.length for seg in self.segments)
+        return self.segment_bounds[-1]
 
     @property
     def segment_bounds(self) -> tuple[float, ...]:
@@ -91,7 +88,8 @@ class ArmGeometry:
 
     @property
     def total_turning_deg(self) -> float:
-        return sum(seg.fold_angle_deg for seg in self.segments)
+        # Left to right, not sum(): from Python 3.12 sum() compensates floats.
+        return reduce(operator.add, (seg.fold_angle_deg for seg in self.segments), 0)
 
     def inertia_at(self, s: float) -> float:
         bounds = self.segment_bounds

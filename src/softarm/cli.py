@@ -20,8 +20,6 @@ import io as _stdio
 import json
 import sys
 import warnings
-from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 
 from . import __version__, adapt, aero, beam, deflection
@@ -67,7 +65,7 @@ _WARNING_CODES = {
 
 
 def default_data_dir() -> Path:
-    return Path(str(resources.files("softarm").joinpath("data", "defaults")))
+    return Path(__file__).parent / "data" / "defaults"
 
 
 def _read_input(inputs: dict, label: str, reader, path, *args):
@@ -94,6 +92,8 @@ def _make_report(results: dict, inputs: dict, warning_list: list[dict], timestam
         "warnings": warning_list,
     }
     if timestamp:
+        from datetime import datetime, timezone
+
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     return report
 
@@ -541,7 +541,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     except SoftarmError as exc:
         return _report_error(exc, type(exc))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         return _report_error(exc, InputError)
 
 

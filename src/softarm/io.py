@@ -138,10 +138,10 @@ def read_arm_geometry_json(path: str | Path) -> ArmGeometry:
     """
     payload = load_json(path)
     try:
-        segments = tuple(
-            Segment(fold_angle_deg=s["beta_deg"], length=s["length_mm"] * 1e-3)
-            for s in payload["segments"]
-        )
+        segments = []
+        for s in payload["segments"]:
+            require_finite(length_mm=s["length_mm"])  # a true times 1e-3 is a 1 mm segment
+            segments.append(Segment(fold_angle_deg=s["beta_deg"], length=s["length_mm"] * 1e-3))
         return ArmGeometry(
             segments=segments,
             section_inertia=tuple(payload["inertia_m4"]),

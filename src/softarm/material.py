@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateData,
@@ -22,9 +21,6 @@ from .errors import (
     RankDeficient,
     require_finite,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Condition-number threshold above which a fit is declared rank deficient.
 COND_LIMIT = 1e12

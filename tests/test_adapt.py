@@ -17,8 +17,10 @@ from softarm.adapt import (
     wrap_geometry,
 )
 from softarm.beam import ArmGeometry, Segment
+from softarm.cli import default_data_dir
 from softarm.deflection import DeflectionModelCoeffs
 from softarm.errors import ChordTooLong, EmptyRange, ZeroArea
+from softarm.io import read_arm_geometry_json
 
 
 def fold_arm(lengths=(0.035, 0.040, 0.045, 0.055), angles=(36.0, 27.0, 19.0, 13.0)):
@@ -62,6 +64,11 @@ class TestWrapGeometry:
         large = wrap_geometry(geom, PipeSpec(diameter=d * scale))
         assert large.coverage_ratio < small.coverage_ratio
         assert large.max_gap < small.max_gap
+
+    def test_coverage_adds_left_to_right(self):
+        # Not the compensated sum() of Python 3.12 and later.
+        geom = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
+        assert wrap_geometry(geom, PipeSpec(diameter=0.152)).coverage_ratio == 0.3722451467774643
 
     def test_subtended_monotone_in_length(self):
         result = wrap_geometry(fold_arm(), PipeSpec(diameter=0.2))

@@ -235,6 +235,15 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             uniform_arm(motor=1.5)
 
+    def test_sums_add_left_to_right(self):
+        # sum() compensates floats from Python 3.12 on; the arm length and the
+        # turning budget must not depend on the interpreter.
+        segments = [Segment(a, l) for a, l in zip((36.1, 27.3, 19.7), (0.1, 0.2, 0.3))]
+        geom = ArmGeometry(segments, (1e-9,) * 3, section_half_depth=0.005)
+        assert geom.total_length == 0.6000000000000001 == geom.segment_bounds[-1]
+        geom = ArmGeometry([*segments, Segment(13.2, 0.1)], (1e-9,) * 4, section_half_depth=0.005)
+        assert geom.total_turning_deg == 96.30000000000001
+
     @pytest.mark.parametrize("station", [-0.01, 0.5])
     def test_point_moment_off_the_arm_rejected(self, station):
         loads = LoadCase(thrust=0, gravity=0, point_moments=((station, 1.0),))

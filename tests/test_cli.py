@@ -545,12 +545,14 @@ class TestExitCodes:
         assert captured.err == f"softarm: {kind} error: boom\n"
 
     def test_stdlib_error_is_input_error(self, monkeypatch, capsys):
-        def failing_read(path):
-            raise KeyError("rows")
+        for error in (KeyError("rows"), OverflowError(34, "Numerical result out of range")):
 
-        monkeypatch.setattr(sio, "read_efficiency_csv", failing_read)
-        assert main(["efficiency", "--rpm", "4500"]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("softarm: input error: ")
+            def failing_read(path, error=error):
+                raise error
+
+            monkeypatch.setattr(sio, "read_efficiency_csv", failing_read)
+            assert main(["efficiency", "--rpm", "4500"]) == EXIT_INPUT
+            assert capsys.readouterr().err.startswith("softarm: input error: ")
 
 
 def write_config(tmp_path, config):
@@ -684,15 +686,17 @@ class TestParseBoundary:
             ("geometry", "motor_station", "motor_station"),
             ("geometry", "half_depth_m", "section_half_depth"),
             ("geometry", "linear_density_kg_m", "linear_density"),
+            ("segment", "length_mm", "length_mm"),
         ],
     )
     def test_json_boolean_for_a_number_exits_2(self, where, key, field, tmp_path, capsys):
         # A JSON true is a Python bool, an int that arithmetic takes as 1: a
-        # 1 m pipe, a motor at the tip, or (nominal_rpm) a failed solve.
+        # 1 m pipe, a motor at the tip, a 1 mm segment or (nominal_rpm) a
+        # failed solve.
         config = shipped_config()
-        if where == "geometry":
+        if where in ("geometry", "segment"):
             geometry = json.loads(Path(config["geometry"]).read_text())
-            geometry[key] = True
+            (geometry if where == "geometry" else geometry["segments"][0])[key] = True
             config["geometry"] = str(tmp_path / "geometry.json")
             Path(config["geometry"]).write_text(json.dumps(geometry))
         else:
@@ -702,6 +706,31 @@ class TestParseBoundary:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("softarm: input error: ")
         assert captured.err.endswith(f" {field} must be finite, got True\n")
+
+    @pytest.mark.parametrize(
+        "argv,section,key",
+        [
+            (["sweep", "--axis", "arm_angle", "--rpm", "1e200"], None, None),
+            (["fit-material", "--flexural", "FLEX", "--length", "1e120", "--inertia", "1e-10"],
+             None, None),
+            (["analyze"], "propeller", "max_rpm"),
+            (["analyze"], "propeller", "nominal_rpm"),
+        ],
+        ids=["sweep-rpm", "fit-material-length", "analyze-max_rpm", "analyze-nominal_rpm"],
+    )
+    def test_overflowing_input_exits_2(self, argv, section, key, tmp_path, capsys):
+        # rpm**2 and length**3 overflow a float: an input error, not a traceback.
+        flexural = tmp_path / "flex.csv"
+        flexural.write_text("force_n,deflection_m\n0.1,0.001\n0.2,0.002\n")
+        argv = [str(flexural) if a == "FLEX" else a for a in argv]
+        if section:
+            config = shipped_config()
+            config[section][key] = 1e200
+            argv += ["--config", write_config(tmp_path, config)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("softarm: input error: ")
 
     @pytest.mark.parametrize("rpm", [0, -4000])
     def test_non_positive_nominal_rpm_exits_2(self, rpm, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Start-up path of the command line: every command but `fit-material` runs
-without importing numpy.
+without importing numpy, and no command imports the standard-library
+machinery it does not run.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already. The child imports the same softarm as this process
@@ -19,13 +20,18 @@ import softarm
 from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
 
 #: Runs cli.main on its arguments and reports, as the last line of stderr,
-#: the exit code and whether numpy was imported.
+#: the exit code and the names of the imported modules.
 CHILD = """\
 import json, sys
 from softarm.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
+
+#: Standard-library modules that no command needs at start-up: the data
+#: directory is a plain path, annotations are never evaluated, and only
+#: --timestamp reads the clock.
+MACHINERY = {"importlib.resources", "typing", "datetime", "tempfile", "zipfile"}
 
 NUMPY_FREE = {
     "analyze": ["analyze"],
@@ -40,23 +46,42 @@ NUMPY_FREE = {
 }
 
 
-def run_child(argv):
-    """(exit code, numpy imported, stdout) of cli.main(argv) in a fresh
-    interpreter that imports softarm from where this process did."""
+def run_child(argv, flags=()):
+    """(exit code, imported module names, stdout) of cli.main(argv) in a
+    fresh interpreter, started with the given flags, that imports softarm
+    from where this process did."""
     env = dict(os.environ)
     package_root = str(Path(softarm.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", CHILD, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     status = json.loads(proc.stderr.splitlines()[-1])
-    return status["code"], status["numpy"], proc.stdout
+    return status["code"], set(status["modules"]), proc.stdout
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE)
 def test_command_does_not_import_numpy(name):
-    code, numpy_imported, _ = run_child(NUMPY_FREE[name])
+    code, modules, _ = run_child(NUMPY_FREE[name])
     assert code == 0
-    assert not numpy_imported
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["analyze"], set()),
+        (["sweep", "--axis", "infill"], set()),
+        (["efficiency", "--rpm", "4500"], set()),
+        (["analyze", "--timestamp"], {"datetime"}),
+    ],
+    ids=["analyze", "sweep-infill", "efficiency", "analyze-timestamp"],
+)
+def test_command_imports_no_unused_machinery(argv, expected):
+    # -S leaves out the site hooks (.pth files), which may import some of
+    # these modules before softarm starts and so hide what softarm imports.
+    code, modules, _ = run_child(argv, flags=["-S"])
+    assert code == 0
+    assert modules & MACHINERY == expected
 
 
 def test_fit_material_still_fits(tmp_path):
