@@ -7,8 +7,9 @@ fixed-step RK4. Marching inward from the free tip, where the bending
 moment vanishes and the outboard force is known, leaves the tip angle as
 the only unknown, which is shot on until the root angle meets the clamp:
 first on a coarse predictor mesh, then, from the predicted tip angle, on
-the requested mesh. The shape is the requested-mesh march at the accepted
-tip angle, which also integrates the centerline coordinates.
+the requested mesh. The shape, the requested-mesh march at the accepted
+tip angle with x and z, is marched again when first read; the solver
+counters leave that march out, and == on solutions does not compare shapes.
 Coordinates: x horizontal, z up, theta measured from horizontal
 (positive = tip up).
 """
@@ -147,22 +148,33 @@ class BeamSolution:
     """Solved centerline shape and bending moments.
 
     history: the rows (s, x, z, theta, M) of the march at the accepted tip
-    angle, tip to root, with x and z measured from the tip.
-    stations: array of shape (n, 4) with columns (s, x, z, theta), root to
-    tip, the root at the origin. moments: internal bending moment [N m] at
-    each station; the tip moment is 0. Both arrays are built on first
-    access, so a caller that reads only tip_angle_deg never imports numpy.
-    residual is the root-angle defect [rad] of the shape, at most the
-    shooting tolerance; integrations counts the RK4 marches of the solve
-    and steps their RK4 steps, on both meshes.
+    angle, tip to root, x and z from the tip, marched again bit for bit from
+    its arguments, plan, on first read; station_count is its length, known
+    without marching. stations: array of shape (n, 4) with columns
+    (s, x, z, theta), root to tip, the root at the origin. moments: bending
+    moment [N m] at each station; the tip moment is 0. Both arrays are built
+    on first access, so a caller that reads only tip_angle_deg never marches
+    again or imports numpy. residual is the root-angle defect [rad] of the
+    shape, at most the shooting tolerance; integrations counts the RK4
+    marches of the solve and steps their RK4 steps, on both meshes, not the
+    march on first read. == ignores plan, so it does not compare shapes.
     """
 
-    history: list[tuple[float, float, float, float, float]] = field(repr=False)
     tip_angle_deg: float
     residual: float
     integrations: int
     steps: int
+    plan: tuple = field(repr=False, compare=False)
     contact_expected: bool = False
+
+    @cached_property
+    def history(self) -> list[tuple[float, float, float, float, float]]:
+        _march(*self.plan, rows := [])
+        return rows
+
+    @property
+    def station_count(self) -> int:
+        return 1 + sum(p[3] + (p[4] is not None) for p in self.plan[0])
 
     @cached_property
     def stations(self) -> np.ndarray:
@@ -306,9 +318,9 @@ def solve_elastica(
 ) -> BeamSolution:
     """Solve the clamped-root free-tip elastica for the given loads by
     shooting on the tip angle, first on a predictor mesh, then on the
-    requested mesh; the shape is the last march, the one at the accepted
-    tip angle. Raises NoConvergence when the shooting on either mesh misses
-    the tolerance within SHOOTING_MARCHES marches."""
+    requested mesh; the shape is the march at the accepted tip angle, made
+    again on first read. Raises NoConvergence when the shooting on either
+    mesh misses the tolerance within SHOOTING_MARCHES marches."""
     settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
     length = geometry.total_length
@@ -316,30 +328,27 @@ def solve_elastica(
     theta_root = -math.radians(geometry.initial_droop_deg)
     integrations = steps = 0
     theta_tip = theta_root  # the straight arm seeds the predictor
-    last = None  # (defect, history) of the latest march
+    defect = None  # of the latest march
 
-    for mesh_steps, record in ((PREDICTOR_STEPS, False), (settings.integration_steps, True)):
+    for mesh_steps in (PREDICTOR_STEPS, settings.integration_steps):
         panels = _panel_plan(geometry, loads, mesh_steps, e_modulus)
         march_steps = sum(panel[3] for panel in panels)
 
         def root_defect(theta_tip: float) -> float:
-            nonlocal integrations, steps, last
+            nonlocal integrations, steps, defect
             integrations += 1
             steps += march_steps
-            history = [] if record else None
-            defect = _march(panels, loads.thrust, w_z, length, theta_tip, history) - theta_root
-            last = (defect, history)
+            defect = _march(panels, loads.thrust, w_z, length, theta_tip) - theta_root
             return defect
 
         theta_tip = _shoot(root_defect, theta_tip, settings.shooting_tolerance)
 
-    defect, history = last  # the march at the accepted tip angle
     return BeamSolution(
-        history=history,
-        tip_angle_deg=math.degrees(history[0][3]),
-        residual=abs(defect),
+        tip_angle_deg=math.degrees(theta_tip),
+        residual=abs(defect),  # _shoot returns the tip angle it marched last
         integrations=integrations,
         steps=steps,
+        plan=(panels, loads.thrust, w_z, length, theta_tip),
     )
 
 

@@ -2,6 +2,7 @@
 location, robustness at large rotation, solver counters and input validation
 (the non-finite cases cover the validated input dataclasses of every module)."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from softarm.beam import (
     solve_elastica,
     tendon_bend,
 )
-from softarm.cli import default_data_dir
+from softarm.cli import EXIT_OK, default_data_dir, main
 from softarm.deflection import DeflectionModelCoeffs, DeflectionSample
 from softarm.errors import NoConvergence, NonPhysicalMaterial
 from softarm.io import read_arm_geometry_json
@@ -326,7 +327,7 @@ class TestRobustness:
         march = beam._march
 
         def recording_march(*args):
-            marches.append(args[-2])
+            marches.append(args[4])
             return march(*args)
 
         monkeypatch.setattr(beam, "_march", recording_march)
@@ -345,7 +346,7 @@ class TestSolverCounters:
 
     def test_steps_count_both_meshes(self):
         # Zero load: one march on the predictor mesh and one on the requested
-        # mesh, which records a station after every step.
+        # mesh, whose shape has a station after every step.
         seg_len = sum(seg.length for seg in FOLD_SEGMENTS) / len(FOLD_SEGMENTS)
         predictor = sum(math.ceil(PREDICTOR_STEPS * seg.length / seg_len) for seg in FOLD_SEGMENTS)
         sol = solve_elastica(fold_arm(droop=5.0), E_SOFT, LoadCase(thrust=0, gravity=0),
@@ -354,14 +355,50 @@ class TestSolverCounters:
 
 
 class TestSolutionArrays:
-    """BeamSolution keeps the recorded march rows and builds its arrays on
-    first access."""
+    """No march of the solve records; BeamSolution marches its shape again
+    on first access and builds its arrays from those rows."""
 
-    @pytest.fixture(scope="class")
-    def sol(self):
+    @staticmethod
+    def solve():
         loads = LoadCase(thrust=0.5, tendon_tension=2.0, tendon_eccentricity=0.01)
         return solve_elastica(fold_arm(droop=5.0, motor=0.8, density=0.05), E_SOFT, loads,
                               SolverSettings(integration_steps=64))
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return self.solve()
+
+    def test_shape_is_marched_once_on_first_read(self, monkeypatch):
+        histories = []  # the history argument of each march, None when absent
+        march = beam._march
+
+        def recording_march(*args):
+            histories.append(args[5] if len(args) > 5 else None)
+            return march(*args)
+
+        monkeypatch.setattr(beam, "_march", recording_march)
+        sol = self.solve()
+        assert histories == [None] * sol.integrations
+        counters = (sol.integrations, sol.steps)
+        rows = sol.history  # the first read makes one recording march
+        assert len(histories) == sol.integrations + 1 and histories[-1] is rows
+        assert sol.history is rows  # the second makes none
+        assert len(histories) == sol.integrations + 1
+        assert (sol.integrations, sol.steps) == counters
+
+    def test_shape_is_the_accepted_march(self, sol):
+        theta_root = -math.radians(5.0)
+        assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
+        assert abs(sol.history[-1][3] - theta_root) == sol.residual
+
+    @pytest.mark.parametrize("loads", [
+        LoadCase(thrust=0.0, gravity=0.0),
+        LoadCase(thrust=3.0, tendon_tension=5.0, tendon_eccentricity=0.01),
+        LoadCase(thrust=1.0, point_moments=((0.0, 0.3),)),
+    ], ids=["no_load", "thrust_and_tendon", "moment_at_the_root"])
+    def test_station_count_is_the_length_of_the_shape(self, loads):
+        sol = solve_elastica(SHIPPED_ARM, 1.118e6, loads, CLI_SETTINGS)
+        assert sol.station_count == len(sol.history)
 
     def test_arrays_equal_the_eager_construction(self, sol):
         rows = np.array(sol.history[::-1])  # root to tip, columns (s, x, z, theta, M)
@@ -386,13 +423,14 @@ class TestSolutionArrays:
 class TestPredictor:
     @pytest.fixture
     def full_mesh_marches(self, monkeypatch):
-        """Tip angle of each march on the requested mesh (the recording ones)."""
+        """Tip angle of each march on the requested mesh: the predictor mesh
+        of these cases has 35 RK4 steps, the requested one 258."""
         marches = []
         march = beam._march
 
         def recording_march(*args):
-            if args[-1] is not None:
-                marches.append(args[-2])
+            if sum(p[3] for p in args[0]) >= CLI_SETTINGS.integration_steps:
+                marches.append(args[4])
             return march(*args)
 
         monkeypatch.setattr(beam, "_march", recording_march)
@@ -476,6 +514,45 @@ class TestLoadLayout:
         loads = LoadCase(thrust=1.0)
         at_root = replace(loads, point_moments=((0.0, 0.3),))
         assert self.march_bytes(SHIPPED_ARM, at_root) == self.march_bytes(SHIPPED_ARM, loads)
+
+
+def shape_digest(solutions):
+    """SHA-256 of the stations bytes then the moments bytes of each solution."""
+    digest = hashlib.sha256()
+    for sol in solutions:
+        digest.update(sol.stations.tobytes())
+        digest.update(sol.moments.tobytes())
+    return digest.hexdigest()
+
+
+class TestShapeDigests:
+    """The shapes themselves, bit for bit, not only the reports built from
+    them: a solver change meant to keep every result unchanged must keep
+    these digests. One that is meant to change the shapes updates them and
+    says why."""
+
+    def test_analyze_throttle_sweep(self, monkeypatch):
+        solutions = []
+        solve = beam.solve_elastica
+
+        def recording_solve(*args):
+            solutions.append(solve(*args))
+            return solutions[-1]
+
+        monkeypatch.setattr(beam, "solve_elastica", recording_solve)
+        assert main(["analyze"]) == EXIT_OK
+        assert len(solutions) == 11
+        assert shape_digest(solutions) == (
+            "60eade65029a78d6df63e7210f73f6a4dd4fd70ebe0f91ed1d75c90c9eb6738c"
+        )
+
+    def test_tendon_bend(self):
+        rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
+        cases = ((0.0, 0.01), (9.1386, 0.002678), (28.2923, 0.009751), (33.0518, -0.009745))
+        solutions = [tendon_bend(SHIPPED_ARM, rho6, t, e) for t, e in cases]
+        assert shape_digest(solutions) == (
+            "c3e798c97375214766b33aa1620fa66996d3ecb1916348269e3131b865e514d7"
+        )
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
