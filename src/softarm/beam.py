@@ -261,7 +261,11 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
     The force resultant outboard of s is the weight beyond s plus, inboard
     of the motor station, the thrust. Given a history list, the march also
     integrates x and z from the tip and appends one row (s, x, z, theta, M)
-    per step plus one after each point moment. Returns theta(0)."""
+    per step plus one after each point moment. Returns theta(0). A march
+    that does not record skips the sines where the horizontal force rx is
+    0 (no thrust, or outboard of the motor station), bit for bit: s * rx is
+    +-0, +-0 - q differs from -q only in the sign of a zero, and M starts
+    at +0, which no sum turns into -0."""
     cos, sin = math.cos, math.sin
     theta, m, x, z = theta_tip, 0.0, 0.0, 0.0
     record = history is not None
@@ -277,10 +281,30 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
             rx = -thrust * sin(theta)
             tz = thrust * cos(theta)
         h = (b - a) / n
-        half = 0.5 * h
+        half, h6 = 0.5 * h, h / 6.0
         s = b
+        rz1 = w_z * (length - s) + tz
+        if not rx and not record:
+            for _ in range(n):
+                rz2 = w_z * (length - (s - half)) + tz
+                rz4 = w_z * (length - (s - h)) + tz
+                k1t = m / ei
+                k1m = -cos(theta) * rz1
+                t, mm = theta - half * k1t, m - half * k1m
+                k2t = mm / ei
+                k2m = -cos(t) * rz2
+                t, mm = theta - half * k2t, m - half * k2m
+                k3t = mm / ei
+                k3m = -cos(t) * rz2
+                t, mm = theta - h * k3t, m - h * k3m
+                k4t = mm / ei
+                k4m = -cos(t) * rz4
+                theta -= h6 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+                m -= h6 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+                s -= h
+                rz1 = rz4  # s -= h gives the float that rz4 was built from
+            continue
         for _ in range(n):
-            rz1 = w_z * (length - s) + tz
             rz2 = w_z * (length - (s - half)) + tz
             rz4 = w_z * (length - (s - h)) + tz
             c1, s1 = cos(theta), sin(theta)
@@ -298,12 +322,13 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
             c4, s4 = cos(t), sin(t)
             k4t = mm / ei
             k4m = s4 * rx - c4 * rz4
-            theta -= (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-            m -= (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+            theta -= h6 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+            m -= h6 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
             s -= h
+            rz1 = rz4
             if record:
-                x -= (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-                z -= (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                x -= h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                z -= h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
                 history.append((s, x, z, theta, m))
         if record:
             history[-1] = (a, x, z, theta, m)  # the panel ends exactly on its cut

@@ -386,8 +386,21 @@ class TestSolutionArrays:
         assert len(histories) == sol.integrations + 1
         assert (sol.integrations, sol.steps) == counters
 
-    def test_shape_is_the_accepted_march(self, sol):
-        theta_root = -math.radians(5.0)
+    @pytest.mark.parametrize("droop, motor, loads", [
+        (5.0, 0.8, LoadCase(thrust=0.5, tendon_tension=2.0, tendon_eccentricity=0.01)),
+        (5.0, 1.0, LoadCase()),
+        (5.0, 1.0, LoadCase(gravity=0.0, tendon_tension=2.0, tendon_eccentricity=0.01)),
+        (5.0, 0.5, LoadCase(thrust=2.0)),
+        (5.0, 1.0, LoadCase(point_moments=((0.035, 0.0),))),
+        (-20.0, 1.0, LoadCase(tendon_tension=2.0, tendon_eccentricity=-0.01)),
+    ], ids=["thrust_and_tendon", "gravity_only", "tendon_only_no_gravity", "thrust_inboard_half",
+            "zero_moment_at_a_fold", "droop_up_negative_eccentricity"])
+    def test_shape_is_the_accepted_march(self, droop, motor, loads):
+        # Bit for bit, though the solve's marches skip the sines on panels
+        # without horizontal force and the march behind history does not.
+        geometry = fold_arm(droop=droop, motor=motor, density=0.05)
+        sol = solve_elastica(geometry, E_SOFT, loads, SolverSettings(integration_steps=64))
+        theta_root = -math.radians(droop)
         assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
         assert abs(sol.history[-1][3] - theta_root) == sol.residual
 
@@ -565,6 +578,8 @@ def test_design_range_converges(e_modulus, station, thrust):
     geom = replace(SHIPPED_ARM, motor_station=station)
     sol = solve_elastica(geom, e_modulus, LoadCase(thrust=thrust), CLI_SETTINGS)
     assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+    theta_root = -math.radians(geom.initial_droop_deg)
+    assert abs(sol.history[-1][3] - theta_root) == sol.residual  # the loops agree
     assert sol.moments[-1] == 0.0
     assert np.all(np.isfinite(sol.stations))
     assert np.all(np.isfinite(sol.moments))
