@@ -5,11 +5,12 @@ station, distributed weight, and tendon point moments at the fold
 stations. Geometry is piecewise constant per segment; integration is
 fixed-step RK4. Marching inward from the free tip, where the bending
 moment vanishes and the outboard force is known, leaves the tip angle as
-the only unknown, which is shot on until the root angle meets the clamp:
-first on a coarse predictor mesh, then, from the predicted tip angle, on
-the requested mesh. The shape, the requested-mesh march at the accepted
-tip angle with x and z, is marched again when first read; the solver
-counters leave that march out, and == on solutions does not compare shapes.
+the only unknown, which is shot on until the root angle meets the clamp,
+on a ladder of meshes of 8, 16, 32, ... RK4 steps per segment length up to
+the requested mesh (see solve_elastica). The shape, the requested-mesh
+march at the accepted tip angle with x and z, is marched when first read;
+the solver counters leave that march out, and == on solutions does not
+compare shapes.
 Coordinates: x horizontal, z up, theta measured from horizontal
 (positive = tip up).
 """
@@ -25,8 +26,8 @@ from .errors import NoConvergence, NonPhysicalMaterial, require_finite
 from .material import MooneyRivlinParams
 
 GRAVITY = 9.81
-PREDICTOR_STEPS = 8  # RK4 steps per segment length of the predictor mesh
-SHOOTING_MARCHES = 40  # marches per mesh before the shooting gives up
+PREDICTOR_STEPS = 8  # RK4 steps per segment length of the ladder's first rung
+SHOOTING_MARCHES = 40  # marches per rung before the shooting gives up
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,9 @@ class LoadCase:
 @dataclass(frozen=True)
 class SolverSettings:
     """Solver knobs. integration_steps is the number of RK4 steps per
-    segment length of the mesh of the returned shape. shooting_tolerance
-    bounds the root-angle defect [rad] of the returned shape."""
+    segment length of the mesh of the returned shape and of the ladder's
+    top rung. shooting_tolerance bounds the root-angle defect [rad] of the
+    accepted rung's march."""
 
     integration_steps: int = 256
     shooting_tolerance: float = 1e-9
@@ -147,23 +149,27 @@ class SolverSettings:
 class BeamSolution:
     """Solved centerline shape and bending moments.
 
-    history: the rows (s, x, z, theta, M) of the march at the accepted tip
-    angle, tip to root, x and z from the tip, marched again bit for bit from
-    its arguments, plan, on first read; station_count is its length, known
-    without marching. stations: array of shape (n, 4) with columns
-    (s, x, z, theta), root to tip, the root at the origin. moments: bending
-    moment [N m] at each station; the tip moment is 0. Both arrays are built
-    on first access, so a caller that reads only tip_angle_deg never marches
-    again or imports numpy. residual is the root-angle defect [rad] of the
-    shape, at most the shooting tolerance; integrations counts the RK4
-    marches of the solve and steps their RK4 steps, on both meshes, not the
-    march on first read. == ignores plan, so it does not compare shapes.
+    history: the rows (s, x, z, theta, M) of the march on the
+    integration_steps mesh at the accepted tip angle, tip to root, x and z
+    from the tip, marched from its arguments, plan, on first read;
+    station_count is its length, known without marching. stations: array
+    of shape (n, 4) with columns (s, x, z, theta), root to tip, the root at
+    the origin. moments: bending moment [N m] at each station; the tip
+    moment is 0. Both arrays are built on first access, so a caller that
+    reads only tip_angle_deg never marches again or imports numpy.
+    mesh_steps is the RK4 steps per segment length of the accepted rung,
+    and residual the root-angle defect [rad] of its march at the accepted
+    tip angle, at most the shooting tolerance; the shape's own root defect
+    equals it when mesh_steps is integration_steps. integrations counts the
+    RK4 marches of the solve and steps their RK4 steps, on every rung, not
+    the march on first read. == ignores plan, so it does not compare shapes.
     """
 
     tip_angle_deg: float
     residual: float
     integrations: int
     steps: int
+    mesh_steps: int
     plan: tuple = field(repr=False, compare=False)
     contact_expected: bool = False
 
@@ -221,14 +227,15 @@ def effective_modulus(material) -> float:
     return e
 
 
-def _panel_plan(geometry: ArmGeometry, loads: LoadCase, steps: int, e_modulus: float):
+def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
     """Panels between consecutive cuts (segment ends, the motor station,
-    point-moment stations), root to tip, as (a, b, EI, n, jump, motor)
-    tuples with about `steps` RK4 steps per segment length: jump is the
-    point moment [N m] applied at b (tendon and point_moments), None when
-    there is none, and motor is whether b is the motor station. A moment at
-    s = 0 ends no panel; the clamp absorbs it. Every mesh has the same cuts,
-    so the marches on any two meshes meet at the same stations."""
+    point-moment stations), root to tip, as (a, b, EI, seg_len, jump, motor)
+    tuples: seg_len is the mean segment length, which _mesh divides into
+    RK4 steps, jump is the point moment [N m] applied at b (tendon and
+    point_moments), None when there is none, and motor is whether b is the
+    motor station. A moment at s = 0 ends no panel; the clamp absorbs it.
+    Every mesh has the same cuts, so the marches on any two meshes meet at
+    the same stations."""
     length = geometry.total_length
     s_motor = geometry.motor_station * length
     bounds = geometry.segment_bounds
@@ -244,13 +251,16 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, steps: int, e_modulus: f
         jumps[s_f] = jumps.get(s_f, 0.0) + m
     cuts = sorted(set(bounds) | {s_motor} | set(jumps))
     seg_len = length / len(geometry.segments)
-    panels = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        # Panels never cross a segment boundary, so inertia is constant here.
-        ei = e_modulus * geometry.inertia_at(0.5 * (a + b))
-        n = max(2, int(math.ceil(steps * (b - a) / seg_len)))
-        panels.append((a, b, ei, n, jumps.get(b), b == s_motor))
-    return panels
+    # Panels never cross a segment boundary, so inertia is constant on each.
+    return [(a, b, e_modulus * geometry.inertia_at(0.5 * (a + b)), seg_len, jumps.get(b),
+             b == s_motor) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _mesh(plan, steps: int):
+    """The plan's panels as (a, b, EI, n, jump, motor), with n RK4 steps,
+    about `steps` per segment length."""
+    return [(a, b, ei, max(2, int(math.ceil(steps * (b - a) / seg_len))), jump, motor)
+            for a, b, ei, seg_len, jump, motor in plan]
 
 
 def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
@@ -342,38 +352,49 @@ def solve_elastica(
     settings: SolverSettings | None = None,
 ) -> BeamSolution:
     """Solve the clamped-root free-tip elastica for the given loads by
-    shooting on the tip angle, first on a predictor mesh, then on the
-    requested mesh; the shape is the march at the accepted tip angle, made
-    again on first read. Raises NoConvergence when the shooting on either
-    mesh misses the tolerance within SHOOTING_MARCHES marches."""
+    shooting on the tip angle up a ladder of meshes, PREDICTOR_STEPS steps
+    per segment length doubled up to integration_steps, each rung from the
+    angle of the one below. A rung above the first whose first march meets
+    the tolerance (the angle of the rung below holds on twice the mesh), or
+    the top rung once shot, is accepted. The shape is the requested-mesh
+    march at the accepted tip angle, made on first read. Raises
+    NoConvergence when the shooting on any rung misses the tolerance within
+    SHOOTING_MARCHES marches."""
     settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
     length = geometry.total_length
     w_z = -geometry.linear_density * loads.gravity  # weight per unit length
     theta_root = -math.radians(geometry.initial_droop_deg)
+    plan = _panel_plan(geometry, loads, e_modulus)
     integrations = steps = 0
-    theta_tip = theta_root  # the straight arm seeds the predictor
+    theta_tip = theta_root  # the straight arm seeds the first rung
     defect = None  # of the latest march
 
-    for mesh_steps in (PREDICTOR_STEPS, settings.integration_steps):
-        panels = _panel_plan(geometry, loads, mesh_steps, e_modulus)
+    def root_defect(theta_tip: float) -> float:
+        nonlocal integrations, steps, defect
+        integrations += 1
+        steps += march_steps
+        defect = _march(panels, loads.thrust, w_z, length, theta_tip) - theta_root
+        return defect
+
+    mesh_steps = PREDICTOR_STEPS
+    while True:
+        panels = _mesh(plan, mesh_steps)
         march_steps = sum(panel[3] for panel in panels)
-
-        def root_defect(theta_tip: float) -> float:
-            nonlocal integrations, steps, defect
-            integrations += 1
-            steps += march_steps
-            defect = _march(panels, loads.thrust, w_z, length, theta_tip) - theta_root
-            return defect
-
+        marches = integrations
         theta_tip = _shoot(root_defect, theta_tip, settings.shooting_tolerance)
+        if mesh_steps == settings.integration_steps or (
+                mesh_steps > PREDICTOR_STEPS and integrations == marches + 1):
+            break
+        mesh_steps = min(2 * mesh_steps, settings.integration_steps)
 
     return BeamSolution(
         tip_angle_deg=math.degrees(theta_tip),
         residual=abs(defect),  # _shoot returns the tip angle it marched last
         integrations=integrations,
         steps=steps,
-        plan=(panels, loads.thrust, w_z, length, theta_tip),
+        mesh_steps=mesh_steps,
+        plan=(_mesh(plan, settings.integration_steps), loads.thrust, w_z, length, theta_tip),
     )
 
 

@@ -321,8 +321,8 @@ class TestRobustness:
     def test_stalled_bracket_gives_up_instead_of_repeating(self, monkeypatch):
         # The 80% throttle of a 1e5 N nominal propeller on the 6% row has no
         # root near the straight arm: the secant steps hit their 10 rad clip
-        # and cycle, so the shooting ends at its march budget on the
-        # predictor mesh and raises instead of marching on.
+        # and cycle, so the shooting ends at its march budget on the first
+        # rung and raises instead of marching on.
         marches = []
         march = beam._march
 
@@ -340,18 +340,33 @@ class TestRobustness:
 class TestSolverCounters:
     def test_every_march_is_counted(self):
         # Zero load: the straight guess meets the clamp, so one march on each
-        # mesh.
+        # of the first two rungs.
         sol = solve_elastica(fold_arm(droop=5.0), E_SOFT, LoadCase(thrust=0, gravity=0))
         assert sol.integrations == 2
 
-    def test_steps_count_both_meshes(self):
-        # Zero load: one march on the predictor mesh and one on the requested
-        # mesh, whose shape has a station after every step.
+    def test_steps_count_the_first_two_rungs(self):
+        # Zero load: one march on the 8-step rung and one on the 16-step
+        # rung, which accepts it; the shape, on the 64-step mesh, has a
+        # station after every step of its own.
         seg_len = sum(seg.length for seg in FOLD_SEGMENTS) / len(FOLD_SEGMENTS)
-        predictor = sum(math.ceil(PREDICTOR_STEPS * seg.length / seg_len) for seg in FOLD_SEGMENTS)
+
+        def mesh_steps(steps):
+            return sum(math.ceil(steps * seg.length / seg_len) for seg in FOLD_SEGMENTS)
+
         sol = solve_elastica(fold_arm(droop=5.0), E_SOFT, LoadCase(thrust=0, gravity=0),
                              SolverSettings(integration_steps=64))
-        assert sol.steps == predictor + len(sol.s) - 1
+        assert sol.mesh_steps == 2 * PREDICTOR_STEPS
+        assert sol.steps == mesh_steps(PREDICTOR_STEPS) + mesh_steps(2 * PREDICTOR_STEPS)
+        assert len(sol.s) - 1 == mesh_steps(64)
+
+    def test_a_tolerance_below_the_mesh_error_climbs_to_the_top_rung(self):
+        # At 1e-14 rad no rung's first march meets the tolerance, so the
+        # tip angle is shot on the requested mesh itself.
+        geom = uniform_arm(length=0.2)
+        loads = LoadCase(thrust=3.0 * E_SOFT * 1e-9 / 0.2**2, gravity=0)
+        for steps in (16, 128, 2048):
+            settings = SolverSettings(integration_steps=steps, shooting_tolerance=1e-14)
+            assert solve_elastica(geom, E_SOFT, loads, settings).mesh_steps == steps
 
 
 class TestSolutionArrays:
@@ -396,13 +411,23 @@ class TestSolutionArrays:
     ], ids=["thrust_and_tendon", "gravity_only", "tendon_only_no_gravity", "thrust_inboard_half",
             "zero_moment_at_a_fold", "droop_up_negative_eccentricity"])
     def test_shape_is_the_accepted_march(self, droop, motor, loads):
-        # Bit for bit, though the solve's marches skip the sines on panels
+        # The shape is the march on the requested mesh at the accepted tip
+        # angle. It reaches the root bit for bit where the solve's loop does
+        # on the same panels, though that loop skips the sines on panels
         # without horizontal force and the march behind history does not.
+        # The ladder accepts the 16-step rung in every case. At 16 steps
+        # that is the requested mesh, so the shape's root defect is the
+        # residual; at 64 the residual is the defect on the coarser rung.
+        # (A loop, not a parameter, keeps the test ids of the load cases.)
         geometry = fold_arm(droop=droop, motor=motor, density=0.05)
-        sol = solve_elastica(geometry, E_SOFT, loads, SolverSettings(integration_steps=64))
         theta_root = -math.radians(droop)
-        assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
-        assert abs(sol.history[-1][3] - theta_root) == sol.residual
+        for steps in (16, 64):
+            sol = solve_elastica(geometry, E_SOFT, loads, SolverSettings(integration_steps=steps))
+            assert sol.mesh_steps == 16
+            assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
+            assert beam._march(*sol.plan) == sol.history[-1][3]
+            if steps == 16:
+                assert abs(sol.history[-1][3] - theta_root) == sol.residual
 
     @pytest.mark.parametrize("loads", [
         LoadCase(thrust=0.0, gravity=0.0),
@@ -434,39 +459,48 @@ class TestSolutionArrays:
 
 
 class TestPredictor:
+    """The ladder above the first rung, PREDICTOR_STEPS steps per segment
+    length. On the shipped arm the 8- and 16-step rungs march 35 and 66 RK4
+    steps; at motor station 0.9753 the 8-, 16- and 32-step rungs march 36,
+    66 and 131."""
+
     @pytest.fixture
-    def full_mesh_marches(self, monkeypatch):
-        """Tip angle of each march on the requested mesh: the predictor mesh
-        of these cases has 35 RK4 steps, the requested one 258."""
+    def march_steps(self, monkeypatch):
+        """RK4 steps of each march of the solve, in order."""
         marches = []
         march = beam._march
 
         def recording_march(*args):
-            if sum(p[3] for p in args[0]) >= CLI_SETTINGS.integration_steps:
-                marches.append(args[4])
+            marches.append(sum(p[3] for p in args[0]))
             return march(*args)
 
         monkeypatch.setattr(beam, "_march", recording_march)
         return marches
 
-    def test_prediction_within_tolerance_takes_one_full_mesh_march(self, full_mesh_marches):
+    def test_prediction_within_tolerance_takes_one_full_mesh_march(self, march_steps):
+        # The tip angle shot on 8 steps meets the clamp on 16 at its first
+        # march, so the ladder stops there.
         sol = solve_elastica(SHIPPED_ARM, 1.118e6, LoadCase(thrust=3.0), CLI_SETTINGS)
-        assert len(full_mesh_marches) == 1
+        assert sol.mesh_steps == 16
+        assert march_steps == [35] * 5 + [66]
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
 
-    def test_failed_tip_moment_falls_back_to_the_requested_mesh(self, full_mesh_marches):
-        # A soft arm bent past 110 deg: the predicted tip angle misses the
-        # root angle on the 64-step mesh, so the shooting resumes there.
+    def test_missed_root_angle_climbs_past_16_steps(self, march_steps):
+        # A soft arm bent past 110 deg: the tip angle shot on 8 steps misses
+        # the root angle on 16, so the shooting resumes there; the angle shot
+        # on 16 meets it on 32 at the first march.
         geom = replace(SHIPPED_ARM, motor_station=0.9753)
         sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), CLI_SETTINGS)
-        assert len(full_mesh_marches) > 1
+        assert sol.mesh_steps == 32
+        assert march_steps == [36] * 5 + [66] * 3 + [131]
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
-        # Shooting on the 64-step mesh alone gives 113.04250449374135 deg at
-        # a shooting tolerance of 1e-12, and 113.04250152835938 deg at 1e-7,
-        # where its secant stops within the root-angle tolerance.
-        assert sol.tip_angle_deg == pytest.approx(113.04250449374135, abs=1e-6)
-        assert sol.tip_angle_deg == pytest.approx(113.04250152835938,
-                                                  abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
+        # The resolved answer: the 1,024-step mesh shot to 1e-12 rad.
+        resolved = 113.04250449871626
+        assert sol.tip_angle_deg == pytest.approx(
+            resolved, abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
+        # beam._shoot on the 64-step mesh alone, from the straight arm at
+        # 1e-7 rad, stops at 113.04250255421233 deg; the ladder lands closer.
+        assert abs(sol.tip_angle_deg - resolved) < abs(113.04250255421233 - resolved)
 
 
 class TestShoot:
@@ -554,7 +588,7 @@ class TestShapeDigests:
 
         monkeypatch.setattr(beam, "solve_elastica", recording_solve)
         assert main(["analyze"]) == EXIT_OK
-        assert len(solutions) == 11
+        assert [sol.mesh_steps for sol in solutions] == [16] * 11
         assert shape_digest(solutions) == (
             "60eade65029a78d6df63e7210f73f6a4dd4fd70ebe0f91ed1d75c90c9eb6738c"
         )
@@ -563,6 +597,7 @@ class TestShapeDigests:
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
         cases = ((0.0, 0.01), (9.1386, 0.002678), (28.2923, 0.009751), (33.0518, -0.009745))
         solutions = [tendon_bend(SHIPPED_ARM, rho6, t, e) for t, e in cases]
+        assert [sol.mesh_steps for sol in solutions] == [16] * 4
         assert shape_digest(solutions) == (
             "c3e798c97375214766b33aa1620fa66996d3ecb1916348269e3131b865e514d7"
         )
@@ -573,13 +608,18 @@ class TestShapeDigests:
     e_modulus=st.floats(0.66e6, 12e6),
     station=st.floats(0.5, 1.0),
     thrust=st.floats(0.0, 11.0),
+    steps=st.sampled_from([16, 64]),
 )
-def test_design_range_converges(e_modulus, station, thrust):
+def test_design_range_converges(e_modulus, station, thrust, steps):
     geom = replace(SHIPPED_ARM, motor_station=station)
-    sol = solve_elastica(geom, e_modulus, LoadCase(thrust=thrust), CLI_SETTINGS)
-    assert sol.residual <= CLI_SETTINGS.shooting_tolerance
-    theta_root = -math.radians(geom.initial_droop_deg)
-    assert abs(sol.history[-1][3] - theta_root) == sol.residual  # the loops agree
+    settings = replace(CLI_SETTINGS, integration_steps=steps)
+    sol = solve_elastica(geom, e_modulus, LoadCase(thrust=thrust), settings)
+    assert sol.residual <= settings.shooting_tolerance
+    assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
+    assert beam._march(*sol.plan) == sol.history[-1][3]  # the loops agree
+    if sol.mesh_steps == steps:  # always at 16: the shape is the accepted rung
+        theta_root = -math.radians(geom.initial_droop_deg)
+        assert abs(sol.history[-1][3] - theta_root) == sol.residual
     assert sol.moments[-1] == 0.0
     assert np.all(np.isfinite(sol.stations))
     assert np.all(np.isfinite(sol.moments))

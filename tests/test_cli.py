@@ -277,12 +277,13 @@ class TestAnalyzeCommand:
         out = tmp_path / "report.json"
         assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
         assert len(solutions) == 11
-        assert sum(sol.integrations for sol in solutions) <= 80
+        assert sum(sol.integrations for sol in solutions) == 54
         assert "integrations" not in out.read_text()
 
     def test_solver_step_count(self, tmp_path, monkeypatch, capsys):
-        # The shooting runs on the predictor mesh; only the outward marches
-        # step the 64-step mesh (13,932 steps when every march used it).
+        # Each solve shoots on the 8-step rung, and one march on the 16-step
+        # rung accepts its tip angle; no march of the solve steps the 64-step
+        # mesh of the shape (4,343 steps when one march per solve did).
         solutions = []
         solve = beam.solve_elastica
 
@@ -294,7 +295,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "report.json"
         assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
         assert len(solutions) == 11
-        assert sum(sol.steps for sol in solutions) <= 5000
+        assert sum(sol.steps for sol in solutions) == 2231
         assert "steps" not in out.read_text()
 
     def test_solver_failure_exits_4_without_a_report(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ CONVERGED_FLOOR = 323
 #: SHA-256 over the draws, one line each: repr((tip_angle_deg, residual,
 #: integrations, steps)), or NoConvergence. A change meant to keep every
 #: iterate keeps it; one meant to change them updates it and says why.
-CORPUS_DIGEST = "e7f00a0f94ed2b26855e46da4bf571d96db42b07cf803e188ceff9319fde7090"
+CORPUS_DIGEST = "eb89bf21547a9144256665e2d7009f6ea535d4c8d75f2e5938a4dbb2a28ecd53"
 ARM = read_arm_geometry_json(cli.default_data_dir() / "arm_geometry.json")
 
 
