@@ -103,11 +103,6 @@ def net_vertical_thrust(thrust: float, arm_angle_deg: float, eta: float) -> floa
     return thrust * eta * math.cos(math.radians(arm_angle_deg))
 
 
-def optimal_motor_station() -> float:
-    """Design constant: normalized motor position with maximum efficiency."""
-    return OPTIMUM_MOTOR_STATION
-
-
 #: Slopes of the efficiency surrogate, a tent in x/c that peaks at
 #: OPTIMUM_MOTOR_STATION, where it reproduces the lookup table exactly:
 #: efficiency lost per unit x/c toward the arm base (wider arm, more drag,

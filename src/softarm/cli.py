@@ -30,7 +30,6 @@ from .errors import (
     FitError,
     InputError,
     NoConvergence,
-    NonPhysicalWarning,
     OutOfEnvelopeWarning,
     ParseError,
     SoftarmError,
@@ -58,11 +57,6 @@ _CONFIG_KEYS = {
     "pipe": ("diameter_m", "contact_width_m", "tendon_force_n"),
 }
 
-_WARNING_CODES = {
-    NonPhysicalWarning: "NONPHYSICAL_MATERIAL",
-    OutOfEnvelopeWarning: "OUT_OF_ENVELOPE",
-}
-
 
 def default_data_dir() -> Path:
     return Path(__file__).parent / "data" / "defaults"
@@ -79,7 +73,7 @@ def _read_input(inputs: dict, label: str, reader, path, *args):
 
 def _warning_entries(records) -> list[dict]:
     return [
-        {"code": _WARNING_CODES.get(rec.category, "GENERIC"), "message": str(rec.message)}
+        {"code": getattr(rec.category, "code", "GENERIC"), "message": str(rec.message)}
         for rec in records
     ]
 
@@ -184,7 +178,7 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
         raise ParseError("one of --stress-strain or --flexural is required")
     if args.stress_strain:
         curve = _read_input(
-            inputs, "stress_strain_csv", sio.read_stress_strain_csv, args.stress_strain, args.infill
+            inputs, "stress_strain_csv", sio.read_stress_strain_csv, args.stress_strain
         )
         params = material.fit_mooney_rivlin(curve)
         e0 = material.mr_small_strain_modulus(params)
@@ -279,7 +273,7 @@ def cmd_analyze(args) -> tuple[dict, dict]:
 
     rpm_ref = prop_cfg["nominal_rpm"]
     aero.calibrate_efficiency_model(table)
-    station = aero.optimal_motor_station()
+    station = aero.OPTIMUM_MOTOR_STATION
     results["efficiency"] = {
         "rpm": rpm_ref,
         "eta": aero.efficiency_lookup(table, rpm_ref),
@@ -346,7 +340,7 @@ def cmd_efficiency(args) -> tuple[dict, dict]:
             "eta": aero.efficiency_lookup(table, args.rpm),
             "station": args.station,
             "eta_model": aero.efficiency_model(args.station, args.rpm, table),
-            "optimal_motor_station": aero.optimal_motor_station(),
+            "optimal_motor_station": aero.OPTIMUM_MOTOR_STATION,
         }
     }
     return results, inputs
@@ -385,10 +379,9 @@ def cmd_sweep(args) -> tuple[dict, dict]:
             inputs, "deflection_coeffs", sio.read_deflection_coeffs_json,
             data / "deflection_coeffs.json",
         )
-        n = int(round(deflection.T_MAX_DEFAULT / 0.1))
         rows = [
             {"throttle_t": t, "alpha_deg": deflection.eval_deflection(coeffs, args.rho, t)}
-            for t in (0.1 * i for i in range(n + 1))
+            for t in deflection.THROTTLE_GRID
         ]
     else:  # infill
         geometry = _read_input(
@@ -446,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-material", help="fit material models from test CSVs", parents=[common])
     p.add_argument("--stress-strain", help="strain,stress_pa CSV for the hyperelastic fit")
     p.add_argument("--infill", type=sio._finite_float, default=0.0,
-                   help="specimen infill rate [%%]")
+                   help="specimen infill rate [%%]; accepted, not used by the fit")
     p.add_argument("--flexural", help="force_n,deflection_m CSV for the flexural-modulus fit")
     p.add_argument("--length", type=sio._finite_float, help="cantilever test length [m]")
     p.add_argument("--inertia", type=sio._finite_float, help="section inertia [m^4]")

@@ -20,6 +20,11 @@ THROTTLE_UNIT_PER_PCT = 0.1
 #: Default throttle validity range upper bound (100% throttle).
 T_MAX_DEFAULT = 10.0
 
+#: The throttles [T] of the envelope scan and of `sweep --axis throttle`:
+#: 0 to T_MAX_DEFAULT in steps of 0.1, the same floats as
+#: np.linspace(0, 10, 101).
+THROTTLE_GRID = tuple(0.1 * i for i in range(101))
+
 #: Flyability bound on the deflection magnitude [deg].
 DEFLECTION_BOUND_DEG = 14.0
 
@@ -129,20 +134,17 @@ def fit_deflection_coeffs(
     return DeflectionModelCoeffs(*coeffs, alpha0=alpha0)
 
 
-def envelope_check(coeffs: DeflectionModelCoeffs, infill: float,
-                   step: float = 0.1) -> EnvelopeReport:
-    """Scan |alpha(T) - alpha0| over [0, T_MAX_DEFAULT] and report the worst
-    case against DEFLECTION_BOUND_DEG."""
-    require_finite(infill=infill, step=step)
+def envelope_check(coeffs: DeflectionModelCoeffs, infill: float) -> EnvelopeReport:
+    """Scan |alpha(T) - alpha0| over THROTTLE_GRID and report the worst case,
+    the first maximum as np.argmax finds it, against DEFLECTION_BOUND_DEG."""
+    require_finite(infill=infill)
     require_infill(infill=infill)
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
     a_lin = coeffs.a1 + infill * coeffs.a2
     b_quad = coeffs.b1 + infill * coeffs.b2
     worst_dev = worst_t = -1.0
-    for t in _throttle_grid(int(round(T_MAX_DEFAULT / step))):
+    for t in THROTTLE_GRID:
         dev = abs(a_lin * t + b_quad * (t * t))  # numpy's grid**2 multiplies too
-        if dev > worst_dev:  # the first maximum, as np.argmax
+        if dev > worst_dev:
             worst_dev, worst_t = dev, t
     return EnvelopeReport(
         max_abs_deflection=worst_dev,
@@ -150,14 +152,3 @@ def envelope_check(coeffs: DeflectionModelCoeffs, infill: float,
         nonlinear_flag=infill < NONLINEAR_INFILL_PCT,
         passes_14deg=worst_dev < DEFLECTION_BOUND_DEG,
     )
-
-
-def _throttle_grid(n: int) -> list[float]:
-    """n + 1 throttles from 0 to T_MAX_DEFAULT, the same floats as
-    np.linspace(0, T_MAX_DEFAULT, n + 1): i * step, and the last point is
-    T_MAX_DEFAULT itself."""
-    if n == 0:
-        return [0.0]
-    step = T_MAX_DEFAULT / n
-    return [i * step for i in range(n)] + [T_MAX_DEFAULT]
-

@@ -102,6 +102,10 @@ class ParseError(InputError):
 class NonPhysicalWarning(UserWarning):
     """Result is retained but is outside the physically meaningful range."""
 
+    code = "NONPHYSICAL_MATERIAL"
+
 
 class OutOfEnvelopeWarning(UserWarning):
     """Inputs are outside the validated operating envelope of a model."""
+
+    code = "OUT_OF_ENVELOPE"

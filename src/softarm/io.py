@@ -98,11 +98,9 @@ def _from_rows(path: str | Path, rows: list[tuple[int, list[float]]], make):
                 raise ParseError(str(exc), line=lineno, path=str(path)) from None
 
 
-def read_stress_strain_csv(path: str | Path, infill_rate: float = 0.0) -> StressStrainCurve:
+def read_stress_strain_csv(path: str | Path) -> StressStrainCurve:
     """Load a `strain,stress_pa` CSV into a stress-strain curve."""
-    require_finite(infill_rate=infill_rate)  # the caller's, not the file's
-    rows = _read_csv_rows(path, ["strain", "stress_pa"])
-    return _from_rows(path, rows, lambda pairs: StressStrainCurve(pairs, infill_rate))
+    return _from_rows(path, _read_csv_rows(path, ["strain", "stress_pa"]), StressStrainCurve)
 
 
 def read_flexural_csv(path: str | Path) -> list[FlexuralSample]:

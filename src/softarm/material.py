@@ -45,11 +45,10 @@ class StressStrainCurve:
     """Uniaxial engineering stress-strain samples for one printed specimen.
 
     samples: ordered (strain [-], stress [Pa]) pairs, strictly increasing
-    in strain. infill_rate in percent.
+    in strain.
     """
 
     samples: tuple[tuple[float, float], ...]
-    infill_rate: float
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(tuple(p) for p in self.samples))

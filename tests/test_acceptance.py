@@ -65,7 +65,7 @@ def test_01_hyperelastic_coefficient_round_trip():
                 (float(l - 1.0), float(material.mr_uniaxial_stress(params, float(l))) * 1e6)
                 for l in lams
             )
-            curve = material.StressStrainCurve(samples, infill_rate=6.0)
+            curve = material.StressStrainCurve(samples)
             fitted = material.fit_mooney_rivlin(curve)
             np.testing.assert_allclose(
                 fitted.as_array(), params.as_array(), rtol=1e-6
@@ -127,7 +127,7 @@ def test_05_efficiency_table_and_surrogate_optimum():
             assert aero.efficiency_lookup(table, rpm) == eta
         params = aero.calibrate_efficiency_model(table)
         for rpm, eta in ((4000.0, 0.895), (5000.0, 0.909), (6000.0, 0.916)):
-            got = aero.efficiency_model(aero.optimal_motor_station(), rpm, params)
+            got = aero.efficiency_model(aero.OPTIMUM_MOTOR_STATION, rpm, params)
             assert abs(got - eta) <= 1e-9
         grid = np.linspace(0.30, 1.0, 141)
         etas = [aero.efficiency_model(float(x), 4000.0, params) for x in grid]
@@ -139,9 +139,9 @@ def test_06_deflection_envelope_within_flyability_bound():
         coeffs = deflection.DeflectionModelCoeffs.measured()
         step = 0.1
         for rho in (6.0, 8.0, 10.0):
-            report = deflection.envelope_check(coeffs, rho, step=step)
+            report = deflection.envelope_check(coeffs, rho)
             assert report.max_abs_deflection < 14.0
-        report6 = deflection.envelope_check(coeffs, 6.0, step=step)
+        report6 = deflection.envelope_check(coeffs, 6.0)
         a = coeffs.a1 + 6.0 * coeffs.a2
         b = coeffs.b1 + 6.0 * coeffs.b2
         vertex_max = a * a / (4.0 * abs(b))

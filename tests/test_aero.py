@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from softarm.aero import (
     DEFAULT_PROPELLER,
+    OPTIMUM_MOTOR_STATION,
     EfficiencyTable,
     PropellerModel,
     calibrate_efficiency_model,
     efficiency_lookup,
     efficiency_model,
     net_vertical_thrust,
-    optimal_motor_station,
     thrust_from_rpm,
 )
 from softarm.errors import CalibrationFailure
@@ -139,7 +139,7 @@ class TestPositionSurrogate:
 
     def test_peak_matches_lookup(self):
         for rpm in (4000.0, 4500.0, 5000.0, 6000.0):
-            peak = efficiency_model(optimal_motor_station(), rpm, self.PARAMS)
+            peak = efficiency_model(OPTIMUM_MOTOR_STATION, rpm, self.PARAMS)
             assert peak == pytest.approx(
                 efficiency_lookup(self.PARAMS, rpm), abs=1e-9
             )

@@ -659,8 +659,8 @@ FIELD_CASES = [
     (FlexuralSample, {"force": 1.0, "tip_deflection": 0.01}, ["force", "tip_deflection"]),
     (
         StressStrainCurve,
-        {"samples": ((0.0, 0.0), (0.1, 1e5)), "infill_rate": 6.0},
-        ["samples", "infill_rate"],
+        {"samples": ((0.0, 0.0), (0.1, 1e5))},
+        ["samples"],
     ),
     (
         MooneyRivlinParams,

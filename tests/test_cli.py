@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,12 @@ from softarm.cli import (
     EXIT_INPUT,
     EXIT_OK,
     _emit_json,
+    _warning_entries,
     build_parser,
     default_data_dir,
     main,
 )
-from softarm.deflection import eval_deflection
+from softarm.deflection import THROTTLE_GRID, eval_deflection
 from softarm.errors import ParseError
 from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
 
@@ -117,12 +119,6 @@ class TestCsvIngestion:
         assert info.value.line == line
         assert str(info.value) == f"{p}:{line}: {message}"
 
-    def test_non_finite_infill_rate_blames_the_argument_not_the_file(self, tmp_path):
-        p = tmp_path / "ss.csv"
-        write_stress_strain(p, n=2)
-        with pytest.raises(ValueError, match="^infill_rate must be finite, got nan$"):
-            sio.read_stress_strain_csv(p, infill_rate=float("nan"))
-
 
 class TestGeometryJson:
     def test_shipped_geometry_units(self):
@@ -195,6 +191,31 @@ class TestFitMaterialCommand:
             ["fit-material", "--flexural", str(p), "--length", "0.3", "--inertia", "1e-9"],
         )
         assert code == EXIT_FIT
+
+
+class TestWarningCodes:
+    def test_low_infill_throttle_sweep_is_out_of_envelope(self, capsys):
+        code, out = run(capsys, ["sweep", "--axis", "throttle", "--rho", "4", "--format", "json"])
+        assert code == EXIT_OK
+        codes = {entry["code"] for entry in json.loads(out)["warnings"]}
+        assert codes == {"OUT_OF_ENVELOPE"}
+
+    def test_negative_modulus_row_is_nonphysical_material(self, tmp_path, capsys):
+        # The shipped 10% row has 6 (C10 + C01) = -2.1 MPa.
+        rho10 = sio.read_hyperelastic_row(default_data_dir() / "hyperelastic_coeffs.json", 10)
+        assert rho10.c10 + rho10.c01 < 0
+        csv_path = tmp_path / "curve.csv"
+        write_stress_strain(csv_path, params=rho10)
+        code, out = run(capsys, ["fit-material", "--stress-strain", str(csv_path)])
+        assert code == EXIT_OK
+        codes = {entry["code"] for entry in json.loads(out)["warnings"]}
+        assert codes == {"NONPHYSICAL_MATERIAL"}
+
+    def test_plain_user_warning_is_generic(self):
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            warnings.warn("plain", UserWarning)
+        assert _warning_entries(records) == [{"code": "GENERIC", "message": "plain"}]
 
 
 class TestAnalyzeCommand:
@@ -381,6 +402,12 @@ class TestSweepCommand:
             assert float(row["alpha_deg"]) == pytest.approx(
                 eval_deflection(coeffs, 6.0, t), rel=1e-9, abs=1e-12
             )
+
+    def test_throttle_column_is_the_envelope_grid(self, capsys):
+        code, out = run(capsys, ["sweep", "--axis", "throttle", "--format", "json"])
+        assert code == EXIT_OK
+        rows = json.loads(out)["results"]["sweep"]["rows"]
+        assert tuple(row["throttle_t"] for row in rows) == THROTTLE_GRID
 
     def test_infill_attachment_flips_at_15(self, capsys):
         code, out = run(capsys, ["sweep", "--axis", "infill"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from softarm.deflection import (
     DEFLECTION_BOUND_DEG,
+    THROTTLE_GRID,
     DeflectionModelCoeffs,
     DeflectionSample,
     envelope_check,
@@ -132,15 +133,6 @@ class TestEnvelope:
         assert report.passes_14deg
         assert not report.nonlinear_flag
 
-    def test_scan_max_near_true_vertex(self):
-        a = MEASURED.a1 + 6.0 * MEASURED.a2
-        b = MEASURED.b1 + 6.0 * MEASURED.b2
-        vertex_max = a * a / (4.0 * abs(b))
-        report = envelope_check(MEASURED, 6.0, step=0.01)
-        assert report.max_abs_deflection == pytest.approx(
-            vertex_max, abs=abs(b) * 0.01**2
-        )
-
     def test_low_infill_flags_nonlinear(self):
         assert envelope_check(MEASURED, 4.9).nonlinear_flag
 
@@ -160,9 +152,10 @@ class TestEnvelope:
         assert not envelope_check(steep, 6.0).passes_14deg  # 14.1 deg at T=10
         assert envelope_check(DeflectionModelCoeffs(1.39, 0, 0, 0), 6.0).passes_14deg
 
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            envelope_check(MEASURED, 6.0, step=0.0)
+    def test_grid_is_numpy_linspace_to_the_bit(self):
+        grid = np.linspace(0.0, 10.0, 101)
+        assert len(THROTTLE_GRID) == len(grid)
+        assert all(t == float(g) for t, g in zip(THROTTLE_GRID, grid))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -184,13 +177,12 @@ class TestEnvelope:
         b1=st.floats(-0.5, 0.5),
         b2=st.floats(-0.05, 0.05),
         infill=st.floats(0.5, 99.5),
-        step=st.sampled_from([0.1, 0.05, 0.3, 0.07]),
     )
-    def test_scan_equals_numpy_formula_to_the_bit(self, a1, a2, b1, b2, infill, step):
-        grid = np.linspace(0.0, 10.0, int(round(10.0 / step)) + 1)
+    def test_scan_equals_numpy_formula_to_the_bit(self, a1, a2, b1, b2, infill):
+        grid = np.linspace(0.0, 10.0, 101)
         dev = np.abs((a1 + infill * a2) * grid + (b1 + infill * b2) * grid**2)
         idx = int(np.argmax(dev))
-        report = envelope_check(DeflectionModelCoeffs(a1, a2, b1, b2), infill, step)
+        report = envelope_check(DeflectionModelCoeffs(a1, a2, b1, b2), infill)
         assert report.max_abs_deflection == float(dev[idx])
         assert report.worst_throttle == float(grid[idx])
 

@@ -14,8 +14,7 @@ FLEXURAL = [material.FlexuralSample(1.0, 0.01), material.FlexuralSample(2.0, 0.0
 CASES = [
     (deflection.eval_deflection, {"coeffs": COEFFS, "infill": 6.0, "throttle": 5.0},
      ["infill", "throttle"]),
-    (deflection.envelope_check, {"coeffs": COEFFS, "infill": 6.0, "step": 0.1},
-     ["infill", "step"]),
+    (deflection.envelope_check, {"coeffs": COEFFS, "infill": 6.0}, ["infill"]),
     (adapt.attach_check, {"infill": 6.0, "pressure": 1200.0}, ["infill", "pressure"]),
     (
         adapt.contact_pressure,

@@ -29,12 +29,12 @@ finite_coeff = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 params_strategy = st.builds(MooneyRivlinParams, *[finite_coeff] * 5)
 
 
-def make_curve(params, lam_lo=1.01, lam_hi=1.5, n=50, infill=6.0):
+def make_curve(params, lam_lo=1.01, lam_hi=1.5, n=50):
     lams = np.linspace(lam_lo, lam_hi, n)
     samples = tuple(
         (float(l - 1.0), float(mr_uniaxial_stress(params, float(l))) * 1e6) for l in lams
     )
-    return StressStrainCurve(samples, infill_rate=infill)
+    return StressStrainCurve(samples)
 
 
 class TestFlexuralFit:
@@ -217,8 +217,8 @@ class TestSmallStrainModulus:
 class TestCurveValidation:
     def test_strains_must_increase(self):
         with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 0.0), (0.1, 1e5), (0.1, 2e5)), 6.0)
+            StressStrainCurve(((0.0, 0.0), (0.1, 1e5), (0.1, 2e5)))
 
     def test_zero_strain_needs_zero_stress(self):
         with pytest.raises(ValueError):
-            StressStrainCurve(((0.0, 1e5), (0.1, 2e5)), 6.0)
+            StressStrainCurve(((0.0, 1e5), (0.1, 2e5)))
