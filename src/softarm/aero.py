@@ -15,10 +15,6 @@ from .errors import CalibrationFailure, require_finite
 #: Normalized motor position x/c with the best simulated thrust efficiency.
 OPTIMUM_MOTOR_STATION = 0.83
 
-#: Default efficiency rows (rpm, eta) for the optimum motor position,
-#: valid for arm angles within +/-20 degrees.
-DEFAULT_EFFICIENCY_ROWS = ((4000.0, 0.895), (5000.0, 0.909), (6000.0, 0.916))
-
 #: Arm angle [deg] beyond which the efficiency table is extrapolating.
 EFFICIENCY_ANGLE_LIMIT_DEG = 20.0
 
@@ -39,10 +35,6 @@ class EfficiencyTable:
             raise ValueError("rpm values must be strictly increasing")
         if any(not 0.0 < eta <= 1.0 for _, eta in self.rows):
             raise ValueError("eta values must be in (0, 1]")
-
-    @classmethod
-    def default(cls) -> "EfficiencyTable":
-        return cls(DEFAULT_EFFICIENCY_ROWS)
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,7 @@ class PropellerModel:
         return cls(thrust_coefficient=thrust / rpm**2)
 
 
-#: Nominal point: about 500 g of thrust around 4000 rpm.
+#: The shipped config's propeller: 500 g (4.905 N) of thrust at 4000 rpm.
 DEFAULT_PROPELLER = PropellerModel.from_nominal(thrust=0.5 * 9.81, rpm=4000.0)
 
 

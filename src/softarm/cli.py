@@ -143,8 +143,12 @@ def _check_keys(obj: dict, expected, path: Path, prefix: str = "") -> None:
             _check_keys(obj[key], fields, path, f"{key}.")
 
 
-def _mr_block(params: material.MooneyRivlinParams) -> dict:
-    return {"unit": "MPa", **dataclasses.asdict(params)}
+def _material_block(params: material.MooneyRivlinParams) -> dict:
+    """Mooney-Rivlin coefficients and small-strain modulus [MPa], which warns if not positive."""
+    return {
+        "mooney_rivlin": {"unit": "MPa", **dataclasses.asdict(params)},
+        "small_strain_modulus_mpa": material.mr_small_strain_modulus(params),
+    }
 
 
 def _envelope_block(rep: deflection.EnvelopeReport) -> dict:
@@ -156,15 +160,27 @@ def _envelope_block(rep: deflection.EnvelopeReport) -> dict:
     }
 
 
-def _pipe_fit_block(wrap: adapt.WrapResult, verdict: adapt.AttachmentVerdict) -> dict:
+def _attachment_fields(infill: float, pressure: float) -> dict:
+    verdict = adapt.attach_check(infill, pressure)
     return {
-        "total_turning_deg": wrap.total_turning,
-        "coverage_ratio": wrap.coverage_ratio,
-        "max_gap_m": wrap.max_gap,
         "pressure_n_m2": verdict.pressure,
         "bendable": verdict.bendable,
         "attached": verdict.attached,
     }
+
+
+def _pipe_fit_block(geometry: beam.ArmGeometry, infill: float, diameter_m: float,
+                    contact_width_m: float, tendon_force_n: float) -> tuple[dict, list[float]]:
+    """A pipe fit's wrap and attachment block, and each segment's subtended angle [deg]."""
+    wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(diameter_m))
+    pressure = adapt.contact_pressure(tendon_force_n, contact_width_m, geometry.total_length)
+    block = {
+        "total_turning_deg": wrap.total_turning,
+        "coverage_ratio": wrap.coverage_ratio,
+        "max_gap_m": wrap.max_gap,
+        **_attachment_fields(infill, pressure),
+    }
+    return block, list(wrap.per_segment_subtended)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +197,8 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
             inputs, "stress_strain_csv", sio.read_stress_strain_csv, args.stress_strain
         )
         params = material.fit_mooney_rivlin(curve)
-        e0 = material.mr_small_strain_modulus(params)
-        diag = material.mr_fit_diagnostics(curve, params)
-        results["material"]["mooney_rivlin"] = _mr_block(params)
-        results["material"]["small_strain_modulus_mpa"] = e0
-        results["material"].update(diag)
+        results["material"].update(_material_block(params))
+        results["material"].update(material.mr_fit_diagnostics(curve, params))
     if args.flexural:
         if args.length is None or args.inertia is None:
             raise ParseError("--flexural requires --length and --inertia")
@@ -219,27 +232,22 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         inputs, "hyperelastic_table", sio.read_hyperelastic_row,
         base / mat_cfg["hyperelastic_table"], infill,
     )
-    e0_mpa = material.mr_small_strain_modulus(mr_params)
+    results: dict = {"material": {"infill_pct": infill, **_material_block(mr_params)}}
 
     propeller = aero.PropellerModel.from_nominal(
         thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
     )
-    require_finite(max_rpm=prop_cfg["max_rpm"])  # the sweep's arithmetic would take true as 1
-
-    results: dict = {
-        "material": {
-            "infill_pct": infill,
-            "mooney_rivlin": _mr_block(mr_params),
-            "small_strain_modulus_mpa": e0_mpa,
-        }
-    }
+    max_rpm = prop_cfg["max_rpm"]
+    require_finite(max_rpm=max_rpm)  # the sweep's arithmetic would take true as 1
+    if max_rpm <= 0:
+        raise ParseError(f"propeller.max_rpm must be > 0, got {max_rpm}", path=str(args.config))
 
     # Thrust/deflection sweep over the throttle grid.
     sweep_rows = []
     for pct in THROTTLE_GRID_PCT:
-        rpm = prop_cfg["max_rpm"] * pct / 100.0
+        rpm = max_rpm * pct / 100.0
         thrust = aero.thrust_from_rpm(propeller, rpm)
-        loads = beam.LoadCase(thrust=thrust, gravity=beam.GRAVITY)
+        loads = beam.LoadCase(thrust=thrust)
         try:
             sol = beam.solve_elastica(geometry, mr_params, loads, SOLVER_SETTINGS)
         except NoConvergence as exc:
@@ -303,12 +311,7 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         "recommended_infill": recommended,
     }
 
-    wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(pipe_cfg["diameter_m"]))
-    pressure = adapt.contact_pressure(
-        pipe_cfg["tendon_force_n"], pipe_cfg["contact_width_m"], geometry.total_length
-    )
-    verdict = adapt.attach_check(infill, pressure)
-    results["pipe_fit"] = _pipe_fit_block(wrap, verdict)
+    results["pipe_fit"], _ = _pipe_fit_block(geometry, infill, **pipe_cfg)
     return results, inputs
 
 
@@ -349,11 +352,10 @@ def cmd_efficiency(args) -> tuple[dict, dict]:
 def cmd_pipe_fit(args) -> tuple[dict, dict]:
     inputs: dict = {}
     geometry = _read_input(inputs, "geometry", sio.read_arm_geometry_json, args.geometry)
-    wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(args.diameter))
-    pressure = adapt.contact_pressure(args.tendon_force, args.contact_width, geometry.total_length)
-    verdict = adapt.attach_check(args.infill, pressure)
-    block = _pipe_fit_block(wrap, verdict)
-    block["per_segment_subtended_deg"] = list(wrap.per_segment_subtended)
+    block, subtended = _pipe_fit_block(
+        geometry, args.infill, args.diameter, args.contact_width, args.tendon_force
+    )
+    block["per_segment_subtended_deg"] = subtended
     return {"pipe_fit": block}, inputs
 
 
@@ -363,8 +365,7 @@ def cmd_sweep(args) -> tuple[dict, dict]:
     if args.axis == "motor_station":
         table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
         aero.calibrate_efficiency_model(table)
-        n = int(round((1.0 - 0.3) / 0.01))
-        stations = [0.3 + 0.01 * i for i in range(n + 1)]
+        stations = [0.3 + 0.01 * i for i in range(71)]
         rows = [{"x_c": x, "eta": aero.efficiency_model(x, args.rpm, table)} for x in stations]
     elif args.axis == "arm_angle":
         table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
@@ -390,18 +391,10 @@ def cmd_sweep(args) -> tuple[dict, dict]:
         pressure = adapt.contact_pressure(
             args.tendon_force, args.contact_width, geometry.total_length
         )
-        n = int(round((20.0 - 4.0) / 0.5))
-        rows = []
-        for rho in (4.0 + 0.5 * i for i in range(n + 1)):
-            verdict = adapt.attach_check(rho, pressure)
-            rows.append(
-                {
-                    "rho_pct": rho,
-                    "pressure_n_m2": verdict.pressure,
-                    "bendable": verdict.bendable,
-                    "attached": verdict.attached,
-                }
-            )
+        rows = [
+            {"rho_pct": rho, **_attachment_fields(rho, pressure)}
+            for rho in (4.0 + 0.5 * i for i in range(33))
+        ]
     return {"sweep": {"axis": args.axis, "rows": rows}}, inputs
 
 

@@ -32,9 +32,6 @@ DEFLECTION_BOUND_DEG = 14.0
 #: nonlinear and the quadratic model is unreliable.
 NONLINEAR_INFILL_PCT = 5.0
 
-#: Coefficients interpolated from the measured deflection sweeps.
-MEASURED_COEFF_VALUES = {"a1": 2.4387, "a2": -0.1997, "b1": -0.162, "b2": 0.0151}
-
 
 def require_infill(**values) -> None:
     """Raise ValueError naming the first infill rate [%] outside (0, 100)."""
@@ -56,10 +53,6 @@ class DeflectionModelCoeffs:
 
     def __post_init__(self):
         require_finite(**vars(self))
-
-    @classmethod
-    def measured(cls, alpha0: float = 0.0) -> "DeflectionModelCoeffs":
-        return cls(alpha0=alpha0, **MEASURED_COEFF_VALUES)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from softarm import adapt, aero, beam, deflection, material
-from softarm.cli import main
+from softarm.cli import default_data_dir, main
 from softarm.errors import ChordTooLong
+from softarm.io import read_deflection_coeffs_json, read_efficiency_csv
 
 COEFF_SETS = {
     "rho6": material.MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37),
@@ -122,7 +123,7 @@ def test_04_peak_stress_in_first_fold_segment():
 
 def test_05_efficiency_table_and_surrogate_optimum():
     with _Criterion(5, "efficiency table lookup and surrogate optimum", 1.0):
-        table = aero.EfficiencyTable.default()
+        table = read_efficiency_csv(default_data_dir() / "efficiency_table.csv")
         for rpm, eta in ((4000.0, 0.895), (5000.0, 0.909), (6000.0, 0.916)):
             assert aero.efficiency_lookup(table, rpm) == eta
         params = aero.calibrate_efficiency_model(table)
@@ -136,7 +137,7 @@ def test_05_efficiency_table_and_surrogate_optimum():
 
 def test_06_deflection_envelope_within_flyability_bound():
     with _Criterion(6, "deflection envelope within the 14 deg bound", 1.0):
-        coeffs = deflection.DeflectionModelCoeffs.measured()
+        coeffs = read_deflection_coeffs_json(default_data_dir() / "deflection_coeffs.json")
         step = 0.1
         for rho in (6.0, 8.0, 10.0):
             report = deflection.envelope_check(coeffs, rho)
@@ -150,7 +151,7 @@ def test_06_deflection_envelope_within_flyability_bound():
 
 def test_07_deflection_coefficient_round_trip():
     with _Criterion(7, "deflection coefficient round trip", 1.0):
-        truth = deflection.DeflectionModelCoeffs.measured()
+        truth = read_deflection_coeffs_json(default_data_dir() / "deflection_coeffs.json")
         samples = [
             deflection.DeflectionSample(rho, t, deflection.eval_deflection(truth, rho, t))
             for rho in (6.0, 8.0, 10.0)

@@ -20,7 +20,9 @@ from softarm.beam import ArmGeometry, Segment
 from softarm.cli import default_data_dir
 from softarm.deflection import DeflectionModelCoeffs
 from softarm.errors import ChordTooLong, EmptyRange, ZeroArea
-from softarm.io import read_arm_geometry_json
+from softarm.io import read_arm_geometry_json, read_deflection_coeffs_json
+
+MEASURED = read_deflection_coeffs_json(default_data_dir() / "deflection_coeffs.json")
 
 
 def fold_arm(lengths=(0.035, 0.040, 0.045, 0.055), angles=(36.0, 27.0, 19.0, 13.0)):
@@ -127,12 +129,12 @@ class TestAttachCheck:
 
 class TestRecommendInfill:
     def test_contains_measured_optimum(self):
-        lo, hi = recommend_infill(DeflectionModelCoeffs.measured())
+        lo, hi = recommend_infill(MEASURED)
         assert lo <= 6.0 and hi >= 8.0
         assert hi < BENDABLE_INFILL_MAX_PCT
 
     def test_range_excludes_nonlinear_regime(self):
-        lo, _ = recommend_infill(DeflectionModelCoeffs.measured())
+        lo, _ = recommend_infill(MEASURED)
         assert lo >= 5.0
 
     def test_oversensitive_response_empty(self):

@@ -1,5 +1,6 @@
 """Propeller thrust law, efficiency lookup, and the position surrogate."""
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,11 @@ from softarm.aero import (
     net_vertical_thrust,
     thrust_from_rpm,
 )
+from softarm.cli import default_data_dir
 from softarm.errors import CalibrationFailure
+from softarm.io import read_efficiency_csv
+
+SHIPPED_TABLE = read_efficiency_csv(default_data_dir() / "efficiency_table.csv")
 
 
 class TestThrustLaw:
@@ -26,6 +31,14 @@ class TestThrustLaw:
         # 500 g of thrust at 4000 rpm -> k_t = 4.905 / 1.6e7.
         assert DEFAULT_PROPELLER.thrust_coefficient == pytest.approx(
             3.065625e-7, rel=1e-9
+        )
+
+    def test_default_is_the_shipped_config_propeller(self):
+        # sweep --axis arm_angle thrusts with DEFAULT_PROPELLER, analyze with
+        # the shipped config's propeller: the two laws agree to the bit.
+        prop = json.loads((default_data_dir() / "config.json").read_text())["propeller"]
+        assert DEFAULT_PROPELLER == PropellerModel.from_nominal(
+            thrust=prop["nominal_thrust_n"], rpm=prop["nominal_rpm"]
         )
 
     def test_nominal_point_recovered(self):
@@ -53,7 +66,7 @@ class TestThrustLaw:
 
 
 class TestEfficiencyLookup:
-    TABLE = EfficiencyTable.default()
+    TABLE = SHIPPED_TABLE
 
     @pytest.mark.parametrize(
         "rpm, eta", [(4000.0, 0.895), (5000.0, 0.909), (6000.0, 0.916)]
@@ -135,7 +148,7 @@ class TestNetVerticalThrust:
 
 
 class TestPositionSurrogate:
-    PARAMS = calibrate_efficiency_model(EfficiencyTable.default())
+    PARAMS = calibrate_efficiency_model(SHIPPED_TABLE)
 
     def test_peak_matches_lookup(self):
         for rpm in (4000.0, 4500.0, 5000.0, 6000.0):

@@ -689,8 +689,10 @@ class TestParseBoundary:
             ("pipe", "tendon_force_n", -5, "tendon_force must be >= 0, got -5"),
             # The shipped 10% hyperelastic row has c10 + c01 < 0.
             ("material", "infill_pct", 10, "effective modulus -2.1e+06 Pa is not positive"),
+            ("propeller", "max_rpm", 0, "propeller.max_rpm must be > 0, got 0"),
+            ("propeller", "max_rpm", -6000, "propeller.max_rpm must be > 0, got -6000"),
         ],
-        ids=["tendon_force_n", "infill_10pct"],
+        ids=["tendon_force_n", "infill_10pct", "max_rpm_zero", "max_rpm_negative"],
     )
     def test_out_of_range_config_value_exits_2(self, section, key, value, message, tmp_path,
                                                capsys):

@@ -1,10 +1,13 @@
 """Quadratic throttle-deflection model: evaluation, fitting, envelope."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softarm.cli import default_data_dir
 from softarm.deflection import (
     DEFLECTION_BOUND_DEG,
     THROTTLE_GRID,
@@ -15,8 +18,9 @@ from softarm.deflection import (
     fit_deflection_coeffs,
 )
 from softarm.errors import OutOfEnvelopeWarning, RankDeficient
+from softarm.io import read_deflection_coeffs_json
 
-MEASURED = DeflectionModelCoeffs.measured()
+MEASURED = read_deflection_coeffs_json(default_data_dir() / "deflection_coeffs.json")
 
 
 def quad_samples(coeffs, infills=(6.0, 8.0, 10.0), throttles=(1.0, 3.0, 5.0, 7.0, 9.0)):
@@ -37,11 +41,11 @@ class TestEvalDeflection:
         assert eval_deflection(MEASURED, 8.0, 5.0) == pytest.approx(a, rel=1e-12)
 
     def test_droop_at_zero_throttle(self):
-        coeffs = DeflectionModelCoeffs.measured(alpha0=-5.0)
+        coeffs = dataclasses.replace(MEASURED, alpha0=-5.0)
         assert eval_deflection(coeffs, 6.0, 0.0) == -5.0
 
     def test_alpha0_is_additive(self):
-        shifted = DeflectionModelCoeffs.measured(alpha0=2.5)
+        shifted = dataclasses.replace(MEASURED, alpha0=2.5)
         a = eval_deflection(MEASURED, 6.0, 4.0)
         b = eval_deflection(shifted, 6.0, 4.0)
         assert b - a == pytest.approx(2.5, rel=1e-12)
@@ -73,7 +77,7 @@ class TestFit:
             )
 
     def test_round_trip_with_droop(self):
-        base = DeflectionModelCoeffs.measured(alpha0=-4.0)
+        base = dataclasses.replace(MEASURED, alpha0=-4.0)
         fitted = fit_deflection_coeffs(quad_samples(base), alpha0=-4.0)
         assert fitted.a1 == pytest.approx(base.a1, abs=1e-8)
         assert fitted.alpha0 == -4.0
@@ -144,7 +148,7 @@ class TestEnvelope:
 
     def test_droop_excluded_from_deviation(self):
         a = envelope_check(MEASURED, 6.0)
-        b = envelope_check(DeflectionModelCoeffs.measured(alpha0=-8.0), 6.0)
+        b = envelope_check(dataclasses.replace(MEASURED, alpha0=-8.0), 6.0)
         assert b.max_abs_deflection == pytest.approx(a.max_abs_deflection, rel=1e-12)
 
     def test_bound_threshold(self):

@@ -7,8 +7,11 @@ import re
 import pytest
 
 from softarm import adapt, aero, deflection, material
+from softarm import io as sio
+from softarm.cli import default_data_dir
 
-COEFFS = deflection.DeflectionModelCoeffs.measured()
+COEFFS = sio.read_deflection_coeffs_json(default_data_dir() / "deflection_coeffs.json")
+TABLE = sio.read_efficiency_csv(default_data_dir() / "efficiency_table.csv")
 FLEXURAL = [material.FlexuralSample(1.0, 0.01), material.FlexuralSample(2.0, 0.02)]
 
 CASES = [
@@ -21,7 +24,7 @@ CASES = [
         {"tendon_force": 12.0, "contact_width": 0.05, "contact_arc_length": 0.175},
         ["tendon_force", "contact_width", "contact_arc_length"],
     ),
-    (aero.efficiency_lookup, {"table": aero.EfficiencyTable.default(), "rpm": 4500.0}, ["rpm"]),
+    (aero.efficiency_lookup, {"table": TABLE, "rpm": 4500.0}, ["rpm"]),
     (aero.thrust_from_rpm, {"model": aero.DEFAULT_PROPELLER, "rpm": 4500.0}, ["rpm"]),
     (aero.net_vertical_thrust, {"thrust": 5.0, "arm_angle_deg": 10.0, "eta": 0.9},
      ["thrust", "arm_angle_deg", "eta"]),
