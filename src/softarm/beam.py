@@ -402,9 +402,14 @@ def _shoot(f, guess: float, tol: float) -> float:
     """Root of f (root-angle defect as a function of the tip angle, both in
     radians), which is always the last point f was evaluated at.
 
-    Secant steps through `same`, the previous point of the latest point's
-    sign, clipped to 10 rad, until f changes sign (before that every point
-    has one sign, so `same` is the previous point); then false position
+    The first step is -f: the secant step for a unit slope. The root angle
+    follows the tip angle one for one where the bending moment does not
+    depend on the shape (point moments alone), and nearly so while the
+    forces bend the arm little; the secant corrects the slope after one
+    march. Then secant steps through `same`, the previous point of the
+    latest point's sign, until f changes sign (before that every point has
+    one sign, so `same` is the previous point). Every step so far is
+    clipped to 10 rad and moves x by at least one float. Then false position
     inside the bracket of the latest point of each sign, or its midpoint
     when the false-position point is not strictly inside or the last step
     did not reduce |f| on its side. One loop of at most SHOOTING_MARCHES
@@ -422,12 +427,15 @@ def _shoot(f, guess: float, tol: float) -> float:
             same, pos = pos, (x, fx)
         if neg is None or pos is None:
             if same is None:
-                step = 0.01 if fx < 0 else -0.01
+                step = max(-10.0, min(10.0, -fx))
             elif fx == same[1]:
                 break
             else:
                 step = max(-10.0, min(10.0, -fx * (x - same[0]) / (fx - same[1])))
-            x += step
+            if x + step == x:  # less than half a float step: take a whole one
+                x = math.nextafter(x, math.copysign(math.inf, step))
+            else:
+                x += step
             continue
         (xa, fa), (xb, fb) = neg, pos
         x = xa - fa * (xb - xa) / (fb - fa)

@@ -482,7 +482,7 @@ class TestPredictor:
         # march, so the ladder stops there.
         sol = solve_elastica(SHIPPED_ARM, 1.118e6, LoadCase(thrust=3.0), CLI_SETTINGS)
         assert sol.mesh_steps == 16
-        assert march_steps == [35] * 5 + [66]
+        assert march_steps == [35] * 4 + [66]
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
 
     def test_missed_root_angle_climbs_past_16_steps(self, march_steps):
@@ -492,15 +492,19 @@ class TestPredictor:
         geom = replace(SHIPPED_ARM, motor_station=0.9753)
         sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), CLI_SETTINGS)
         assert sol.mesh_steps == 32
-        assert march_steps == [36] * 5 + [66] * 3 + [131]
+        assert march_steps == [36] * 4 + [66] * 2 + [131]
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
         # The resolved answer: the 1,024-step mesh shot to 1e-12 rad.
         resolved = 113.04250449871626
         assert sol.tip_angle_deg == pytest.approx(
             resolved, abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
-        # beam._shoot on the 64-step mesh alone, from the straight arm at
-        # 1e-7 rad, stops at 113.04250255421233 deg; the ladder lands closer.
-        assert abs(sol.tip_angle_deg - resolved) < abs(113.04250255421233 - resolved)
+        # Where the secant stops inside that band is pinned bit for bit:
+        # 1.44e-6 deg from the resolved answer, while the 32-step mesh itself
+        # is 7.6e-8 deg from it. beam._shoot on the 64-step mesh alone, from
+        # the straight arm at 1e-7 rad, stops 7.8e-8 deg from it
+        # (113.0425044204673 deg), so which of the two lands closer is where
+        # each secant happens to stop, not the mesh.
+        assert sol.tip_angle_deg == 113.04250306147473
 
 
 class TestShoot:
@@ -521,21 +525,32 @@ class TestShoot:
             return None, points
 
     def test_first_step_then_false_position(self):
-        assert self.shoot(lambda x: x - 0.005) == (0.005, [0.0, 0.01, 0.005])
+        # The first step assumes unit slope, which is exact here.
+        assert self.shoot(lambda x: x - 0.005) == (0.005, [0.0, 0.005])
 
     def test_clipped_secant_steps_reach_a_far_root(self):
         root, points = self.shoot(lambda x: math.atan(x - 30.0))
-        assert abs(root - 30.0) <= 1e-9 and len(points) == 8
-        # The secant steps from 0.01 are clipped to 10 rad until f changes sign.
-        assert points[1:5] == pytest.approx([0.01, 10.01, 20.01, 30.01], abs=1e-12)
+        assert abs(root - 30.0) <= 1e-9 and len(points) == 11
+        # The unit-slope step goes to atan(30); the secant steps from there
+        # are clipped to 10 rad until f changes sign.
+        start = math.atan(30.0)
+        assert points[1:5] == pytest.approx([start + 10.0 * k for k in range(4)], abs=1e-12)
 
     def test_flat_secant_gives_up(self):
         root, points = self.shoot(lambda x: 2.0)
         assert root is None and len(points) == 2
 
-    def test_no_root_spends_the_march_budget(self):
+    def test_no_root_gives_up_at_a_flat_secant(self):
+        # f(0) = 1 steps to -1, where f = 2; the secant through both steps
+        # to 1, where f = 2 again.
         root, points = self.shoot(lambda x: 1.0 + x**2)
-        assert root is None and len(points) == beam.SHOOTING_MARCHES
+        assert root is None and points == [0.0, -1.0, 1.0]
+
+    def test_first_step_below_one_float_step_still_moves(self):
+        # 1e-3 * 3 ulp is less than half an ulp of 300, so x + step == x;
+        # the step moves to the next float instead and the secant goes on.
+        root = 300.0 + 3 * math.ulp(300.0)
+        assert beam._shoot(lambda x: 1e-3 * (x - root), 300.0, 1e-16) == root
 
 
 class TestLoadLayout:
@@ -574,9 +589,9 @@ def shape_digest(solutions):
 
 class TestShapeDigests:
     """The shapes themselves, bit for bit, not only the reports built from
-    them: a solver change meant to keep every result unchanged must keep
-    these digests. One that is meant to change the shapes updates them and
-    says why."""
+    them, and the work counters of the tendon cases: a solver change meant
+    to keep every result unchanged must keep these digests. One that is
+    meant to change the shapes updates them and says why."""
 
     def test_analyze_throttle_sweep(self, monkeypatch):
         solutions = []
@@ -590,7 +605,7 @@ class TestShapeDigests:
         assert main(["analyze"]) == EXIT_OK
         assert [sol.mesh_steps for sol in solutions] == [16] * 11
         assert shape_digest(solutions) == (
-            "60eade65029a78d6df63e7210f73f6a4dd4fd70ebe0f91ed1d75c90c9eb6738c"
+            "c710bc50c4a066a8e060a5ced0ad625fa6823b15fb557b63214aa84e1aea25ac"
         )
 
     def test_tendon_bend(self):
@@ -598,8 +613,10 @@ class TestShapeDigests:
         cases = ((0.0, 0.01), (9.1386, 0.002678), (28.2923, 0.009751), (33.0518, -0.009745))
         solutions = [tendon_bend(SHIPPED_ARM, rho6, t, e) for t, e in cases]
         assert [sol.mesh_steps for sol in solutions] == [16] * 4
+        assert [sol.integrations for sol in solutions] == [4, 4, 5, 5]
+        assert [sol.steps for sol in solutions] == [171, 171, 206, 206]
         assert shape_digest(solutions) == (
-            "c3e798c97375214766b33aa1620fa66996d3ecb1916348269e3131b865e514d7"
+            "f734aece2b99aedb7e87f93c53c1e6c43ae1959fda33e34c13f105a5e193ca5d"
         )
 
 

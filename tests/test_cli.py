@@ -298,7 +298,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "report.json"
         assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
         assert len(solutions) == 11
-        assert sum(sol.integrations for sol in solutions) == 54
+        assert sum(sol.integrations for sol in solutions) == 44
         assert "integrations" not in out.read_text()
 
     def test_solver_step_count(self, tmp_path, monkeypatch, capsys):
@@ -316,7 +316,7 @@ class TestAnalyzeCommand:
         out = tmp_path / "report.json"
         assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
         assert len(solutions) == 11
-        assert sum(sol.steps for sol in solutions) == 2231
+        assert sum(sol.steps for sol in solutions) == 1881
         assert "steps" not in out.read_text()
 
     def test_solver_failure_exits_4_without_a_report(self, tmp_path, capsys):
