@@ -103,29 +103,19 @@ def net_vertical_thrust(thrust: float, arm_angle_deg: float, eta: float) -> floa
 BASE_SLOPE = 0.25
 TIP_SLOPE = 0.10
 
-#: Corners of the (x/c, rpm) domain over which the surrogate must stay in (0, 1].
-CALIBRATION_STATIONS = (0.3, 1.0)
-CALIBRATION_RPMS = (3000.0, 6500.0)
-
-
-def calibrate_efficiency_model(table: EfficiencyTable) -> EfficiencyTable:
-    """Check that the surrogate over this table stays within (0, 1] over the
-    calibration domain, and return the table for efficiency_model."""
-    for rpm in CALIBRATION_RPMS:
-        for x_c in CALIBRATION_STATIONS:
-            eta = efficiency_model(x_c, rpm, table)
-            if not 0.0 < eta <= 1.0:
-                raise CalibrationFailure(f"eta({x_c}, {rpm}) = {eta:.4g} leaves (0, 1]")
-    return table
-
-
 def efficiency_model(x_c: float, rpm: float, table: EfficiencyTable) -> float:
-    """Surrogate thrust efficiency at motor position x/c and speed rpm."""
+    """Surrogate thrust efficiency at motor position x/c and speed rpm: the
+    table's eta less the slope term, so at most 1. Raises CalibrationFailure
+    when the surrogate is not positive there."""
     if not 0.0 < x_c <= 1.0:
         raise ValueError("x_c must be in (0, 1]")
     if rpm <= 0:
         raise ValueError("rpm must be > 0")
     peak = efficiency_lookup(table, rpm)
     if x_c <= OPTIMUM_MOTOR_STATION:
-        return peak - BASE_SLOPE * (OPTIMUM_MOTOR_STATION - x_c)
-    return peak - TIP_SLOPE * (x_c - OPTIMUM_MOTOR_STATION)
+        eta = peak - BASE_SLOPE * (OPTIMUM_MOTOR_STATION - x_c)
+    else:
+        eta = peak - TIP_SLOPE * (x_c - OPTIMUM_MOTOR_STATION)
+    if eta <= 0:
+        raise CalibrationFailure(f"eta({x_c}, {rpm}) = {eta:.4g} is not positive")
+    return eta

@@ -368,29 +368,21 @@ def solve_elastica(
     plan = _panel_plan(geometry, loads, e_modulus)
     integrations = steps = 0
     theta_tip = theta_root  # the straight arm seeds the first rung
-    defect = None  # of the latest march
-
-    def root_defect(theta_tip: float) -> float:
-        nonlocal integrations, steps, defect
-        integrations += 1
-        steps += march_steps
-        defect = _march(panels, loads.thrust, w_z, length, theta_tip) - theta_root
-        return defect
-
     mesh_steps = PREDICTOR_STEPS
     while True:
         panels = _mesh(plan, mesh_steps)
-        march_steps = sum(panel[3] for panel in panels)
-        marches = integrations
-        theta_tip = _shoot(root_defect, theta_tip, settings.shooting_tolerance)
-        if mesh_steps == settings.integration_steps or (
-                mesh_steps > PREDICTOR_STEPS and integrations == marches + 1):
+        theta_tip, defect, n = _shoot(
+            lambda tip: _march(panels, loads.thrust, w_z, length, tip) - theta_root,
+            theta_tip, settings.shooting_tolerance)
+        integrations += n
+        steps += n * sum(panel[3] for panel in panels)
+        if mesh_steps == settings.integration_steps or (mesh_steps > PREDICTOR_STEPS and n == 1):
             break
         mesh_steps = min(2 * mesh_steps, settings.integration_steps)
 
     return BeamSolution(
         tip_angle_deg=math.degrees(theta_tip),
-        residual=abs(defect),  # _shoot returns the tip angle it marched last
+        residual=abs(defect),
         integrations=integrations,
         steps=steps,
         mesh_steps=mesh_steps,
@@ -398,9 +390,9 @@ def solve_elastica(
     )
 
 
-def _shoot(f, guess: float, tol: float) -> float:
-    """Root of f (root-angle defect as a function of the tip angle, both in
-    radians), which is always the last point f was evaluated at.
+def _shoot(f, guess: float, tol: float) -> tuple[float, float, int]:
+    """Root x of f (root-angle defect as a function of the tip angle, both
+    in radians), as (x, f(x), evaluations of f).
 
     The first step is -f: the secant step for a unit slope. The root angle
     follows the tip angle one for one where the bending moment does not
@@ -417,10 +409,10 @@ def _shoot(f, guess: float, tol: float) -> float:
     """
     neg = pos = None  # the latest (x, f(x)) with f < 0 and with f > 0
     x = guess
-    for _ in range(SHOOTING_MARCHES):
+    for evaluations in range(1, SHOOTING_MARCHES + 1):
         fx = f(x)
         if abs(fx) <= tol:
-            return x
+            return x, fx, evaluations
         if fx < 0:
             same, neg = neg, (x, fx)
         else:

@@ -196,9 +196,9 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
         curve = _read_input(
             inputs, "stress_strain_csv", sio.read_stress_strain_csv, args.stress_strain
         )
-        params = material.fit_mooney_rivlin(curve)
+        params, diagnostics = material.fit_mooney_rivlin(curve)
         results["material"].update(_material_block(params))
-        results["material"].update(material.mr_fit_diagnostics(curve, params))
+        results["material"].update(diagnostics)
     if args.flexural:
         if args.length is None or args.inertia is None:
             raise ParseError("--flexural requires --length and --inertia")
@@ -280,7 +280,6 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     }
 
     rpm_ref = prop_cfg["nominal_rpm"]
-    aero.calibrate_efficiency_model(table)
     station = aero.OPTIMUM_MOTOR_STATION
     results["efficiency"] = {
         "rpm": rpm_ref,
@@ -336,7 +335,6 @@ def cmd_deflect(args) -> tuple[dict, dict]:
 def cmd_efficiency(args) -> tuple[dict, dict]:
     inputs: dict = {}
     table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
-    aero.calibrate_efficiency_model(table)
     results = {
         "efficiency": {
             "rpm": args.rpm,
@@ -364,7 +362,6 @@ def cmd_sweep(args) -> tuple[dict, dict]:
     data = default_data_dir()
     if args.axis == "motor_station":
         table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
-        aero.calibrate_efficiency_model(table)
         stations = [0.3 + 0.01 * i for i in range(71)]
         rows = [{"x_c": x, "eta": aero.efficiency_model(x, args.rpm, table)} for x in stations]
     elif args.axis == "arm_angle":

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import OutOfEnvelopeWarning, RankDeficient, require_finite
-from .material import COND_LIMIT
+from .material import least_squares
 
 #: Throttle units per percent throttle.
 THROTTLE_UNIT_PER_PCT = 0.1
@@ -120,10 +120,7 @@ def fit_deflection_coeffs(
     if len(set(rho)) < 2 or len(set(t)) < 3:
         raise RankDeficient("need >= 2 distinct infill rates and >= 3 distinct throttles")
     design = np.column_stack([t, rho * t, t**2, rho * t**2])
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[-1] == 0 or sv[0] / sv[-1] > COND_LIMIT:
-        raise RankDeficient("deflection design matrix is rank deficient")
-    coeffs, *_ = np.linalg.lstsq(design, alpha - alpha0, rcond=None)
+    coeffs, _, _ = least_squares(design, alpha - alpha0)
     return DeflectionModelCoeffs(*coeffs, alpha0=alpha0)
 
 

@@ -70,7 +70,8 @@ class NonPhysicalMaterial(InputError):
 
 
 class CalibrationFailure(FitError):
-    """Surrogate model calibration constraints cannot be satisfied."""
+    """The efficiency surrogate is not positive at the station and rpm
+    asked for: its calibrated slopes take more than the table's eta."""
 
 
 class ChordTooLong(InputError):

@@ -211,38 +211,32 @@ def _stress_basis(stretches: np.ndarray) -> np.ndarray:
     return cols
 
 
-def fit_mooney_rivlin(curve: StressStrainCurve) -> MooneyRivlinParams:
-    """Fit the five coefficients [MPa] to a uniaxial curve by linear least
-    squares on the engineering-stress response (stretch = 1 + strain)."""
+def least_squares(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Coefficients c minimizing |design @ c - target|, that residual norm
+    and the condition number of design. Raises RankDeficient when the
+    condition number exceeds COND_LIMIT."""
     import numpy as np
 
-    strains = curve.strains
-    if np.count_nonzero(np.unique(strains) > 0) < 5:
-        raise RankDeficient("need at least 5 distinct positive strains")
-    lam = 1.0 + strains
-    design = _stress_basis(lam)
     sv = np.linalg.svd(design, compute_uv=False)
     if sv[-1] == 0 or sv[0] / sv[-1] > COND_LIMIT:
         raise RankDeficient(
             f"design matrix condition {sv[0] / max(sv[-1], 1e-300):.3e} exceeds {COND_LIMIT:.0e}"
         )
-    target_mpa = curve.stresses / 1e6
-    coeffs, *_ = np.linalg.lstsq(design, target_mpa, rcond=None)
-    return MooneyRivlinParams(*coeffs)
+    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+    return coeffs, float(np.linalg.norm(design @ coeffs - target)), float(sv[0] / sv[-1])
 
 
-def mr_fit_diagnostics(curve: StressStrainCurve, params: MooneyRivlinParams) -> dict:
-    """Residual norm [MPa] and design condition number for a finished fit."""
+def fit_mooney_rivlin(curve: StressStrainCurve) -> tuple[MooneyRivlinParams, dict]:
+    """Fit the five coefficients [MPa] to a uniaxial curve by linear least
+    squares on the engineering-stress response (stretch = 1 + strain), with
+    the fit's residual norm [MPa] and design condition number."""
     import numpy as np
 
-    lam = 1.0 + curve.strains
-    design = _stress_basis(lam)
-    resid = design @ params.as_array() - curve.stresses / 1e6
-    sv = np.linalg.svd(design, compute_uv=False)
-    return {
-        "residual_norm_mpa": float(np.linalg.norm(resid)),
-        "condition_number": float(sv[0] / sv[-1]),
-    }
+    strains = curve.strains
+    if np.count_nonzero(np.unique(strains) > 0) < 5:
+        raise RankDeficient("need at least 5 distinct positive strains")
+    coeffs, residual, cond = least_squares(_stress_basis(1.0 + strains), curve.stresses / 1e6)
+    return MooneyRivlinParams(*coeffs), {"residual_norm_mpa": residual, "condition_number": cond}
 
 
 def mr_small_strain_modulus(params: MooneyRivlinParams) -> float:

@@ -67,7 +67,7 @@ def test_01_hyperelastic_coefficient_round_trip():
                 for l in lams
             )
             curve = material.StressStrainCurve(samples)
-            fitted = material.fit_mooney_rivlin(curve)
+            fitted, _ = material.fit_mooney_rivlin(curve)
             np.testing.assert_allclose(
                 fitted.as_array(), params.as_array(), rtol=1e-6
             )
@@ -126,12 +126,11 @@ def test_05_efficiency_table_and_surrogate_optimum():
         table = read_efficiency_csv(default_data_dir() / "efficiency_table.csv")
         for rpm, eta in ((4000.0, 0.895), (5000.0, 0.909), (6000.0, 0.916)):
             assert aero.efficiency_lookup(table, rpm) == eta
-        params = aero.calibrate_efficiency_model(table)
         for rpm, eta in ((4000.0, 0.895), (5000.0, 0.909), (6000.0, 0.916)):
-            got = aero.efficiency_model(aero.OPTIMUM_MOTOR_STATION, rpm, params)
+            got = aero.efficiency_model(aero.OPTIMUM_MOTOR_STATION, rpm, table)
             assert abs(got - eta) <= 1e-9
         grid = np.linspace(0.30, 1.0, 141)
-        etas = [aero.efficiency_model(float(x), 4000.0, params) for x in grid]
+        etas = [aero.efficiency_model(float(x), 4000.0, table) for x in grid]
         assert abs(float(grid[int(np.argmax(etas))]) - 0.83) <= 0.02
 
 

@@ -13,7 +13,6 @@ from softarm.aero import (
     OPTIMUM_MOTOR_STATION,
     EfficiencyTable,
     PropellerModel,
-    calibrate_efficiency_model,
     efficiency_lookup,
     efficiency_model,
     net_vertical_thrust,
@@ -148,7 +147,7 @@ class TestNetVerticalThrust:
 
 
 class TestPositionSurrogate:
-    PARAMS = calibrate_efficiency_model(SHIPPED_TABLE)
+    PARAMS = SHIPPED_TABLE
 
     def test_peak_matches_lookup(self):
         for rpm in (4000.0, 4500.0, 5000.0, 6000.0):
@@ -186,5 +185,19 @@ class TestPositionSurrogate:
 
     def test_calibration_rejects_excessive_slope(self):
         # On a low-eta table the base-side slope drives eta negative at x/c = 0.3.
-        with pytest.raises(CalibrationFailure):
-            calibrate_efficiency_model(EfficiencyTable(((4000, 0.1), (6000, 0.12))))
+        with pytest.raises(CalibrationFailure, match=r"eta\(0\.3, 4000\.0\)"):
+            efficiency_model(0.3, 4000.0, EfficiencyTable(((4000, 0.1), (6000, 0.12))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        etas=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=5),
+        x_c=st.floats(1e-6, 1.0),
+        rpm=st.floats(1.0, 10000.0),
+    )
+    def test_positive_and_at_most_one_or_raises(self, etas, x_c, rpm):
+        table = EfficiencyTable(tuple((1500.0 * (i + 1), e) for i, e in enumerate(etas)))
+        try:
+            eta = efficiency_model(x_c, rpm, table)
+        except CalibrationFailure:
+            return
+        assert 0.0 < eta <= 1.0

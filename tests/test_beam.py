@@ -222,6 +222,10 @@ class TestMaterialHandling:
         with pytest.raises(ValueError, match="material must be finite"):
             solve_elastica(SHIPPED_ARM, modulus, LoadCase(thrust=1.0), CLI_SETTINGS)
 
+    def test_unsupported_material_type_rejected(self):
+        with pytest.raises(TypeError, match="unsupported material type"):
+            beam.effective_modulus("6e6")
+
 
 class TestGeometryValidation:
     def test_segment_count_limit(self):
@@ -512,7 +516,8 @@ class TestShoot:
 
     @staticmethod
     def shoot(f):
-        """The root found (None on NoConvergence) and every point evaluated."""
+        """The root found (None on NoConvergence) and every point evaluated.
+        _shoot returns the root, f there and the count of evaluations."""
         points = []
 
         def recorded(x):
@@ -520,9 +525,11 @@ class TestShoot:
             return f(x)
 
         try:
-            return beam._shoot(recorded, 0.0, 1e-9), points
+            root, f_root, evaluations = beam._shoot(recorded, 0.0, 1e-9)
         except NoConvergence:
             return None, points
+        assert (points[-1], evaluations) == (root, len(points)) and f_root == f(root)
+        return root, points
 
     def test_first_step_then_false_position(self):
         # The first step assumes unit slope, which is exact here.
@@ -550,7 +557,7 @@ class TestShoot:
         # 1e-3 * 3 ulp is less than half an ulp of 300, so x + step == x;
         # the step moves to the next float instead and the secant goes on.
         root = 300.0 + 3 * math.ulp(300.0)
-        assert beam._shoot(lambda x: 1e-3 * (x - root), 300.0, 1e-16) == root
+        assert beam._shoot(lambda x: 1e-3 * (x - root), 300.0, 1e-16)[0] == root
 
 
 class TestLoadLayout:
@@ -708,7 +715,9 @@ def _poison(value, bad):
     return bad
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, None], ids=["nan", "inf", "-inf", "none"]
+)
 @pytest.mark.parametrize(
     "cls,kwargs,field",
     [(cls, kwargs, field) for cls, kwargs, fields in FIELD_CASES for field in fields],
@@ -718,3 +727,29 @@ def test_non_finite_input_rejected(cls, kwargs, field, bad):
     cls(**kwargs)  # the baseline is valid
     with pytest.raises(ValueError, match="must be finite"):
         cls(**{**kwargs, field: _poison(kwargs[field], bad)})
+
+
+@pytest.mark.parametrize(
+    "cls,field,value,message",
+    [
+        (Segment, "length", 0.0, "segment length must be > 0"),
+        (Segment, "length", -0.05, "segment length must be > 0"),
+        (ArmGeometry, "section_inertia", (1e-9, 1e-9), "one inertia value per segment"),
+        (ArmGeometry, "section_inertia", (0.0,), "section inertia must be > 0"),
+        (ArmGeometry, "section_half_depth", 0.0, "section_half_depth must be > 0"),
+        (ArmGeometry, "linear_density", -0.1, "linear_density must be >= 0"),
+        (LoadCase, "thrust", -1.0, "thrust must be >= 0"),
+        (LoadCase, "tendon_tension", -2.0, "tendon_tension must be >= 0"),
+        (SolverSettings, "integration_steps", 15, "integration_steps must be >= 16"),
+        (SolverSettings, "shooting_tolerance", 0.0, "shooting_tolerance must be > 0"),
+        (StressStrainCurve, "samples", ((-1.0, 0.0), (0.1, 1e5)),
+         "engineering strain must be > -1"),
+        (UniaxialInvariants, "i1", 2.9, "invariants must be >= 3"),
+        (DeflectionSample, "throttle", -0.1, "throttle must be >= 0"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_out_of_range_input_rejected(cls, field, value, message):
+    kwargs = next(kwargs for case, kwargs, _ in FIELD_CASES if case is cls)
+    with pytest.raises(ValueError, match=message):
+        cls(**{**kwargs, field: value})

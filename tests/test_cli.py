@@ -153,6 +153,34 @@ class TestFitMaterialCommand:
         )
         assert len(report["inputs"]["stress_strain_csv"]) == 64  # sha256 hex
 
+    def test_fit_diagnostics(self, tmp_path, capsys):
+        # A curve 2% off the model, so that the residual is far above rounding.
+        lines = ["strain,stress_pa"]
+        for lam in np.linspace(1.01, 1.5, 40):
+            stress_pa = mr_uniaxial_stress(RHO6, float(lam)) * 1e6 * (1.0 + 0.02 * np.sin(7 * lam))
+            lines.append(f"{lam - 1.0:.12g},{stress_pa:.12g}")
+        csv_path = tmp_path / "curve.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        code, out = run(capsys, ["fit-material", "--stress-strain", str(csv_path)])
+        assert code == EXIT_OK
+        fit = json.loads(out)["results"]["material"]
+        strain, stress_pa = np.loadtxt(csv_path, delimiter=",", skiprows=1).T
+        # Stress = 2 (l - l^-2) (dW/dI1 + dW/dI2 / l), linear in the five
+        # coefficients: one design column per coefficient.
+        lam = 1.0 + strain
+        j1 = lam**2 + 2.0 / lam - 3.0
+        j2 = 2.0 * lam + lam**-2 - 3.0
+        front = 2.0 * (lam - lam**-2)
+        design = np.column_stack([
+            front, front / lam, 2.0 * j1 * front, 2.0 * j2 * front / lam,
+            (j2 + j1 / lam) * front,
+        ])
+        coeffs = [fit["mooney_rivlin"][k] for k in ("c10", "c01", "c20", "c02", "c11")]
+        residual = np.linalg.norm(design @ coeffs - stress_pa / 1e6)
+        assert residual > 1e-3
+        assert fit["residual_norm_mpa"] == pytest.approx(residual, rel=1e-9)
+        assert fit["condition_number"] == pytest.approx(np.linalg.cond(design), rel=1e-9)
+
     def test_flexural_fit(self, tmp_path, capsys):
         e_true, length, inertia = 25e6, 0.3, 1e-9
         lines = ["force_n,deflection_m"]
@@ -275,6 +303,16 @@ class TestAnalyzeCommand:
         assert code == EXIT_OK
         assert len(json.loads(out)["results"]["beam"]["throttle_sweep"]) == 11
 
+    def test_no_feasible_infill_reports_null(self, tmp_path, capsys):
+        # 100 deg per throttle unit passes the 14 deg bound at no infill.
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({"a1": 100.0, "a2": 0.0, "b1": 0.0, "b2": 0.0}))
+        config = shipped_config()
+        config["deflection_coeffs"] = str(coeffs)
+        code, out = run(capsys, ["analyze", "--config", write_config(tmp_path, config)])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["deflection"]["recommended_infill"] is None
+
     def test_non_finite_geometry_is_input_error(self, tmp_path, capsys):
         geometry = json.loads((default_data_dir() / "arm_geometry.json").read_text())
         geometry["linear_density_kg_m"] = float("nan")
@@ -342,6 +380,13 @@ class TestDeflectCommand:
             4.4175, abs=1e-9
         )
 
+    def test_zero_throttle_without_droop(self, capsys):
+        code, out = run(
+            capsys, ["deflect", "--rho", "6", "--throttle-pct", "0", "--alpha0", "0"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["deflection"]["alpha_deg"] == 0.0
+
     def test_envelope_only(self, capsys):
         code, out = run(capsys, ["deflect", "--rho", "6"])
         assert code == EXIT_OK
@@ -357,6 +402,40 @@ class TestEfficiencyCommand:
         eff = json.loads(out)["results"]["efficiency"]
         assert eff["eta"] == pytest.approx(0.902, abs=1e-12)
         assert eff["eta_model"] == pytest.approx(0.902, abs=1e-9)  # at the optimum
+
+    @pytest.mark.parametrize(
+        "rows,rpm,station,message",
+        [
+            ("3000,0.9\n5000,0.1\n6500,0.9", "5000", "0.3", "eta(0.3, 5000.0) = -0.0325"),
+            ("4000,0.15\n6000,0.15", "5000", "0.05", "eta(0.05, 5000.0) = -0.045"),
+            ("2000,0.1\n4000,0.9\n6000,0.9", "2000", "0.3", "eta(0.3, 2000.0) = -0.0325"),
+        ],
+        ids=["interior_dip", "station_below_0.3", "rpm_below_3000"],
+    )
+    def test_non_positive_surrogate_exits_3(self, rows, rpm, station, message, tmp_path,
+                                            capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(f"rpm,eta\n{rows}\n")
+        code = main(["efficiency", "--rpm", rpm, "--station", station, "--table", str(table)])
+        captured = capsys.readouterr()
+        assert code == EXIT_FIT and captured.out == ""
+        assert captured.err == f"softarm: fit error: {message} is not positive\n"
+
+    def test_low_table_is_valid_where_the_surrogate_is_positive(self, tmp_path, capsys):
+        # The surrogate is negative at x/c = 0.3 on this table, but neither
+        # command evaluates it there.
+        table = tmp_path / "table.csv"
+        table.write_text("rpm,eta\n4000,0.1\n6000,0.12\n")
+        argv = ["efficiency", "--rpm", "5000", "--station", "0.83", "--table", str(table)]
+        code, out = run(capsys, argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["efficiency"]["eta_model"] == pytest.approx(0.11)
+        config = shipped_config()
+        config["efficiency_table"] = str(table)
+        code, out = run(capsys, ["analyze", "--config", write_config(tmp_path, config)])
+        assert code == EXIT_OK
+        eff = json.loads(out)["results"]["efficiency"]
+        assert eff["eta_model_at_optimum"] == eff["eta"] == 0.1
 
 
 class TestPipeFitCommand:
@@ -390,6 +469,15 @@ class TestSweepCommand:
         rows = list(csv.DictReader(out.splitlines()))
         best = max(rows, key=lambda r: float(r["eta"]))
         assert abs(float(best["x_c"]) - 0.83) <= 0.02
+
+    def test_non_positive_surrogate_exits_3(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("rpm,eta\n3000,0.9\n5000,0.1\n6500,0.9\n")
+        argv = ["sweep", "--axis", "motor_station", "--rpm", "5000", "--table", str(table)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_FIT and captured.out == ""
+        assert captured.err == "softarm: fit error: eta(0.3, 5000.0) = -0.0325 is not positive\n"
 
     def test_throttle_matches_model(self, capsys):
         code, out = run(capsys, ["sweep", "--axis", "throttle", "--rho", "6"])
@@ -506,6 +594,22 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["pipe-fit", "--diameter", "0"], "diameter must be > 0"),
+            (["efficiency", "--rpm", "0"], "rpm must be > 0"),
+            (["fit-material", "--flexural", "flex.csv", "--inertia", "1e-9"],
+             "--flexural requires --length and --inertia"),
+        ],
+        ids=["pipe-fit-diameter", "efficiency-rpm", "fit-material-length"],
+    )
+    def test_out_of_range_option_exits_2(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == f"softarm: input error: {message}\n"
 
     def test_report_with_nan_is_not_written(self, tmp_path):
         target = tmp_path / "report.json"
@@ -691,8 +795,10 @@ class TestParseBoundary:
             ("material", "infill_pct", 10, "effective modulus -2.1e+06 Pa is not positive"),
             ("propeller", "max_rpm", 0, "propeller.max_rpm must be > 0, got 0"),
             ("propeller", "max_rpm", -6000, "propeller.max_rpm must be > 0, got -6000"),
+            ("propeller", "nominal_thrust_n", 0, "thrust_coefficient must be > 0"),
         ],
-        ids=["tendon_force_n", "infill_10pct", "max_rpm_zero", "max_rpm_negative"],
+        ids=["tendon_force_n", "infill_10pct", "max_rpm_zero", "max_rpm_negative",
+             "nominal_thrust_zero"],
     )
     def test_out_of_range_config_value_exits_2(self, section, key, value, message, tmp_path,
                                                capsys):
@@ -761,6 +867,35 @@ class TestParseBoundary:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("softarm: input error: ")
+
+    def test_json_null_for_a_number_exits_2(self, tmp_path, capsys):
+        geometry = json.loads((default_data_dir() / "arm_geometry.json").read_text())
+        geometry["half_depth_m"] = None
+        p = tmp_path / "geometry.json"
+        p.write_text(json.dumps(geometry))
+        code = main(["pipe-fit", "--diameter", "0.2", "--geometry", str(p)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (
+            f"softarm: input error: {p}: bad geometry: section_half_depth must be finite, "
+            "got None\n"
+        )
+
+    def test_csv_row_with_an_extra_column_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "table.csv"
+        p.write_text("rpm,eta\n4000,0.895\n5000,0.909,1\n")
+        code = main(["efficiency", "--rpm", "4500", "--table", str(p)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == f"softarm: input error: {p}:3: expected 2 columns, got 3\n"
+
+    def test_coefficients_without_a_key_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "coeffs.json"
+        p.write_text(json.dumps({"a1": 2.4, "a2": -0.2, "b1": -0.16}))
+        code = main(["deflect", "--rho", "6", "--coeffs", str(p)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == f"softarm: input error: {p}: bad coefficients: 'b2'\n"
 
     @pytest.mark.parametrize("rpm", [0, -4000])
     def test_non_positive_nominal_rpm_exits_2(self, rpm, tmp_path, capsys):

@@ -92,6 +92,13 @@ class TestFit:
         with pytest.raises(RankDeficient):
             fit_deflection_coeffs(samples, alpha0=0.0)
 
+    def test_infill_linear_in_throttle_rank_deficient(self):
+        # rho = 5 + T makes rho*T = 5T + T^2 and rho*T^2 = 5T^2 + T^3: four
+        # regressors in the span of T, T^2 and T^3.
+        samples = [DeflectionSample(5.0 + t, t, 1.0) for t in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        with pytest.raises(RankDeficient, match="design matrix condition"):
+            fit_deflection_coeffs(samples, alpha0=0.0)
+
     def test_too_few_samples(self):
         with pytest.raises(RankDeficient):
             fit_deflection_coeffs([DeflectionSample(6.0, 1.0, 2.0)] * 3, alpha0=0.0)

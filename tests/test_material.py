@@ -13,6 +13,7 @@ from softarm.material import (
     UniaxialInvariants,
     fit_flexural_modulus,
     fit_mooney_rivlin,
+    least_squares,
     mr_energy_partials,
     mr_small_strain_modulus,
     mr_strain_energy,
@@ -174,9 +175,15 @@ class TestGradients:
 class TestMooneyRivlinFit:
     @pytest.mark.parametrize("params", [RHO6, RHO8], ids=["rho6", "rho8"])
     def test_round_trip(self, params):
-        fitted = fit_mooney_rivlin(make_curve(params))
+        fitted, _ = fit_mooney_rivlin(make_curve(params))
         for got, want in zip(fitted.as_array(), params.as_array()):
             assert got == pytest.approx(want, rel=1e-6)
+
+    def test_duplicated_column_rank_deficient(self):
+        column = np.linspace(1.0, 2.0, 10)
+        design = np.column_stack([column, column**2, column])
+        with pytest.raises(RankDeficient, match="design matrix condition .* exceeds 1e\\+12"):
+            least_squares(design, column)
 
     def test_underdetermined(self):
         curve = make_curve(RHO6, n=4)
@@ -195,7 +202,7 @@ class TestMooneyRivlinFit:
         params = MooneyRivlinParams(c10, c01, c20, c02, c11)
         if 6.0 * (c10 + c01) <= 0:
             return
-        fitted = fit_mooney_rivlin(make_curve(params))
+        fitted, _ = fit_mooney_rivlin(make_curve(params))
         np.testing.assert_allclose(
             fitted.as_array(), params.as_array(), rtol=1e-6, atol=1e-9
         )
