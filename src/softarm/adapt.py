@@ -84,14 +84,20 @@ def wrap_geometry(geometry: ArmGeometry, pipe: PipeSpec) -> WrapResult:
 
 
 def contact_pressure(tendon_force: float, contact_width: float, contact_arc_length: float) -> float:
-    """Uniform contact pressure [N/m^2] of the tendon force over the patch."""
+    """Uniform contact pressure [N/m^2] of the tendon force over the patch.
+    Raises ZeroArea when the area is not positive, underflow included."""
     require_finite(tendon_force=tendon_force, contact_width=contact_width,
                    contact_arc_length=contact_arc_length)
     if tendon_force < 0:
         raise ValueError(f"tendon_force must be >= 0, got {tendon_force}")
-    if contact_width <= 0 or contact_arc_length <= 0:
-        raise ZeroArea("contact patch dimensions must be > 0")
-    return tendon_force / (contact_width * contact_arc_length)
+    area = contact_width * contact_arc_length
+    if contact_width <= 0 or contact_arc_length <= 0 or area == 0:
+        raise ZeroArea(f"contact patch {contact_width} m x {contact_arc_length} m has no area")
+    pressure = tendon_force / area
+    if pressure == math.inf:
+        raise ValueError(f"tendon_force {tendon_force} N on the {contact_width} m x "
+                         f"{contact_arc_length} m contact patch overflows the pressure")
+    return pressure
 
 
 def attach_check(infill: float, pressure: float) -> AttachmentVerdict:

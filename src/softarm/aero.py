@@ -50,11 +50,18 @@ class PropellerModel:
 
     @classmethod
     def from_nominal(cls, thrust: float, rpm: float) -> "PropellerModel":
-        """The law through the nominal point (rpm, thrust)."""
+        """The law through the nominal point (rpm, thrust). Raises ValueError
+        naming both when they give no finite positive coefficient."""
         require_finite(thrust=thrust, rpm=rpm)
         if rpm <= 0:
             raise ValueError(f"nominal rpm must be > 0, got {rpm}")
-        return cls(thrust_coefficient=thrust / rpm**2)
+        try:
+            return cls(thrust_coefficient=thrust / rpm**2)
+        except ArithmeticError:  # rpm**2 overflows, or underflows to 0
+            reason = "rpm**2 is out of float range"
+        except ValueError as exc:
+            reason = str(exc)
+        raise ValueError(f"nominal thrust {thrust} N at nominal rpm {rpm}: {reason}")
 
 
 #: The shipped config's propeller: 500 g (4.905 N) of thrust at 4000 rpm.
@@ -66,7 +73,10 @@ def thrust_from_rpm(model: PropellerModel, rpm: float) -> float:
     require_finite(rpm=rpm)
     if rpm < 0:
         raise ValueError("rpm must be >= 0")
-    return model.thrust_coefficient * rpm**2
+    try:
+        return model.thrust_coefficient * rpm**2
+    except OverflowError:
+        raise ValueError(f"rpm {rpm} is out of range: rpm**2 overflows") from None
 
 
 def efficiency_lookup(table: EfficiencyTable, rpm: float) -> float:

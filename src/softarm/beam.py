@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
 from .errors import NoConvergence, NonPhysicalMaterial, require_finite
-from .material import MooneyRivlinParams
+from .material import MooneyRivlinParams, mr_small_strain_modulus
 
 GRAVITY = 9.81
 PREDICTOR_STEPS = 8  # RK4 steps per segment length of the ladder's first rung
@@ -154,9 +154,9 @@ class BeamSolution:
     from the tip, marched from its arguments, plan, on first read;
     station_count is its length, known without marching. stations: array
     of shape (n, 4) with columns (s, x, z, theta), root to tip, the root at
-    the origin. moments: bending moment [N m] at each station; the tip
-    moment is 0. Both arrays are built on first access, so a caller that
-    reads only tip_angle_deg never marches again or imports numpy.
+    the origin; column k is stations[:, k]. moments: bending moment [N m] at
+    each station, 0 at the tip. Both arrays are built on first access, so a
+    caller that reads only tip_angle_deg never marches again or imports numpy.
     mesh_steps is the RK4 steps per segment length of the accepted rung,
     and residual the root-angle defect [rad] of its march at the accepted
     tip angle, at most the shooting tolerance; the shape's own root defect
@@ -196,27 +196,11 @@ class BeamSolution:
 
         return np.array([row[4] for row in reversed(self.history)])
 
-    @property
-    def s(self) -> np.ndarray:
-        return self.stations[:, 0]
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.stations[:, 1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.stations[:, 2]
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.stations[:, 3]
-
 
 def effective_modulus(material) -> float:
     """Constant Young's modulus [Pa] used by the solver for a material input."""
     if isinstance(material, MooneyRivlinParams):
-        e = 6.0 * (material.c10 + material.c01) * 1e6
+        e = mr_small_strain_modulus(material) * 1e6
     elif isinstance(material, (int, float)):
         require_finite(material=material)
         e = float(material)

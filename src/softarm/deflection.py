@@ -8,6 +8,7 @@ infill rate in percent and T the throttle in tens-of-percent units
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -95,11 +96,14 @@ def eval_deflection(coeffs: DeflectionModelCoeffs, infill: float, throttle: floa
             OutOfEnvelopeWarning,
             stacklevel=2,
         )
-    return (
+    alpha = (
         coeffs.alpha0
         + (coeffs.a1 + infill * coeffs.a2) * throttle
         + (coeffs.b1 + infill * coeffs.b2) * throttle**2
     )
+    if not math.isfinite(alpha):
+        raise ValueError(f"{coeffs} overflow at infill {infill}% and throttle {throttle}")
+    return alpha
 
 
 def fit_deflection_coeffs(
@@ -136,6 +140,9 @@ def envelope_check(coeffs: DeflectionModelCoeffs, infill: float) -> EnvelopeRepo
         dev = abs(a_lin * t + b_quad * (t * t))  # numpy's grid**2 multiplies too
         if dev > worst_dev:
             worst_dev, worst_t = dev, t
+    # Both terms grow in magnitude with T, so every point is finite when the last is.
+    if not math.isfinite(dev):
+        raise ValueError(f"{coeffs} overflow at infill {infill}% and throttle {t}")
     return EnvelopeReport(
         max_abs_deflection=worst_dev,
         worst_throttle=worst_t,

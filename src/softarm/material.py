@@ -2,7 +2,10 @@
 
 Linear flexural modulus from cantilever force-deflection tests, and a
 five-coefficient hyperelastic model fitted to uniaxial stress-strain
-curves with the small-strain modulus derived from it.
+curves with the small-strain modulus derived from it. Each formula is
+written once: the invariants in _invariants, the uniaxial stress in
+_stress_terms (the fit's design and mr_uniaxial_stress) and 6 (C10 + C01)
+in mr_small_strain_modulus (also the elastica solver's modulus).
 
 Unit conventions: stresses and moduli in SI (Pa) except the hyperelastic
 coefficients and everything derived directly from them, which are in MPa
@@ -137,14 +140,28 @@ def fit_flexural_modulus(
     return slope * length**3 / (3.0 * section_inertia)
 
 
+def _invariants(lam):
+    """(I1, I2) of an incompressible uniaxial stretch lam, a float or an
+    ndarray: I1 = l^2 + 2/l, I2 = 2l + 1/l^2."""
+    return lam**2 + 2.0 / lam, 2.0 * lam + lam**-2
+
+
+def _stress_terms(lam):
+    """Uniaxial engineering stresses [MPa] of unit (C10, C01, C20, C02, C11)
+    at the stretch lam, a float or an ndarray: the stress
+    P = 2 (l - l^-2) (dW/dI1 + dW/dI2 / l) is linear in the coefficients."""
+    i1, i2 = _invariants(lam)
+    j1 = i1 - 3.0
+    j2 = i2 - 3.0
+    front = 2.0 * (lam - lam**-2)
+    return front, front / lam, front * 2.0 * j1, front * 2.0 * j2 / lam, front * (j2 + j1 / lam)
+
+
 def uniaxial_invariants(stretch: float) -> UniaxialInvariants:
-    """Invariants of an incompressible uniaxial deformation at the given
-    stretch ratio: I1 = l^2 + 2/l, I2 = 2l + 1/l^2."""
+    """Invariants of an incompressible uniaxial stretch (see _invariants)."""
     if stretch <= 0:
         raise InvalidStretch(f"stretch must be > 0, got {stretch}")
-    i1 = stretch**2 + 2.0 / stretch
-    i2 = 2.0 * stretch + stretch**-2
-    return UniaxialInvariants(i1, i2)
+    return UniaxialInvariants(*_invariants(stretch))
 
 
 def mr_strain_energy(params: MooneyRivlinParams, inv: UniaxialInvariants) -> float:
@@ -175,40 +192,14 @@ def mr_energy_partials(
 
 
 def mr_uniaxial_stress(params: MooneyRivlinParams, stretch: float) -> float:
-    """Uniaxial incompressible engineering stress [MPa] at the given stretch.
-
-    P = 2 (l - l^-2) (dW/dI1 + dW/dI2 / l); linear in the coefficients.
-    """
+    """Uniaxial incompressible engineering stress [MPa] at the given stretch:
+    the stress terms weighted by the coefficients, summed left to right."""
     if stretch <= 0:
         raise InvalidStretch(f"stretch must be > 0, got {stretch}")
-    inv = uniaxial_invariants(stretch)
-    dw1, dw2 = mr_energy_partials(params, inv)
-    return 2.0 * (stretch - stretch**-2) * (dw1 + dw2 / stretch)
-
-
-def _stress_basis(stretches: np.ndarray) -> np.ndarray:
-    """Design matrix column k = engineering stress of a unit k-th coefficient.
-
-    Exploits linearity of the uniaxial response in (C10, C01, C20, C02, C11).
-    """
-    import numpy as np
-
-    lam = np.asarray(stretches, dtype=float)
-    i1 = lam**2 + 2.0 / lam
-    i2 = 2.0 * lam + lam**-2
-    j1 = i1 - 3.0
-    j2 = i2 - 3.0
-    front = 2.0 * (lam - lam**-2)
-    cols = np.column_stack(
-        [
-            front,                            # c10
-            front / lam,                      # c01
-            front * 2.0 * j1,                 # c20
-            front * 2.0 * j2 / lam,           # c02
-            front * (j2 + j1 / lam),          # c11
-        ]
-    )
-    return cols
+    require_finite(stretch=stretch)
+    t10, t01, t20, t02, t11 = _stress_terms(stretch)
+    return (params.c10 * t10 + params.c01 * t01 + params.c20 * t20
+            + params.c02 * t02 + params.c11 * t11)
 
 
 def least_squares(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -235,7 +226,8 @@ def fit_mooney_rivlin(curve: StressStrainCurve) -> tuple[MooneyRivlinParams, dic
     strains = curve.strains
     if np.count_nonzero(np.unique(strains) > 0) < 5:
         raise RankDeficient("need at least 5 distinct positive strains")
-    coeffs, residual, cond = least_squares(_stress_basis(1.0 + strains), curve.stresses / 1e6)
+    design = np.column_stack(_stress_terms(1.0 + strains))
+    coeffs, residual, cond = least_squares(design, curve.stresses / 1e6)
     return MooneyRivlinParams(*coeffs), {"residual_norm_mpa": residual, "condition_number": cond}
 
 

@@ -105,7 +105,7 @@ def test_03_elastica_linear_limit_and_mesh_convergence():
         force = delta_lin * 3.0 * modulus * geom.section_inertia[0] / length**3
         loads = beam.LoadCase(thrust=force, gravity=0.0)
         sol = beam.solve_elastica(geom, modulus, loads)
-        assert abs(sol.z[-1] - delta_lin) <= 0.01 * delta_lin
+        assert abs(sol.stations[-1, 2] - delta_lin) <= 0.01 * delta_lin
         fine = beam.solve_elastica(
             geom, modulus, loads, beam.SolverSettings(integration_steps=512)
         )

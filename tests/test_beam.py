@@ -28,7 +28,7 @@ from softarm.beam import (
 )
 from softarm.cli import EXIT_OK, default_data_dir, main
 from softarm.deflection import DeflectionModelCoeffs, DeflectionSample
-from softarm.errors import NoConvergence, NonPhysicalMaterial
+from softarm.errors import NoConvergence, NonPhysicalMaterial, NonPhysicalWarning
 from softarm.io import read_arm_geometry_json
 from softarm.material import (
     FlexuralSample,
@@ -76,8 +76,8 @@ class TestUnloaded:
         assert sol.tip_angle_deg == pytest.approx(-12.0, abs=1e-9)
         assert sol.residual == pytest.approx(0.0, abs=1e-12)
         # Straight line along the droop direction.
-        expected_z = -np.sin(np.radians(12.0)) * sol.s
-        np.testing.assert_allclose(sol.z, expected_z, atol=1e-9)
+        expected_z = -np.sin(np.radians(12.0)) * sol.stations[:, 0]
+        np.testing.assert_allclose(sol.stations[:, 2], expected_z, atol=1e-9)
 
 
 class TestLinearLimit:
@@ -86,7 +86,7 @@ class TestLinearLimit:
         delta_target = 0.01 * geom.total_length
         force = delta_target * 3.0 * E_SOFT * geom.section_inertia[0] / geom.total_length**3
         sol = solve_elastica(geom, E_SOFT, LoadCase(thrust=force, gravity=0))
-        assert sol.z[-1] == pytest.approx(delta_target, rel=0.01)
+        assert sol.stations[-1, 2] == pytest.approx(delta_target, rel=0.01)
 
     def test_mesh_convergence(self):
         geom = uniform_arm()
@@ -130,8 +130,9 @@ class TestClosedForm:
                              SolverSettings(integration_steps=64, shooting_tolerance=1e-9))
         assert sol.tip_angle_deg == pytest.approx(math.degrees(moment * length / ei), abs=1e-9)
         k = moment / ei
-        np.testing.assert_allclose(sol.x, np.sin(k * sol.s) / k, rtol=0, atol=5e-9)
-        np.testing.assert_allclose(sol.z, (1.0 - np.cos(k * sol.s)) / k, rtol=0, atol=5e-9)
+        s, x, z = sol.stations[:, 0], sol.stations[:, 1], sol.stations[:, 2]
+        np.testing.assert_allclose(x, np.sin(k * s) / k, rtol=0, atol=5e-9)
+        np.testing.assert_allclose(z, (1.0 - np.cos(k * s)) / k, rtol=0, atol=5e-9)
 
 
 class TestSymmetry:
@@ -141,16 +142,16 @@ class TestSymmetry:
         up = LoadCase(thrust=0, gravity=-9.81, tendon_tension=4.0, tendon_eccentricity=-0.01)
         a = solve_elastica(geom, E_SOFT, down)
         b = solve_elastica(geom, E_SOFT, up)
-        np.testing.assert_allclose(b.z, -a.z, atol=1e-9)
-        np.testing.assert_allclose(b.theta, -a.theta, atol=1e-9)
-        np.testing.assert_allclose(b.x, a.x, atol=1e-9)
+        np.testing.assert_allclose(b.stations[:, 2], -a.stations[:, 2], atol=1e-9)
+        np.testing.assert_allclose(b.stations[:, 3], -a.stations[:, 3], atol=1e-9)
+        np.testing.assert_allclose(b.stations[:, 1], a.stations[:, 1], atol=1e-9)
 
     def test_shape_depends_on_load_over_stiffness_only(self):
         geom = uniform_arm(inertia=2e-10)
         a = solve_elastica(geom, E_SOFT, LoadCase(thrust=0.02, gravity=0))
         b = solve_elastica(geom, 10 * E_SOFT, LoadCase(thrust=0.2, gravity=0))
-        np.testing.assert_allclose(b.z, a.z, atol=1e-9)
-        np.testing.assert_allclose(b.theta, a.theta, atol=1e-9)
+        np.testing.assert_allclose(b.stations[:, 2], a.stations[:, 2], atol=1e-9)
+        np.testing.assert_allclose(b.stations[:, 3], a.stations[:, 3], atol=1e-9)
 
 
 class TestMaxStress:
@@ -205,7 +206,7 @@ class TestMaterialHandling:
     def test_negative_modulus_rejected(self):
         geom = uniform_arm()
         rho10 = MooneyRivlinParams(-4.51, 4.16, 0.76, -2.75, 4.89)
-        with pytest.raises(NonPhysicalMaterial):
+        with pytest.warns(NonPhysicalWarning), pytest.raises(NonPhysicalMaterial):
             solve_elastica(geom, rho10, LoadCase())
 
     def test_mr_params_use_small_strain_modulus(self):
@@ -259,7 +260,7 @@ class TestGeometryValidation:
         geom = fold_arm(droop=2.0, motor=0.83)
         sol = solve_elastica(geom, E_SOFT, LoadCase(thrust=1.0))
         assert isinstance(sol, BeamSolution)
-        assert np.all(np.diff(sol.s) >= 0)
+        assert np.all(np.diff(sol.stations[:, 0]) >= 0)
 
 
     @pytest.mark.parametrize("load", [1.0, 3.0, 10.0])
@@ -361,7 +362,7 @@ class TestSolverCounters:
                              SolverSettings(integration_steps=64))
         assert sol.mesh_steps == 2 * PREDICTOR_STEPS
         assert sol.steps == mesh_steps(PREDICTOR_STEPS) + mesh_steps(2 * PREDICTOR_STEPS)
-        assert len(sol.s) - 1 == mesh_steps(64)
+        assert len(sol.stations) - 1 == mesh_steps(64)
 
     def test_a_tolerance_below_the_mesh_error_climbs_to_the_top_rung(self):
         # At 1e-14 rad no rung's first march meets the tolerance, so the
@@ -449,7 +450,7 @@ class TestSolutionArrays:
         assert sol.stations.shape == stations.shape
         assert sol.stations.tobytes() == stations.tobytes()
         assert sol.moments.tobytes() == rows[:, 4].copy().tobytes()
-        assert sol.tip_angle_deg == math.degrees(sol.theta[-1])
+        assert sol.tip_angle_deg == math.degrees(sol.stations[-1, 3])
 
     def test_repeated_access_returns_the_same_array(self, sol):
         assert sol.stations is sol.stations

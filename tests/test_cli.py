@@ -868,6 +868,54 @@ class TestParseBoundary:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("softarm: input error: ")
 
+    @pytest.mark.parametrize(
+        "argv,section,key,value,message",
+        [
+            (["analyze"], "propeller", "nominal_rpm", 5e-324,
+             "nominal thrust 4.905 N at nominal rpm 5e-324: rpm**2 is out of float range"),
+            (["analyze"], "propeller", "nominal_rpm", 1e-160,
+             "nominal rpm 1e-160: thrust_coefficient must be finite, got inf"),
+            (["analyze"], "propeller", "nominal_rpm", 1e200,
+             "nominal rpm 1e+200: rpm**2 is out of float range"),
+            (["analyze"], "propeller", "max_rpm", 1e200, "rpm 9.999999999999999e+198 is out of"),
+            (["sweep", "--axis", "arm_angle", "--rpm", "1e200"], None, None, None,
+             "rpm 1e+200 is out of range: rpm**2 overflows"),
+            (["pipe-fit", "--diameter", "0.2", "--contact-width", "5e-324"], None, None, None,
+             "contact patch 5e-324 m x 0.17500000000000002 m has no area"),
+            (["sweep", "--axis", "infill", "--contact-width", "5e-324"], None, None, None,
+             "contact patch 5e-324 m x 0.17500000000000002 m has no area"),
+            (["pipe-fit", "--diameter", "0.2", "--contact-width", "1e-310"], None, None, None,
+             "tendon_force 12.0 N on the 1e-310 m x 0.17500000000000002 m contact patch"),
+            (["deflect", "--rho", "6"], "coeffs", "a1", -1e308,
+             "(a1=-1e+308, a2=-0.1997, b1=-0.162, b2=0.0151, alpha0=0.0) overflow at "
+             "infill 6.0% and throttle 10.0"),
+            (["deflect", "--rho", "6", "--throttle-pct", "50"], "coeffs", "a1", -1e308,
+             "(a1=-1e+308, a2=-0.1997, b1=-0.162, b2=0.0151, alpha0=0.0) overflow at "
+             "infill 6.0% and throttle 5.0"),
+        ],
+        ids=["nominal_rpm-5e-324", "nominal_rpm-1e-160", "nominal_rpm-1e200", "max_rpm-1e200",
+             "sweep-arm_angle-rpm", "pipe-fit-area-underflow", "sweep-infill-area-underflow",
+             "pipe-fit-pressure-overflow", "deflect-envelope", "deflect-throttle"],
+    )
+    def test_out_of_float_range_input_is_named(self, argv, section, key, value, message,
+                                              tmp_path, capsys):
+        # Each of these once ended in a traceback, blamed a derived value or
+        # named no input at all.
+        if section == "coeffs":
+            coeffs = json.loads((default_data_dir() / "deflection_coeffs.json").read_text())
+            coeffs[key] = value
+            (tmp_path / "coeffs.json").write_text(json.dumps(coeffs))
+            argv = [*argv, "--coeffs", str(tmp_path / "coeffs.json")]
+        elif section:
+            config = shipped_config()
+            config[section][key] = value
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("softarm: input error: ")
+        assert message in captured.err
+
     def test_json_null_for_a_number_exits_2(self, tmp_path, capsys):
         geometry = json.loads((default_data_dir() / "arm_geometry.json").read_text())
         geometry["half_depth_m"] = None

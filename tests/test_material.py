@@ -152,6 +152,14 @@ class TestUniaxialStress:
         with pytest.raises(InvalidStretch):
             mr_uniaxial_stress(RHO6, 0.0)
 
+    def test_agrees_with_the_energy_partials(self):
+        # The stress weights the unit-coefficient terms; the partials give
+        # P = 2 (l - l^-2) (W1 + W2 / l) another way, to rounding.
+        for lam in map(float, np.linspace(0.5, 2.0, 301)):
+            dw1, dw2 = mr_energy_partials(RHO6, uniaxial_invariants(lam))
+            expected = 2.0 * (lam - lam**-2) * (dw1 + dw2 / lam)
+            assert abs(mr_uniaxial_stress(RHO6, lam) - expected) <= 1e-14 * abs(expected)
+
 
 class TestGradients:
     def test_partials_match_finite_differences(self):

@@ -1,6 +1,6 @@
 """Start-up path of the command line: every command but `fit-material` runs
-without importing numpy, and no command imports the standard-library
-machinery it does not run.
+without importing numpy, as does the Mooney-Rivlin stress law, and no
+command imports the standard-library machinery it does not run.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already. The child imports the same softarm as this process
@@ -46,14 +46,24 @@ NUMPY_FREE = {
 }
 
 
-def run_child(argv, flags=()):
-    """(exit code, imported module names, stdout) of cli.main(argv) in a
-    fresh interpreter, started with the given flags, that imports softarm
-    from where this process did."""
+#: Prints the shipped 6% row's uniaxial stress at stretch 1.1, and reports
+#: as CHILD does.
+STRESS_CHILD = """\
+import json, sys
+from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
+print(repr(mr_uniaxial_stress(MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37), 1.1)))
+print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+
+def run_child(argv, flags=(), child=CHILD):
+    """(exit code, imported module names, stdout) of cli.main(argv), or of
+    another child script, in a fresh interpreter, started with the given
+    flags, that imports softarm from where this process did."""
     env = dict(os.environ)
     package_root = str(Path(softarm.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", CHILD, *argv], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", child, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     status = json.loads(proc.stderr.splitlines()[-1])
     return status["code"], set(status["modules"]), proc.stdout
@@ -82,6 +92,12 @@ def test_command_imports_no_unused_machinery(argv, expected):
     code, modules, _ = run_child(argv, flags=["-S"])
     assert code == 0
     assert modules & MACHINERY == expected
+
+
+def test_stress_law_does_not_import_numpy():
+    _, modules, out = run_child([], child=STRESS_CHILD)
+    assert "numpy" not in modules
+    assert float(out) == mr_uniaxial_stress(MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37), 1.1)
 
 
 def test_fit_material_still_fits(tmp_path):
