@@ -4,11 +4,10 @@ and the measured bendability/adherence thresholds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .beam import ArmGeometry
 from .deflection import DeflectionModelCoeffs, envelope_check, require_infill
-from .errors import ChordTooLong, EmptyRange, ZeroArea, require_finite
+from .errors import ChordTooLong, EmptyRange, ZeroArea, _Record, require_finite
 
 #: Above this infill rate [%] the arm is too rigid to wrap a pipe.
 BENDABLE_INFILL_MAX_PCT = 15.0
@@ -17,20 +16,17 @@ BENDABLE_INFILL_MAX_PCT = 15.0
 ATTACH_PRESSURE_MIN = 1000.0
 
 
-@dataclass(frozen=True)
-class PipeSpec:
+class PipeSpec(_Record, finite=True):
     """Target pipe, characterized by its outer diameter [m]."""
 
     diameter: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
         if self.diameter <= 0:
             raise ValueError("diameter must be > 0")
 
 
-@dataclass(frozen=True)
-class WrapResult:
+class WrapResult(_Record):
     total_turning: float
     per_segment_subtended: tuple[float, ...]
     coverage_ratio: float
@@ -42,8 +38,7 @@ class WrapResult:
             raise ValueError("coverage_ratio must be <= 1")
 
 
-@dataclass(frozen=True)
-class AttachmentVerdict:
+class AttachmentVerdict(_Record):
     bendable: bool
     pressure: float
     attached: bool

@@ -8,9 +8,8 @@ surrogate with an interior optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import CalibrationFailure, require_finite
+from .errors import CalibrationFailure, _Record, require_finite
 
 #: Normalized motor position x/c with the best simulated thrust efficiency.
 OPTIMUM_MOTOR_STATION = 0.83
@@ -19,8 +18,7 @@ OPTIMUM_MOTOR_STATION = 0.83
 EFFICIENCY_ANGLE_LIMIT_DEG = 20.0
 
 
-@dataclass(frozen=True)
-class EfficiencyTable:
+class EfficiencyTable(_Record):
     """Thrust efficiency eta versus rotational speed; non-empty, strictly increasing rpm."""
 
     rows: tuple[tuple[float, float], ...]
@@ -37,14 +35,12 @@ class EfficiencyTable:
             raise ValueError("eta values must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class PropellerModel:
+class PropellerModel(_Record, finite=True):
     """Quadratic thrust law T = k_t * rpm^2."""
 
     thrust_coefficient: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
         if self.thrust_coefficient <= 0:
             raise ValueError("thrust_coefficient must be > 0")
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .errors import NoConvergence, NonPhysicalMaterial, require_finite
+from .errors import NoConvergence, NonPhysicalMaterial, _Record, require_finite
 from .material import MooneyRivlinParams, mr_small_strain_modulus
 
 GRAVITY = 9.81
@@ -30,15 +30,13 @@ PREDICTOR_STEPS = 8  # RK4 steps per segment length of the ladder's first rung
 SHOOTING_MARCHES = 40  # marches per rung before the shooting gives up
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Record, finite=True):
     """One fold of the arm's lower surface: inclination [deg] and length [m]."""
 
     fold_angle_deg: float
     length: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
         if self.length <= 0:
             raise ValueError("segment length must be > 0")
 
@@ -48,7 +46,8 @@ class ArmGeometry:
     """Segmented arm geometry.
 
     section_inertia: second moment of area per segment [m^4] (piecewise
-    constant along the arc length). motor_station is the normalized
+    constant along the arc length). initial_droop_deg: the root's angle
+    below horizontal [deg], in (-90, 90). motor_station is the normalized
     position x/c of the motor in (0, 1].
     """
 
@@ -71,6 +70,9 @@ class ArmGeometry:
             raise ValueError("section inertia must be > 0")
         if not 0.0 < self.motor_station <= 1.0:
             raise ValueError("motor_station must be in (0, 1]")
+        if not -90.0 < self.initial_droop_deg < 90.0:
+            raise ValueError(
+                f"initial_droop_deg must be in (-90, 90), got {self.initial_droop_deg}")
         if self.section_half_depth <= 0:
             raise ValueError("section_half_depth must be > 0")
         if self.linear_density < 0:
@@ -101,8 +103,7 @@ class ArmGeometry:
         return self.section_inertia[-1]
 
 
-@dataclass(frozen=True)
-class LoadCase:
+class LoadCase(_Record):
     """External loads on the arm.
 
     thrust: follower force [N] normal to the local tangent at the motor
@@ -127,8 +128,7 @@ class LoadCase:
             raise ValueError("tendon_tension must be >= 0")
 
 
-@dataclass(frozen=True)
-class SolverSettings:
+class SolverSettings(_Record, finite=True):
     """Solver knobs. integration_steps is the number of RK4 steps per
     segment length of the mesh of the returned shape and of the ladder's
     top rung. shooting_tolerance bounds the root-angle defect [rad] of the
@@ -138,15 +138,13 @@ class SolverSettings:
     shooting_tolerance: float = 1e-9
 
     def __post_init__(self):
-        require_finite(**vars(self))
         if self.integration_steps < 16:
             raise ValueError("integration_steps must be >= 16")
         if self.shooting_tolerance <= 0:
             raise ValueError("shooting_tolerance must be > 0")
 
 
-@dataclass(frozen=True)
-class BeamSolution:
+class BeamSolution(_Record, hidden=("plan",)):
     """Solved centerline shape and bending moments.
 
     history: the rows (s, x, z, theta, M) of the march on the
@@ -170,7 +168,7 @@ class BeamSolution:
     integrations: int
     steps: int
     mesh_steps: int
-    plan: tuple = field(repr=False, compare=False)
+    plan: tuple
     contact_expected: bool = False
 
     @cached_property
@@ -442,5 +440,5 @@ def tendon_bend(geometry: ArmGeometry, material, tension: float,
     solution = solve_elastica(geometry, material, loads)
     turning = abs(solution.tip_angle_deg + geometry.initial_droop_deg)
     if turning > geometry.total_turning_deg + 90.0:
-        solution = replace(solution, contact_expected=True)
+        solution = solution.replace(contact_expected=True)
     return solution

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import hashlib
 import io as _stdio
@@ -146,7 +145,7 @@ def _check_keys(obj: dict, expected, path: Path, prefix: str = "") -> None:
 def _material_block(params: material.MooneyRivlinParams) -> dict:
     """Mooney-Rivlin coefficients and small-strain modulus [MPa], which warns if not positive."""
     return {
-        "mooney_rivlin": {"unit": "MPa", **dataclasses.asdict(params)},
+        "mooney_rivlin": {"unit": "MPa", **params.asdict()},
         "small_strain_modulus_mpa": material.mr_small_strain_modulus(params),
     }
 
@@ -241,6 +240,10 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     require_finite(max_rpm=max_rpm)  # the sweep's arithmetic would take true as 1
     if max_rpm <= 0:
         raise ParseError(f"propeller.max_rpm must be > 0, got {max_rpm}", path=str(args.config))
+    try:  # the sweep's top speed; each lower one is then in range too
+        aero.thrust_from_rpm(propeller, max_rpm)
+    except ValueError as exc:
+        raise ParseError(f"propeller.max_rpm: {exc}", path=str(args.config)) from None
 
     # Thrust/deflection sweep over the throttle grid.
     sweep_rows = []
@@ -318,7 +321,7 @@ def cmd_deflect(args) -> tuple[dict, dict]:
     inputs: dict = {}
     coeffs = _read_input(inputs, "deflection_coeffs", sio.read_deflection_coeffs_json, args.coeffs)
     if args.alpha0 is not None:
-        coeffs = dataclasses.replace(coeffs, alpha0=args.alpha0)
+        coeffs = coeffs.replace(alpha0=args.alpha0)
     results: dict = {"deflection": {"rho_pct": args.rho}}
     if args.throttle_pct is not None:
         t = args.throttle_pct * deflection.THROTTLE_UNIT_PER_PCT

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .errors import OutOfEnvelopeWarning, RankDeficient, require_finite
+from .errors import OutOfEnvelopeWarning, RankDeficient, _Record, require_finite
 from .material import least_squares
 
 #: Throttle units per percent throttle.
@@ -41,8 +40,7 @@ def require_infill(**values) -> None:
             raise ValueError(f"{name} must be in (0, 100), got {value}")
 
 
-@dataclass(frozen=True)
-class DeflectionModelCoeffs:
+class DeflectionModelCoeffs(_Record, finite=True):
     """Quadratic model coefficients; a1/b1 in deg per T (resp. T^2), a2/b2
     additionally per percent infill. alpha0 is the unpowered droop [deg]."""
 
@@ -52,12 +50,8 @@ class DeflectionModelCoeffs:
     b2: float
     alpha0: float = 0.0
 
-    def __post_init__(self):
-        require_finite(**vars(self))
 
-
-@dataclass(frozen=True)
-class DeflectionSample:
+class DeflectionSample(_Record, finite=True):
     """One measured operating point: infill [%], throttle [T], angle [deg]."""
 
     infill_rate: float
@@ -65,14 +59,12 @@ class DeflectionSample:
     angle: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
         if self.throttle < 0:
             raise ValueError("throttle must be >= 0")
         require_infill(infill_rate=self.infill_rate)
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(_Record):
     max_abs_deflection: float
     worst_throttle: float
     nonlinear_flag: bool

@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the toolkit, and the
-finiteness check of the library's numeric arguments and dataclass fields."""
+"""Exception and warning types shared across the toolkit, the finiteness
+check of the library's numeric arguments and record fields, and the base of
+the frozen records."""
 
 import math
 
@@ -7,8 +8,8 @@ import math
 def require_finite(**values) -> None:
     """Raise ValueError naming the first argument that is NaN, infinite or
     not a number (a JSON null or boolean, say). A tuple is checked number
-    by number, nested tuples included; a frozen dataclass of numbers checks
-    itself with require_finite(**vars(self))."""
+    by number, nested tuples included; the frozen records check their fields
+    with it."""
     for name, value in values.items():
         if not _all_finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -21,6 +22,78 @@ def _all_finite(value) -> bool:
         return not isinstance(value, bool) and math.isfinite(value)
     except TypeError:
         return False
+
+
+class _Record:
+    """Base of the frozen records, in place of @dataclass(frozen=True), which
+    compiles six methods per class at import. The fields are the class's own
+    annotations, in order, a class attribute of the same name the default.
+    They bind as a dataclass's do, into __dict__ in field order; then, with
+    the class keyword finite=True, require_finite checks them all, and then
+    __post_init__ runs. Those named in the class keyword `hidden` stay out of
+    repr, == and hash. replace(**changes) builds a changed copy; asdict is
+    shallow."""
+
+    def __init_subclass__(cls, hidden=(), finite=False):
+        fields = cls._fields = tuple(cls.__annotations__)
+        size = len(fields)
+        cls._shown = tuple(name for name in fields if name not in hidden)
+        template = {name: vars(cls).get(name) for name in fields}
+        # After n positional arguments: how many fields without a default are
+        # left, and which fields with one.
+        needs = [sum(f not in vars(cls) for f in fields[n:]) for n in range(size + 1)]
+        optional = [[f for f in fields[n:] if f in vars(cls)] for n in range(size + 1)]
+        post_init = getattr(cls, "__post_init__", None)
+
+        def __init__(self, *args, **kwargs):
+            values, n = self.__dict__, len(args)
+            values.update(template)
+            if n:
+                for name, value in zip(fields, args):
+                    values[name] = value
+            values.update(kwargs)
+            # Too many positions, an unknown keyword (the dict grows), a repeat;
+            # else each keyword names a field after the n-th: count the required.
+            bad = n > size or len(values) > size or (
+                n and kwargs and not kwargs.keys().isdisjoint(fields[:n]))
+            if not bad and needs[n]:
+                given = len(kwargs)
+                for name in optional[n]:
+                    given -= name in kwargs
+                bad = given < needs[n]
+            if bad:
+                raise TypeError(f"{cls.__name__}() takes each of {fields} once, those without a "
+                                f"default too, not {n} positional arguments and {tuple(kwargs)}")
+            if finite:
+                require_finite(**values)
+            if post_init:
+                post_init(self)
+
+        cls.__init__ = __init__
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._shown)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        return type(self)(**{**self.asdict(), **changes})
+
+    def asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class SoftarmError(Exception):

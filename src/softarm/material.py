@@ -15,13 +15,13 @@ coefficients and everything derived directly from them, which are in MPa
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateData,
     InvalidStretch,
     NonPhysicalWarning,
     RankDeficient,
+    _Record,
     require_finite,
 )
 
@@ -29,8 +29,7 @@ from .errors import (
 COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class FlexuralSample:
+class FlexuralSample(_Record, finite=True):
     """One point of a cantilever bending test: applied tip force [N] and
     measured tip deflection [m]."""
 
@@ -38,13 +37,11 @@ class FlexuralSample:
     tip_deflection: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
         if self.force < 0:
             raise ValueError(f"force must be >= 0, got {self.force}")
 
 
-@dataclass(frozen=True)
-class StressStrainCurve:
+class StressStrainCurve(_Record):
     """Uniaxial engineering stress-strain samples for one printed specimen.
 
     samples: ordered (strain [-], stress [Pa]) pairs, strictly increasing
@@ -77,8 +74,7 @@ class StressStrainCurve:
         return np.array([p for _, p in self.samples])
 
 
-@dataclass(frozen=True)
-class MooneyRivlinParams:
+class MooneyRivlinParams(_Record, finite=True):
     """Five-term hyperelastic coefficients, all in MPa."""
 
     c10: float
@@ -87,24 +83,19 @@ class MooneyRivlinParams:
     c02: float
     c11: float
 
-    def __post_init__(self):
-        require_finite(**vars(self))
-
     def as_array(self) -> np.ndarray:
         import numpy as np
 
         return np.array([self.c10, self.c01, self.c20, self.c02, self.c11])
 
 
-@dataclass(frozen=True)
-class UniaxialInvariants:
+class UniaxialInvariants(_Record, finite=True):
     """First and second deformation invariants; both equal 3 when undeformed."""
 
     i1: float
     i2: float
 
     def __post_init__(self):
-        require_finite(**vars(self))
         if self.i1 < 3.0 - 1e-12 or self.i2 < 3.0 - 1e-12:
             raise ValueError("invariants must be >= 3")
 
@@ -137,7 +128,13 @@ def fit_flexural_modulus(
     slope = float(forces @ defl) / denom
     if slope <= 0:
         raise DegenerateData(f"non-positive force/deflection slope {slope}")
-    return slope * length**3 / (3.0 * section_inertia)
+    try:  # length**3 may overflow, or the quotient
+        modulus = slope * length**3 / (3.0 * section_inertia)
+        require_finite(modulus=modulus)
+    except (OverflowError, ValueError):
+        raise ValueError(f"length {length} m and section_inertia {section_inertia} m^4 give a "
+                         "flexural modulus out of float range") from None
+    return modulus
 
 
 def _invariants(lam):

@@ -1,6 +1,6 @@
 """Elastica solver: linear limit, closed-form arc, equilibrium, symmetry, stress
 location, robustness at large rotation, solver counters and input validation
-(the non-finite cases cover the validated input dataclasses of every module)."""
+(the non-finite cases cover the validated input records of every module)."""
 
 import hashlib
 import math
@@ -241,6 +241,13 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             uniform_arm(motor=1.5)
 
+    @pytest.mark.parametrize("droop", [-1e6, -90.0, 90.0, 5000.0, 1e6])
+    def test_droop_range(self, droop):
+        # At +/-90 deg or beyond, the unloaded arm no longer points outward.
+        with pytest.raises(ValueError, match=r"initial_droop_deg must be in \(-90, 90\)"):
+            uniform_arm(droop=droop)
+        uniform_arm(droop=math.copysign(89.9, droop))  # just inside is an arm
+
     def test_sums_add_left_to_right(self):
         # sum() compensates floats from Python 3.12 on; the arm length and the
         # turning budget must not depend on the interpreter.
@@ -457,7 +464,7 @@ class TestSolutionArrays:
         assert sol.moments is sol.moments
 
     def test_replaced_solution_keeps_its_arrays(self, sol):
-        flagged = replace(sol, contact_expected=True)  # as tendon_bend does
+        flagged = sol.replace(contact_expected=True)  # as tendon_bend does
         assert flagged.contact_expected
         assert np.array_equal(flagged.stations, sol.stations)
         assert np.array_equal(flagged.moments, sol.moments)
@@ -582,7 +589,7 @@ class TestLoadLayout:
 
     def test_moment_at_the_root_is_absorbed_by_the_clamp(self):
         loads = LoadCase(thrust=1.0)
-        at_root = replace(loads, point_moments=((0.0, 0.3),))
+        at_root = loads.replace(point_moments=((0.0, 0.3),))
         assert self.march_bytes(SHIPPED_ARM, at_root) == self.march_bytes(SHIPPED_ARM, loads)
 
 
@@ -637,7 +644,7 @@ class TestShapeDigests:
 )
 def test_design_range_converges(e_modulus, station, thrust, steps):
     geom = replace(SHIPPED_ARM, motor_station=station)
-    settings = replace(CLI_SETTINGS, integration_steps=steps)
+    settings = CLI_SETTINGS.replace(integration_steps=steps)
     sol = solve_elastica(geom, e_modulus, LoadCase(thrust=thrust), settings)
     assert sol.residual <= settings.shooting_tolerance
     assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg

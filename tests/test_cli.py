@@ -877,7 +877,11 @@ class TestParseBoundary:
              "nominal rpm 1e-160: thrust_coefficient must be finite, got inf"),
             (["analyze"], "propeller", "nominal_rpm", 1e200,
              "nominal rpm 1e+200: rpm**2 is out of float range"),
-            (["analyze"], "propeller", "max_rpm", 1e200, "rpm 9.999999999999999e+198 is out of"),
+            (["analyze"], "propeller", "max_rpm", 1e200,
+             "propeller.max_rpm: rpm 1e+200 is out of range: rpm**2 overflows"),
+            (["fit-material", "--flexural", "FLEX", "--length", "1e120", "--inertia", "1e-10"],
+             None, None, None,
+             "length 1e+120 m and section_inertia 1e-10 m^4 give a flexural modulus out of float"),
             (["sweep", "--axis", "arm_angle", "--rpm", "1e200"], None, None, None,
              "rpm 1e+200 is out of range: rpm**2 overflows"),
             (["pipe-fit", "--diameter", "0.2", "--contact-width", "5e-324"], None, None, None,
@@ -894,13 +898,16 @@ class TestParseBoundary:
              "infill 6.0% and throttle 5.0"),
         ],
         ids=["nominal_rpm-5e-324", "nominal_rpm-1e-160", "nominal_rpm-1e200", "max_rpm-1e200",
-             "sweep-arm_angle-rpm", "pipe-fit-area-underflow", "sweep-infill-area-underflow",
+             "fit-material-length", "sweep-arm_angle-rpm", "pipe-fit-area-underflow", "sweep-infill-area-underflow",
              "pipe-fit-pressure-overflow", "deflect-envelope", "deflect-throttle"],
     )
     def test_out_of_float_range_input_is_named(self, argv, section, key, value, message,
                                               tmp_path, capsys):
         # Each of these once ended in a traceback, blamed a derived value or
         # named no input at all.
+        flexural = tmp_path / "flex.csv"
+        flexural.write_text("force_n,deflection_m\n0.1,0.001\n0.2,0.002\n")
+        argv = [str(flexural) if a == "FLEX" else a for a in argv]
         if section == "coeffs":
             coeffs = json.loads((default_data_dir() / "deflection_coeffs.json").read_text())
             coeffs[key] = value
@@ -915,6 +922,20 @@ class TestParseBoundary:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("softarm: input error: ")
         assert message in captured.err
+
+    @pytest.mark.parametrize("droop", [5000, 1e6, -90])
+    def test_droop_out_of_range_exits_2(self, droop, tmp_path, capsys):
+        # These once exited 0; 5000 reported -5000.2 deg at 0% throttle.
+        config = shipped_config()
+        geometry = json.loads(Path(config["geometry"]).read_text())
+        geometry["alpha0_deg"] = droop
+        config["geometry"] = str(tmp_path / "geometry.json")
+        Path(config["geometry"]).write_text(json.dumps(geometry))
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.endswith(
+            f"bad geometry: initial_droop_deg must be in (-90, 90), got {droop}\n")
 
     def test_json_null_for_a_number_exits_2(self, tmp_path, capsys):
         geometry = json.loads((default_data_dir() / "arm_geometry.json").read_text())

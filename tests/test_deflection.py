@@ -1,7 +1,5 @@
 """Quadratic throttle-deflection model: evaluation, fitting, envelope."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,11 +39,11 @@ class TestEvalDeflection:
         assert eval_deflection(MEASURED, 8.0, 5.0) == pytest.approx(a, rel=1e-12)
 
     def test_droop_at_zero_throttle(self):
-        coeffs = dataclasses.replace(MEASURED, alpha0=-5.0)
+        coeffs = MEASURED.replace(alpha0=-5.0)
         assert eval_deflection(coeffs, 6.0, 0.0) == -5.0
 
     def test_alpha0_is_additive(self):
-        shifted = dataclasses.replace(MEASURED, alpha0=2.5)
+        shifted = MEASURED.replace(alpha0=2.5)
         a = eval_deflection(MEASURED, 6.0, 4.0)
         b = eval_deflection(shifted, 6.0, 4.0)
         assert b - a == pytest.approx(2.5, rel=1e-12)
@@ -77,7 +75,7 @@ class TestFit:
             )
 
     def test_round_trip_with_droop(self):
-        base = dataclasses.replace(MEASURED, alpha0=-4.0)
+        base = MEASURED.replace(alpha0=-4.0)
         fitted = fit_deflection_coeffs(quad_samples(base), alpha0=-4.0)
         assert fitted.a1 == pytest.approx(base.a1, abs=1e-8)
         assert fitted.alpha0 == -4.0
@@ -155,7 +153,7 @@ class TestEnvelope:
 
     def test_droop_excluded_from_deviation(self):
         a = envelope_check(MEASURED, 6.0)
-        b = envelope_check(dataclasses.replace(MEASURED, alpha0=-8.0), 6.0)
+        b = envelope_check(MEASURED.replace(alpha0=-8.0), 6.0)
         assert b.max_abs_deflection == pytest.approx(a.max_abs_deflection, rel=1e-12)
 
     def test_bound_threshold(self):

@@ -1,6 +1,7 @@
 """Start-up path of the command line: every command but `fit-material` runs
-without importing numpy, as does the Mooney-Rivlin stress law, and no
-command imports the standard-library machinery it does not run.
+without importing numpy, as does the Mooney-Rivlin stress law, no command
+imports the standard-library machinery it does not run, and the records
+but one are built without dataclasses.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already. The child imports the same softarm as this process
@@ -56,6 +57,24 @@ print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
 
+#: Prints the modules that importing softarm.errors adds, then the softarm
+#: classes that are dataclasses once softarm.cli is imported, and reports as
+#: CHILD does.
+RECORDS_CHILD = """\
+import json, sys
+before = set(sys.modules)
+import softarm.errors
+added = sorted(set(sys.modules) - before)
+import softarm.cli
+print(json.dumps({"errors_imports": added, "dataclasses": sorted(
+    f"{cls.__module__}.{cls.__qualname__}"
+    for name, module in list(sys.modules.items()) if name.startswith("softarm")
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls))}))
+print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+
 def run_child(argv, flags=(), child=CHILD):
     """(exit code, imported module names, stdout) of cli.main(argv), or of
     another child script, in a fresh interpreter, started with the given
@@ -98,6 +117,18 @@ def test_stress_law_does_not_import_numpy():
     _, modules, out = run_child([], child=STRESS_CHILD)
     assert "numpy" not in modules
     assert float(out) == mr_uniaxial_stress(MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37), 1.1)
+
+
+def test_records_are_built_without_dataclasses():
+    # A frozen dataclass compiles its generated methods when its module is
+    # imported; the records derive from errors._Record instead. ArmGeometry
+    # stays a dataclass only because the benchmark calls dataclasses.replace
+    # on it (perfbench/workloads.py and perfbench/make_reference.py), so
+    # beam still imports dataclasses; port those two calls to drop it.
+    _, _, out = run_child([], flags=["-S"], child=RECORDS_CHILD)
+    found = json.loads(out)
+    assert found["dataclasses"] == ["softarm.beam.ArmGeometry"]
+    assert set(found["errors_imports"]) <= {"softarm", "softarm.errors", "math"}
 
 
 def test_fit_material_still_fits(tmp_path):
