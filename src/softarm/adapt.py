@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 
 from .beam import ArmGeometry
-from .deflection import DeflectionModelCoeffs, envelope_check, require_infill
+from .deflection import (DEFLECTION_BOUND_DEG, NONLINEAR_INFILL_PCT, DeflectionModelCoeffs,
+                         _peak, require_infill)
 from .errors import ChordTooLong, EmptyRange, ZeroArea, _Record, require_finite
 
 #: Above this infill rate [%] the arm is too rigid to wrap a pipe.
@@ -113,11 +114,10 @@ def recommend_infill(coeffs: DeflectionModelCoeffs) -> tuple[float, float]:
     For the measured deflection coefficients the returned range contains
     [6, 8].
     """
-    feasible = []
-    for rho in (4.0 + 0.5 * i for i in range(23)):
-        report = envelope_check(coeffs, rho)
-        if report.passes_14deg and not report.nonlinear_flag and rho < BENDABLE_INFILL_MAX_PCT:
-            feasible.append(rho)
+    # Every row is checked in turn, so the first whose deflection overflows raises.
+    feasible = [rho for rho in (4.0 + 0.5 * i for i in range(23))
+                if _peak(coeffs, rho)[0] < DEFLECTION_BOUND_DEG
+                and NONLINEAR_INFILL_PCT <= rho < BENDABLE_INFILL_MAX_PCT]
     if not feasible:
         raise EmptyRange("no infill rate satisfies all feasibility constraints")
-    return min(feasible), max(feasible)
+    return feasible[0], feasible[-1]

@@ -218,9 +218,9 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
     motor station. A moment at s = 0 ends no panel; the clamp absorbs it.
     Every mesh has the same cuts, so the marches on any two meshes meet at
     the same stations."""
-    length = geometry.total_length
-    s_motor = geometry.motor_station * length
     bounds = geometry.segment_bounds
+    length = bounds[-1]
+    s_motor = geometry.motor_station * length
     jumps: dict[float, float] = {}
     if loads.tendon_tension > 0 and loads.tendon_eccentricity != 0:
         m_tendon = -loads.tendon_tension * loads.tendon_eccentricity
@@ -233,9 +233,15 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
         jumps[s_f] = jumps.get(s_f, 0.0) + m
     cuts = sorted(set(bounds) | {s_motor} | set(jumps))
     seg_len = length / len(geometry.segments)
-    # Panels never cross a segment boundary, so inertia is constant on each.
-    return [(a, b, e_modulus * geometry.inertia_at(0.5 * (a + b)), seg_len, jumps.get(b),
-             b == s_motor) for a, b in zip(cuts[:-1], cuts[1:])]
+    # Panels never cross a segment boundary, so inertia is constant on each:
+    # that of segment i, the first whose end lies past the midpoint (inertia_at).
+    inertia = geometry.section_inertia
+    last, i, plan = len(inertia) - 1, 0, []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        while i < last and not 0.5 * (a + b) < bounds[i + 1]:
+            i += 1
+        plan.append((a, b, e_modulus * inertia[i], seg_len, jumps.get(b), b == s_motor))
+    return plan
 
 
 def _mesh(plan, steps: int):

@@ -9,6 +9,7 @@ infill rate in percent and T the throttle in tens-of-percent units
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 from .errors import OutOfEnvelopeWarning, RankDeficient, _Record, require_finite
@@ -120,24 +121,56 @@ def fit_deflection_coeffs(
     return DeflectionModelCoeffs(*coeffs, alpha0=alpha0)
 
 
-def envelope_check(coeffs: DeflectionModelCoeffs, infill: float) -> EnvelopeReport:
-    """Scan |alpha(T) - alpha0| over THROTTLE_GRID and report the worst case,
-    the first maximum as np.argmax finds it, against DEFLECTION_BOUND_DEG."""
-    require_finite(infill=infill)
-    require_infill(infill=infill)
+def _peak(coeffs: DeflectionModelCoeffs, infill: float) -> tuple[float, int]:
+    """The largest |alpha(T) - alpha0| on THROTTLE_GRID and the first index
+    reaching it, bit for bit as np.argmax finds them on the whole grid, from
+    T = 10 and the six points around the vertex -a/(2b) (T = 0 gives 0).
+    Once a coefficient is a normal float, rounding moves each value by under
+    1e-15 of the grid's largest term, and a point two steps from the vertex
+    lies at least 1e-4 of it below one of those; smaller coefficients round
+    to multiples of 5e-324, so the whole grid is scanned. Raises ValueError
+    when T = 10 overflows; then every point does."""
+    grid = THROTTLE_GRID
     a_lin = coeffs.a1 + infill * coeffs.a2
     b_quad = coeffs.b1 + infill * coeffs.b2
-    worst_dev = worst_t = -1.0
-    for t in THROTTLE_GRID:
-        dev = abs(a_lin * t + b_quad * (t * t))  # numpy's grid**2 multiplies too
-        if dev > worst_dev:
-            worst_dev, worst_t = dev, t
+    t = grid[100]
+    last = abs(a_lin * t + b_quad * (t * t))  # numpy's grid**2 multiplies too
     # Both terms grow in magnitude with T, so every point is finite when the last is.
-    if not math.isfinite(dev):
+    if not math.isfinite(last):
         raise ValueError(f"{coeffs} overflow at infill {infill}% and throttle {t}")
+    window = range(0)
+    if max(abs(a_lin), abs(b_quad)) < sys.float_info.min:
+        window = range(1, 100)
+    elif b_quad:
+        vertex = -5.0 * a_lin / b_quad  # in grid steps of 0.1
+        if -3.0 < vertex < 103.0:
+            k = math.floor(vertex)
+            window = range(max(1, k - 2), min(100, k + 4))
+    peak, index = 0.0, 0
+    for i in window:
+        t = grid[i]
+        dev = abs(a_lin * t + b_quad * (t * t))
+        if dev > peak:
+            peak, index = dev, i
+    if last > peak:
+        peak, index = last, 100
+    while index:  # the first of a run of equal maxima
+        t = grid[index - 1]
+        if abs(a_lin * t + b_quad * (t * t)) != peak:
+            break
+        index -= 1
+    return peak, index
+
+
+def envelope_check(coeffs: DeflectionModelCoeffs, infill: float) -> EnvelopeReport:
+    """|alpha(T) - alpha0| at its largest on THROTTLE_GRID, the first maximum
+    as np.argmax finds it, against DEFLECTION_BOUND_DEG."""
+    require_finite(infill=infill)
+    require_infill(infill=infill)
+    worst_dev, index = _peak(coeffs, infill)
     return EnvelopeReport(
         max_abs_deflection=worst_dev,
-        worst_throttle=worst_t,
+        worst_throttle=THROTTLE_GRID[index],
         nonlinear_flag=infill < NONLINEAR_INFILL_PCT,
         passes_14deg=worst_dev < DEFLECTION_BOUND_DEG,
     )

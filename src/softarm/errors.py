@@ -7,9 +7,9 @@ import math
 
 def require_finite(**values) -> None:
     """Raise ValueError naming the first argument that is NaN, infinite or
-    not a number (a JSON null or boolean, say). A tuple is checked number
-    by number, nested tuples included; the frozen records check their fields
-    with it."""
+    not a number (a JSON null or boolean, say), or an int too large for a
+    float. A tuple is checked number by number, nested tuples included; the
+    frozen records check their fields with it."""
     for name, value in values.items():
         if not _all_finite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -20,7 +20,7 @@ def _all_finite(value) -> bool:
         return all(map(_all_finite, value))
     try:
         return not isinstance(value, bool) and math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
 
 

@@ -3,8 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from softarm import deflection
 
 from softarm.adapt import (
     ATTACH_PRESSURE_MIN,
@@ -18,7 +20,7 @@ from softarm.adapt import (
 )
 from softarm.beam import ArmGeometry, Segment
 from softarm.cli import default_data_dir
-from softarm.deflection import DeflectionModelCoeffs
+from softarm.deflection import DeflectionModelCoeffs, envelope_check
 from softarm.errors import ChordTooLong, EmptyRange, ZeroArea
 from softarm.io import read_arm_geometry_json, read_deflection_coeffs_json
 
@@ -142,3 +144,50 @@ class TestRecommendInfill:
         steep = DeflectionModelCoeffs(2.0, 0.0, 0.0, 0.0)
         with pytest.raises(EmptyRange):
             recommend_infill(steep)
+
+    def test_evaluates_at_most_10_grid_points_per_row(self, monkeypatch):
+        class CountingGrid(tuple):
+            """THROTTLE_GRID that counts the points read, by index or by iteration."""
+
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingGrid.reads += 1
+                return super().__getitem__(i)
+
+            def __iter__(self):
+                for t in super().__iter__():
+                    CountingGrid.reads += 1
+                    yield t
+
+        expected = recommend_infill(MEASURED)
+        monkeypatch.setattr(deflection, "THROTTLE_GRID", CountingGrid(deflection.THROTTLE_GRID))
+        assert recommend_infill(MEASURED) == expected
+        assert CountingGrid.reads <= 10 * 23  # the whole grid is 101 points a row
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.tuples(
+            *(st.one_of(st.floats(-limit, limit), st.floats(allow_nan=False, allow_infinity=False))
+              for limit in (3.0, 0.3, 0.3, 0.03))
+        ).map(lambda c: DeflectionModelCoeffs(*c))
+    )
+    def test_equals_a_filter_over_envelope_reports(self, coeffs):
+        def outcome(func):
+            try:
+                return func(coeffs)
+            except (ValueError, EmptyRange) as exc:
+                return type(exc), str(exc)
+
+        def reference(coeffs):
+            feasible = []
+            for rho in (4.0 + 0.5 * i for i in range(23)):
+                report = envelope_check(coeffs, rho)
+                if (report.passes_14deg and not report.nonlinear_flag
+                        and rho < BENDABLE_INFILL_MAX_PCT):
+                    feasible.append(rho)
+            if not feasible:
+                raise EmptyRange("no infill rate satisfies all feasibility constraints")
+            return min(feasible), max(feasible)
+
+        assert outcome(recommend_infill) == outcome(reference)

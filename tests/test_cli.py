@@ -844,6 +844,43 @@ class TestParseBoundary:
         assert captured.err.endswith(f" {field} must be finite, got True\n")
 
     @pytest.mark.parametrize(
+        "where,key,field",
+        [
+            ("coeffs", "a1", "a1"),
+            ("segment", "length_mm", "length_mm"),
+            ("propeller", "max_rpm", "max_rpm"),
+            ("propeller", "nominal_rpm", "rpm"),
+            ("pipe", "diameter_m", "diameter"),
+        ],
+    )
+    def test_integer_too_large_for_a_float_is_named(self, where, key, field, tmp_path, capsys):
+        # A 401-digit JSON integer once exited 2 with only "int too large to
+        # convert to float".
+        big = 10**400
+        config = shipped_config()
+        path = None
+        if where == "coeffs":
+            path = tmp_path / "coeffs.json"
+            coeffs = json.loads(Path(config["deflection_coeffs"]).read_text())
+            coeffs[key] = big
+            path.write_text(json.dumps(coeffs))
+            config["deflection_coeffs"] = str(path)
+        elif where == "segment":
+            path = tmp_path / "geometry.json"
+            geometry = json.loads(Path(config["geometry"]).read_text())
+            geometry["segments"][0][key] = big
+            path.write_text(json.dumps(geometry))
+            config["geometry"] = str(path)
+        else:
+            config[where][key] = big
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith(f"softarm: input error: {path}: " if path else
+                                       "softarm: input error: ")
+        assert captured.err.endswith(f" {field} must be finite, got {big}\n")
+
+    @pytest.mark.parametrize(
         "argv,section,key",
         [
             (["sweep", "--axis", "arm_angle", "--rpm", "1e200"], None, None),

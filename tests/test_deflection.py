@@ -195,6 +195,37 @@ class TestEnvelope:
         assert report.max_abs_deflection == float(dev[idx])
         assert report.worst_throttle == float(grid[idx])
 
+    @pytest.mark.parametrize(
+        "a1,b1,b2",
+        [
+            (1.7e-322, -1e-323, 0.0),  # subnormal products: the scan's maximum sits at T = 8.2
+            (6.4e-323, -5e-324, 0.0),
+            (5e-324, 0.0, 0.0),
+            (1.75, -0.1, 0.0),  # vertex at T = 8.75, midway between two grid points
+            (2.008, -0.1, 0.0),  # vertex at T = 10.04, just past the grid
+            (1.3, 0.0, 0.0),
+            (1.3, -0.0, -0.0),  # b = -0.0 + 8 * -0.0 = -0.0
+        ],
+    )
+    def test_peak_equals_numpy_scan_at_edge_cases(self, a1, b1, b2):
+        grid = np.linspace(0.0, 10.0, 101)
+        dev = np.abs((a1 + 8.0 * 0.0) * grid + (b1 + 8.0 * b2) * grid**2)
+        idx = int(np.argmax(dev))
+        report = envelope_check(DeflectionModelCoeffs(a1, 0.0, b1, b2), 8.0)
+        assert report.max_abs_deflection == float(dev[idx])
+        assert report.worst_throttle == float(grid[idx])
+
+    @pytest.mark.parametrize(
+        "a1,b1",
+        [(1e308, -0.1), (2.0, 1e307), (1.5e307, 1.7e306)],
+        ids=["linear_term", "quadratic_term", "sum"],
+    )
+    def test_overflow_at_the_last_point_is_named(self, a1, b1):
+        coeffs = DeflectionModelCoeffs(a1, 0.0, b1, 0.0)
+        with pytest.raises(ValueError) as info:
+            envelope_check(coeffs, 8.0)
+        assert str(info.value) == f"{coeffs} overflow at infill 8.0% and throttle 10.0"
+
     def test_bound_matches_constant(self):
         assert DEFLECTION_BOUND_DEG == 14.0
 

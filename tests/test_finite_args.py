@@ -1,5 +1,6 @@
 """The numeric arguments of the reduced-model functions and of the flexural
-fit must be finite, and an infill rate must lie in (0, 100)."""
+fit must be finite (an int too large for a float is not), and an infill rate
+must lie in (0, 100)."""
 
 import math
 import re
@@ -44,6 +45,16 @@ def test_non_finite_argument_rejected(func, kwargs, arg, bad):
     func(**kwargs)  # the baseline is valid
     with pytest.raises(ValueError, match=f"{arg} must be finite"):
         func(**{**kwargs, arg: bad})
+
+
+@pytest.mark.parametrize(
+    "func,kwargs,arg",
+    [(func, kwargs, arg) for func, kwargs, args in CASES for arg in args],
+    ids=[f"{func.__name__}.{arg}" for func, _, args in CASES for arg in args],
+)
+def test_int_too_large_for_a_float_rejected(func, kwargs, arg):
+    with pytest.raises(ValueError, match=f"{arg} must be finite, got 1000"):
+        func(**{**kwargs, arg: 10**400})
 
 
 @pytest.mark.parametrize("bad", [-50.0, 0.0, 100.0, 150.0])
