@@ -6,7 +6,7 @@ stations. Geometry is piecewise constant per segment; integration is
 fixed-step RK4. Marching inward from the free tip, where the bending
 moment vanishes and the outboard force is known, leaves the tip angle as
 the only unknown, which is shot on until the root angle meets the clamp,
-on a ladder of meshes of 8, 16, 32, ... RK4 steps per segment length up to
+on a ladder of meshes of 4, 8, 16, ... RK4 steps per segment length up to
 the requested mesh (see solve_elastica). The shape, the requested-mesh
 march at the accepted tip angle with x and z, is marched when first read;
 the solver counters leave that march out, and == on solutions does not
@@ -26,7 +26,7 @@ from .errors import NoConvergence, NonPhysicalMaterial, _Record, require_finite
 from .material import MooneyRivlinParams, mr_small_strain_modulus
 
 GRAVITY = 9.81
-PREDICTOR_STEPS = 8  # RK4 steps per segment length of the ladder's first rung
+PREDICTOR_STEPS = 4  # RK4 steps per segment length of the ladder's first rung
 SHOOTING_MARCHES = 40  # marches per rung before the shooting gives up
 
 
@@ -344,10 +344,12 @@ def solve_elastica(
     per segment length doubled up to integration_steps, each rung from the
     angle of the one below. A rung above the first whose first march meets
     the tolerance (the angle of the rung below holds on twice the mesh), or
-    the top rung once shot, is accepted. The shape is the requested-mesh
-    march at the accepted tip angle, made on first read. Raises
-    NoConvergence when the shooting on any rung misses the tolerance within
-    SHOOTING_MARCHES marches."""
+    the top rung once shot, is accepted. A rung below the top whose shooting
+    misses the tolerance within SHOOTING_MARCHES marches hands the solve to
+    the next rung, shot again from the straight arm; its marches still
+    count. The shape is the requested-mesh march at the accepted tip angle,
+    made on first read. Raises NoConvergence when the shooting on the top
+    rung misses the tolerance."""
     settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
     length = geometry.total_length
@@ -364,7 +366,11 @@ def solve_elastica(
             theta_tip, settings.shooting_tolerance)
         integrations += n
         steps += n * sum(panel[3] for panel in panels)
-        if mesh_steps == settings.integration_steps or (mesh_steps > PREDICTOR_STEPS and n == 1):
+        if not abs(defect) <= settings.shooting_tolerance:  # a NaN defect misses too
+            if mesh_steps == settings.integration_steps:
+                raise NoConvergence("the tip angle did not reach the shooting tolerance")
+            theta_tip = theta_root  # the next rung starts again from the straight arm
+        elif mesh_steps == settings.integration_steps or (mesh_steps > PREDICTOR_STEPS and n == 1):
             break
         mesh_steps = min(2 * mesh_steps, settings.integration_steps)
 
@@ -380,7 +386,8 @@ def solve_elastica(
 
 def _shoot(f, guess: float, tol: float) -> tuple[float, float, int]:
     """Root x of f (root-angle defect as a function of the tip angle, both
-    in radians), as (x, f(x), evaluations of f).
+    in radians), as (x, f(x), evaluations of f): the first point with
+    |f(x)| <= tol, or the last point evaluated when the shooting gives up.
 
     The first step is -f: the secant step for a unit slope. The root angle
     follows the tip angle one for one where the bending moment does not
@@ -393,14 +400,14 @@ def _shoot(f, guess: float, tol: float) -> tuple[float, float, int]:
     inside the bracket of the latest point of each sign, or its midpoint
     when the false-position point is not strictly inside or the last step
     did not reduce |f| on its side. One loop of at most SHOOTING_MARCHES
-    evaluations.
+    evaluations; a flat secant ends it early.
     """
     neg = pos = None  # the latest (x, f(x)) with f < 0 and with f > 0
     x = guess
     for evaluations in range(1, SHOOTING_MARCHES + 1):
         fx = f(x)
-        if abs(fx) <= tol:
-            return x, fx, evaluations
+        if abs(fx) <= tol or evaluations == SHOOTING_MARCHES:
+            break
         if fx < 0:
             same, neg = neg, (x, fx)
         else:
@@ -421,7 +428,7 @@ def _shoot(f, guess: float, tol: float) -> tuple[float, float, int]:
         x = xa - fa * (xb - xa) / (fb - fa)
         if not min(xa, xb) < x < max(xa, xb) or (same and abs(fx) >= abs(same[1])):
             x = 0.5 * (xa + xb)
-    raise NoConvergence("the tip angle did not reach the shooting tolerance")
+    return x, fx, evaluations
 
 
 def max_stress_station(solution: BeamSolution, geometry: ArmGeometry) -> float:

@@ -212,6 +212,12 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     if not isinstance(config, dict):
         raise ParseError("config must be a JSON object", path=str(args.config))
     _check_keys(config, _CONFIG_KEYS, args.config)
+    try:  # name the key of a config value that is not a number
+        require_finite(**{f"{section}.{key}": config[section][key]
+                          for section in ("material", "propeller", "pipe")
+                          for key in _CONFIG_KEYS[section] if key != "hyperelastic_table"})
+    except ValueError as exc:
+        raise ParseError(str(exc), path=str(args.config)) from None
     mat_cfg, prop_cfg, pipe_cfg = config["material"], config["propeller"], config["pipe"]
     # File references in the config resolve against the config's directory.
     base = args.config.parent
@@ -237,7 +243,6 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
     )
     max_rpm = prop_cfg["max_rpm"]
-    require_finite(max_rpm=max_rpm)  # the sweep's arithmetic would take true as 1
     if max_rpm <= 0:
         raise ParseError(f"propeller.max_rpm must be > 0, got {max_rpm}", path=str(args.config))
     try:  # the sweep's top speed; each lower one is then in range too

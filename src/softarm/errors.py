@@ -8,11 +8,15 @@ import math
 def require_finite(**values) -> None:
     """Raise ValueError naming the first argument that is NaN, infinite or
     not a number (a JSON null or boolean, say), or an int too large for a
-    float. A tuple is checked number by number, nested tuples included; the
-    frozen records check their fields with it."""
+    float, and echoing it, cut to its first and last 18 characters when
+    longer than 40. A tuple is checked number by number, nested tuples
+    included; the frozen records check their fields with it."""
     for name, value in values.items():
         if not _all_finite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            text = repr(value)
+            if len(text) > 40:  # a 401-digit JSON integer, say
+                text = f"{text[:18]}...{text[-18:]}"
+            raise ValueError(f"{name} must be finite, got {text}")
 
 
 def _all_finite(value) -> bool:

@@ -330,23 +330,51 @@ class TestRobustness:
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
         assert -90.0 < sol.tip_angle_deg < -89.9
 
-    def test_stalled_bracket_gives_up_instead_of_repeating(self, monkeypatch):
-        # The 80% throttle of a 1e5 N nominal propeller on the 6% row has no
-        # root near the straight arm: the secant steps hit their 10 rad clip
-        # and cycle, so the shooting ends at its march budget on the first
-        # rung and raises instead of marching on.
-        marches = []
+    @pytest.fixture
+    def rungs(self, monkeypatch):
+        """{RK4 steps of a march: marches with that many}, filled in as the
+        solve marches; each rung's mesh has its own step count."""
+        rungs = {}
         march = beam._march
 
         def recording_march(*args):
-            marches.append(args[4])
+            steps = sum(p[3] for p in args[0])
+            rungs[steps] = rungs.get(steps, 0) + 1
             return march(*args)
 
         monkeypatch.setattr(beam, "_march", recording_march)
+        return rungs
+
+    def test_stalled_bracket_gives_up_instead_of_repeating(self, rungs):
+        # A 1e7 N follower thrust on the 6% row: the shooting from the
+        # straight arm spends its march budget on every rung, each missed
+        # rung hands the solve to the next, and the requested mesh raises
+        # instead of marching on.
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
         with pytest.raises(NoConvergence, match="did not reach the shooting tolerance"):
-            solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=144000.0), CLI_SETTINGS)
-        assert len(marches) <= 60
+            solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=1e7), CLI_SETTINGS)
+        # The 4-, 8-, 16-, 32- and 64-step rungs of the shipped arm.
+        assert list(rungs) == [19, 35, 66, 130, 258]
+        assert list(rungs.values()) == [beam.SHOOTING_MARCHES] * 5
+
+    def test_nan_defect_never_meets_the_tolerance(self, monkeypatch):
+        monkeypatch.setattr(beam, "_march", lambda *args: math.nan)
+        with pytest.raises(NoConvergence):
+            solve_elastica(SHIPPED_ARM, E_SOFT, LoadCase(thrust=1.0), CLI_SETTINGS)
+
+    def test_missed_rungs_hand_the_solve_to_the_next(self, rungs):
+        # At 144 kN the shooting from the straight arm misses on the 4- and
+        # 8-step rungs within its budget; the 16-step rung starts again from
+        # the straight arm and converges, and the missed marches count.
+        rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
+        sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=144000.0), CLI_SETTINGS)
+        assert rungs == {19: beam.SHOOTING_MARCHES, 35: beam.SHOOTING_MARCHES,
+                         66: 3, 130: 3, 258: 3}
+        assert sol.integrations == sum(rungs.values()) == 89
+        assert sol.steps == sum(steps * n for steps, n in rungs.items())
+        assert sol.mesh_steps == 64
+        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+        assert sol.tip_angle_deg == pytest.approx(128.2168, abs=1e-4)
 
 
 class TestSolverCounters:
@@ -427,18 +455,25 @@ class TestSolutionArrays:
         # angle. It reaches the root bit for bit where the solve's loop does
         # on the same panels, though that loop skips the sines on panels
         # without horizontal force and the march behind history does not.
-        # The ladder accepts the 16-step rung in every case. At 16 steps
-        # that is the requested mesh, so the shape's root defect is the
-        # residual; at 64 the residual is the defect on the coarser rung.
+        # The residual is the root defect of the accepted rung's march. At
+        # 1e-9 rad the ladder accepts the 8-step rung in every case. At
+        # 1e-14 rad no rung's first march meets the tolerance, so the ladder
+        # climbs to the requested mesh and the shape's root defect is the
+        # residual; only the arcs bent by point moments alone, which RK4
+        # integrates exactly on any mesh, still stop at 8 steps.
         # (A loop, not a parameter, keeps the test ids of the load cases.)
         geometry = fold_arm(droop=droop, motor=motor, density=0.05)
         theta_root = -math.radians(droop)
-        for steps in (16, 64):
-            sol = solve_elastica(geometry, E_SOFT, loads, SolverSettings(integration_steps=steps))
-            assert sol.mesh_steps == 16
+        arcs = loads.thrust == 0 and loads.gravity == 0
+        for steps, tolerance, accepted in ((64, 1e-9, 8), (16, 1e-14, 8 if arcs else 16)):
+            settings = SolverSettings(integration_steps=steps, shooting_tolerance=tolerance)
+            sol = solve_elastica(geometry, E_SOFT, loads, settings)
+            assert sol.mesh_steps == accepted
             assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
             assert beam._march(*sol.plan) == sol.history[-1][3]
-            if steps == 16:
+            rung = beam._mesh(beam._panel_plan(geometry, loads, E_SOFT), accepted)
+            assert abs(beam._march(rung, *sol.plan[1:]) - theta_root) == sol.residual
+            if accepted == steps:
                 assert abs(sol.history[-1][3] - theta_root) == sol.residual
 
     @pytest.mark.parametrize("loads", [
@@ -472,9 +507,9 @@ class TestSolutionArrays:
 
 class TestPredictor:
     """The ladder above the first rung, PREDICTOR_STEPS steps per segment
-    length. On the shipped arm the 8- and 16-step rungs march 35 and 66 RK4
-    steps; at motor station 0.9753 the 8-, 16- and 32-step rungs march 36,
-    66 and 131."""
+    length. On the shipped arm the 4- and 8-step rungs march 19 and 35 RK4
+    steps; at motor station 0.9753 the 4-, 8-, 16- and 32-step rungs march
+    20, 36, 66 and 131."""
 
     @pytest.fixture
     def march_steps(self, monkeypatch):
@@ -490,33 +525,54 @@ class TestPredictor:
         return marches
 
     def test_prediction_within_tolerance_takes_one_full_mesh_march(self, march_steps):
-        # The tip angle shot on 8 steps meets the clamp on 16 at its first
+        # The tip angle shot on 4 steps meets the clamp on 8 at its first
         # march, so the ladder stops there.
         sol = solve_elastica(SHIPPED_ARM, 1.118e6, LoadCase(thrust=3.0), CLI_SETTINGS)
-        assert sol.mesh_steps == 16
-        assert march_steps == [35] * 4 + [66]
+        assert sol.mesh_steps == 8
+        assert march_steps == [19] * 4 + [35]
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
 
     def test_missed_root_angle_climbs_past_16_steps(self, march_steps):
-        # A soft arm bent past 110 deg: the tip angle shot on 8 steps misses
-        # the root angle on 16, so the shooting resumes there; the angle shot
-        # on 16 meets it on 32 at the first march.
+        # A soft arm bent past 110 deg: the tip angle shot on 4 steps misses
+        # the root angle on 8, and the one shot on 8 misses it on 16, so the
+        # shooting resumes on each; the angle shot on 16 meets it on 32 at
+        # the first march.
         geom = replace(SHIPPED_ARM, motor_station=0.9753)
         sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), CLI_SETTINGS)
         assert sol.mesh_steps == 32
-        assert march_steps == [36] * 4 + [66] * 2 + [131]
+        assert march_steps == [20] * 4 + [36] * 2 + [66] * 2 + [131]
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
         # The resolved answer: the 1,024-step mesh shot to 1e-12 rad.
         resolved = 113.04250449871626
         assert sol.tip_angle_deg == pytest.approx(
             resolved, abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
         # Where the secant stops inside that band is pinned bit for bit:
-        # 1.44e-6 deg from the resolved answer, while the 32-step mesh itself
+        # 1.48e-6 deg from the resolved answer, while the 32-step mesh itself
         # is 7.6e-8 deg from it. beam._shoot on the 64-step mesh alone, from
         # the straight arm at 1e-7 rad, stops 7.8e-8 deg from it
         # (113.0425044204673 deg), so which of the two lands closer is where
         # each secant happens to stop, not the mesh.
-        assert sol.tip_angle_deg == 113.04250306147473
+        assert sol.tip_angle_deg == 113.04250301626533
+
+    def test_analyze_angles_hold_on_the_resolved_mesh(self, monkeypatch):
+        # The 11 throttles of `softarm analyze`, accepted on the 8-step rung,
+        # against the solve at 1,024 steps and 1e-12 rad, whose ladder stops
+        # between 8 and 128 steps, where the angle holds on twice the mesh to
+        # 1e-12 rad. The worst is 1.1e-6 deg.
+        calls = []
+        solve = beam.solve_elastica
+
+        def recording_solve(*args):
+            calls.append((args, solve(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(beam, "solve_elastica", recording_solve)
+        assert main(["analyze"]) == EXIT_OK
+        resolved = SolverSettings(integration_steps=1024, shooting_tolerance=1e-12)
+        assert [sol.mesh_steps for _, sol in calls] == [8] * 11
+        for (geometry, material, loads, settings), sol in calls:
+            answer = solve(geometry, material, loads, resolved).tip_angle_deg
+            assert abs(sol.tip_angle_deg - answer) <= math.degrees(settings.shooting_tolerance)
 
 
 class TestShoot:
@@ -524,20 +580,18 @@ class TestShoot:
 
     @staticmethod
     def shoot(f):
-        """The root found (None on NoConvergence) and every point evaluated.
-        _shoot returns the root, f there and the count of evaluations."""
+        """The root found (None when the shooting gives up) and every point
+        evaluated. _shoot returns its last point, f there and the count of
+        evaluations."""
         points = []
 
         def recorded(x):
             points.append(x)
             return f(x)
 
-        try:
-            root, f_root, evaluations = beam._shoot(recorded, 0.0, 1e-9)
-        except NoConvergence:
-            return None, points
-        assert (points[-1], evaluations) == (root, len(points)) and f_root == f(root)
-        return root, points
+        x, fx, evaluations = beam._shoot(recorded, 0.0, 1e-9)
+        assert (points[-1], evaluations) == (x, len(points)) and fx == f(x)
+        return (x if abs(fx) <= 1e-9 else None), points
 
     def test_first_step_then_false_position(self):
         # The first step assumes unit slope, which is exact here.
@@ -550,6 +604,12 @@ class TestShoot:
         # are clipped to 10 rad until f changes sign.
         start = math.atan(30.0)
         assert points[1:5] == pytest.approx([start + 10.0 * k for k in range(4)], abs=1e-12)
+
+    def test_march_budget_gives_up_at_the_last_point(self):
+        # The clipped secant steps climb 10 rad per march towards a root at
+        # 1e6 and spend the budget long before it.
+        root, points = self.shoot(lambda x: math.atan(x - 1e6))
+        assert root is None and len(points) == beam.SHOOTING_MARCHES
 
     def test_flat_secant_gives_up(self):
         root, points = self.shoot(lambda x: 2.0)
@@ -618,20 +678,20 @@ class TestShapeDigests:
 
         monkeypatch.setattr(beam, "solve_elastica", recording_solve)
         assert main(["analyze"]) == EXIT_OK
-        assert [sol.mesh_steps for sol in solutions] == [16] * 11
+        assert [sol.mesh_steps for sol in solutions] == [8] * 11
         assert shape_digest(solutions) == (
-            "c710bc50c4a066a8e060a5ced0ad625fa6823b15fb557b63214aa84e1aea25ac"
+            "78f5957146412f16395338a2576d94f1a16e76e4ed7d554a3b5cc2e22a9caddb"
         )
 
     def test_tendon_bend(self):
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
         cases = ((0.0, 0.01), (9.1386, 0.002678), (28.2923, 0.009751), (33.0518, -0.009745))
         solutions = [tendon_bend(SHIPPED_ARM, rho6, t, e) for t, e in cases]
-        assert [sol.mesh_steps for sol in solutions] == [16] * 4
+        assert [sol.mesh_steps for sol in solutions] == [8] * 4
         assert [sol.integrations for sol in solutions] == [4, 4, 5, 5]
-        assert [sol.steps for sol in solutions] == [171, 171, 206, 206]
+        assert [sol.steps for sol in solutions] == [92, 92, 111, 111]
         assert shape_digest(solutions) == (
-            "f734aece2b99aedb7e87f93c53c1e6c43ae1959fda33e34c13f105a5e193ca5d"
+            "e7856fba572bf7d4dfe11d9b5948b1471439da1cbab2bf8ecf58cbbf820705e0"
         )
 
 
@@ -649,7 +709,7 @@ def test_design_range_converges(e_modulus, station, thrust, steps):
     assert sol.residual <= settings.shooting_tolerance
     assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
     assert beam._march(*sol.plan) == sol.history[-1][3]  # the loops agree
-    if sol.mesh_steps == steps:  # always at 16: the shape is the accepted rung
+    if sol.mesh_steps == steps:  # the ladder climbed: the shape is the accepted rung
         theta_root = -math.radians(geom.initial_droop_deg)
         assert abs(sol.history[-1][3] - theta_root) == sol.residual
     assert sol.moments[-1] == 0.0

@@ -340,9 +340,10 @@ class TestAnalyzeCommand:
         assert "integrations" not in out.read_text()
 
     def test_solver_step_count(self, tmp_path, monkeypatch, capsys):
-        # Each solve shoots on the 8-step rung, and one march on the 16-step
+        # Each solve shoots on the 4-step rung, and one march on the 8-step
         # rung accepts its tip angle; no march of the solve steps the 64-step
-        # mesh of the shape (4,343 steps when one march per solve did).
+        # mesh of the shape (4,343 steps when one march per solve did, 1,881
+        # when the ladder started at 8 steps).
         solutions = []
         solve = beam.solve_elastica
 
@@ -354,20 +355,21 @@ class TestAnalyzeCommand:
         out = tmp_path / "report.json"
         assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
         assert len(solutions) == 11
-        assert sum(sol.steps for sol in solutions) == 1881
+        assert sum(sol.steps for sol in solutions) == 1012
         assert "steps" not in out.read_text()
 
     def test_solver_failure_exits_4_without_a_report(self, tmp_path, capsys):
-        # Under this thrust the shooting fails at 80% throttle. Should a later
+        # Under this thrust the shooting fails at 60% throttle. Should a later
         # solver converge here, replace the case with one that still fails
-        # rather than loosen these assertions.
+        # rather than loosen these assertions (a 1e5 N nominal thrust failed
+        # at 80% until a missed rung handed its solve to the next).
         config = shipped_config()
-        config["propeller"]["nominal_thrust_n"] = 1e5
+        config["propeller"]["nominal_thrust_n"] = 1e7
         out = tmp_path / "report.json"
         code = main(["analyze", "--config", write_config(tmp_path, config), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
-        assert captured.err.startswith("softarm: solver error: elastica failed at throttle 80%: ")
+        assert captured.err.startswith("softarm: solver error: elastica failed at throttle 60%: ")
         assert not out.exists()
 
 
@@ -828,19 +830,22 @@ class TestParseBoundary:
     def test_json_boolean_for_a_number_exits_2(self, where, key, field, tmp_path, capsys):
         # A JSON true is a Python bool, an int that arithmetic takes as 1: a
         # 1 m pipe, a motor at the tip, a 1 mm segment or (nominal_rpm) a
-        # failed solve.
+        # failed solve. A config value is named by its key and the config's
+        # path; field is the library argument that once named it.
         config = shipped_config()
         if where in ("geometry", "segment"):
             geometry = json.loads(Path(config["geometry"]).read_text())
             (geometry if where == "geometry" else geometry["segments"][0])[key] = True
             config["geometry"] = str(tmp_path / "geometry.json")
             Path(config["geometry"]).write_text(json.dumps(geometry))
+            prefix = "softarm: input error: "
         else:
             config[where][key] = True
+            prefix, field = f"softarm: input error: {tmp_path / 'config.json'}: ", f"{where}.{key}"
         code = main(["analyze", "--config", write_config(tmp_path, config)])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
-        assert captured.err.startswith("softarm: input error: ")
+        assert captured.err.startswith(prefix)
         assert captured.err.endswith(f" {field} must be finite, got True\n")
 
     @pytest.mark.parametrize(
@@ -855,7 +860,9 @@ class TestParseBoundary:
     )
     def test_integer_too_large_for_a_float_is_named(self, where, key, field, tmp_path, capsys):
         # A 401-digit JSON integer once exited 2 with only "int too large to
-        # convert to float".
+        # convert to float", and then echoed all its digits. A config value
+        # is named by its key and the config's path; field is the library
+        # argument that once named it.
         big = 10**400
         config = shipped_config()
         path = None
@@ -873,12 +880,36 @@ class TestParseBoundary:
             config["geometry"] = str(path)
         else:
             config[where][key] = big
+            path, field = tmp_path / "config.json", f"{where}.{key}"
         code = main(["analyze", "--config", write_config(tmp_path, config)])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
-        assert captured.err.startswith(f"softarm: input error: {path}: " if path else
-                                       "softarm: input error: ")
-        assert captured.err.endswith(f" {field} must be finite, got {big}\n")
+        assert captured.err.startswith(f"softarm: input error: {path}: ")
+        assert captured.err.endswith(f" {field} must be finite, got 1{'0' * 17}...{'0' * 18}\n")
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("propeller", "nominal_rpm", 10**400),
+            ("propeller", "nominal_thrust_n", None),
+            ("pipe", "diameter_m", []),
+            ("material", "infill_pct", {}),
+        ],
+        ids=["nominal_rpm_huge", "nominal_thrust_null", "diameter_list", "infill_object"],
+    )
+    def test_config_value_that_is_not_a_number_is_named(self, section, key, value, tmp_path,
+                                                        capsys):
+        # These once named the library's argument (rpm, thrust, diameter) or,
+        # for the infill, the hyperelastic table's path.
+        config = shipped_config()
+        config[section][key] = value
+        path = write_config(tmp_path, config)
+        code = main(["analyze", "--config", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        shown = repr(value) if value != 10**400 else f"1{'0' * 17}...{'0' * 18}"
+        assert captured.err == (f"softarm: input error: {path}: {section}.{key} must be "
+                                f"finite, got {shown}\n")
 
     @pytest.mark.parametrize(
         "argv,section,key",

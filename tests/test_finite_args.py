@@ -10,6 +10,7 @@ import pytest
 from softarm import adapt, aero, deflection, material
 from softarm import io as sio
 from softarm.cli import default_data_dir
+from softarm.errors import require_finite
 
 COEFFS = sio.read_deflection_coeffs_json(default_data_dir() / "deflection_coeffs.json")
 TABLE = sio.read_efficiency_csv(default_data_dir() / "efficiency_table.csv")
@@ -55,6 +56,17 @@ def test_non_finite_argument_rejected(func, kwargs, arg, bad):
 def test_int_too_large_for_a_float_rejected(func, kwargs, arg):
     with pytest.raises(ValueError, match=f"{arg} must be finite, got 1000"):
         func(**{**kwargs, arg: 10**400})
+
+
+@pytest.mark.parametrize("value,shown", [
+    (10**400, f"1{'0' * 17}...{'0' * 18}"),
+    ("x" * 38, repr("x" * 38)),
+    ("x" * 39, f"'{'x' * 17}...{'x' * 17}'"),
+], ids=["401_digits", "40_characters", "41_characters"])
+def test_long_value_is_cut_in_the_message(value, shown):
+    with pytest.raises(ValueError) as info:
+        require_finite(rpm=value)
+    assert str(info.value) == f"rpm must be finite, got {shown}"
 
 
 @pytest.mark.parametrize("bad", [-50.0, 0.0, 100.0, 150.0])

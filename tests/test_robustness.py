@@ -18,11 +18,11 @@ SEED = 20261018
 DRAWS = 400
 #: Draws that converge at the floor. Only a solver that converges more of
 #: them may raise it.
-CONVERGED_FLOOR = 326
+CONVERGED_FLOOR = 354
 #: SHA-256 over the draws, one line each: repr((tip_angle_deg, residual,
 #: integrations, steps)), or NoConvergence. A change meant to keep every
 #: iterate keeps it; one meant to change them updates it and says why.
-CORPUS_DIGEST = "749737bb0321aeec04f654842bedeec77a9e79b01967e7df2eb9b73b2bda7116"
+CORPUS_DIGEST = "7c23a7c7bfeb90e745badb5e4f564ea75e4398a39d139dd103730f54ce6e3ecd"
 ARM = read_arm_geometry_json(cli.default_data_dir() / "arm_geometry.json")
 
 
@@ -75,10 +75,12 @@ def test_corpus_results_are_pinned(outcomes):
 def test_limp_arm_creep_case():
     # False position used to creep here (one end of the bracket stays put and
     # |f| falls about 21% per march) until the 40-march budget ran out; from
-    # the unit-slope first step the bracket closes, on the 64-step rung.
+    # the unit-slope first step the bracket closes. The 4-step rung spends
+    # its budget and hands the solve to the 8-step rung, which closes it in
+    # 37 marches; the ladder accepts the 64-step rung.
     geometry = replace(ARM, motor_station=0.239, initial_droop_deg=11.56)
     sol = beam.solve_elastica(geometry, 2.79e3, beam.LoadCase(gravity=39.5),
                               cli.SOLVER_SETTINGS)
     assert sol.tip_angle_deg == pytest.approx(-76.6256, abs=1e-4)
-    assert (sol.integrations, sol.mesh_steps) == (46, 64)
+    assert (sol.integrations, sol.mesh_steps) == (86, 64)
     assert sol.residual <= cli.SOLVER_SETTINGS.shooting_tolerance
