@@ -2,15 +2,15 @@
 
 The arm is a clamped rod loaded by a follower thrust at the motor
 station, distributed weight, and tendon point moments at the fold
-stations. Geometry is piecewise constant per segment; integration is
-fixed-step RK4. Marching inward from the free tip, where the bending
-moment vanishes and the outboard force is known, leaves the tip angle as
-the only unknown, which is shot on until the root angle meets the clamp,
-on a ladder of meshes of 4, 8, 16, ... RK4 steps per segment length up to
-the requested mesh (see solve_elastica). The shape, the requested-mesh
-march at the accepted tip angle with x and z, is marched when first read;
-the solver counters leave that march out, and == on solutions does not
-compare shapes.
+stations. Geometry is piecewise constant per segment; integration is a
+fixed-step Runge-Kutta-Nystrom method of order 4 (see _march). Marching
+inward from the free tip, where the bending moment vanishes and the
+outboard force is known, leaves the tip angle as the only unknown, which
+is shot on until the root angle meets the clamp, on a ladder of meshes of
+4, 8, 16, ... steps per segment length up to the requested mesh (see
+solve_elastica). The shape, the requested-mesh march at the accepted tip
+angle with x and z, is marched when first read; the solver counters leave
+that march out, and == on solutions does not compare shapes.
 Coordinates: x horizontal, z up, theta measured from horizontal
 (positive = tip up).
 """
@@ -26,7 +26,7 @@ from .errors import NoConvergence, NonPhysicalMaterial, _Record, require_finite
 from .material import MooneyRivlinParams, mr_small_strain_modulus
 
 GRAVITY = 9.81
-PREDICTOR_STEPS = 4  # RK4 steps per segment length of the ladder's first rung
+PREDICTOR_STEPS = 4  # steps per segment length of the ladder's first rung
 SHOOTING_MARCHES = 40  # marches per rung before the shooting gives up
 
 
@@ -129,7 +129,7 @@ class LoadCase(_Record):
 
 
 class SolverSettings(_Record, finite=True):
-    """Solver knobs. integration_steps is the number of RK4 steps per
+    """Solver knobs. integration_steps is the number of march steps per
     segment length of the mesh of the returned shape and of the ladder's
     top rung. shooting_tolerance bounds the root-angle defect [rad] of the
     accepted rung's march."""
@@ -155,12 +155,13 @@ class BeamSolution(_Record, hidden=("plan",)):
     the origin; column k is stations[:, k]. moments: bending moment [N m] at
     each station, 0 at the tip. Both arrays are built on first access, so a
     caller that reads only tip_angle_deg never marches again or imports numpy.
-    mesh_steps is the RK4 steps per segment length of the accepted rung,
+    mesh_steps is the march steps per segment length of the accepted rung,
     and residual the root-angle defect [rad] of its march at the accepted
     tip angle, at most the shooting tolerance; the shape's own root defect
     equals it when mesh_steps is integration_steps. integrations counts the
-    RK4 marches of the solve and steps their RK4 steps, on every rung, not
-    the march on first read. == ignores plan, so it does not compare shapes.
+    marches of the solve and steps the steps they take, three force
+    evaluations each, on every rung, not the march on first read. ==
+    ignores plan, so it does not compare shapes.
     """
 
     tip_angle_deg: float
@@ -213,7 +214,7 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
     """Panels between consecutive cuts (segment ends, the motor station,
     point-moment stations), root to tip, as (a, b, EI, seg_len, jump, motor)
     tuples: seg_len is the mean segment length, which _mesh divides into
-    RK4 steps, jump is the point moment [N m] applied at b (tendon and
+    march steps, jump is the point moment [N m] applied at b (tendon and
     point_moments), None when there is none, and motor is whether b is the
     motor station. A moment at s = 0 ends no panel; the clamp absorbs it.
     Every mesh has the same cuts, so the marches on any two meshes meet at
@@ -245,7 +246,7 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
 
 
 def _mesh(plan, steps: int):
-    """The plan's panels as (a, b, EI, n, jump, motor), with n RK4 steps,
+    """The plan's panels as (a, b, EI, n, jump, motor), with n march steps,
     about `steps` per segment length."""
     return [(a, b, ei, max(2, int(math.ceil(steps * (b - a) / seg_len))), jump, motor)
             for a, b, ei, seg_len, jump, motor in plan]
@@ -253,17 +254,23 @@ def _mesh(plan, steps: int):
 
 def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
            history: list | None = None) -> float:
-    """RK4 march of (theta, M) from the free tip, where M = 0, to the root,
+    """March of (theta, M) from the free tip, where M = 0, to the root,
     panel by panel: on reaching a panel's outboard end it adds the panel's
     point moment and, at the motor station, fixes the thrust direction.
     The force resultant outboard of s is the weight beyond s plus, inboard
-    of the motor station, the thrust. Given a history list, the march also
-    integrates x and z from the tip and appends one row (s, x, z, theta, M)
-    per step plus one after each point moment. Returns theta(0). A march
-    that does not record skips the sines where the horizontal force rx is
-    0 (no thrust, or outboard of the motor station), bit for bit: s * rx is
-    +-0, +-0 - q differs from -q only in the sign of a zero, and M starts
-    at +0, which no sum turns into -0."""
+    of the motor station, the thrust. theta'' = F/EI with F = M' =
+    sin(theta) rx - cos(theta) rz(s) does not depend on theta' = M/EI, so
+    each step is the three-stage Runge-Kutta-Nystrom step of order 4, three
+    evaluations of F (Hairer, Norsett & Wanner, Solving ODEs I, II.14).
+    Given a history list, the march also integrates x and z from the tip by
+    Simpson's rule, at the cubic-Hermite midpoint angle from theta and M at
+    both ends, and appends one row (s, x, z, theta, M) per step plus one
+    after each point moment. Returns theta(0); raises ValueError when an
+    overflow makes an angle infinite or NaN. A march that does not record
+    skips the sines where the horizontal force rx is 0 (no thrust, or
+    outboard of the motor station), with the same floats but for the sign
+    of a zero F or theta: s * rx is +-0, and +-0 - q differs from -q only
+    in the sign of a zero; M starts at +0, which no sum turns into -0."""
     cos, sin = math.cos, math.sin
     theta, m, x, z = theta_tip, 0.0, 0.0, 0.0
     record = history is not None
@@ -279,57 +286,48 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
             rx = -thrust * sin(theta)
             tz = thrust * cos(theta)
         h = (b - a) / n
-        half, h6 = 0.5 * h, h / 6.0
+        half, h6, g = 0.5 * h, h / 6.0, h / ei
+        q = h * g  # h^2 / EI
+        q8, q2, q6 = 0.125 * q, 0.5 * q, q / 6.0
         s = b
         rz1 = w_z * (length - s) + tz
         if not rx and not record:
             for _ in range(n):
                 rz2 = w_z * (length - (s - half)) + tz
-                rz4 = w_z * (length - (s - h)) + tz
-                k1t = m / ei
-                k1m = -cos(theta) * rz1
-                t, mm = theta - half * k1t, m - half * k1m
-                k2t = mm / ei
-                k2m = -cos(t) * rz2
-                t, mm = theta - half * k2t, m - half * k2m
-                k3t = mm / ei
-                k3m = -cos(t) * rz2
-                t, mm = theta - h * k3t, m - h * k3m
-                k4t = mm / ei
-                k4m = -cos(t) * rz4
-                theta -= h6 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-                m -= h6 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+                rz3 = w_z * (length - (s - h)) + tz
+                d = g * m  # h M / EI
+                f1 = -cos(theta) * rz1
+                f2 = -cos(theta - 0.5 * d + q8 * f1) * rz2
+                f3 = -cos(theta - d + q2 * f2) * rz3
+                theta += q6 * (f1 + 2.0 * f2) - d
+                m -= h6 * (f1 + 4.0 * f2 + f3)
                 s -= h
-                rz1 = rz4  # s -= h gives the float that rz4 was built from
+                rz1 = rz3  # s -= h gives the float that rz3 was built from
             continue
         for _ in range(n):
             rz2 = w_z * (length - (s - half)) + tz
-            rz4 = w_z * (length - (s - h)) + tz
+            rz3 = w_z * (length - (s - h)) + tz
+            d = g * m
             c1, s1 = cos(theta), sin(theta)
-            k1t = m / ei
-            k1m = s1 * rx - c1 * rz1
-            t, mm = theta - half * k1t, m - half * k1m
-            c2, s2 = cos(t), sin(t)
-            k2t = mm / ei
-            k2m = s2 * rx - c2 * rz2
-            t, mm = theta - half * k2t, m - half * k2m
-            c3, s3 = cos(t), sin(t)
-            k3t = mm / ei
-            k3m = s3 * rx - c3 * rz2
-            t, mm = theta - h * k3t, m - h * k3m
-            c4, s4 = cos(t), sin(t)
-            k4t = mm / ei
-            k4m = s4 * rx - c4 * rz4
-            theta -= h6 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-            m -= h6 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+            f1 = s1 * rx - c1 * rz1
+            t = theta - 0.5 * d + q8 * f1
+            f2 = sin(t) * rx - cos(t) * rz2
+            t = theta - d + q2 * f2
+            f3 = sin(t) * rx - cos(t) * rz3
+            t0, m0 = theta, m
+            theta += q6 * (f1 + 2.0 * f2) - d
+            m -= h6 * (f1 + 4.0 * f2 + f3)
             s -= h
-            rz1 = rz4
+            rz1 = rz3
             if record:
-                x -= h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-                z -= h6 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                t = 0.5 * (t0 + theta) - 0.125 * g * (m0 - m)  # the angle at s + h/2
+                x -= h6 * (c1 + 4.0 * cos(t) + cos(theta))
+                z -= h6 * (s1 + 4.0 * sin(t) + sin(theta))
                 history.append((s, x, z, theta, m))
         if record:
             history[-1] = (a, x, z, theta, m)  # the panel ends exactly on its cut
+    if not math.isfinite(theta):  # an overflow that no cos or sin raised on
+        raise ValueError(f"theta(0) = {theta}")
     return theta
 
 
@@ -349,7 +347,8 @@ def solve_elastica(
     the next rung, shot again from the straight arm; its marches still
     count. The shape is the requested-mesh march at the accepted tip angle,
     made on first read. Raises NoConvergence when the shooting on the top
-    rung misses the tolerance."""
+    rung misses the tolerance, and ValueError naming the arm length, the
+    smallest EI and the loads when a march overflows."""
     settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
     length = geometry.total_length
@@ -361,9 +360,14 @@ def solve_elastica(
     mesh_steps = PREDICTOR_STEPS
     while True:
         panels = _mesh(plan, mesh_steps)
-        theta_tip, defect, n = _shoot(
-            lambda tip: _march(panels, loads.thrust, w_z, length, tip) - theta_root,
-            theta_tip, settings.shooting_tolerance)
+        try:
+            theta_tip, defect, n = _shoot(
+                lambda tip: _march(panels, loads.thrust, w_z, length, tip) - theta_root,
+                theta_tip, settings.shooting_tolerance)
+        except ValueError:  # cos or sin of an infinite angle, or a non-finite theta(0)
+            raise ValueError(
+                f"arm length {length} m, smallest EI {min(p[2] for p in plan)} N m^2 and "
+                f"loads {loads} put the elastica out of float range") from None
         integrations += n
         steps += n * sum(panel[3] for panel in panels)
         if not abs(defect) <= settings.shooting_tolerance:  # a NaN defect misses too

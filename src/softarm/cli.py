@@ -19,6 +19,7 @@ import io as _stdio
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, adapt, aero, beam, deflection
@@ -168,18 +169,24 @@ def _attachment_fields(infill: float, pressure: float) -> dict:
     }
 
 
-def _pipe_fit_block(geometry: beam.ArmGeometry, infill: float, diameter_m: float,
-                    contact_width_m: float, tendon_force_n: float) -> tuple[dict, list[float]]:
-    """A pipe fit's wrap and attachment block, and each segment's subtended angle [deg]."""
-    wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(diameter_m))
-    pressure = adapt.contact_pressure(tendon_force_n, contact_width_m, geometry.total_length)
-    block = {
+def _pipe_fit_block(wrap: adapt.WrapResult, infill: float, pressure: float) -> dict:
+    """A pipe fit's wrap and attachment block."""
+    return {
         "total_turning_deg": wrap.total_turning,
         "coverage_ratio": wrap.coverage_ratio,
         "max_gap_m": wrap.max_gap,
         **_attachment_fields(infill, pressure),
     }
-    return block, list(wrap.per_segment_subtended)
+
+
+@contextmanager
+def _config_keys(path: Path, *keys: str):
+    """Re-raise an input error of the library call inside as a ParseError
+    that names the config keys its arguments came from, and the config."""
+    try:
+        yield
+    except (InputError, ValueError) as exc:
+        raise ParseError(f"{', '.join(keys)}: {exc}", path=str(path)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +246,15 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     )
     results: dict = {"material": {"infill_pct": infill, **_material_block(mr_params)}}
 
-    propeller = aero.PropellerModel.from_nominal(
-        thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
-    )
+    with _config_keys(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm"):
+        propeller = aero.PropellerModel.from_nominal(
+            thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
+        )
     max_rpm = prop_cfg["max_rpm"]
     if max_rpm <= 0:
         raise ParseError(f"propeller.max_rpm must be > 0, got {max_rpm}", path=str(args.config))
-    try:  # the sweep's top speed; each lower one is then in range too
+    with _config_keys(args.config, "propeller.max_rpm"):  # then every lower speed is in range
         aero.thrust_from_rpm(propeller, max_rpm)
-    except ValueError as exc:
-        raise ParseError(f"propeller.max_rpm: {exc}", path=str(args.config)) from None
 
     # Thrust/deflection sweep over the throttle grid.
     sweep_rows = []
@@ -318,7 +324,12 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         "recommended_infill": recommended,
     }
 
-    results["pipe_fit"], _ = _pipe_fit_block(geometry, infill, **pipe_cfg)
+    with _config_keys(args.config, "pipe.diameter_m"):
+        wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(pipe_cfg["diameter_m"]))
+    with _config_keys(args.config, "pipe.tendon_force_n", "pipe.contact_width_m"):
+        pressure = adapt.contact_pressure(
+            pipe_cfg["tendon_force_n"], pipe_cfg["contact_width_m"], geometry.total_length)
+    results["pipe_fit"] = _pipe_fit_block(wrap, infill, pressure)
     return results, inputs
 
 
@@ -358,10 +369,10 @@ def cmd_efficiency(args) -> tuple[dict, dict]:
 def cmd_pipe_fit(args) -> tuple[dict, dict]:
     inputs: dict = {}
     geometry = _read_input(inputs, "geometry", sio.read_arm_geometry_json, args.geometry)
-    block, subtended = _pipe_fit_block(
-        geometry, args.infill, args.diameter, args.contact_width, args.tendon_force
-    )
-    block["per_segment_subtended_deg"] = subtended
+    wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(args.diameter))
+    pressure = adapt.contact_pressure(args.tendon_force, args.contact_width, geometry.total_length)
+    block = _pipe_fit_block(wrap, args.infill, pressure)
+    block["per_segment_subtended_deg"] = list(wrap.per_segment_subtended)
     return {"pipe_fit": block}, inputs
 
 

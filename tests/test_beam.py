@@ -69,6 +69,10 @@ def fold_arm(inertia=(5e-8,) * 4, droop=0.0, motor=1.0, density=0.0):
     )
 
 
+SHIPPED_ARM = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
+CLI_SETTINGS = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
+
+
 class TestUnloaded:
     def test_straight_at_droop(self):
         geom = uniform_arm(droop=12.0)
@@ -270,25 +274,30 @@ class TestGeometryValidation:
         assert np.all(np.diff(sol.stations[:, 0]) >= 0)
 
 
-    @pytest.mark.parametrize("load", [1.0, 3.0, 10.0])
-    def test_tip_angle_converges_at_fourth_order(self, load):
-        # RK4: halving the step divides the tip-angle error by about 2^4.
-        # Follower tip force F with FL^2/EI = load on a uniform arm, EI = 0.01 N m^2.
-        geom = uniform_arm(length=0.2)
-        loads = LoadCase(thrust=load * E_SOFT * 1e-9 / 0.2**2, gravity=0)
-
-        def tip_angle(steps):
+    @pytest.mark.parametrize("geom, modulus, loads", [
+        *((uniform_arm(length=0.2), E_SOFT, LoadCase(thrust=load * E_SOFT * 1e-9 / 0.2**2,
+                                                       gravity=0)) for load in (1.0, 3.0, 10.0)),
+        (SHIPPED_ARM, 1.118e6, LoadCase(thrust=9.0)),
+    ], ids=["1.0", "3.0", "10.0", "shipped_arm_weighted"])
+    def test_tip_angle_converges_at_fourth_order(self, geom, modulus, loads):
+        # Halving the step divides the error of the tip angle and of the tip's
+        # position (x, z) by about 2^4: the Runge-Kutta-Nystrom step and
+        # Simpson's rule on the shape are both 4th order. On the uniform arm,
+        # a follower tip force F with FL^2/EI of 1, 3 and 10 (EI = 0.01 N m^2);
+        # the shipped arm, weighted, bends 84 deg under 9 N at station 0.83,
+        # so its march runs the loop without sines outboard of the motor and
+        # the one with them inboard.
+        def tip(steps):
             settings = SolverSettings(integration_steps=steps, shooting_tolerance=1e-14)
-            return solve_elastica(geom, E_SOFT, loads, settings).tip_angle_deg
+            sol = solve_elastica(geom, modulus, loads, settings)
+            return (sol.tip_angle_deg, *sol.stations[-1, 1:3])
 
-        reference = tip_angle(2048)
-        errors = [abs(tip_angle(steps) - reference) for steps in (16, 32, 64, 128)]
+        reference = tip(2048)
+        errors = [[abs(a - b) for a, b in zip(tip(steps), reference)]
+                  for steps in (16, 32, 64, 128)]
         for coarse, fine in zip(errors, errors[1:]):
-            assert 12.0 <= coarse / fine <= 24.0
-
-
-SHIPPED_ARM = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
-CLI_SETTINGS = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
+            for c, f in zip(coarse, fine):
+                assert 12.0 <= c / f <= 24.0
 
 
 class TestRobustness:
@@ -332,7 +341,7 @@ class TestRobustness:
 
     @pytest.fixture
     def rungs(self, monkeypatch):
-        """{RK4 steps of a march: marches with that many}, filled in as the
+        """{Steps of a march: marches with that many}, filled in as the
         solve marches; each rung's mesh has its own step count."""
         rungs = {}
         march = beam._march
@@ -365,7 +374,8 @@ class TestRobustness:
     def test_missed_rungs_hand_the_solve_to_the_next(self, rungs):
         # At 144 kN the shooting from the straight arm misses on the 4- and
         # 8-step rungs within its budget; the 16-step rung starts again from
-        # the straight arm and converges, and the missed marches count.
+        # the straight arm and converges, and the missed marches count. The
+        # 64-step answer is 4.3 deg from the 1,024-step one, 117.4645 deg.
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
         sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=144000.0), CLI_SETTINGS)
         assert rungs == {19: beam.SHOOTING_MARCHES, 35: beam.SHOOTING_MARCHES,
@@ -374,7 +384,7 @@ class TestRobustness:
         assert sol.steps == sum(steps * n for steps, n in rungs.items())
         assert sol.mesh_steps == 64
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
-        assert sol.tip_angle_deg == pytest.approx(128.2168, abs=1e-4)
+        assert sol.tip_angle_deg == pytest.approx(121.7670, abs=1e-4)
 
 
 class TestSolverCounters:
@@ -459,8 +469,8 @@ class TestSolutionArrays:
         # 1e-9 rad the ladder accepts the 8-step rung in every case. At
         # 1e-14 rad no rung's first march meets the tolerance, so the ladder
         # climbs to the requested mesh and the shape's root defect is the
-        # residual; only the arcs bent by point moments alone, which RK4
-        # integrates exactly on any mesh, still stop at 8 steps.
+        # residual; only the arcs bent by point moments alone, whose angle
+        # the step integrates exactly on any mesh, still stop at 8 steps.
         # (A loop, not a parameter, keeps the test ids of the load cases.)
         geometry = fold_arm(droop=droop, motor=motor, density=0.05)
         theta_root = -math.radians(droop)
@@ -507,13 +517,13 @@ class TestSolutionArrays:
 
 class TestPredictor:
     """The ladder above the first rung, PREDICTOR_STEPS steps per segment
-    length. On the shipped arm the 4- and 8-step rungs march 19 and 35 RK4
+    length. On the shipped arm the 4- and 8-step rungs march 19 and 35
     steps; at motor station 0.9753 the 4-, 8-, 16- and 32-step rungs march
     20, 36, 66 and 131."""
 
     @pytest.fixture
     def march_steps(self, monkeypatch):
-        """RK4 steps of each march of the solve, in order."""
+        """Steps of each march of the solve, in order."""
         marches = []
         march = beam._march
 
@@ -543,16 +553,16 @@ class TestPredictor:
         assert march_steps == [20] * 4 + [36] * 2 + [66] * 2 + [131]
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
         # The resolved answer: the 1,024-step mesh shot to 1e-12 rad.
-        resolved = 113.04250449871626
+        resolved = 113.04250449870685
         assert sol.tip_angle_deg == pytest.approx(
             resolved, abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
         # Where the secant stops inside that band is pinned bit for bit:
-        # 1.48e-6 deg from the resolved answer, while the 32-step mesh itself
-        # is 7.6e-8 deg from it. beam._shoot on the 64-step mesh alone, from
-        # the straight arm at 1e-7 rad, stops 7.8e-8 deg from it
-        # (113.0425044204673 deg), so which of the two lands closer is where
+        # 5.8e-7 deg from the resolved answer, while the 32-step mesh itself
+        # is 2.8e-8 deg from it. beam._shoot on the 64-step mesh alone, from
+        # the straight arm at 1e-7 rad, stops 7.5e-8 deg from it
+        # (113.04250442351527 deg), so which of the two lands closer is where
         # each secant happens to stop, not the mesh.
-        assert sol.tip_angle_deg == 113.04250301626533
+        assert sol.tip_angle_deg == 113.04250391709489
 
     def test_analyze_angles_hold_on_the_resolved_mesh(self, monkeypatch):
         # The 11 throttles of `softarm analyze`, accepted on the 8-step rung,
@@ -680,7 +690,7 @@ class TestShapeDigests:
         assert main(["analyze"]) == EXIT_OK
         assert [sol.mesh_steps for sol in solutions] == [8] * 11
         assert shape_digest(solutions) == (
-            "78f5957146412f16395338a2576d94f1a16e76e4ed7d554a3b5cc2e22a9caddb"
+            "58b61d628eda32fc572bf60b11a15d398c2d1e9fcf1186f36795cd7660955532"
         )
 
     def test_tendon_bend(self):
@@ -691,7 +701,7 @@ class TestShapeDigests:
         assert [sol.integrations for sol in solutions] == [4, 4, 5, 5]
         assert [sol.steps for sol in solutions] == [92, 92, 111, 111]
         assert shape_digest(solutions) == (
-            "e7856fba572bf7d4dfe11d9b5948b1471439da1cbab2bf8ecf58cbbf820705e0"
+            "06b7f6e9712fe7631019ca69b1fc4930029770a64c4e7baa68953ef13afc40b0"
         )
 
 

@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import operator
 import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -792,25 +794,38 @@ class TestParseBoundary:
     @pytest.mark.parametrize(
         "section,key,value,message",
         [
-            ("pipe", "tendon_force_n", -5, "tendon_force must be >= 0, got -5"),
+            ("pipe", "tendon_force_n", -5,
+             "pipe.tendon_force_n, pipe.contact_width_m: tendon_force must be >= 0, got -5"),
+            ("pipe", "contact_width_m", 0,
+             "pipe.tendon_force_n, pipe.contact_width_m: contact patch 0 m x "),
+            ("pipe", "diameter_m", 0.01,
+             "pipe.diameter_m: segment 1 chord 0.035 m exceeds pipe diameter 0.01 m"),
             # The shipped 10% hyperelastic row has c10 + c01 < 0.
             ("material", "infill_pct", 10, "effective modulus -2.1e+06 Pa is not positive"),
             ("propeller", "max_rpm", 0, "propeller.max_rpm must be > 0, got 0"),
             ("propeller", "max_rpm", -6000, "propeller.max_rpm must be > 0, got -6000"),
-            ("propeller", "nominal_thrust_n", 0, "thrust_coefficient must be > 0"),
+            ("propeller", "nominal_thrust_n", 0,
+             "propeller.nominal_thrust_n, propeller.nominal_rpm: nominal thrust 0 N at nominal "
+             "rpm 4000: thrust_coefficient must be > 0"),
         ],
-        ids=["tendon_force_n", "infill_10pct", "max_rpm_zero", "max_rpm_negative",
-             "nominal_thrust_zero"],
+        ids=["tendon_force_n", "contact_width_zero", "diameter_below_chord", "infill_10pct",
+             "max_rpm_zero", "max_rpm_negative", "nominal_thrust_zero"],
     )
     def test_out_of_range_config_value_exits_2(self, section, key, value, message, tmp_path,
                                                capsys):
+        # A value outside a library routine's range is named by its config
+        # key, the config's path first, except the infill, which the solver
+        # meets through the hyperelastic row.
         config = shipped_config()
         config[section][key] = value
-        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        path = write_config(tmp_path, config)
+        code = main(["analyze", "--config", path])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("softarm: input error: ")
         assert message in captured.err
+        if section != "material":
+            assert captured.err.startswith(f"softarm: input error: {path}: {section}.")
 
     @pytest.mark.parametrize(
         "where,key,field",
@@ -964,10 +979,19 @@ class TestParseBoundary:
             (["deflect", "--rho", "6", "--throttle-pct", "50"], "coeffs", "a1", -1e308,
              "(a1=-1e+308, a2=-0.1997, b1=-0.162, b2=0.0151, alpha0=0.0) overflow at "
              "infill 6.0% and throttle 5.0"),
+            # The march's angle overflows: cos raised "math domain error".
+            (["analyze"], "geometry", ("segments", 0, "length_mm"), 1e308,
+             "arm length 1e+305 m, smallest EI 0.3120000000000001 N m^2 and loads "
+             "LoadCase(thrust=0.0, gravity=9.81, tendon_tension=0.0, tendon_eccentricity=0.0, "
+             "point_moments=()) put the elastica out of float range"),
+            (["analyze"], "geometry", ("inertia_m4", 0), 5e-324,
+             "arm length 0.17500000000000002 m, smallest EI 3.0829696e-317 N m^2 and loads "
+             "LoadCase(thrust=0.0, gravity=9.81, "),
         ],
         ids=["nominal_rpm-5e-324", "nominal_rpm-1e-160", "nominal_rpm-1e200", "max_rpm-1e200",
              "fit-material-length", "sweep-arm_angle-rpm", "pipe-fit-area-underflow", "sweep-infill-area-underflow",
-             "pipe-fit-pressure-overflow", "deflect-envelope", "deflect-throttle"],
+             "pipe-fit-pressure-overflow", "deflect-envelope", "deflect-throttle",
+             "analyze-length_mm", "analyze-inertia_m4"],
     )
     def test_out_of_float_range_input_is_named(self, argv, section, key, value, message,
                                               tmp_path, capsys):
@@ -981,6 +1005,13 @@ class TestParseBoundary:
             coeffs[key] = value
             (tmp_path / "coeffs.json").write_text(json.dumps(coeffs))
             argv = [*argv, "--coeffs", str(tmp_path / "coeffs.json")]
+        elif section == "geometry":  # key is the path to the value in the geometry file
+            config = shipped_config()
+            geometry = json.loads(Path(config["geometry"]).read_text())
+            reduce(operator.getitem, key[:-1], geometry)[key[-1]] = value
+            config["geometry"] = str(tmp_path / "geometry.json")
+            Path(config["geometry"]).write_text(json.dumps(geometry))
+            argv = [*argv, "--config", write_config(tmp_path, config)]
         elif section:
             config = shipped_config()
             config[section][key] = value
@@ -1038,10 +1069,12 @@ class TestParseBoundary:
     def test_non_positive_nominal_rpm_exits_2(self, rpm, tmp_path, capsys):
         config = shipped_config()
         config["propeller"]["nominal_rpm"] = rpm
-        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        path = write_config(tmp_path, config)
+        code = main(["analyze", "--config", path])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
-        assert "softarm: input error: nominal rpm must be > 0" in captured.err
+        assert captured.err == (f"softarm: input error: {path}: propeller.nominal_thrust_n, "
+                                f"propeller.nominal_rpm: nominal rpm must be > 0, got {rpm}\n")
 
     @pytest.mark.parametrize(
         "table,message",
