@@ -47,14 +47,16 @@ SOLVER_SETTINGS = beam.SolverSettings(integration_steps=64, shooting_tolerance=1
 THROTTLE_GRID_PCT = range(0, 101, 10)
 ENVELOPE_INFILL_PCT = (6, 8, 10)
 #: The keys of an analyze config, all required and no others accepted: a
-#: section maps to the keys of its object, a file reference to None.
+#: section maps to its keys, a key to what its value must be, a file (a name
+#: that resolves against the config's directory), a finite number, or a
+#: finite number > 0.
 _CONFIG_KEYS = {
-    "geometry": None,
-    "efficiency_table": None,
-    "deflection_coeffs": None,
-    "material": ("hyperelastic_table", "infill_pct"),
-    "propeller": ("nominal_thrust_n", "nominal_rpm", "max_rpm"),
-    "pipe": ("diameter_m", "contact_width_m", "tendon_force_n"),
+    "geometry": "file",
+    "efficiency_table": "file",
+    "deflection_coeffs": "file",
+    "material": {"hyperelastic_table": "file", "infill_pct": "finite"},
+    "propeller": {"nominal_thrust_n": "finite", "nominal_rpm": "finite", "max_rpm": "> 0"},
+    "pipe": {"diameter_m": "finite", "contact_width_m": "finite", "tendon_force_n": "finite"},
 }
 
 
@@ -64,7 +66,8 @@ def default_data_dir() -> Path:
 
 def _read_input(inputs: dict, label: str, reader, path, *args):
     """Read one input file with reader(path, *args) and record its SHA-256
-    digest under label in inputs."""
+    digest under label in inputs. The digest reads the file a second time,
+    after the reader has parsed it."""
     path = Path(path)
     value = reader(path, *args)
     inputs[label] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -125,22 +128,32 @@ def _fmt(v):
     return v
 
 
-def _check_keys(obj: dict, expected, path: Path, prefix: str = "") -> None:
-    """Raise ParseError naming the keys of obj that expected lacks, or the
-    first key of expected that obj lacks; then check each section alike."""
-    unknown = [repr(prefix + key) for key in obj if key not in expected]
-    if unknown:
-        raise ParseError(f"unknown config keys: {', '.join(unknown)}", path=str(path))
-    for key in expected:
-        fields = expected[key] if isinstance(expected, dict) else None
+def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None:
+    """Check obj against expected, a level of _CONFIG_KEYS, in its order:
+    raise ParseError naming the keys of obj that expected lacks, else the
+    first key of expected that obj lacks, is not an object where it names a
+    section (then checked alike), or is not the number it says; resolve each
+    file reference in obj against path's directory."""
+    sio._reject_unknown(obj, expected, path, "config", prefix)
+    for key, kind in expected.items():
+        name, value = prefix + key, obj.get(key)
         if key not in obj:
-            kind = "section" if fields else "key"
-            raise ParseError(f"config has no {prefix + key!r} {kind}", path=str(path))
-        if fields:
-            if not isinstance(obj[key], dict):
+            kind = "section" if isinstance(kind, dict) else "key"
+            raise ParseError(f"config has no {name!r} {kind}", path=str(path))
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
                 raise ParseError(f"config section {key!r} must be an object, "
-                                 f"got {type(obj[key]).__name__}", path=str(path))
-            _check_keys(obj[key], fields, path, f"{key}.")
+                                 f"got {type(value).__name__}", path=str(path))
+            _check_keys(value, kind, path, f"{key}.")
+        elif kind == "file":
+            obj[key] = path.parent / value
+        else:
+            try:
+                require_finite(**{name: value})
+            except ValueError as exc:
+                raise ParseError(str(exc), path=str(path)) from None
+            if kind == "> 0" and value <= 0:
+                raise ParseError(f"{name} must be > 0, got {value}", path=str(path))
 
 
 def _material_block(params: material.MooneyRivlinParams) -> dict:
@@ -219,31 +232,16 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     if not isinstance(config, dict):
         raise ParseError("config must be a JSON object", path=str(args.config))
     _check_keys(config, _CONFIG_KEYS, args.config)
-    try:  # name the key of a config value that is not a number
-        require_finite(**{f"{section}.{key}": config[section][key]
-                          for section in ("material", "propeller", "pipe")
-                          for key in _CONFIG_KEYS[section] if key != "hyperelastic_table"})
-    except ValueError as exc:
-        raise ParseError(str(exc), path=str(args.config)) from None
     mat_cfg, prop_cfg, pipe_cfg = config["material"], config["propeller"], config["pipe"]
-    # File references in the config resolve against the config's directory.
-    base = args.config.parent
     infill = mat_cfg["infill_pct"]
     inputs: dict = {}
-    geometry = _read_input(
-        inputs, "geometry", sio.read_arm_geometry_json, base / config["geometry"]
-    )
-    table = _read_input(
-        inputs, "efficiency_table", sio.read_efficiency_csv, base / config["efficiency_table"]
-    )
-    coeffs = _read_input(
-        inputs, "deflection_coeffs", sio.read_deflection_coeffs_json,
-        base / config["deflection_coeffs"],
-    )
-    mr_params = _read_input(
-        inputs, "hyperelastic_table", sio.read_hyperelastic_row,
-        base / mat_cfg["hyperelastic_table"], infill,
-    )
+    geometry = _read_input(inputs, "geometry", sio.read_arm_geometry_json, config["geometry"])
+    table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv,
+                        config["efficiency_table"])
+    coeffs = _read_input(inputs, "deflection_coeffs", sio.read_deflection_coeffs_json,
+                         config["deflection_coeffs"])
+    mr_params = _read_input(inputs, "hyperelastic_table", sio.read_hyperelastic_row,
+                            mat_cfg["hyperelastic_table"], infill)
     results: dict = {"material": {"infill_pct": infill, **_material_block(mr_params)}}
 
     with _config_keys(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm"):
@@ -251,8 +249,6 @@ def cmd_analyze(args) -> tuple[dict, dict]:
             thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
         )
     max_rpm = prop_cfg["max_rpm"]
-    if max_rpm <= 0:
-        raise ParseError(f"propeller.max_rpm must be > 0, got {max_rpm}", path=str(args.config))
     with _config_keys(args.config, "propeller.max_rpm"):  # then every lower speed is in range
         aero.thrust_from_rpm(propeller, max_rpm)
 

@@ -1,7 +1,8 @@
 """File formats: CSV ingestion with line-numbered errors, and the geometry,
 coefficient and hyperelastic-table JSON. Every input file of the commands is
-read here, through `load_json` or `_read_csv_rows`, the one place where a bad
-file or a non-finite number becomes a ParseError."""
+parsed here, through `load_json` or `_read_csv_rows`, the one place where a
+bad file or a non-finite number becomes a ParseError; `cli._read_input` then
+reads each file a second time, to hash its bytes."""
 
 from __future__ import annotations
 
@@ -42,6 +43,14 @@ def load_json(path: str | Path):
         raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
     except ValueError as exc:
         raise ParseError(str(exc), path=str(path)) from None
+
+
+def _reject_unknown(payload, known, path: str | Path, what: str, prefix: str = "") -> None:
+    """Raise ParseError naming, in file order, each key of payload that known
+    lacks, when payload is an object; what names the file in the message."""
+    unknown = isinstance(payload, dict) and [repr(prefix + k) for k in payload if k not in known]
+    if unknown:
+        raise ParseError(f"unknown {what} keys: {', '.join(unknown)}", path=str(path))
 
 
 def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[int, list[float]]]:
@@ -116,8 +125,10 @@ def read_efficiency_csv(path: str | Path) -> EfficiencyTable:
 
 def read_hyperelastic_row(path: str | Path, infill_pct: float) -> MooneyRivlinParams:
     """Load the Mooney-Rivlin coefficients [MPa] of one infill rate [%] from
-    a hyperelastic table JSON: rows of {rho_pct, c10, c01, c20, c02, c11}."""
+    a hyperelastic table JSON: rows of {rho_pct, c10, c01, c20, c02, c11}
+    under "rows", and no other keys but the unit and _note it may document."""
     payload = load_json(path)
+    _reject_unknown(payload, ("rows", "unit", "_note"), path, "hyperelastic table")
     try:
         for row in payload["rows"]:
             if row["rho_pct"] == infill_pct:
@@ -132,9 +143,11 @@ def read_arm_geometry_json(path: str | Path) -> ArmGeometry:
 
     Expected keys: segments (list of {beta_deg, length_mm}), inertia_m4
     (per segment), half_depth_m, alpha0_deg, motor_station,
-    linear_density_kg_m.
+    linear_density_kg_m; a _note is allowed, any other key is a ParseError.
     """
     payload = load_json(path)
+    _reject_unknown(payload, ("segments", "inertia_m4", "half_depth_m", "alpha0_deg",
+                              "motor_station", "linear_density_kg_m", "_note"), path, "geometry")
     try:
         segments = []
         for s in payload["segments"]:
@@ -153,8 +166,11 @@ def read_arm_geometry_json(path: str | Path) -> ArmGeometry:
 
 
 def read_deflection_coeffs_json(path: str | Path) -> DeflectionModelCoeffs:
-    """Load deflection coefficients JSON with keys a1, a2, b1, b2, alpha0_deg."""
+    """Load deflection coefficients JSON with keys a1, a2, b1, b2, alpha0_deg,
+    and no others but the throttle_unit and _note it may document."""
     payload = load_json(path)
+    _reject_unknown(payload, ("a1", "a2", "b1", "b2", "alpha0_deg", "throttle_unit", "_note"),
+                    path, "coefficients")
     try:
         return DeflectionModelCoeffs(
             a1=payload["a1"],

@@ -791,6 +791,57 @@ class TestParseBoundary:
         assert captured.err.startswith("softarm: input error: ")
         assert message in captured.err
 
+    def test_number_error_comes_before_a_key_error_in_a_later_section(self, tmp_path,
+                                                                      capsys):
+        # The config is checked key by key in table order; the missing key
+        # was once named first: "config has no 'propeller.max_rpm' key".
+        config = shipped_config()
+        config["material"]["infill_pct"] = None
+        del config["propeller"]["max_rpm"]
+        path = write_config(tmp_path, config)
+        assert main(["analyze", "--config", path]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"softarm: input error: {path}: material.infill_pct must be finite, got None\n")
+
+    @pytest.mark.parametrize(
+        "reference,key,what",
+        [
+            ("geometry", "motor_staton", "geometry"),
+            ("deflection_coeffs", "alpha0", "coefficients"),
+            ("hyperelastic_table", "row", "hyperelastic table"),
+        ],
+    )
+    def test_unknown_key_in_an_input_json_exits_2(self, reference, key, what, tmp_path,
+                                                  capsys):
+        # A misspelt optional key once fell back to its default and exited 0:
+        # motor_staton left the motor at the tip, alpha0 a droop of 0 deg.
+        config = shipped_config()
+        holder = config["material"] if reference == "hyperelastic_table" else config
+        payload = json.loads(Path(holder[reference]).read_text())
+        payload[key] = 0.83
+        path = tmp_path / f"{reference}.json"
+        path.write_text(json.dumps(payload))
+        holder[reference] = str(path)
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == f"softarm: input error: {path}: unknown {what} keys: '{key}'\n"
+
+    @pytest.mark.parametrize(
+        "argv,name,what",
+        [
+            (["pipe-fit", "--diameter", "0.2", "--geometry"], "arm_geometry.json", "geometry"),
+            (["deflect", "--rho", "6", "--coeffs"], "deflection_coeffs.json", "coefficients"),
+        ],
+    )
+    def test_unknown_keys_named_in_file_order(self, argv, name, what, tmp_path, capsys):
+        payload = json.loads((default_data_dir() / name).read_text())
+        path = tmp_path / name
+        path.write_text(json.dumps({"a": 1, **payload, "b_": 2}))
+        assert main([*argv, str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"softarm: input error: {path}: unknown {what} keys: 'a', 'b_'\n")
+
     @pytest.mark.parametrize(
         "section,key,value,message",
         [
