@@ -68,11 +68,14 @@ def thrust_from_rpm(model: PropellerModel, rpm: float) -> float:
     """Isolated-propeller thrust [N] at the given rotational speed."""
     require_finite(rpm=rpm)
     if rpm < 0:
-        raise ValueError("rpm must be >= 0")
+        raise ValueError(f"rpm must be >= 0, got {rpm}")
     try:
-        return model.thrust_coefficient * rpm**2
+        thrust = model.thrust_coefficient * rpm**2
     except OverflowError:
         raise ValueError(f"rpm {rpm} is out of range: rpm**2 overflows") from None
+    if thrust == math.inf:  # a product of finite floats does not raise
+        raise ValueError(f"rpm {rpm} is out of range: thrust_coefficient * rpm**2 overflows")
+    return thrust
 
 
 def efficiency_lookup(table: EfficiencyTable, rpm: float) -> float:
@@ -114,9 +117,9 @@ def efficiency_model(x_c: float, rpm: float, table: EfficiencyTable) -> float:
     table's eta less the slope term, so at most 1. Raises CalibrationFailure
     when the surrogate is not positive there."""
     if not 0.0 < x_c <= 1.0:
-        raise ValueError("x_c must be in (0, 1]")
+        raise ValueError(f"x_c must be in (0, 1], got {x_c}")
     if rpm <= 0:
-        raise ValueError("rpm must be > 0")
+        raise ValueError(f"rpm must be > 0, got {rpm}")
     peak = efficiency_lookup(table, rpm)
     if x_c <= OPTIMUM_MOTOR_STATION:
         eta = peak - BASE_SLOPE * (OPTIMUM_MOTOR_STATION - x_c)

@@ -1,8 +1,8 @@
 """Planar large-deflection (elastica) solver for the segmented soft arm.
 
 The arm is a clamped rod loaded by a follower thrust at the motor
-station, distributed weight, and tendon point moments at the fold
-stations. Geometry is piecewise constant per segment; integration is a
+station, distributed weight, and point moments, such as the tendon's at
+the folds. Geometry is piecewise constant per segment; integration is a
 fixed-step Runge-Kutta-Nystrom method of order 4 (see _march). Marching
 inward from the free tip, where the bending moment vanishes and the
 outboard force is known, leaves the tip angle as the only unknown, which
@@ -108,15 +108,12 @@ class LoadCase(_Record):
 
     thrust: follower force [N] normal to the local tangent at the motor
     station (positive pushes the arm up). gravity: acceleration magnitude
-    along -z [m/s^2]. Tendon tension acts as point moments
-    -tension*eccentricity at every interior fold. point_moments are extra
-    (arc_length [m], moment [N m]) pairs for constructed load cases.
+    along -z [m/s^2]. point_moments: (arc_length [m], moment [N m]) pairs,
+    such as the tendon's at the folds (see tendon_bend).
     """
 
     thrust: float = 0.0
     gravity: float = GRAVITY
-    tendon_tension: float = 0.0
-    tendon_eccentricity: float = 0.0
     point_moments: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
@@ -124,8 +121,6 @@ class LoadCase(_Record):
         require_finite(**vars(self))
         if self.thrust < 0:
             raise ValueError("thrust must be >= 0")
-        if self.tendon_tension < 0:
-            raise ValueError("tendon_tension must be >= 0")
 
 
 class SolverSettings(_Record, finite=True):
@@ -214,19 +209,15 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
     """Panels between consecutive cuts (segment ends, the motor station,
     point-moment stations), root to tip, as (a, b, EI, seg_len, jump, motor)
     tuples: seg_len is the mean segment length, which _mesh divides into
-    march steps, jump is the point moment [N m] applied at b (tendon and
-    point_moments), None when there is none, and motor is whether b is the
-    motor station. A moment at s = 0 ends no panel; the clamp absorbs it.
-    Every mesh has the same cuts, so the marches on any two meshes meet at
-    the same stations."""
+    march steps, jump is the sum of the point moments [N m] applied at b,
+    None when there is none, and motor is whether b is the motor station.
+    A moment at s = 0 ends no panel; the clamp absorbs it. Every mesh has
+    the same cuts, so the marches on any two meshes meet at the same
+    stations."""
     bounds = geometry.segment_bounds
     length = bounds[-1]
     s_motor = geometry.motor_station * length
     jumps: dict[float, float] = {}
-    if loads.tendon_tension > 0 and loads.tendon_eccentricity != 0:
-        m_tendon = -loads.tendon_tension * loads.tendon_eccentricity
-        for s_f in bounds[1:-1]:
-            jumps[s_f] = jumps.get(s_f, 0.0) + m_tendon
     for s_f, m in loads.point_moments:
         if not 0.0 <= s_f <= length:
             raise ValueError(f"point moment at s = {s_f} m is off the arm, "
@@ -450,10 +441,14 @@ def max_stress_station(solution: BeamSolution, geometry: ArmGeometry) -> float:
 
 def tendon_bend(geometry: ArmGeometry, material, tension: float,
                 eccentricity: float) -> BeamSolution:
-    """Arm shape under tendon tension alone (no thrust, no weight beyond
-    the configured gravity). Flags contact_expected when the total turning
-    exceeds the fold budget plus a quarter turn."""
-    loads = LoadCase(thrust=0.0, tendon_tension=tension, tendon_eccentricity=eccentricity)
+    """Arm shape under its weight and a tendon, no thrust: a point moment
+    -tension*eccentricity [N m] on each interior fold. Flags contact_expected
+    when the total turning exceeds the fold budget plus a quarter turn."""
+    require_finite(tension=tension, eccentricity=eccentricity)
+    if tension < 0:
+        raise ValueError(f"tension must be >= 0, got {tension}")
+    folds = geometry.segment_bounds[1:-1] if tension > 0 and eccentricity != 0 else ()
+    loads = LoadCase(thrust=0.0, point_moments=[(s, -tension * eccentricity) for s in folds])
     solution = solve_elastica(geometry, material, loads)
     turning = abs(solution.tip_angle_deg + geometry.initial_droop_deg)
     if turning > geometry.total_turning_deg + 90.0:

@@ -132,8 +132,8 @@ def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None
     """Check obj against expected, a level of _CONFIG_KEYS, in its order:
     raise ParseError naming the keys of obj that expected lacks, else the
     first key of expected that obj lacks, is not an object where it names a
-    section (then checked alike), or is not the number it says; resolve each
-    file reference in obj against path's directory."""
+    section (then checked alike), is not the non-empty file name or the
+    number it says; resolve each file name in obj against path's directory."""
     sio._reject_unknown(obj, expected, path, "config", prefix)
     for key, kind in expected.items():
         name, value = prefix + key, obj.get(key)
@@ -146,6 +146,8 @@ def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None
                                  f"got {type(value).__name__}", path=str(path))
             _check_keys(value, kind, path, f"{key}.")
         elif kind == "file":
+            if not isinstance(value, str) or not value:
+                raise ParseError(f"{name} must be a file name, got {value!r}", path=str(path))
             obj[key] = path.parent / value
         else:
             try:
@@ -249,7 +251,8 @@ def cmd_analyze(args) -> tuple[dict, dict]:
             thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
         )
     max_rpm = prop_cfg["max_rpm"]
-    with _config_keys(args.config, "propeller.max_rpm"):  # then every lower speed is in range
+    with _config_keys(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm",
+                      "propeller.max_rpm"):  # then every lower speed is in range
         aero.thrust_from_rpm(propeller, max_rpm)
 
     # Thrust/deflection sweep over the throttle grid.

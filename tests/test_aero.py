@@ -55,8 +55,13 @@ class TestThrustLaw:
         assert thrust_from_rpm(DEFAULT_PROPELLER, 0.0) == 0.0
 
     def test_negative_rpm_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rpm must be >= 0, got -1.0$"):
             thrust_from_rpm(DEFAULT_PROPELLER, -1.0)
+
+    def test_thrust_that_overflows_is_rejected(self):
+        # rpm**2 is finite, but its product with the coefficient is not.
+        with pytest.raises(ValueError, match=r"^rpm 100000.0 is out of range: thrust_coeff"):
+            thrust_from_rpm(PropellerModel(thrust_coefficient=1e300), 1e5)
 
     @pytest.mark.parametrize("rpm", [0.0, -4000.0, math.nan, math.inf])
     def test_nominal_rpm_must_be_finite_and_positive(self, rpm):

@@ -71,6 +71,12 @@ def fold_arm(inertia=(5e-8,) * 4, droop=0.0, motor=1.0, density=0.0):
 
 SHIPPED_ARM = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
 CLI_SETTINGS = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
+FOLDS = fold_arm().segment_bounds[1:-1]  # the interior folds of every fold_arm
+
+
+def tendon_moments(tension, eccentricity, folds=FOLDS):
+    """A tendon's load as LoadCase.point_moments: -tension*eccentricity at each fold."""
+    return [(s, -tension * eccentricity) for s in folds]
 
 
 class TestUnloaded:
@@ -142,8 +148,8 @@ class TestClosedForm:
 class TestSymmetry:
     def test_mirrored_loads_mirror_the_shape(self):
         geom = fold_arm(density=0.15)
-        down = LoadCase(thrust=0, gravity=9.81, tendon_tension=4.0, tendon_eccentricity=0.01)
-        up = LoadCase(thrust=0, gravity=-9.81, tendon_tension=4.0, tendon_eccentricity=-0.01)
+        down = LoadCase(thrust=0, gravity=9.81, point_moments=tendon_moments(4.0, 0.01))
+        up = LoadCase(thrust=0, gravity=-9.81, point_moments=tendon_moments(4.0, -0.01))
         a = solve_elastica(geom, E_SOFT, down)
         b = solve_elastica(geom, E_SOFT, up)
         np.testing.assert_allclose(b.stations[:, 2], -a.stations[:, 2], atol=1e-9)
@@ -183,10 +189,13 @@ class TestMaxStress:
 
 class TestTendonBend:
     def test_zero_tension_matches_unloaded(self):
+        # A zero tension or eccentricity puts no moment on the folds, not a
+        # zero one, which would add a row to the shape at each fold.
         geom = fold_arm(droop=5.0)
-        a = tendon_bend(geom, E_SOFT, 0.0, eccentricity=0.01)
         b = solve_elastica(geom, E_SOFT, LoadCase())
-        assert a.tip_angle_deg == pytest.approx(b.tip_angle_deg, abs=1e-9)
+        for tension, eccentricity in ((0.0, 0.01), (4.0, 0.0)):
+            a = tendon_bend(geom, E_SOFT, tension, eccentricity)
+            assert a.history == b.history and a.station_count == b.station_count
 
     def test_monotone_downward_with_tension(self):
         geom = fold_arm(droop=5.0)
@@ -204,6 +213,10 @@ class TestTendonBend:
         except NoConvergence:
             return
         assert sol.contact_expected
+
+    def test_negative_tension_rejected(self):
+        with pytest.raises(ValueError, match=r"^tension must be >= 0, got -2.0$"):
+            tendon_bend(fold_arm(), 2e6, -2.0, 0.01)
 
 
 class TestMaterialHandling:
@@ -425,7 +438,7 @@ class TestSolutionArrays:
 
     @staticmethod
     def solve():
-        loads = LoadCase(thrust=0.5, tendon_tension=2.0, tendon_eccentricity=0.01)
+        loads = LoadCase(thrust=0.5, point_moments=tendon_moments(2.0, 0.01))
         return solve_elastica(fold_arm(droop=5.0, motor=0.8, density=0.05), E_SOFT, loads,
                               SolverSettings(integration_steps=64))
 
@@ -452,12 +465,12 @@ class TestSolutionArrays:
         assert (sol.integrations, sol.steps) == counters
 
     @pytest.mark.parametrize("droop, motor, loads", [
-        (5.0, 0.8, LoadCase(thrust=0.5, tendon_tension=2.0, tendon_eccentricity=0.01)),
+        (5.0, 0.8, LoadCase(thrust=0.5, point_moments=tendon_moments(2.0, 0.01))),
         (5.0, 1.0, LoadCase()),
-        (5.0, 1.0, LoadCase(gravity=0.0, tendon_tension=2.0, tendon_eccentricity=0.01)),
+        (5.0, 1.0, LoadCase(gravity=0.0, point_moments=tendon_moments(2.0, 0.01))),
         (5.0, 0.5, LoadCase(thrust=2.0)),
         (5.0, 1.0, LoadCase(point_moments=((0.035, 0.0),))),
-        (-20.0, 1.0, LoadCase(tendon_tension=2.0, tendon_eccentricity=-0.01)),
+        (-20.0, 1.0, LoadCase(point_moments=tendon_moments(2.0, -0.01))),
     ], ids=["thrust_and_tendon", "gravity_only", "tendon_only_no_gravity", "thrust_inboard_half",
             "zero_moment_at_a_fold", "droop_up_negative_eccentricity"])
     def test_shape_is_the_accepted_march(self, droop, motor, loads):
@@ -488,7 +501,8 @@ class TestSolutionArrays:
 
     @pytest.mark.parametrize("loads", [
         LoadCase(thrust=0.0, gravity=0.0),
-        LoadCase(thrust=3.0, tendon_tension=5.0, tendon_eccentricity=0.01),
+        LoadCase(thrust=3.0,
+                 point_moments=tendon_moments(5.0, 0.01, SHIPPED_ARM.segment_bounds[1:-1])),
         LoadCase(thrust=1.0, point_moments=((0.0, 0.3),)),
     ], ids=["no_load", "thrust_and_tendon", "moment_at_the_root"])
     def test_station_count_is_the_length_of_the_shape(self, loads):
@@ -639,28 +653,25 @@ class TestShoot:
 
 
 class TestLoadLayout:
-    """Where the loads act: the tendon is a point moment -T*e at each
+    """Where the loads act: tendon_bend puts a point moment -T*e at each
     interior fold, and a moment at the root goes into the clamp."""
 
     @staticmethod
-    def march_bytes(geometry, loads):
-        sol = solve_elastica(geometry, 1.118e6, loads, CLI_SETTINGS)
+    def march_bytes(sol):
         return np.array(sol.history).tobytes(), sol.integrations, sol.steps
 
     @pytest.mark.parametrize("motor", [0.83, 1.0])
     def test_tendon_is_point_moments_at_the_interior_folds(self, motor):
         geom = replace(SHIPPED_ARM, motor_station=motor)
-        tension, eccentricity = 5.0, 0.01
-        tendon = LoadCase(thrust=1.0, tendon_tension=tension, tendon_eccentricity=eccentricity)
-        folds = geom.segment_bounds[1:-1]
-        moments = LoadCase(thrust=1.0,
-                           point_moments=[(s, -tension * eccentricity) for s in folds])
-        assert self.march_bytes(geom, tendon) == self.march_bytes(geom, moments)
+        loads = LoadCase(point_moments=tendon_moments(5.0, 0.01, geom.segment_bounds[1:-1]))
+        tendon = tendon_bend(geom, 1.118e6, 5.0, 0.01)
+        assert self.march_bytes(tendon) == self.march_bytes(solve_elastica(geom, 1.118e6, loads))
 
     def test_moment_at_the_root_is_absorbed_by_the_clamp(self):
         loads = LoadCase(thrust=1.0)
         at_root = loads.replace(point_moments=((0.0, 0.3),))
-        assert self.march_bytes(SHIPPED_ARM, at_root) == self.march_bytes(SHIPPED_ARM, loads)
+        assert (self.march_bytes(solve_elastica(SHIPPED_ARM, 1.118e6, at_root, CLI_SETTINGS))
+                == self.march_bytes(solve_elastica(SHIPPED_ARM, 1.118e6, loads, CLI_SETTINGS)))
 
 
 def shape_digest(solutions):
@@ -747,11 +758,9 @@ FIELD_CASES = [
         {
             "thrust": 1.0,
             "gravity": 9.81,
-            "tendon_tension": 2.0,
-            "tendon_eccentricity": 0.01,
             "point_moments": ((0.1, 0.01),),
         },
-        ["thrust", "gravity", "tendon_tension", "tendon_eccentricity", "point_moments"],
+        ["thrust", "gravity", "point_moments"],
     ),
     (
         SolverSettings,
@@ -816,8 +825,8 @@ def test_non_finite_input_rejected(cls, kwargs, field, bad):
         (ArmGeometry, "section_inertia", (0.0,), "section inertia must be > 0"),
         (ArmGeometry, "section_half_depth", 0.0, "section_half_depth must be > 0"),
         (ArmGeometry, "linear_density", -0.1, "linear_density must be >= 0"),
+        (ArmGeometry, "motor_station", 0.0, r"motor_station must be in \(0, 1\]"),
         (LoadCase, "thrust", -1.0, "thrust must be >= 0"),
-        (LoadCase, "tendon_tension", -2.0, "tendon_tension must be >= 0"),
         (SolverSettings, "integration_steps", 15, "integration_steps must be >= 16"),
         (SolverSettings, "shooting_tolerance", 0.0, "shooting_tolerance must be > 0"),
         (StressStrainCurve, "samples", ((-1.0, 0.0), (0.1, 1e5)),

@@ -603,11 +603,14 @@ class TestNonFiniteInput:
         "argv,message",
         [
             (["pipe-fit", "--diameter", "0"], "diameter must be > 0"),
-            (["efficiency", "--rpm", "0"], "rpm must be > 0"),
+            (["efficiency", "--rpm", "0"], "rpm must be > 0, got 0.0"),
+            (["efficiency", "--rpm", "4000", "--station", "2"], "x_c must be in (0, 1], got 2.0"),
+            (["sweep", "--axis", "arm_angle", "--rpm=-1"], "rpm must be >= 0, got -1.0"),
             (["fit-material", "--flexural", "flex.csv", "--inertia", "1e-9"],
              "--flexural requires --length and --inertia"),
         ],
-        ids=["pipe-fit-diameter", "efficiency-rpm", "fit-material-length"],
+        ids=["pipe-fit-diameter", "efficiency-rpm", "efficiency-station", "sweep-negative-rpm",
+             "fit-material-length"],
     )
     def test_out_of_range_option_exits_2(self, argv, message, capsys):
         code = main(argv)
@@ -977,6 +980,26 @@ class TestParseBoundary:
         assert captured.err == (f"softarm: input error: {path}: {section}.{key} must be "
                                 f"finite, got {shown}\n")
 
+    @pytest.mark.parametrize("value", [5, True, None, [], {}, ""],
+                             ids=["int", "true", "null", "list", "object", "empty"])
+    @pytest.mark.parametrize("section,key", [
+        (None, "geometry"), (None, "efficiency_table"), (None, "deflection_coeffs"),
+        ("material", "hyperelastic_table"),
+    ], ids=["geometry", "efficiency_table", "deflection_coeffs", "hyperelastic_table"])
+    def test_file_reference_that_is_not_a_file_name_is_named(self, section, key, value,
+                                                             tmp_path, capsys):
+        # These once exited 2 naming no key: a 5 gave "unsupported operand
+        # type(s) for /: 'PosixPath' and 'int'", and "" gave "Is a directory".
+        config = shipped_config()
+        (config[section] if section else config)[key] = value
+        path = write_config(tmp_path, config)
+        code = main(["analyze", "--config", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        name = f"{section}.{key}" if section else key
+        assert captured.err == (f"softarm: input error: {path}: {name} must be a file name, "
+                                f"got {value!r}\n")
+
     @pytest.mark.parametrize(
         "argv,section,key",
         [
@@ -1013,6 +1036,10 @@ class TestParseBoundary:
              "nominal rpm 1e+200: rpm**2 is out of float range"),
             (["analyze"], "propeller", "max_rpm", 1e200,
              "propeller.max_rpm: rpm 1e+200 is out of range: rpm**2 overflows"),
+            # The thrust at max_rpm was once an unnamed inf: "thrust must be finite".
+            (["analyze"], "propeller", "nominal_thrust_n", 1e308,
+             "propeller.nominal_thrust_n, propeller.nominal_rpm, propeller.max_rpm: rpm 6000 is "
+             "out of range: thrust_coefficient * rpm**2 overflows"),
             (["fit-material", "--flexural", "FLEX", "--length", "1e120", "--inertia", "1e-10"],
              None, None, None,
              "length 1e+120 m and section_inertia 1e-10 m^4 give a flexural modulus out of float"),
@@ -1033,13 +1060,14 @@ class TestParseBoundary:
             # The march's angle overflows: cos raised "math domain error".
             (["analyze"], "geometry", ("segments", 0, "length_mm"), 1e308,
              "arm length 1e+305 m, smallest EI 0.3120000000000001 N m^2 and loads "
-             "LoadCase(thrust=0.0, gravity=9.81, tendon_tension=0.0, tendon_eccentricity=0.0, "
-             "point_moments=()) put the elastica out of float range"),
+             "LoadCase(thrust=0.0, gravity=9.81, point_moments=()) put the elastica out of "
+             "float range"),
             (["analyze"], "geometry", ("inertia_m4", 0), 5e-324,
              "arm length 0.17500000000000002 m, smallest EI 3.0829696e-317 N m^2 and loads "
              "LoadCase(thrust=0.0, gravity=9.81, "),
         ],
         ids=["nominal_rpm-5e-324", "nominal_rpm-1e-160", "nominal_rpm-1e200", "max_rpm-1e200",
+             "nominal_thrust_n-1e308",
              "fit-material-length", "sweep-arm_angle-rpm", "pipe-fit-area-underflow", "sweep-infill-area-underflow",
              "pipe-fit-pressure-overflow", "deflect-envelope", "deflect-throttle",
              "analyze-length_mm", "analyze-inertia_m4"],

@@ -1,13 +1,13 @@
-"""The numeric arguments of the reduced-model functions and of the flexural
-fit must be finite (an int too large for a float is not), and an infill rate
-must lie in (0, 100)."""
+"""The numeric arguments of the reduced-model functions, of the flexural
+fit and of tendon_bend must be finite (an int too large for a float is not),
+and an infill rate must lie in (0, 100)."""
 
 import math
 import re
 
 import pytest
 
-from softarm import adapt, aero, deflection, material
+from softarm import adapt, aero, beam, deflection, material
 from softarm import io as sio
 from softarm.cli import default_data_dir
 from softarm.errors import require_finite
@@ -33,6 +33,11 @@ CASES = [
     (material.fit_flexural_modulus,
      {"samples": FLEXURAL, "length": 0.3, "section_inertia": 1e-9},
      ["length", "section_inertia"]),
+    # Unchecked, a NaN tension fails tension > 0 and bends nothing.
+    (beam.tendon_bend,
+     {"geometry": sio.read_arm_geometry_json(default_data_dir() / "arm_geometry.json"),
+      "material": 2e6, "tension": 4.0, "eccentricity": 0.01},
+     ["tension", "eccentricity"]),
 ]
 
 
@@ -44,7 +49,7 @@ CASES = [
 )
 def test_non_finite_argument_rejected(func, kwargs, arg, bad):
     func(**kwargs)  # the baseline is valid
-    with pytest.raises(ValueError, match=f"{arg} must be finite"):
+    with pytest.raises(ValueError, match=f"^{arg} must be finite"):
         func(**{**kwargs, arg: bad})
 
 
@@ -54,7 +59,7 @@ def test_non_finite_argument_rejected(func, kwargs, arg, bad):
     ids=[f"{func.__name__}.{arg}" for func, _, args in CASES for arg in args],
 )
 def test_int_too_large_for_a_float_rejected(func, kwargs, arg):
-    with pytest.raises(ValueError, match=f"{arg} must be finite, got 1000"):
+    with pytest.raises(ValueError, match=f"^{arg} must be finite, got 1000"):
         func(**{**kwargs, arg: 10**400})
 
 

@@ -1,12 +1,17 @@
 """The input boundary under mutation: a copy of a shipped input (the
-deflection coefficients, or the numbers of the analyze config) with one or
-two leaves replaced exits 0, 2, 3 or 4 without a traceback; an exit-0 report
-holds only finite numbers, and an exit-2 message names the file or the key."""
+deflection coefficients, the numbers of the analyze config, or one number of
+the arm geometry) with one or two leaves replaced exits 0, 2, 3 or 4 without a
+traceback; an exit-0 report holds only finite numbers, and an exit-2 message
+names the file or the key. Each numeric option of each command, set to an
+extreme, a non-finite or a non-numeric value, exits 0 or 2, and an exit-0
+report holds only finite numbers."""
 
 import contextlib
 import io
 import json
 import math
+import operator
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +25,36 @@ CONFIG = json.loads((default_data_dir() / "config.json").read_text())
 #: The (section, key) of each number in the shipped config.
 CONFIG_NUMBERS = [(section, key) for section in ("material", "propeller", "pipe")
                   for key, value in CONFIG[section].items() if not isinstance(value, str)]
+GEOMETRY = json.loads((default_data_dir() / "arm_geometry.json").read_text())
+#: The path to each number in the shipped geometry, whose seven numeric keys
+#: hold one number per segment (beta_deg, length_mm, inertia_m4) or one in all.
+GEOMETRY_NUMBERS = [
+    *[("segments", i, key) for i in range(4) for key in ("beta_deg", "length_mm")],
+    *[("inertia_m4", i) for i in range(4)],
+    *[(key,) for key in ("half_depth_m", "alpha0_deg", "motor_station", "linear_density_kg_m")],
+]
+#: Each command with one numeric option, the one under test, left as "{}".
+OPTION_RUNS = [
+    "deflect --rho={} --throttle-pct=50",
+    "deflect --rho=6 --throttle-pct={}",
+    "deflect --rho=6 --envelope --alpha0={}",
+    "efficiency --rpm={}",
+    "efficiency --rpm=4000 --station={}",
+    "pipe-fit --diameter={}",
+    "pipe-fit --diameter=0.2 --tendon-force={}",
+    "pipe-fit --diameter=0.2 --contact-width={}",
+    "pipe-fit --diameter=0.2 --infill={}",
+    "sweep --format=json --axis=motor_station --rpm={}",
+    "sweep --format=json --axis=arm_angle --rpm={}",
+    "sweep --format=json --axis=throttle --rho={}",
+    "sweep --format=json --axis=infill --tendon-force={}",
+    "sweep --format=json --axis=infill --contact-width={}",
+    "fit-material --flexural=FLEX --length={} --inertia=1e-9",
+    "fit-material --flexural=FLEX --length=0.3 --inertia={}",
+]
+#: Passed as --option=value: argparse would take a bare -1e308 for an option.
+OPTION_VALUES = ["0", "1", "-1", "5e-324", "-5e-324", "1e-300", "1e308", "-1e308", "1e400",
+                 "nan", "x"]
 
 
 def _leaf(old):
@@ -37,9 +72,13 @@ def _mutations(payload):
 
 
 def _run(argv):
+    """main's exit code, stdout and stderr; an argparse usage error is exit 2."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -56,6 +95,11 @@ def _numbers(node):
 
 def _reject_constant(name):
     raise AssertionError(f"report holds {name}")
+
+
+def _assert_finite_report(out):
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert all(math.isfinite(x) for x in _numbers(report))
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +127,7 @@ def test_mutated_deflection_coefficients(files, changes, rho):
         code, out, err = _run(argv)
         assert code in (0, 2, 3, 4), (argv, err)
         if code == 0:
-            report = json.loads(out, parse_constant=_reject_constant)
-            assert all(math.isfinite(x) for x in _numbers(report))
+            _assert_finite_report(out)
         elif code == 2:
             assert str(coeffs) in err or any(key in err for key in changes), err
 
@@ -95,24 +138,75 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("config") / "config.json"
 
 
+def _shipped_config():
+    """A copy of the shipped config with its file references made absolute."""
+    data = default_data_dir()
+    config = json.loads(json.dumps(CONFIG))
+    for key in ("geometry", "efficiency_table", "deflection_coeffs"):
+        config[key] = str(data / config[key])
+    config["material"]["hyperelastic_table"] = str(data / config["material"]["hyperelastic_table"])
+    return config
+
+
 @settings(max_examples=200, deadline=None)
 @given(changes=st.dictionaries(st.sampled_from(CONFIG_NUMBERS),
                                st.sampled_from([*POOL, -5e-324]), min_size=1, max_size=2))
 def test_mutated_config_numbers(config_path, changes):
     assert len(CONFIG_NUMBERS) == 7
-    data = default_data_dir()
-    config = json.loads(json.dumps(CONFIG))
-    for key in ("geometry", "efficiency_table", "deflection_coeffs"):
-        config[key] = str(data / config[key])
-    table = str(data / config["material"]["hyperelastic_table"])
-    config["material"]["hyperelastic_table"] = table
+    config = _shipped_config()
+    table = config["material"]["hyperelastic_table"]
     for (section, key), value in changes.items():
         config[section][key] = value
     config_path.write_text(json.dumps(config))
     code, out, err = _run(["analyze", "--config", str(config_path)])
     assert code in (0, 2, 3, 4), err
     if code == 0:
-        report = json.loads(out, parse_constant=_reject_constant)
-        assert all(math.isfinite(x) for x in _numbers(report))
+        _assert_finite_report(out)
     elif code == 2:  # the key, or the table the infill selects a row of
         assert any(f"{s}.{k}" in err for s, k in changes) or table in err, err
+
+
+def _geometry_mutation():
+    """A (path, value) pair: one number of the geometry and what replaces it."""
+    return st.sampled_from(GEOMETRY_NUMBERS).flatmap(
+        lambda path: st.tuples(st.just(path), _leaf(reduce(operator.getitem, path, GEOMETRY))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=_geometry_mutation())
+def test_mutated_geometry_number(config_path, mutation):
+    (*parents, last), value = mutation
+    geometry = json.loads(json.dumps(GEOMETRY))
+    reduce(operator.getitem, parents, geometry)[last] = value
+    path = config_path.with_name("geometry.json")
+    path.write_text(json.dumps(geometry))
+    config_path.write_text(json.dumps({**_shipped_config(), "geometry": str(path)}))
+    for argv in (["analyze", "--config", str(config_path)],
+                 ["pipe-fit", "--diameter", "0.2", "--geometry", str(path)]):
+        code, out, err = _run(argv)
+        assert code in (0, 2, 3, 4), (argv, err)
+        if code == 0:
+            _assert_finite_report(out)
+        elif code == 2:  # the geometry file, the march that it overflows, or
+            # the segment whose chord the pipe diameter cannot span
+            assert (str(path) in err or "out of float range" in err
+                    or " chord " in err and " exceeds pipe diameter " in err), (argv, err)
+
+
+def _option_id(template):
+    words = template.split()
+    option = next(word for word in words if "{}" in word)[2:-3]
+    axis = [word[len("--axis="):] for word in words if word.startswith("--axis=")]
+    return "-".join([words[0], *axis, option])
+
+
+@pytest.mark.parametrize("value", OPTION_VALUES)
+@pytest.mark.parametrize("template", OPTION_RUNS, ids=[_option_id(t) for t in OPTION_RUNS])
+def test_mutated_numeric_option(template, value, tmp_path):
+    flexural = tmp_path / "flex.csv"
+    flexural.write_text("force_n,deflection_m\n0.1,0.001\n0.2,0.002\n")
+    argv = template.replace("FLEX", str(flexural)).format(value).split()
+    code, out, err = _run(argv)
+    assert code in (0, 2), (argv, err)
+    if code == 0:
+        _assert_finite_report(out)

@@ -19,8 +19,7 @@ from softarm.material import (
 #: One valid record of each class, built from keywords in field order.
 EXAMPLES = [
     Segment(fold_angle_deg=10.0, length=0.05),
-    LoadCase(thrust=1.0, gravity=9.81, tendon_tension=2.0, tendon_eccentricity=0.01,
-             point_moments=((0.1, 0.2),)),
+    LoadCase(thrust=1.0, gravity=9.81, point_moments=((0.1, 0.2),)),
     SolverSettings(integration_steps=64, shooting_tolerance=1e-7),
     BeamSolution(tip_angle_deg=-5.0, residual=1e-12, integrations=4, steps=171, mesh_steps=16,
                  plan=("plan",), contact_expected=True),

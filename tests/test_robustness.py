@@ -43,8 +43,9 @@ def draw_cases(rng: random.Random, n: int):
         tension = 0.0 if rng.random() < 0.5 else rng.uniform(0, 100)
         droop = rng.uniform(-30, 60)
         gravity = rng.uniform(0, 200)
-        loads = beam.LoadCase(thrust=thrust, gravity=gravity, tendon_tension=tension,
-                              tendon_eccentricity=0.01 if tension > 0 else 0.0)
+        # The tendon, 0.01 m off the neutral axis: -tension*0.01 at each fold.
+        moments = [(s, -tension * 0.01) for s in ARM.segment_bounds[1:-1]] if tension > 0 else []
+        loads = beam.LoadCase(thrust=thrust, gravity=gravity, point_moments=moments)
         yield modulus, {"motor_station": station, "initial_droop_deg": droop}, loads
 
 
