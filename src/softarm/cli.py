@@ -19,7 +19,6 @@ import io as _stdio
 import json
 import sys
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__, adapt, aero, beam, deflection
@@ -120,12 +119,8 @@ def _emit_csv(results: dict, out: str | None) -> None:
     _write(buf.getvalue(), out)
 
 
-def _fmt(v):
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return v
+def _fmt(v: float | bool) -> str:
+    return str(v).lower() if isinstance(v, bool) else f"{v:.10g}"
 
 
 def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None:
@@ -150,12 +145,10 @@ def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None
                 raise ParseError(f"{name} must be a file name, got {value!r}", path=str(path))
             obj[key] = path.parent / value
         else:
-            try:
+            with sio.blame(path):
                 require_finite(**{name: value})
-            except ValueError as exc:
-                raise ParseError(str(exc), path=str(path)) from None
-            if kind == "> 0" and value <= 0:
-                raise ParseError(f"{name} must be > 0, got {value}", path=str(path))
+                if kind == "> 0" and value <= 0:
+                    raise ValueError(f"{name} must be > 0, got {value}")
 
 
 def _material_block(params: material.MooneyRivlinParams) -> dict:
@@ -194,16 +187,6 @@ def _pipe_fit_block(wrap: adapt.WrapResult, infill: float, pressure: float) -> d
     }
 
 
-@contextmanager
-def _config_keys(path: Path, *keys: str):
-    """Re-raise an input error of the library call inside as a ParseError
-    that names the config keys its arguments came from, and the config."""
-    try:
-        yield
-    except (InputError, ValueError) as exc:
-        raise ParseError(f"{', '.join(keys)}: {exc}", path=str(path)) from None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -230,9 +213,7 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
 
 
 def cmd_analyze(args) -> tuple[dict, dict]:
-    config = sio.load_json(args.config)
-    if not isinstance(config, dict):
-        raise ParseError("config must be a JSON object", path=str(args.config))
+    config = sio.load_json(args.config, "config")
     _check_keys(config, _CONFIG_KEYS, args.config)
     mat_cfg, prop_cfg, pipe_cfg = config["material"], config["propeller"], config["pipe"]
     infill = mat_cfg["infill_pct"]
@@ -246,13 +227,13 @@ def cmd_analyze(args) -> tuple[dict, dict]:
                             mat_cfg["hyperelastic_table"], infill)
     results: dict = {"material": {"infill_pct": infill, **_material_block(mr_params)}}
 
-    with _config_keys(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm"):
+    with sio.blame(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm"):
         propeller = aero.PropellerModel.from_nominal(
             thrust=prop_cfg["nominal_thrust_n"], rpm=prop_cfg["nominal_rpm"]
         )
     max_rpm = prop_cfg["max_rpm"]
-    with _config_keys(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm",
-                      "propeller.max_rpm"):  # then every lower speed is in range
+    with sio.blame(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm",
+                   "propeller.max_rpm"):  # then every lower speed is in range
         aero.thrust_from_rpm(propeller, max_rpm)
 
     # Thrust/deflection sweep over the throttle grid.
@@ -323,9 +304,11 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         "recommended_infill": recommended,
     }
 
-    with _config_keys(args.config, "pipe.diameter_m"):
-        wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(pipe_cfg["diameter_m"]))
-    with _config_keys(args.config, "pipe.tendon_force_n", "pipe.contact_width_m"):
+    with sio.blame(args.config, "pipe.diameter_m"):
+        pipe = adapt.PipeSpec(pipe_cfg["diameter_m"])
+    with sio.blame(args.config, "geometry", "pipe.diameter_m"):
+        wrap = adapt.wrap_geometry(geometry, pipe)
+    with sio.blame(args.config, "pipe.tendon_force_n", "pipe.contact_width_m"):
         pressure = adapt.contact_pressure(
             pipe_cfg["tendon_force_n"], pipe_cfg["contact_width_m"], geometry.total_length)
     results["pipe_fit"] = _pipe_fit_block(wrap, infill, pressure)
@@ -368,7 +351,9 @@ def cmd_efficiency(args) -> tuple[dict, dict]:
 def cmd_pipe_fit(args) -> tuple[dict, dict]:
     inputs: dict = {}
     geometry = _read_input(inputs, "geometry", sio.read_arm_geometry_json, args.geometry)
-    wrap = adapt.wrap_geometry(geometry, adapt.PipeSpec(args.diameter))
+    pipe = adapt.PipeSpec(args.diameter)
+    with sio.blame(args.geometry, "--diameter"):
+        wrap = adapt.wrap_geometry(geometry, pipe)
     pressure = adapt.contact_pressure(args.tendon_force, args.contact_width, geometry.total_length)
     block = _pipe_fit_block(wrap, args.infill, pressure)
     block["per_segment_subtended_deg"] = list(wrap.per_segment_subtended)

@@ -152,13 +152,8 @@ def _peak(coeffs: DeflectionModelCoeffs, infill: float) -> tuple[float, int]:
         dev = abs(a_lin * t + b_quad * (t * t))
         if dev > peak:
             peak, index = dev, i
-    if last > peak:
+    if last > peak:  # strict, as in the window: the first maximum wins
         peak, index = last, 100
-    while index:  # the first of a run of equal maxima
-        t = grid[index - 1]
-        if abs(a_lin * t + b_quad * (t * t)) != peak:
-            break
-        index -= 1
     return peak, index
 
 

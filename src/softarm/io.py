@@ -1,20 +1,22 @@
 """File formats: CSV ingestion with line-numbered errors, and the geometry,
 coefficient and hyperelastic-table JSON. Every input file of the commands is
-parsed here, through `load_json` or `_read_csv_rows`, the one place where a
-bad file or a non-finite number becomes a ParseError; `cli._read_input` then
-reads each file a second time, to hash its bytes."""
+parsed here, through `load_json` or `_read_csv_rows`. `blame` turns an input
+fault into a ParseError that names the file and the keys behind it; where a
+line is known, the arm that knows it names the line too. `cli._read_input`
+then reads each file a second time, to hash its bytes."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 from .aero import EfficiencyTable
 from .beam import ArmGeometry, Segment
 from .deflection import DeflectionModelCoeffs
-from .errors import ParseError, require_finite
+from .errors import InputError, ParseError, require_finite
 from .material import FlexuralSample, MooneyRivlinParams, StressStrainCurve
 
 
@@ -28,43 +30,58 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def load_json(path: str | Path):
-    """Parse a JSON input file. An unreadable file, malformed JSON and a
-    non-finite number (the NaN/Infinity literals, or an overflowing one such
-    as 1e999) all raise ParseError."""
-    path = Path(path)
+@contextmanager
+def blame(path: str | Path, *names: str):
+    """Re-raise an input fault inside (an error that `cli.main` exits 2 for)
+    as a ParseError naming path and, before the message, the names of the
+    inputs behind it. A ParseError passes through unchanged."""
     try:
-        return json.loads(
-            path.read_text(), parse_constant=_finite_float, parse_float=_finite_float
-        )
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
-    except ValueError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+        yield
+    except ParseError:
+        raise
+    except (InputError, OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{', '.join(names)}: {exc}" if names else str(exc),
+                         path=str(path)) from None
 
 
-def _reject_unknown(payload, known, path: str | Path, what: str, prefix: str = "") -> None:
+def load_json(path: str | Path, what: str) -> dict:
+    """Parse a JSON input file, which must hold an object; what names the
+    file in that message. An unreadable file, malformed JSON and a non-finite
+    number (the NaN/Infinity literals, or an overflowing one such as 1e999)
+    all raise ParseError."""
+    path = Path(path)
+    with blame(path):
+        try:
+            payload = json.loads(
+                path.read_text(), parse_constant=_finite_float, parse_float=_finite_float
+            )
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{what} must be a JSON object", path=str(path))
+    return payload
+
+
+def _reject_unknown(payload: dict, known, path: str | Path, what: str, prefix: str = "") -> None:
     """Raise ParseError naming, in file order, each key of payload that known
-    lacks, when payload is an object; what names the file in the message."""
-    unknown = isinstance(payload, dict) and [repr(prefix + k) for k in payload if k not in known]
+    lacks; what names the file in the message."""
+    unknown = [repr(prefix + k) for k in payload if k not in known]
     if unknown:
         raise ParseError(f"unknown {what} keys: {', '.join(unknown)}", path=str(path))
 
 
 def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[int, list[float]]]:
     """Rows of a numeric CSV as (line_number, values), header validated;
-    a cell that is not a finite number, and a file without data rows, is a
-    ParseError naming its line."""
+    a cell that is not a finite number, a row the csv module cannot split
+    (a field over csv.field_size_limit(), say) and a file without data rows
+    are a ParseError naming its line."""
     path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError("file is empty", line=1, path=str(path)) from None
+    with blame(path), open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("file is empty", line=1, path=str(path))
             if [h.strip() for h in header] != expected_header:
                 raise ParseError(
                     f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
@@ -85,8 +102,8 @@ def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[i
                     rows.append((lineno, [_finite_float(c) for c in row]))
                 except ValueError as exc:
                     raise ParseError(str(exc), line=lineno, path=str(path)) from None
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num, path=str(path)) from None
     if not rows:
         raise ParseError("no data rows", line=2, path=str(path))
     return rows
@@ -127,14 +144,12 @@ def read_hyperelastic_row(path: str | Path, infill_pct: float) -> MooneyRivlinPa
     """Load the Mooney-Rivlin coefficients [MPa] of one infill rate [%] from
     a hyperelastic table JSON: rows of {rho_pct, c10, c01, c20, c02, c11}
     under "rows", and no other keys but the unit and _note it may document."""
-    payload = load_json(path)
+    payload = load_json(path, "hyperelastic table")
     _reject_unknown(payload, ("rows", "unit", "_note"), path, "hyperelastic table")
-    try:
+    with blame(path, "bad hyperelastic table"):
         for row in payload["rows"]:
             if row["rho_pct"] == infill_pct:
                 return MooneyRivlinParams(*(row[k] for k in ("c10", "c01", "c20", "c02", "c11")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad hyperelastic table: {exc}", path=str(path)) from None
     raise ParseError(f"no hyperelastic row for infill {infill_pct}%", path=str(path))
 
 
@@ -145,10 +160,10 @@ def read_arm_geometry_json(path: str | Path) -> ArmGeometry:
     (per segment), half_depth_m, alpha0_deg, motor_station,
     linear_density_kg_m; a _note is allowed, any other key is a ParseError.
     """
-    payload = load_json(path)
+    payload = load_json(path, "geometry")
     _reject_unknown(payload, ("segments", "inertia_m4", "half_depth_m", "alpha0_deg",
                               "motor_station", "linear_density_kg_m", "_note"), path, "geometry")
-    try:
+    with blame(path, "bad geometry"):
         segments = []
         for s in payload["segments"]:
             require_finite(length_mm=s["length_mm"])  # a true times 1e-3 is a 1 mm segment
@@ -161,17 +176,15 @@ def read_arm_geometry_json(path: str | Path) -> ArmGeometry:
             motor_station=payload.get("motor_station", 1.0),
             linear_density=payload.get("linear_density_kg_m", 0.0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad geometry: {exc}", path=str(path)) from None
 
 
 def read_deflection_coeffs_json(path: str | Path) -> DeflectionModelCoeffs:
     """Load deflection coefficients JSON with keys a1, a2, b1, b2, alpha0_deg,
     and no others but the throttle_unit and _note it may document."""
-    payload = load_json(path)
+    payload = load_json(path, "coefficients")
     _reject_unknown(payload, ("a1", "a2", "b1", "b2", "alpha0_deg", "throttle_unit", "_note"),
                     path, "coefficients")
-    try:
+    with blame(path, "bad coefficients"):
         return DeflectionModelCoeffs(
             a1=payload["a1"],
             a2=payload["a2"],
@@ -179,5 +192,3 @@ def read_deflection_coeffs_json(path: str | Path) -> DeflectionModelCoeffs:
             b2=payload["b2"],
             alpha0=payload.get("alpha0_deg", 0.0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad coefficients: {exc}", path=str(path)) from None

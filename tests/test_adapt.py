@@ -13,6 +13,7 @@ from softarm.adapt import (
     BENDABLE_INFILL_MAX_PCT,
     AttachmentVerdict,
     PipeSpec,
+    WrapResult,
     attach_check,
     contact_pressure,
     recommend_infill,
@@ -60,6 +61,11 @@ class TestWrapGeometry:
         geom = fold_arm(lengths=(0.19, 0.19, 0.19), angles=(0.0, 0.0, 0.0))
         result = wrap_geometry(geom, PipeSpec(diameter=0.2))
         assert result.coverage_ratio == 1.0
+
+    def test_coverage_above_one_rejected(self):
+        with pytest.raises(ValueError, match="coverage_ratio must be <= 1"):
+            WrapResult(total_turning=95.0, per_segment_subtended=(180.0,), coverage_ratio=1.5,
+                       max_gap=0.0)
 
     @given(d=st.floats(0.2, 2.0), scale=st.floats(1.01, 5.0))
     def test_coverage_decreases_with_diameter(self, d, scale):

@@ -121,6 +121,28 @@ class TestCsvIngestion:
         assert info.value.line == line
         assert str(info.value) == f"{p}:{line}: {message}"
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_field_over_the_csv_size_limit_names_its_line(self, line, tmp_path, capsys):
+        # The csv module raises its own csv.Error, which is no ValueError.
+        lines = ["rpm,eta", "4000,0.895", "5000,0.909"]
+        lines[line - 1] = "1" * (csv.field_size_limit() + 1) + ",0.9"
+        p = tmp_path / "table.csv"
+        p.write_text("\n".join(lines) + "\n")
+        code = main(["efficiency", "--rpm", "4500", "--table", str(p)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (f"softarm: input error: {p}:{line}: field larger than field "
+                                f"limit ({csv.field_size_limit()})\n")
+
+    def test_undecodable_byte_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "table.csv"
+        p.write_bytes(b"rpm,eta\n4000,0.895\xff\n")
+        code = main(["efficiency", "--rpm", "4500", "--table", str(p)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        # A UTF-8 locale fails to decode the byte; a one-byte locale, to parse the number.
+        assert captured.err.startswith(f"softarm: input error: {p}:")
+
 
 class TestGeometryJson:
     def test_shipped_geometry_units(self):
@@ -454,6 +476,18 @@ class TestPipeFitCommand:
         code, _ = run(capsys, ["pipe-fit", "--diameter", "0.054"])
         assert code == EXIT_INPUT
 
+    def test_chord_longer_than_the_pipe_names_the_geometry_and_diameter(self, tmp_path,
+                                                                        capsys):
+        payload = json.loads((default_data_dir() / "arm_geometry.json").read_text())
+        payload["segments"][0]["length_mm"] = 1e308
+        p = tmp_path / "geometry.json"
+        p.write_text(json.dumps(payload))
+        code = main(["pipe-fit", "--diameter", "0.2", "--geometry", str(p)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (f"softarm: input error: {p}: --diameter: segment 1 chord "
+                                "1e+305 m exceeds pipe diameter 0.2 m\n")
+
     @pytest.mark.parametrize(
         "argv",
         [["pipe-fit", "--diameter", "0.2"], ["sweep", "--axis", "infill"]],
@@ -701,20 +735,28 @@ def write_config(tmp_path, config):
     return str(p)
 
 
+#: A command option that names a JSON input, the shipped file, and the label
+#: its messages give the file.
+JSON_FILE_OPTIONS = [
+    (["pipe-fit", "--diameter", "0.2", "--geometry"], "arm_geometry.json", "geometry"),
+    (["deflect", "--rho", "6", "--coeffs"], "deflection_coeffs.json", "coefficients"),
+]
+
+
 class TestParseBoundary:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_load_json_rejects_non_finite(self, literal, tmp_path):
         p = tmp_path / "x.json"
         p.write_text('{"a": [1.0, %s]}' % literal)
         with pytest.raises(ParseError) as info:
-            sio.load_json(p)
+            sio.load_json(p, "x")
         assert info.value.path == str(p)
 
     def test_load_json_reports_line_of_syntax_error(self, tmp_path):
         p = tmp_path / "x.json"
         p.write_text('{\n"a": 1,\n}')
         with pytest.raises(ParseError) as info:
-            sio.load_json(p)
+            sio.load_json(p, "x")
         assert info.value.line == 3
 
     def test_nan_threshold_in_config_exits_2(self, tmp_path, capsys):
@@ -830,13 +872,7 @@ class TestParseBoundary:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == f"softarm: input error: {path}: unknown {what} keys: '{key}'\n"
 
-    @pytest.mark.parametrize(
-        "argv,name,what",
-        [
-            (["pipe-fit", "--diameter", "0.2", "--geometry"], "arm_geometry.json", "geometry"),
-            (["deflect", "--rho", "6", "--coeffs"], "deflection_coeffs.json", "coefficients"),
-        ],
-    )
+    @pytest.mark.parametrize("argv,name,what", JSON_FILE_OPTIONS)
     def test_unknown_keys_named_in_file_order(self, argv, name, what, tmp_path, capsys):
         payload = json.loads((default_data_dir() / name).read_text())
         path = tmp_path / name
@@ -844,6 +880,16 @@ class TestParseBoundary:
         assert main([*argv, str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"softarm: input error: {path}: unknown {what} keys: 'a', 'b_'\n")
+
+    @pytest.mark.parametrize("argv,name,what", JSON_FILE_OPTIONS)
+    @pytest.mark.parametrize("text", ["[1]", "5", '"x"', "null"])
+    def test_input_json_that_is_not_an_object_exits_2(self, argv, name, what, text, tmp_path,
+                                                      capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([*argv, str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"softarm: input error: {path}: {what} must be a JSON object\n")
 
     @pytest.mark.parametrize(
         "section,key,value,message",
@@ -853,7 +899,7 @@ class TestParseBoundary:
             ("pipe", "contact_width_m", 0,
              "pipe.tendon_force_n, pipe.contact_width_m: contact patch 0 m x "),
             ("pipe", "diameter_m", 0.01,
-             "pipe.diameter_m: segment 1 chord 0.035 m exceeds pipe diameter 0.01 m"),
+             "geometry, pipe.diameter_m: segment 1 chord 0.035 m exceeds pipe diameter 0.01 m"),
             # The shipped 10% hyperelastic row has c10 + c01 < 0.
             ("material", "infill_pct", 10, "effective modulus -2.1e+06 Pa is not positive"),
             ("propeller", "max_rpm", 0, "propeller.max_rpm must be > 0, got 0"),
@@ -879,7 +925,7 @@ class TestParseBoundary:
         assert captured.err.startswith("softarm: input error: ")
         assert message in captured.err
         if section != "material":
-            assert captured.err.startswith(f"softarm: input error: {path}: {section}.")
+            assert captured.err.startswith(f"softarm: input error: {path}: {message}")
 
     @pytest.mark.parametrize(
         "where,key,field",
@@ -1161,7 +1207,7 @@ class TestParseBoundary:
             ({"rows": [{"rho_pct": 6, "c10": -3.19, "c01": 4.23, "c20": 0.64, "c02": -2.65}]},
              "bad hyperelastic table: 'c11'"),
             ([{"rho_pct": 6}],
-             "bad hyperelastic table: list indices must be integers or slices, not str"),
+             "hyperelastic table must be a JSON object"),
             ({"rows": [{"rho_pct": 8, "c10": -4.07, "c01": 4.18, "c20": 0.71, "c02": -2.62,
                         "c11": 4.54}]},
              "no hyperelastic row for infill 6%"),

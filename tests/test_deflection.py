@@ -11,6 +11,7 @@ from softarm.deflection import (
     THROTTLE_GRID,
     DeflectionModelCoeffs,
     DeflectionSample,
+    EnvelopeReport,
     envelope_check,
     eval_deflection,
     fit_deflection_coeffs,
@@ -150,6 +151,11 @@ class TestEnvelope:
         assert report.max_abs_deflection == 0.0
         assert report.worst_throttle == 0.0  # the first of equal maxima
         assert report.passes_14deg
+
+    def test_negative_deflection_rejected(self):
+        with pytest.raises(ValueError, match="max_abs_deflection must be >= 0"):
+            EnvelopeReport(max_abs_deflection=-1.0, worst_throttle=0.0, nonlinear_flag=False,
+                           passes_14deg=True)
 
     def test_droop_excluded_from_deviation(self):
         a = envelope_check(MEASURED, 6.0)

@@ -61,6 +61,15 @@ class TestFlexuralFit:
         with pytest.raises(DegenerateData):
             fit_flexural_modulus(samples, self.LENGTH, self.INERTIA)
 
+    def test_single_sample_degenerate(self):
+        with pytest.raises(DegenerateData, match="need at least 2 samples"):
+            fit_flexural_modulus([FlexuralSample(1.0, 0.01)], self.LENGTH, self.INERTIA)
+
+    def test_non_positive_slope_degenerate(self):
+        samples = [FlexuralSample(1.0, -0.01), FlexuralSample(2.0, -0.02)]
+        with pytest.raises(DegenerateData, match="non-positive force/deflection slope"):
+            fit_flexural_modulus(samples, self.LENGTH, self.INERTIA)
+
     def test_equal_forces_degenerate(self):
         samples = [FlexuralSample(1.0, 0.01), FlexuralSample(1.0, 0.02)]
         with pytest.raises(DegenerateData):
