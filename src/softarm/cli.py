@@ -12,10 +12,8 @@ into the exit code its class carries (see `errors`): 0 ok, 2 input error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io as _stdio
 import json
 import sys
 import warnings
@@ -110,17 +108,14 @@ def _emit_json(report: dict, out: str | None, quiet: bool) -> None:
 
 
 def _emit_csv(results: dict, out: str | None) -> None:
-    """Write the rows of the one table in results as CSV, with a header."""
+    """Write the rows of the one table in results as CSV, with a header. No
+    field needs quoting: the keys are names, the cells numbers and booleans."""
     ((_, table),) = results.items()
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table["rows"][0].keys())
-    writer.writerows([_fmt(v) for v in row.values()] for row in table["rows"])
-    _write(buf.getvalue(), out)
-
-
-def _fmt(v: float | bool) -> str:
-    return str(v).lower() if isinstance(v, bool) else f"{v:.10g}"
+    rows = table["rows"]
+    lines = [",".join(rows[0])]
+    lines += [",".join([("true" if v else "false") if type(v) is bool else f"{v:.10g}"
+                        for v in row.values()]) for row in rows]
+    _write("\n".join(lines) + "\n", out)
 
 
 def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None:
@@ -362,7 +357,6 @@ def cmd_pipe_fit(args) -> tuple[dict, dict]:
 
 def cmd_sweep(args) -> tuple[dict, dict]:
     inputs: dict = {}
-    data = default_data_dir()
     if args.axis == "motor_station":
         table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
         stations = [0.3 + 0.01 * i for i in range(71)]
@@ -378,7 +372,7 @@ def cmd_sweep(args) -> tuple[dict, dict]:
     elif args.axis == "throttle":
         coeffs = _read_input(
             inputs, "deflection_coeffs", sio.read_deflection_coeffs_json,
-            data / "deflection_coeffs.json",
+            default_data_dir() / "deflection_coeffs.json",
         )
         rows = [
             {"throttle_t": t, "alpha_deg": deflection.eval_deflection(coeffs, args.rho, t)}
@@ -386,7 +380,8 @@ def cmd_sweep(args) -> tuple[dict, dict]:
         ]
     else:  # infill
         geometry = _read_input(
-            inputs, "geometry", sio.read_arm_geometry_json, data / "arm_geometry.json"
+            inputs, "geometry", sio.read_arm_geometry_json,
+            default_data_dir() / "arm_geometry.json",
         )
         pressure = adapt.contact_pressure(
             args.tendon_force, args.contact_width, geometry.total_length

@@ -12,6 +12,8 @@ def require_finite(**values) -> None:
     longer than 40. A tuple is checked number by number, nested tuples
     included; the frozen records check their fields with it."""
     for name, value in values.items():
+        if type(value) is float and math.isfinite(value):  # the common case, first
+            continue
         if not _all_finite(value):
             text = repr(value)
             if len(text) > 40:  # a 401-digit JSON integer, say
@@ -21,7 +23,13 @@ def require_finite(**values) -> None:
 
 def _all_finite(value) -> bool:
     if isinstance(value, tuple):
-        return all(map(_all_finite, value))
+        for item in value:
+            if type(item) is float:  # a float subclass, numpy.float64 say, recurses
+                if not math.isfinite(item):
+                    return False
+            elif not _all_finite(item):
+                return False
+        return True
     try:
         return not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):

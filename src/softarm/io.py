@@ -2,8 +2,11 @@
 coefficient and hyperelastic-table JSON. Every input file of the commands is
 parsed here, through `load_json` or `_read_csv_rows`. `blame` turns an input
 fault into a ParseError that names the file and the keys behind it; where a
-line is known, the arm that knows it names the line too. `cli._read_input`
-then reads each file a second time, to hash its bytes."""
+line is known, the arm that knows it names the line too. A CSV record is
+numbered by the physical line it starts on, and a row is parsed in one pass,
+cell by cell only when that pass fails, so that the message names the first
+bad cell. `cli._read_input` then reads each file a second time, to hash its
+bytes."""
 
 from __future__ import annotations
 
@@ -46,9 +49,9 @@ def blame(path: str | Path, *names: str):
 
 def load_json(path: str | Path, what: str) -> dict:
     """Parse a JSON input file, which must hold an object; what names the
-    file in that message. An unreadable file, malformed JSON and a non-finite
-    number (the NaN/Infinity literals, or an overflowing one such as 1e999)
-    all raise ParseError."""
+    file in that message. An unreadable file, malformed JSON, JSON nested
+    too deeply to decode and a non-finite number (the NaN/Infinity literals,
+    or an overflowing one such as 1e999) all raise ParseError."""
     path = Path(path)
     with blame(path):
         try:
@@ -57,6 +60,8 @@ def load_json(path: str | Path, what: str) -> dict:
             )
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, line=exc.lineno, path=str(path)) from None
+        except RecursionError as exc:  # arrays or objects nested too deeply to decode
+            raise ParseError(str(exc), path=str(path)) from None
     if not isinstance(payload, dict):
         raise ParseError(f"{what} must be a JSON object", path=str(path))
     return payload
@@ -89,8 +94,12 @@ def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[i
                     path=str(path),
                 )
             rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
+            end = reader.line_num
+            for row in reader:
+                # A record starts on the line after the last one read; a quoted
+                # field may carry it over several lines.
+                lineno, end = end + 1, reader.line_num
+                if not "".join(row).strip():
                     continue
                 if len(row) != len(expected_header):
                     raise ParseError(
@@ -99,9 +108,16 @@ def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[i
                         path=str(path),
                     )
                 try:
-                    rows.append((lineno, [_finite_float(c) for c in row]))
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=lineno, path=str(path)) from None
+                    values = list(map(float, row))
+                    finite = all(map(math.isfinite, values))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    try:  # cell by cell, so that the first bad cell names the error
+                        values = [_finite_float(c) for c in row]
+                    except ValueError as exc:
+                        raise ParseError(str(exc), line=lineno, path=str(path)) from None
+                rows.append((lineno, values))
         except csv.Error as exc:
             raise ParseError(str(exc), line=reader.line_num, path=str(path)) from None
     if not rows:

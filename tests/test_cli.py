@@ -1,7 +1,9 @@
 """File formats and the command-line front end."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import operator
 import warnings
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from softarm import beam, errors
 from softarm import io as sio
@@ -17,6 +21,7 @@ from softarm.cli import (
     EXIT_FIT,
     EXIT_INPUT,
     EXIT_OK,
+    _emit_csv,
     _emit_json,
     _warning_entries,
     build_parser,
@@ -142,6 +147,41 @@ class TestCsvIngestion:
         assert code == EXIT_INPUT and captured.out == ""
         # A UTF-8 locale fails to decode the byte; a one-byte locale, to parse the number.
         assert captured.err.startswith(f"softarm: input error: {p}:")
+
+    @pytest.mark.parametrize(
+        "text,line,cell",
+        [
+            ('rpm,eta\n"4000\n",0.895\nx,0.9\n', 4, "x"),
+            ('rpm,eta\n4000,0.895\n"x\n",0.9\n', 3, "x\n"),
+        ],
+        ids=["after_a_two_line_record", "in_a_two_line_record"],
+    )
+    def test_record_is_numbered_by_the_line_it_starts_on(self, text, line, cell, tmp_path,
+                                                        capsys):
+        # A quoted field carries its record over a line break, so records and
+        # lines part: the x of the first file is record 3 on line 4.
+        p = tmp_path / "table.csv"
+        p.write_text(text)
+        code = main(["efficiency", "--rpm", "4500", "--table", str(p)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (f"softarm: input error: {p}:{line}: could not convert "
+                                f"string to float: {cell!r}\n")
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("inf,x", "non-finite number inf is not allowed"),
+            ("x,inf", "could not convert string to float: 'x'"),
+            ("1,-nan", "non-finite number -nan is not allowed"),
+        ],
+    )
+    def test_first_bad_cell_of_a_row_names_the_error(self, row, message, tmp_path):
+        p = tmp_path / "table.csv"
+        p.write_text(f"rpm,eta\n4000,0.895\n{row}\n")
+        with pytest.raises(ParseError) as info:
+            sio._read_csv_rows(p, ["rpm", "eta"])
+        assert str(info.value) == f"{p}:3: {message}"
 
 
 class TestGeometryJson:
@@ -543,6 +583,30 @@ class TestSweepCommand:
         assert rows[15.0]["attached"] == "false"
         assert rows[15.0]["bendable"] == "false"
 
+    @given(
+        st.lists(st.sampled_from(["x_c", "eta", "rho_pct", "attached"]), min_size=1,
+                 max_size=4, unique=True).flatmap(lambda keys: st.lists(
+            st.fixed_dictionaries({key: st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-10**20, 10**20),
+                st.booleans(),
+                st.sampled_from([-0.0, 5e-324, 1e300, 1.5e-7, 1.2345678901e20, -2.5e-10]),
+            ) for key in keys}), min_size=1, max_size=5))
+    )
+    @example([{"x_c": -0.0, "eta": 5e-324, "rho_pct": 1e300, "attached": True}])
+    @example([{"x_c": 1e16, "eta": 1.2345678901e-5, "rho_pct": 123456789012, "attached": False}])
+    def test_csv_bytes_are_the_csv_writers(self, rows):
+        # The reference: csv.writer over the cells as the report formats them.
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows([str(v).lower() if isinstance(v, bool) else f"{v:.10g}"
+                          for v in row.values()] for row in rows)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit_csv({"sweep": {"axis": "x", "rows": rows}}, None)
+        assert out.getvalue() == expected.getvalue()
+
     def test_csv_warnings_go_to_stderr(self, capsys):
         argv = ["sweep", "--axis", "throttle", "--rho", "4"]
         assert main([*argv, "--format", "json"]) == EXIT_OK
@@ -890,6 +954,20 @@ class TestParseBoundary:
         assert main([*argv, str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"softarm: input error: {path}: {what} must be a JSON object\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--config"], ["pipe-fit", "--diameter", "0.2", "--geometry"]],
+        ids=["analyze", "pipe-fit"],
+    )
+    def test_json_nested_too_deeply_exits_2(self, argv, tmp_path, capsys):
+        # json.loads recurses once per level and raises RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main([*argv, str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"softarm: input error: {path}: maximum recursion depth")
 
     @pytest.mark.parametrize(
         "section,key,value,message",

@@ -5,6 +5,7 @@ and an infill rate must lie in (0, 100)."""
 import math
 import re
 
+import numpy as np
 import pytest
 
 from softarm import adapt, aero, beam, deflection, material
@@ -41,7 +42,15 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+class _Float(float):
+    """A float subclass: require_finite's float fast path is for float alone."""
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, np.float64("nan"), _Float("inf"), True],
+    ids=["nan", "inf", "-inf", "numpy_nan", "subclass_inf", "true"],
+)
 @pytest.mark.parametrize(
     "func,kwargs,arg",
     [(func, kwargs, arg) for func, kwargs, args in CASES for arg in args],
@@ -72,6 +81,17 @@ def test_long_value_is_cut_in_the_message(value, shown):
     with pytest.raises(ValueError) as info:
         require_finite(rpm=value)
     assert str(info.value) == f"rpm must be finite, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "item",
+    [math.nan, np.float64("nan"), _Float("inf"), True, 10**400, (2.0, -math.inf), "x"],
+    ids=["nan", "numpy_nan", "subclass_inf", "true", "401_digits", "nested_inf", "string"],
+)
+def test_tuple_member_that_is_not_finite_rejected(item):
+    require_finite(x=(1.0, 2, np.float64(3.0), _Float(4.0), (5.0,)))
+    with pytest.raises(ValueError, match="^x must be finite"):
+        require_finite(x=(1.0, item, 3.0))
 
 
 @pytest.mark.parametrize("bad", [-50.0, 0.0, 100.0, 150.0])

@@ -1,7 +1,8 @@
 """Start-up path of the command line: every command but `fit-material` runs
 without importing numpy, as does the Mooney-Rivlin stress law, no command
-imports the standard-library machinery it does not run, and the records
-but one are built without dataclasses.
+imports the standard-library machinery it does not run, each command imports
+a pinned set of modules, and the records but one are built without
+dataclasses.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already. The child imports the same softarm as this process
@@ -111,6 +112,51 @@ def test_command_imports_no_unused_machinery(argv, expected):
     code, modules, _ = run_child(argv, flags=["-S"])
     assert code == 0
     assert modules & MACHINERY == expected
+
+
+#: Reports as CHILD does, having imported only what every command needs.
+BASE_CHILD = """\
+import argparse, csv, hashlib, json, sys
+print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+#: The modules that each command of NUMPY_FREE imports under -S beyond those
+#: of BASE_CHILD, on Python 3.11 (3.11.2 and 3.11.7 agree). A change that
+#: adds an import, or drops one, updates this set. Other versions import
+#: other standard-library modules for the same code: 3.10.13 adds warnings
+#: and lacks _locale and ipaddress, 3.12.1 adds _tokenize, and 3.13 turns
+#: pathlib into a package that imports glob, pwd and grp where urllib.parse
+#: was, and 3.13.13's inspect imports typing. So elsewhere only the softarm
+#: modules are compared.
+STARTUP_MODULES = {
+    "__future__", "_ast", "_bz2", "_compression", "_locale", "_lzma", "_opcode", "_weakrefset",
+    "ast", "bz2", "collections.abc", "contextlib", "copy", "dataclasses", "dis", "errno",
+    "fnmatch", "importlib", "importlib._bootstrap", "importlib._bootstrap_external",
+    "importlib.machinery", "inspect", "ipaddress", "linecache", "locale", "lzma", "math",
+    "ntpath", "opcode", "pathlib", "shutil", "softarm", "softarm.adapt", "softarm.aero",
+    "softarm.beam", "softarm.cli", "softarm.deflection", "softarm.errors", "softarm.io",
+    "softarm.material", "token", "tokenize", "urllib", "urllib.parse", "weakref", "zlib",
+}
+
+
+@pytest.fixture(scope="module")
+def base_modules():
+    return run_child([], flags=["-S"], child=BASE_CHILD)[1]
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_command_imports_the_pinned_modules(name, base_modules):
+    # Under -S, as above; fit-material is left out because -S also leaves
+    # site-packages, and with it numpy, off the path.
+    code, modules, _ = run_child(NUMPY_FREE[name], flags=["-S"])
+    assert code == 0
+    added = modules - base_modules
+    if sys.version_info[:2] != (3, 11):
+        added = {m for m in added if m.partition(".")[0] == "softarm"}
+        expected = {m for m in STARTUP_MODULES if m.partition(".")[0] == "softarm"}
+    else:
+        expected = STARTUP_MODULES
+    assert sorted(added) == sorted(expected)
 
 
 def test_stress_law_does_not_import_numpy():
