@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
+from types import SimpleNamespace
 
 from .errors import NoConvergence, NonPhysicalMaterial, _Record, require_finite
 from .material import MooneyRivlinParams, mr_small_strain_modulus
@@ -41,8 +41,7 @@ class Segment(_Record, finite=True):
             raise ValueError("segment length must be > 0")
 
 
-@dataclass(frozen=True)
-class ArmGeometry:
+class ArmGeometry(_Record):
     """Segmented arm geometry.
 
     section_inertia: second moment of area per segment [m^4] (piecewise
@@ -101,6 +100,15 @@ class ArmGeometry:
             if s < bounds[i + 1]:
                 return self.section_inertia[i]
         return self.section_inertia[-1]
+
+
+# Only for perfbench (workloads.py:147, make_reference.py:67), which calls
+# dataclasses.replace(geometry, ...): on Python 3.10-3.13 that reads just this
+# private attribute of dataclasses, and each field's name, init and
+# _field_type. dataclasses.fields and dataclasses.asdict see no field through
+# it; use .replace() and .asdict().
+ArmGeometry.__dataclass_fields__ = {
+    name: SimpleNamespace(name=name, init=True, _field_type=None) for name in ArmGeometry._fields}
 
 
 class LoadCase(_Record):

@@ -30,6 +30,7 @@ from .errors import (
     OutOfEnvelopeWarning,
     ParseError,
     SoftarmError,
+    _echo,
     require_finite,
 )
 
@@ -137,13 +138,13 @@ def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None
             _check_keys(value, kind, path, f"{key}.")
         elif kind == "file":
             if not isinstance(value, str) or not value:
-                raise ParseError(f"{name} must be a file name, got {value!r}", path=str(path))
+                raise ParseError(f"{name} must be a file name, got {_echo(value)}", path=str(path))
             obj[key] = path.parent / value
         else:
             with sio.blame(path):
                 require_finite(**{name: value})
                 if kind == "> 0" and value <= 0:
-                    raise ValueError(f"{name} must be > 0, got {value}")
+                    raise ValueError(f"{name} must be > 0, got {_echo(value)}")
 
 
 def _material_block(params: material.MooneyRivlinParams) -> dict:

@@ -8,17 +8,21 @@ import math
 def require_finite(**values) -> None:
     """Raise ValueError naming the first argument that is NaN, infinite or
     not a number (a JSON null or boolean, say), or an int too large for a
-    float, and echoing it, cut to its first and last 18 characters when
-    longer than 40. A tuple is checked number by number, nested tuples
-    included; the frozen records check their fields with it."""
+    float, and echoing it as _echo does. A tuple is checked number by
+    number, nested tuples included; the frozen records check their fields
+    with it."""
     for name, value in values.items():
         if type(value) is float and math.isfinite(value):  # the common case, first
             continue
         if not _all_finite(value):
-            text = repr(value)
-            if len(text) > 40:  # a 401-digit JSON integer, say
-                text = f"{text[:18]}...{text[-18:]}"
-            raise ValueError(f"{name} must be finite, got {text}")
+            raise ValueError(f"{name} must be finite, got {_echo(value)}")
+
+
+def _echo(value) -> str:
+    """repr(value) for a message, cut to its first and last 18 characters
+    when longer than 40 (a 401-digit JSON integer, say)."""
+    text = repr(value)
+    return f"{text[:18]}...{text[-18:]}" if len(text) > 40 else text
 
 
 def _all_finite(value) -> bool:
@@ -37,10 +41,10 @@ def _all_finite(value) -> bool:
 
 
 class _Record:
-    """Base of the frozen records, in place of @dataclass(frozen=True), which
-    compiles six methods per class at import. The fields are the class's own
-    annotations, in order, a class attribute of the same name the default.
-    They bind as a dataclass's do, into __dict__ in field order; then, with
+    """Base of the frozen records, which compiles no method per class at
+    import. The fields are the class's own annotations, in order, a class
+    attribute of the same name the default. They bind by position or
+    keyword, each once, into __dict__ in field order; then, with
     the class keyword finite=True, require_finite checks them all, and then
     __post_init__ runs. Those named in the class keyword `hidden` stay out of
     repr, == and hash. replace(**changes) builds a changed copy; asdict is

@@ -128,16 +128,22 @@ def _read_csv_rows(path: str | Path, expected_header: list[str]) -> list[tuple[i
 def _from_rows(path: str | Path, rows: list[tuple[int, list[float]]], make):
     """The record make(values) builds from the rows' values. A record's checks
     hold for every leading part of valid rows, so a ValueError from make
-    becomes a ParseError at the first line where the rows up to it fail."""
+    becomes a ParseError at the first line where the rows up to it fail,
+    found by bisection over the number of leading rows."""
     values = [row for _, row in rows]
     try:
         return make(values)
-    except ValueError:
-        for k, (lineno, _) in enumerate(rows, start=1):
-            try:
-                make(values[:k])
-            except ValueError as exc:  # at the latest when k covers every row
-                raise ParseError(str(exc), line=lineno, path=str(path)) from None
+    except ValueError as exc:
+        error = exc
+    passes, fails = 0, len(rows)  # the leading rows that build, and that fail
+    while fails - passes > 1:
+        k = (passes + fails) // 2
+        try:
+            make(values[:k])
+            passes = k
+        except ValueError as exc:
+            error, fails = exc, k
+    raise ParseError(str(error), line=rows[fails - 1][0], path=str(path))
 
 
 def read_stress_strain_csv(path: str | Path) -> StressStrainCurve:

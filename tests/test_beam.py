@@ -4,7 +4,6 @@ location, robustness at large rotation, solver counters and input validation
 
 import hashlib
 import math
-from dataclasses import replace
 
 import hypothesis
 import numpy as np
@@ -338,7 +337,7 @@ class TestRobustness:
 
     def test_very_soft_drooping_arm_converges(self):
         # A very soft arm drooping under its weight, thrust inboard of the tip.
-        geom = replace(SHIPPED_ARM, motor_station=0.55)
+        geom = SHIPPED_ARM.replace(motor_station=0.55)
         sol = solve_elastica(geom, 1.5e4, LoadCase(thrust=0.2), CLI_SETTINGS)
         assert sol.residual <= CLI_SETTINGS.shooting_tolerance
         assert sol.moments[-1] == 0.0
@@ -561,7 +560,7 @@ class TestPredictor:
         # the root angle on 8, and the one shot on 8 misses it on 16, so the
         # shooting resumes on each; the angle shot on 16 meets it on 32 at
         # the first march.
-        geom = replace(SHIPPED_ARM, motor_station=0.9753)
+        geom = SHIPPED_ARM.replace(motor_station=0.9753)
         sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), CLI_SETTINGS)
         assert sol.mesh_steps == 32
         assert march_steps == [20] * 4 + [36] * 2 + [66] * 2 + [131]
@@ -662,7 +661,7 @@ class TestLoadLayout:
 
     @pytest.mark.parametrize("motor", [0.83, 1.0])
     def test_tendon_is_point_moments_at_the_interior_folds(self, motor):
-        geom = replace(SHIPPED_ARM, motor_station=motor)
+        geom = SHIPPED_ARM.replace(motor_station=motor)
         loads = LoadCase(point_moments=tendon_moments(5.0, 0.01, geom.segment_bounds[1:-1]))
         tendon = tendon_bend(geom, 1.118e6, 5.0, 0.01)
         assert self.march_bytes(tendon) == self.march_bytes(solve_elastica(geom, 1.118e6, loads))
@@ -724,7 +723,7 @@ class TestShapeDigests:
     steps=st.sampled_from([16, 64]),
 )
 def test_design_range_converges(e_modulus, station, thrust, steps):
-    geom = replace(SHIPPED_ARM, motor_station=station)
+    geom = SHIPPED_ARM.replace(motor_station=station)
     settings = CLI_SETTINGS.replace(integration_steps=steps)
     sol = solve_elastica(geom, e_modulus, LoadCase(thrust=thrust), settings)
     assert sol.residual <= settings.shooting_tolerance

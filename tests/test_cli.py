@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from softarm import beam, errors
 from softarm import io as sio
+from softarm.aero import EfficiencyTable
 from softarm.cli import (
     EXIT_FIT,
     EXIT_INPUT,
@@ -125,6 +126,29 @@ class TestCsvIngestion:
             reader(p)
         assert info.value.line == line
         assert str(info.value) == f"{p}:{line}: {message}"
+
+    @pytest.mark.parametrize("bad", [1, 2, 500, 999, None])
+    def test_record_error_is_found_in_few_builds(self, bad):
+        # 1,000 rows whose last is out of order and whose row `bad` has eta
+        # 1.5. The error, line and message, is that of the fewest leading
+        # rows that fail (the whole table fails on its rpm first), found in
+        # at most ceil(log2 1000) + 2 = 12 builds, not in one build per row.
+        rows = [(n + 2, [4000.0 + n, 0.5]) for n in range(1000)]
+        rows[-1][1][0] = 0.0
+        if bad:
+            rows[bad - 1][1][1] = 1.5
+        builds = []
+
+        def make(values):
+            builds.append(len(values))
+            return EfficiencyTable(values)
+
+        with pytest.raises(ParseError) as info:
+            sio._from_rows("table.csv", rows, make)
+        line, message = ((bad + 1, "eta values must be in (0, 1]") if bad
+                         else (1001, "rpm values must be strictly increasing"))
+        assert str(info.value) == f"table.csv:{line}: {message}"
+        assert len(builds) <= 12
 
     @pytest.mark.parametrize("line", [1, 3])
     def test_field_over_the_csv_size_limit_names_its_line(self, line, tmp_path, capsys):
@@ -982,12 +1006,14 @@ class TestParseBoundary:
             ("material", "infill_pct", 10, "effective modulus -2.1e+06 Pa is not positive"),
             ("propeller", "max_rpm", 0, "propeller.max_rpm must be > 0, got 0"),
             ("propeller", "max_rpm", -6000, "propeller.max_rpm must be > 0, got -6000"),
+            ("propeller", "max_rpm", -10**300,
+             f"propeller.max_rpm must be > 0, got -1{'0' * 16}...{'0' * 18}\n"),
             ("propeller", "nominal_thrust_n", 0,
              "propeller.nominal_thrust_n, propeller.nominal_rpm: nominal thrust 0 N at nominal "
              "rpm 4000: thrust_coefficient must be > 0"),
         ],
         ids=["tendon_force_n", "contact_width_zero", "diameter_below_chord", "infill_10pct",
-             "max_rpm_zero", "max_rpm_negative", "nominal_thrust_zero"],
+             "max_rpm_zero", "max_rpm_negative", "max_rpm_301_digits", "nominal_thrust_zero"],
     )
     def test_out_of_range_config_value_exits_2(self, section, key, value, message, tmp_path,
                                                capsys):
@@ -1104,8 +1130,8 @@ class TestParseBoundary:
         assert captured.err == (f"softarm: input error: {path}: {section}.{key} must be "
                                 f"finite, got {shown}\n")
 
-    @pytest.mark.parametrize("value", [5, True, None, [], {}, ""],
-                             ids=["int", "true", "null", "list", "object", "empty"])
+    @pytest.mark.parametrize("value", [5, True, None, [], {}, "", [0] * 100_000],
+                             ids=["int", "true", "null", "list", "object", "empty", "long_list"])
     @pytest.mark.parametrize("section,key", [
         (None, "geometry"), (None, "efficiency_table"), (None, "deflection_coeffs"),
         ("material", "hyperelastic_table"),
@@ -1114,6 +1140,7 @@ class TestParseBoundary:
                                                              tmp_path, capsys):
         # These once exited 2 naming no key: a 5 gave "unsupported operand
         # type(s) for /: 'PosixPath' and 'int'", and "" gave "Is a directory".
+        # The long list was once echoed whole, in about 300,000 characters.
         config = shipped_config()
         (config[section] if section else config)[key] = value
         path = write_config(tmp_path, config)
@@ -1121,8 +1148,9 @@ class TestParseBoundary:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         name = f"{section}.{key}" if section else key
+        shown = repr(value) if value != [0] * 100_000 else "[0, 0, 0, 0, 0, 0,... 0, 0, 0, 0, 0, 0]"
         assert captured.err == (f"softarm: input error: {path}: {name} must be a file name, "
-                                f"got {value!r}\n")
+                                f"got {shown}\n")
 
     @pytest.mark.parametrize(
         "argv,section,key",

@@ -1,13 +1,14 @@
 """The frozen records' shared behaviour (errors._Record): binding, frozen
 attributes, repr, == and hash, replace and asdict, on every record class."""
 
+import dataclasses
 import re
 
 import pytest
 
 from softarm.adapt import AttachmentVerdict, PipeSpec, WrapResult
 from softarm.aero import EfficiencyTable, PropellerModel
-from softarm.beam import BeamSolution, LoadCase, Segment, SolverSettings
+from softarm.beam import ArmGeometry, BeamSolution, LoadCase, Segment, SolverSettings
 from softarm.deflection import DeflectionModelCoeffs, DeflectionSample, EnvelopeReport
 from softarm.material import (
     FlexuralSample,
@@ -19,6 +20,9 @@ from softarm.material import (
 #: One valid record of each class, built from keywords in field order.
 EXAMPLES = [
     Segment(fold_angle_deg=10.0, length=0.05),
+    ArmGeometry(segments=(Segment(10.0, 0.05), Segment(20.0, 0.04)),
+                section_inertia=(2e-10, 1e-10), section_half_depth=0.005, initial_droop_deg=3.0,
+                motor_station=0.8, linear_density=0.1),
     LoadCase(thrust=1.0, gravity=9.81, point_moments=((0.1, 0.2),)),
     SolverSettings(integration_steps=64, shooting_tolerance=1e-7),
     BeamSolution(tip_angle_deg=-5.0, residual=1e-12, integrations=4, steps=171, mesh_steps=16,
@@ -107,15 +111,15 @@ def test_missing_argument(record):
 
 
 def test_binding_mixes_positions_and_keywords():
-    assert DeflectionModelCoeffs(2.4387, -0.1997, b1=-0.162, b2=0.0151) == EXAMPLES[9].replace(
+    assert DeflectionModelCoeffs(2.4387, -0.1997, b1=-0.162, b2=0.0151) == EXAMPLES[10].replace(
         alpha0=0.0)
-    with pytest.raises(TypeError, match=binding_fault(EXAMPLES[9], 2, ["b1", "alpha0"])):
+    with pytest.raises(TypeError, match=binding_fault(EXAMPLES[10], 2, ["b1", "alpha0"])):
         DeflectionModelCoeffs(2.4387, -0.1997, b1=-0.162, alpha0=1.0)  # no b2
     # A keyword for a field with a default does not stand in for a missing
     # one (plan), nor does an unknown keyword.
     for extra in ["contact_expected", "not_a_field"]:
         keywords = ["integrations", "steps", "mesh_steps", extra]
-        with pytest.raises(TypeError, match=binding_fault(EXAMPLES[3], 2, keywords)):
+        with pytest.raises(TypeError, match=binding_fault(EXAMPLES[4], 2, keywords)):
             BeamSolution(-5.0, 1e-12, **dict.fromkeys(keywords, 1))
 
 
@@ -135,7 +139,7 @@ def test_equality_compares_values():
 
 
 def test_solution_equality_ignores_the_plan():
-    solution = EXAMPLES[3]
+    solution = EXAMPLES[4]
     other_plan = solution.replace(plan=("another plan",))
     assert other_plan == solution and hash(other_plan) == hash(solution)
     assert "plan" not in repr(solution)
@@ -161,6 +165,17 @@ def test_replace_changes_only_the_named_fields():
     assert coeffs.alpha0 == 0.0
 
 
+def test_dataclasses_replace_changes_a_geometry():
+    # perfbench calls dataclasses.replace on a geometry; ArmGeometry's
+    # __dataclass_fields__ is all that it reads.
+    geometry = EXAMPLES[1]
+    moved = dataclasses.replace(geometry, motor_station=0.5)
+    assert moved == geometry.replace(motor_station=0.5) and moved.motor_station == 0.5
+    fields = ["not_a_field", *geometry.asdict()]
+    with pytest.raises(TypeError, match=binding_fault(geometry, 0, fields)):
+        dataclasses.replace(geometry, not_a_field=1.0)
+
+
 def test_replace_runs_post_init():
     with pytest.raises(ValueError, match="thrust must be >= 0"):
         LoadCase(thrust=1.0).replace(thrust=-1.0)
@@ -171,5 +186,5 @@ def test_repr_matches_the_dataclass_repr():
     assert repr(DeflectionModelCoeffs(2.4387, -0.1997, -0.162, 0.0151)) == (
         "DeflectionModelCoeffs(a1=2.4387, a2=-0.1997, b1=-0.162, b2=0.0151, alpha0=0.0)")
     assert repr(PipeSpec(0.2)) == "PipeSpec(diameter=0.2)"
-    assert repr(EXAMPLES[3]) == ("BeamSolution(tip_angle_deg=-5.0, residual=1e-12, "
+    assert repr(EXAMPLES[4]) == ("BeamSolution(tip_angle_deg=-5.0, residual=1e-12, "
                                  "integrations=4, steps=171, mesh_steps=16, contact_expected=True)")

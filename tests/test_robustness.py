@@ -8,7 +8,6 @@ default run deselects: `python -m pytest -m slow tests/test_robustness.py`."""
 import hashlib
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -54,7 +53,7 @@ def solve_draws(n: int):
     solutions = []
     for modulus, changes, loads in draw_cases(random.Random(SEED), n):
         try:
-            solutions.append(beam.solve_elastica(replace(ARM, **changes), modulus, loads,
+            solutions.append(beam.solve_elastica(ARM.replace(**changes), modulus, loads,
                                                  cli.SOLVER_SETTINGS))
         except NoConvergence:
             solutions.append(None)
@@ -100,7 +99,7 @@ def test_limp_arm_creep_case():
     # its budget and hands the solve to the 8-step rung, which closes it in
     # 4 marches; the 16- and 32-step rungs take 3 each, and the ladder
     # accepts the 64-step rung after 2.
-    geometry = replace(ARM, motor_station=0.239, initial_droop_deg=11.56)
+    geometry = ARM.replace(motor_station=0.239, initial_droop_deg=11.56)
     sol = beam.solve_elastica(geometry, 2.79e3, beam.LoadCase(gravity=39.5),
                               cli.SOLVER_SETTINGS)
     assert sol.tip_angle_deg == pytest.approx(-76.6256, abs=1e-4)

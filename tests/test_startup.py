@@ -1,8 +1,8 @@
 """Start-up path of the command line: every command but `fit-material` runs
 without importing numpy, as does the Mooney-Rivlin stress law, no command
 imports the standard-library machinery it does not run, each command imports
-a pinned set of modules, and the records but one are built without
-dataclasses.
+a pinned set of modules, and the records are built without dataclasses or
+inspect.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already. The child imports the same softarm as this process
@@ -58,20 +58,15 @@ print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
 
-#: Prints the modules that importing softarm.errors adds, then the softarm
-#: classes that are dataclasses once softarm.cli is imported, and reports as
-#: CHILD does.
+#: Prints the modules that importing softarm.errors adds, then those that
+#: importing softarm.cli adds, and reports as CHILD does.
 RECORDS_CHILD = """\
 import json, sys
 before = set(sys.modules)
 import softarm.errors
 added = sorted(set(sys.modules) - before)
 import softarm.cli
-print(json.dumps({"errors_imports": added, "dataclasses": sorted(
-    f"{cls.__module__}.{cls.__qualname__}"
-    for name, module in list(sys.modules.items()) if name.startswith("softarm")
-    for cls in vars(module).values()
-    if isinstance(cls, type) and cls.__module__ == name and "__dataclass_fields__" in vars(cls))}))
+print(json.dumps({"errors_imports": added, "cli_imports": sorted(set(sys.modules) - before)}))
 print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
@@ -121,21 +116,17 @@ print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
 #: The modules that each command of NUMPY_FREE imports under -S beyond those
-#: of BASE_CHILD, on Python 3.11 (3.11.2 and 3.11.7 agree). A change that
-#: adds an import, or drops one, updates this set. Other versions import
-#: other standard-library modules for the same code: 3.10.13 adds warnings
-#: and lacks _locale and ipaddress, 3.12.1 adds _tokenize, and 3.13 turns
-#: pathlib into a package that imports glob, pwd and grp where urllib.parse
-#: was, and 3.13.13's inspect imports typing. So elsewhere only the softarm
-#: modules are compared.
+#: of BASE_CHILD, on Python 3.11 and 3.12 (3.11.7 and 3.12.1 agree).
+#: A change that adds an import, or drops one, updates this set. Other
+#: versions import other standard-library modules for the same code: 3.10.13
+#: adds warnings and lacks _locale and ipaddress, and 3.13 turns pathlib into
+#: a package that imports glob, pwd and grp where urllib.parse was. So
+#: elsewhere only the softarm modules are compared.
 STARTUP_MODULES = {
-    "__future__", "_ast", "_bz2", "_compression", "_locale", "_lzma", "_opcode", "_weakrefset",
-    "ast", "bz2", "collections.abc", "contextlib", "copy", "dataclasses", "dis", "errno",
-    "fnmatch", "importlib", "importlib._bootstrap", "importlib._bootstrap_external",
-    "importlib.machinery", "inspect", "ipaddress", "linecache", "locale", "lzma", "math",
-    "ntpath", "opcode", "pathlib", "shutil", "softarm", "softarm.adapt", "softarm.aero",
-    "softarm.beam", "softarm.cli", "softarm.deflection", "softarm.errors", "softarm.io",
-    "softarm.material", "token", "tokenize", "urllib", "urllib.parse", "weakref", "zlib",
+    "__future__", "_bz2", "_compression", "_locale", "_lzma", "bz2", "contextlib", "errno",
+    "fnmatch", "ipaddress", "locale", "lzma", "math", "ntpath", "pathlib", "shutil", "softarm",
+    "softarm.adapt", "softarm.aero", "softarm.beam", "softarm.cli", "softarm.deflection",
+    "softarm.errors", "softarm.io", "softarm.material", "urllib", "urllib.parse", "zlib",
 }
 
 
@@ -151,7 +142,7 @@ def test_command_imports_the_pinned_modules(name, base_modules):
     code, modules, _ = run_child(NUMPY_FREE[name], flags=["-S"])
     assert code == 0
     added = modules - base_modules
-    if sys.version_info[:2] != (3, 11):
+    if sys.version_info[:2] not in {(3, 11), (3, 12)}:
         added = {m for m in added if m.partition(".")[0] == "softarm"}
         expected = {m for m in STARTUP_MODULES if m.partition(".")[0] == "softarm"}
     else:
@@ -167,13 +158,13 @@ def test_stress_law_does_not_import_numpy():
 
 def test_records_are_built_without_dataclasses():
     # A frozen dataclass compiles its generated methods when its module is
-    # imported; the records derive from errors._Record instead. ArmGeometry
-    # stays a dataclass only because the benchmark calls dataclasses.replace
-    # on it (perfbench/workloads.py and perfbench/make_reference.py), so
-    # beam still imports dataclasses; port those two calls to drop it.
+    # imported, and dataclasses imports inspect, which on 3.13.13 imports
+    # typing; the records derive from errors._Record instead. ArmGeometry's
+    # __dataclass_fields__, which serves perfbench's dataclasses.replace
+    # calls, imports nothing.
     _, _, out = run_child([], flags=["-S"], child=RECORDS_CHILD)
     found = json.loads(out)
-    assert found["dataclasses"] == ["softarm.beam.ArmGeometry"]
+    assert not {"dataclasses", "inspect"} & set(found["cli_imports"])
     assert set(found["errors_imports"]) <= {"softarm", "softarm.errors", "math"}
 
 
