@@ -8,9 +8,11 @@ inward from the free tip, where the bending moment vanishes and the
 outboard force is known, leaves the tip angle as the only unknown, which
 is shot on until the root angle meets the clamp, on a ladder of meshes of
 4, 8, 16, ... steps per segment length up to the requested mesh (see
-solve_elastica). The shape, the requested-mesh march at the accepted tip
-angle with x and z, is marched when first read; the solver counters leave
-that march out, and == on solutions does not compare shapes.
+solve_elastica); each rung's mesh carries the step constants of its
+panels, computed once for all its marches (see _mesh). The shape, the
+requested-mesh march at the accepted tip angle with x and z, is meshed and
+marched when first read; the solver counters leave that march out, and ==
+on solutions does not compare shapes.
 Coordinates: x horizontal, z up, theta measured from horizontal
 (positive = tip up).
 """
@@ -47,7 +49,9 @@ class ArmGeometry(_Record):
     section_inertia: second moment of area per segment [m^4] (piecewise
     constant along the arc length). initial_droop_deg: the root's angle
     below horizontal [deg], in (-90, 90). motor_station is the normalized
-    position x/c of the motor in (0, 1].
+    position x/c of the motor in (0, 1]. segment_bounds and
+    total_turning_deg are computed on first read and kept, outside the
+    fields: ==, hash, repr, asdict and replace do not see them.
     """
 
     segments: tuple[Segment, ...]
@@ -81,7 +85,7 @@ class ArmGeometry(_Record):
     def total_length(self) -> float:
         return self.segment_bounds[-1]
 
-    @property
+    @cached_property
     def segment_bounds(self) -> tuple[float, ...]:
         """Cumulative arc-length boundaries, root 0 through the tip."""
         bounds = [0.0]
@@ -89,7 +93,7 @@ class ArmGeometry(_Record):
             bounds.append(bounds[-1] + seg.length)
         return tuple(bounds)
 
-    @property
+    @cached_property
     def total_turning_deg(self) -> float:
         # Left to right, not sum(): from Python 3.12 sum() compensates floats.
         return reduce(operator.add, (seg.fold_angle_deg for seg in self.segments), 0)
@@ -152,8 +156,10 @@ class BeamSolution(_Record, hidden=("plan",)):
 
     history: the rows (s, x, z, theta, M) of the march on the
     integration_steps mesh at the accepted tip angle, tip to root, x and z
-    from the tip, marched from its arguments, plan, on first read;
-    station_count is its length, known without marching. stations: array
+    from the tip. plan holds the panel plan, integration_steps and the
+    march's other arguments (thrust, w_z, length, theta_tip); the first
+    read of history meshes the plan and marches it. station_count is the
+    length of history, known from the mesh without marching. stations: array
     of shape (n, 4) with columns (s, x, z, theta), root to tip, the root at
     the origin; column k is stations[:, k]. moments: bending moment [N m] at
     each station, 0 at the tip. Both arrays are built on first access, so a
@@ -177,12 +183,12 @@ class BeamSolution(_Record, hidden=("plan",)):
 
     @cached_property
     def history(self) -> list[tuple[float, float, float, float, float]]:
-        _march(*self.plan, rows := [])
+        _march(_mesh(*self.plan[:2]), *self.plan[2:], rows := [])
         return rows
 
     @property
     def station_count(self) -> int:
-        return 1 + sum(p[3] + (p[4] is not None) for p in self.plan[0])
+        return 1 + sum(p[3] + (p[4] is not None) for p in _mesh(*self.plan[:2]))
 
     @cached_property
     def stations(self) -> np.ndarray:
@@ -245,10 +251,17 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
 
 
 def _mesh(plan, steps: int):
-    """The plan's panels as (a, b, EI, n, jump, motor), with n march steps,
-    about `steps` per segment length."""
-    return [(a, b, ei, max(2, int(math.ceil(steps * (b - a) / seg_len))), jump, motor)
-            for a, b, ei, seg_len, jump, motor in plan]
+    """The plan's panels as (a, b, EI, n, jump, motor, h, g, q), with n
+    march steps, about `steps` per segment length, and the step constants
+    that _march takes on every march of the rung: the step h = (b - a)/n,
+    g = h/EI and q = h g = h^2/EI."""
+    mesh = []
+    for a, b, ei, seg_len, jump, motor in plan:
+        n = max(2, math.ceil(steps * (b - a) / seg_len))
+        h = (b - a) / n
+        g = h / ei
+        mesh.append((a, b, ei, n, jump, motor, h, g, h * g))
+    return mesh
 
 
 def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
@@ -276,7 +289,7 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
     if record:
         history.append((length, x, z, theta, m))
     rx = tz = 0.0
-    for a, b, ei, n, jump, motor in reversed(panels):
+    for a, b, _, n, jump, motor, h, g, q in reversed(panels):
         if jump is not None:
             m += jump
             if record:
@@ -284,9 +297,7 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
         if motor:
             rx = -thrust * sin(theta)
             tz = thrust * cos(theta)
-        h = (b - a) / n
-        half, h6, g = 0.5 * h, h / 6.0, h / ei
-        q = h * g  # h^2 / EI
+        half, h6 = 0.5 * h, h / 6.0
         q8, q2, q6 = 0.125 * q, 0.5 * q, q / 6.0
         s = b
         rz1 = w_z * (length - s) + tz
@@ -334,7 +345,7 @@ def solve_elastica(
     geometry: ArmGeometry,
     material,
     loads: LoadCase,
-    settings: SolverSettings | None = None,
+    settings: SolverSettings = SolverSettings(),
 ) -> BeamSolution:
     """Solve the clamped-root free-tip elastica for the given loads by
     shooting on the tip angle up a ladder of meshes, PREDICTOR_STEPS steps
@@ -345,10 +356,10 @@ def solve_elastica(
     misses the tolerance within SHOOTING_MARCHES marches hands the solve to
     the next rung, shot again from the straight arm; its marches still
     count. The shape is the requested-mesh march at the accepted tip angle,
-    made on first read. Raises NoConvergence when the shooting on the top
-    rung misses the tolerance, and ValueError naming the arm length, the
+    meshed and marched on first read. The default settings are built once,
+    at import. Raises NoConvergence when the shooting on the top rung
+    misses the tolerance, and ValueError naming the arm length, the
     smallest EI and the loads when a march overflows."""
-    settings = settings or SolverSettings()
     e_modulus = effective_modulus(material)
     length = geometry.total_length
     w_z = -geometry.linear_density * loads.gravity  # weight per unit length
@@ -383,7 +394,7 @@ def solve_elastica(
         integrations=integrations,
         steps=steps,
         mesh_steps=mesh_steps,
-        plan=(_mesh(plan, settings.integration_steps), loads.thrust, w_z, length, theta_tip),
+        plan=(plan, settings.integration_steps, loads.thrust, w_z, length, theta_tip),
     )
 
 

@@ -273,6 +273,33 @@ class TestGeometryValidation:
         geom = ArmGeometry([*segments, Segment(13.2, 0.1)], (1e-9,) * 4, section_half_depth=0.005)
         assert geom.total_turning_deg == 96.30000000000001
 
+    def test_derived_values_are_kept_outside_the_fields(self):
+        # segment_bounds and total_turning_deg are computed on first read and
+        # kept; == , hash, repr, asdict and replace see the fields alone.
+        geom, fresh = fold_arm(droop=5.0), fold_arm(droop=5.0)
+        bounds, turning = [0.0], 0
+        for seg in FOLD_SEGMENTS:
+            bounds.append(bounds[-1] + seg.length)
+            turning += seg.fold_angle_deg
+        assert geom.segment_bounds == tuple(bounds) and geom.total_length == bounds[-1]
+        assert geom.total_turning_deg == turning
+        assert geom.segment_bounds is geom.segment_bounds  # computed once
+        assert geom == fresh and hash(geom) == hash(fresh) and repr(geom) == repr(fresh)
+        assert list(geom.asdict()) == list(ArmGeometry._fields) and geom.replace() == fresh
+        longer = tuple(Segment(seg.fold_angle_deg + 1.0, 2.0 * seg.length)
+                       for seg in FOLD_SEGMENTS)
+        changed = geom.replace(segments=longer)
+        assert changed.segment_bounds == tuple(2.0 * b for b in bounds)
+        assert changed.total_length == 2.0 * bounds[-1]
+        assert changed.total_turning_deg == turning + 4.0
+        frozen = "ArmGeometry is frozen: cannot set or delete"
+        for name in ("segment_bounds", "total_length", "total_turning_deg"):
+            with pytest.raises(AttributeError, match=f"{frozen} '{name}'"):
+                setattr(geom, name, 1.0)
+            with pytest.raises(AttributeError, match=f"{frozen} '{name}'"):
+                delattr(geom, name)
+        assert geom.segment_bounds == tuple(bounds)
+
     @pytest.mark.parametrize("station", [-0.01, 0.5])
     def test_point_moment_off_the_arm_rejected(self, station):
         loads = LoadCase(thrust=0, gravity=0, point_moments=((station, 1.0),))
@@ -463,6 +490,26 @@ class TestSolutionArrays:
         assert len(histories) == sol.integrations + 1
         assert (sol.integrations, sol.steps) == counters
 
+    def test_each_mesh_is_built_once(self, monkeypatch):
+        # One mesh per rung, the shape's on its first read: a solve accepted
+        # on the 8-step rung meshes 4 and 8 steps per segment length.
+        meshes = []  # the steps of each mesh built, in order
+        mesh = beam._mesh
+
+        def recording_mesh(plan, steps):
+            meshes.append(steps)
+            return mesh(plan, steps)
+
+        monkeypatch.setattr(beam, "_mesh", recording_mesh)
+        assert main(["analyze"]) == EXIT_OK  # 11 solves
+        assert meshes == [4, 8] * 11
+        meshes.clear()
+        sol = tendon_bend(SHIPPED_ARM, 1.118e6, 5.0, 0.01)
+        assert meshes == [4, 8]
+        rows = sol.history
+        assert meshes == [4, 8, 256]
+        assert sol.history is rows and meshes == [4, 8, 256]
+
     @pytest.mark.parametrize("droop, motor, loads", [
         (5.0, 0.8, LoadCase(thrust=0.5, point_moments=tendon_moments(2.0, 0.01))),
         (5.0, 1.0, LoadCase()),
@@ -492,9 +539,10 @@ class TestSolutionArrays:
             sol = solve_elastica(geometry, E_SOFT, loads, settings)
             assert sol.mesh_steps == accepted
             assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
-            assert beam._march(*sol.plan) == sol.history[-1][3]
+            shape = beam._mesh(*sol.plan[:2])  # the requested mesh
+            assert beam._march(shape, *sol.plan[2:]) == sol.history[-1][3]
             rung = beam._mesh(beam._panel_plan(geometry, loads, E_SOFT), accepted)
-            assert abs(beam._march(rung, *sol.plan[1:]) - theta_root) == sol.residual
+            assert abs(beam._march(rung, *sol.plan[2:]) - theta_root) == sol.residual
             if accepted == steps:
                 assert abs(sol.history[-1][3] - theta_root) == sol.residual
 
@@ -728,7 +776,8 @@ def test_design_range_converges(e_modulus, station, thrust, steps):
     sol = solve_elastica(geom, e_modulus, LoadCase(thrust=thrust), settings)
     assert sol.residual <= settings.shooting_tolerance
     assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
-    assert beam._march(*sol.plan) == sol.history[-1][3]  # the loops agree
+    # the loops agree
+    assert beam._march(beam._mesh(*sol.plan[:2]), *sol.plan[2:]) == sol.history[-1][3]
     if sol.mesh_steps == steps:  # the ladder climbed: the shape is the accepted rung
         theta_root = -math.radians(geom.initial_droop_deg)
         assert abs(sol.history[-1][3] - theta_root) == sol.residual
