@@ -1,12 +1,12 @@
 """Command-line front end: data ingestion, pipeline orchestration, and
 machine-readable JSON/CSV reporting.
 
-Every subcommand is one handler that reads its input files through
-`_read_input` (which records their SHA-256 digests), runs the library and
-returns `(results, inputs)`. `main` wraps them in a report, or writes the
-rows of a `sweep` as CSV and its warnings to stderr, and turns an error
-into the exit code its class carries (see `errors`): 0 ok, 2 input error,
-3 fit failure, 4 solver failure.
+Every subcommand is one handler that reads each input file once, through
+`_read_input` (which records the SHA-256 digest of the bytes it parses),
+runs the library and returns `(results, inputs)`. `main` wraps them in a
+report, or writes the rows of a `sweep` as CSV and its warnings to stderr,
+and turns an error into the exit code its class carries (see `errors`): 0
+ok, 2 input error, 3 fit failure, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -63,13 +63,12 @@ def default_data_dir() -> Path:
 
 
 def _read_input(inputs: dict, label: str, reader, path, *args):
-    """Read one input file with reader(path, *args) and record its SHA-256
-    digest under label in inputs. The digest reads the file a second time,
-    after the reader has parsed it."""
+    """Read one input file once, record the SHA-256 digest of its bytes
+    under label in inputs, and parse those bytes with reader(path, *args)."""
     path = Path(path)
-    value = reader(path, *args)
-    inputs[label] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return value
+    data = sio.read_bytes(path)
+    inputs[label] = hashlib.sha256(data).hexdigest()
+    return reader(path, *args, data=data)
 
 
 def _warning_entries(records) -> list[dict]:
@@ -125,26 +124,25 @@ def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None
     first key of expected that obj lacks, is not an object where it names a
     section (then checked alike), is not the non-empty file name or the
     number it says; resolve each file name in obj against path's directory."""
-    sio._reject_unknown(obj, expected, path, "config", prefix)
+    sio._reject_unknown(obj, expected, "config", prefix)
     for key, kind in expected.items():
         name, value = prefix + key, obj.get(key)
         if key not in obj:
             kind = "section" if isinstance(kind, dict) else "key"
-            raise ParseError(f"config has no {name!r} {kind}", path=str(path))
+            raise ParseError(f"config has no {name!r} {kind}")
         if isinstance(kind, dict):
             if not isinstance(value, dict):
                 raise ParseError(f"config section {key!r} must be an object, "
-                                 f"got {type(value).__name__}", path=str(path))
+                                 f"got {type(value).__name__}")
             _check_keys(value, kind, path, f"{key}.")
         elif kind == "file":
             if not isinstance(value, str) or not value:
-                raise ParseError(f"{name} must be a file name, got {_echo(value)}", path=str(path))
+                raise ParseError(f"{name} must be a file name, got {_echo(value)}")
             obj[key] = path.parent / value
         else:
-            with sio.blame(path):
-                require_finite(**{name: value})
-                if kind == "> 0" and value <= 0:
-                    raise ValueError(f"{name} must be > 0, got {_echo(value)}")
+            require_finite(**{name: value})
+            if kind == "> 0" and value <= 0:
+                raise ValueError(f"{name} must be > 0, got {_echo(value)}")
 
 
 def _material_block(params: material.MooneyRivlinParams) -> dict:
@@ -210,7 +208,8 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
 
 def cmd_analyze(args) -> tuple[dict, dict]:
     config = sio.load_json(args.config, "config")
-    _check_keys(config, _CONFIG_KEYS, args.config)
+    with sio.blame(args.config):
+        _check_keys(config, _CONFIG_KEYS, args.config)
     mat_cfg, prop_cfg, pipe_cfg = config["material"], config["propeller"], config["pipe"]
     infill = mat_cfg["infill_pct"]
     inputs: dict = {}
@@ -503,10 +502,7 @@ def _report_error(exc: Exception, kind: type[SoftarmError]) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for key, value in _FLAG_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    args = build_parser().parse_args(argv, argparse.Namespace(**_FLAG_DEFAULTS))
     try:
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always")

@@ -176,16 +176,12 @@ class EmptyRange(FitError):
 
 
 class ParseError(InputError):
-    """Input file could not be parsed; carries the offending line number."""
+    """Input file could not be parsed; carries the offending line number and
+    file, and the message without them as reason."""
 
     def __init__(self, message: str, line: int | None = None, path: str | None = None):
-        self.line = line
-        self.path = path
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
-        if line is not None:
-            prefix += f"{line}:"
+        self.reason, self.line, self.path = message, line, path
+        prefix = "".join(f"{part}:" for part in (path, line) if part is not None)
         super().__init__(f"{prefix} {message}" if prefix else message)
 
 

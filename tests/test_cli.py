@@ -169,16 +169,19 @@ class TestCsvIngestion:
         code = main(["efficiency", "--rpm", "4500", "--table", str(p)])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
-        # A UTF-8 locale fails to decode the byte; a one-byte locale, to parse the number.
-        assert captured.err.startswith(f"softarm: input error: {p}:")
+        assert captured.err == (f"softarm: input error: {p}: 'utf-8' codec can't decode byte "
+                                f"0xff in position 18: invalid start byte\n")
 
     @pytest.mark.parametrize(
         "text,line,cell",
         [
             ('rpm,eta\n"4000\n",0.895\nx,0.9\n', 4, "x"),
             ('rpm,eta\n4000,0.895\n"x\n",0.9\n', 3, "x\n"),
+            ('rpm,eta\r\n"4000\r\n",0.895\r\nx,0.9\r\n', 4, "x"),
+            ('rpm,eta\r\n4000,0.895\r\n"x\r\n",0.9\r\n', 3, "x\r\n"),
         ],
-        ids=["after_a_two_line_record", "in_a_two_line_record"],
+        ids=["after_a_two_line_record", "in_a_two_line_record",
+             "after_a_two_line_record_crlf", "in_a_two_line_record_crlf"],
     )
     def test_record_is_numbered_by_the_line_it_starts_on(self, text, line, cell, tmp_path,
                                                         capsys):
@@ -796,7 +799,7 @@ class TestExitCodes:
         code, kind = self.EXPECTED[cls.__name__]
         assert cls.exit_code == code
 
-        def failing_read(path):
+        def failing_read(path, data=None):
             raise cls("boom")
 
         monkeypatch.setattr(sio, "read_efficiency_csv", failing_read)
@@ -808,7 +811,7 @@ class TestExitCodes:
     def test_stdlib_error_is_input_error(self, monkeypatch, capsys):
         for error in (KeyError("rows"), OverflowError(34, "Numerical result out of range")):
 
-            def failing_read(path, error=error):
+            def failing_read(path, data=None, error=error):
                 raise error
 
             monkeypatch.setattr(sio, "read_efficiency_csv", failing_read)
@@ -842,10 +845,18 @@ class TestParseBoundary:
 
     def test_load_json_reports_line_of_syntax_error(self, tmp_path):
         p = tmp_path / "x.json"
-        p.write_text('{\n"a": 1,\n}')
+        p.write_text('{\n"a": 1\n"b": 2}')  # 3.13 puts a trailing comma on its own line
         with pytest.raises(ParseError) as info:
             sio.load_json(p, "x")
         assert info.value.line == 3
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_syntax_error_line_counts_every_newline(self, newline, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_bytes(newline.join(["{", '"a": 1', '"b": 2}']).encode())
+        with pytest.raises(ParseError) as info:
+            sio.load_json(p, "x")
+        assert str(info.value) == f"{p}:3: Expecting ',' delimiter"
 
     def test_nan_threshold_in_config_exits_2(self, tmp_path, capsys):
         text = json.dumps(shipped_config()).replace(
@@ -1329,6 +1340,21 @@ class TestParseBoundary:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == f"softarm: input error: {p}: {message}\n"
+
+
+    @pytest.mark.parametrize("rho", [True, "1", None], ids=["true", "string", "null"])
+    def test_hyperelastic_row_without_a_number_for_rho_exits_2(self, rho, tmp_path, capsys):
+        # A true equals the infill 1, and so once picked the row's coefficients.
+        p = tmp_path / "hyperelastic.json"
+        p.write_text(json.dumps({"rows": [{"rho_pct": rho, "c10": -3.19, "c01": 4.23,
+                                           "c20": 0.64, "c02": -2.65, "c11": 4.37}]}))
+        config = shipped_config()
+        config["material"].update(hyperelastic_table=str(p), infill_pct=1)
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (f"softarm: input error: {p}: bad hyperelastic table: "
+                                f"rho_pct must be finite, got {rho!r}\n")
 
 
 class TestFlagsWhereRead:

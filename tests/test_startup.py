@@ -1,8 +1,9 @@
 """Start-up path of the command line: every command but `fit-material` runs
 without importing numpy, as does the Mooney-Rivlin stress law, no command
 imports the standard-library machinery it does not run, each command imports
-a pinned set of modules, and the records are built without dataclasses or
-inspect.
+a pinned set of modules, the records are built without dataclasses or
+inspect, and each input file is opened once and read as UTF-8 whatever the
+locale.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already. The child imports the same softarm as this process
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import softarm
+from softarm.cli import default_data_dir
 from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
 
 #: Runs cli.main on its arguments and reports, as the last line of stderr,
@@ -71,11 +73,12 @@ print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
 
-def run_child(argv, flags=(), child=CHILD):
+def run_child(argv, flags=(), child=CHILD, env=None):
     """(exit code, imported module names, stdout) of cli.main(argv), or of
     another child script, in a fresh interpreter, started with the given
-    flags, that imports softarm from where this process did."""
-    env = dict(os.environ)
+    flags and with env added to this process's environment, that imports
+    softarm from where this process did."""
+    env = {**os.environ, **(env or {})}
     package_root = str(Path(softarm.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *flags, "-c", child, *argv], env=env,
@@ -168,19 +171,87 @@ def test_records_are_built_without_dataclasses():
     assert set(found["errors_imports"]) <= {"softarm", "softarm.errors", "math"}
 
 
-def test_fit_material_still_fits(tmp_path):
-    params = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
+RHO6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
+
+
+def fit_material_argv(tmp_path):
+    """The arguments of a fit-material run on two test files that it writes
+    in tmp_path: uniaxial stresses of RHO6, and a flexural slope of 100 N/m."""
     lines = ["strain,stress_pa"]
     for i in range(40):
         lam = 1.01 + 0.0125 * i
-        lines.append(f"{lam - 1.0!r},{mr_uniaxial_stress(params, lam) * 1e6!r}")
+        lines.append(f"{lam - 1.0!r},{mr_uniaxial_stress(RHO6, lam) * 1e6!r}")
     (tmp_path / "ss.csv").write_text("\n".join(lines) + "\n")
     (tmp_path / "flex.csv").write_text("force_n,deflection_m\n0.1,0.001\n0.2,0.002\n0.3,0.003\n")
-    code, _, out = run_child(["fit-material", "--stress-strain", str(tmp_path / "ss.csv"),
-                              "--flexural", str(tmp_path / "flex.csv"),
-                              "--length", "0.1", "--inertia", "1e-10"])
+    return ["fit-material", "--stress-strain", str(tmp_path / "ss.csv"),
+            "--flexural", str(tmp_path / "flex.csv"), "--length", "0.1", "--inertia", "1e-10"]
+
+
+def test_fit_material_still_fits(tmp_path):
+    code, _, out = run_child(fit_material_argv(tmp_path))
     assert code == 0
     fitted = json.loads(out)["results"]["material"]
-    assert fitted["mooney_rivlin"]["c10"] == pytest.approx(params.c10, rel=1e-6)
+    assert fitted["mooney_rivlin"]["c10"] == pytest.approx(RHO6.c10, rel=1e-6)
     # slope 100 N/m, so E = 100 * 0.1**3 / (3 * 1e-10)
     assert fitted["flexural_modulus_pa"] == pytest.approx(1e9 / 3, rel=1e-9)
+
+
+#: Runs cli.main on its arguments, counting each file opened (through an
+#: audit hook, which sees every way of opening one), prints the counts by
+#: real path as the last line of stdout, and reports as CHILD does.
+OPENS_CHILD = """\
+import collections, json, os, sys
+opens = collections.Counter()
+def count(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        opens[os.path.realpath(args[0])] += 1
+sys.addaudithook(count)
+from softarm.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(opens))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+#: The shipped files that each command of NUMPY_FREE reads.
+INPUTS = {
+    "analyze": ["config.json", "arm_geometry.json", "efficiency_table.csv",
+                "deflection_coeffs.json", "hyperelastic_coeffs.json"],
+    "deflect-throttle": ["deflection_coeffs.json"],
+    "deflect-envelope": ["deflection_coeffs.json"],
+    "efficiency": ["efficiency_table.csv"],
+    "pipe-fit": ["arm_geometry.json"],
+    "sweep-motor_station": ["efficiency_table.csv"],
+    "sweep-arm_angle": ["efficiency_table.csv"],
+    "sweep-throttle": ["deflection_coeffs.json"],
+    "sweep-infill": ["arm_geometry.json"],
+}
+
+
+@pytest.mark.parametrize("name", [*NUMPY_FREE, "fit-material"])
+def test_each_input_file_is_opened_once(name, tmp_path):
+    # The digest in the report is of the bytes parsed, not of a second read.
+    data = default_data_dir().resolve()
+    if name == "fit-material":
+        argv, files = fit_material_argv(tmp_path), [tmp_path / "ss.csv", tmp_path / "flex.csv"]
+    else:
+        argv, files = NUMPY_FREE[name], [data / f for f in INPUTS[name]]
+    code, _, out = run_child(argv, child=OPENS_CHILD)
+    assert code == 0
+    opens = json.loads(out.splitlines()[-1])
+    read = {path: n for path, n in opens.items()
+            if Path(path).parent in (data, tmp_path.resolve())}
+    assert read == {str(f.resolve()): 1 for f in files}
+
+
+def test_utf8_input_is_read_whatever_the_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259), and so are the CSV tables: a geometry with a
+    # non-ASCII _note reads the same in the C locale, without UTF-8 mode.
+    geometry = json.loads((default_data_dir() / "arm_geometry.json").read_bytes())
+    geometry["_note"] = "fold angles in °, lengths in mm"
+    p = tmp_path / "geometry.json"
+    p.write_bytes(json.dumps(geometry, ensure_ascii=False).encode())
+    argv = ["pipe-fit", "--diameter", "0.2", "--geometry", str(p)]
+    utf8 = run_child(argv, env={"PYTHONUTF8": "1"})
+    c_locale = run_child(argv, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert utf8[0] == c_locale[0] == 0
+    assert c_locale[2] == utf8[2]
