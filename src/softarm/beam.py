@@ -9,10 +9,13 @@ outboard force is known, leaves the tip angle as the only unknown, which
 is shot on until the root angle meets the clamp, on a ladder of meshes of
 4, 8, 16, ... steps per segment length up to the requested mesh (see
 solve_elastica); each rung's mesh carries the step constants of its
-panels, computed once for all its marches (see _mesh). The shape, the
-requested-mesh march at the accepted tip angle with x and z, is meshed and
-marched when first read; the solver counters leave that march out, and ==
-on solutions does not compare shapes.
+panels, computed once for all its marches (see _mesh). solve_sweep solves
+loads that differ in thrust alone, such as a throttle sweep, on one
+set-up: one panel plan, and each rung's mesh built once for all of them.
+The shape, the requested-mesh march at the accepted tip angle with x and z,
+is meshed and marched by the recording march (_shape_march) when first
+read; the solver counters leave that march out, and == on solutions does
+not compare shapes.
 Coordinates: x horizontal, z up, theta measured from horizontal
 (positive = tip up).
 """
@@ -154,16 +157,17 @@ class SolverSettings(_Record, finite=True):
 class BeamSolution(_Record, hidden=("plan",)):
     """Solved centerline shape and bending moments.
 
-    history: the rows (s, x, z, theta, M) of the march on the
+    history: the rows (s, x, z, theta, M) of the recording march on the
     integration_steps mesh at the accepted tip angle, tip to root, x and z
-    from the tip. plan holds the panel plan, integration_steps and the
-    march's other arguments (thrust, w_z, length, theta_tip); the first
-    read of history meshes the plan and marches it. station_count is the
-    length of history, known from the mesh without marching. stations: array
-    of shape (n, 4) with columns (s, x, z, theta), root to tip, the root at
-    the origin; column k is stations[:, k]. moments: bending moment [N m] at
-    each station, 0 at the tip. Both arrays are built on first access, so a
-    caller that reads only tip_angle_deg never marches again or imports numpy.
+    from the tip. plan holds the panel plan, a tuple that the solutions of
+    one sweep share, integration_steps and the march's other arguments
+    (thrust, w_z, length, theta_tip); the first read of history meshes the
+    plan and marches it. station_count is the length of history, known
+    from the mesh without marching. stations: array of shape (n, 4) with
+    columns (s, x, z, theta), root to tip, the root at the origin; column k
+    is stations[:, k]. moments: bending moment [N m] at each station, 0 at
+    the tip. Both arrays are built on first access, so a caller that reads
+    only tip_angle_deg never marches again or imports numpy.
     mesh_steps is the march steps per segment length of the accepted rung,
     and residual the root-angle defect [rad] of its march at the accepted
     tip angle, at most the shooting tolerance; the shape's own root defect
@@ -183,8 +187,7 @@ class BeamSolution(_Record, hidden=("plan",)):
 
     @cached_property
     def history(self) -> list[tuple[float, float, float, float, float]]:
-        _march(_mesh(*self.plan[:2]), *self.plan[2:], rows := [])
-        return rows
+        return _shape_march(_mesh(*self.plan[:2]), *self.plan[2:])
 
     @property
     def station_count(self) -> int:
@@ -247,7 +250,7 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
         while i < last and not 0.5 * (a + b) < bounds[i + 1]:
             i += 1
         plan.append((a, b, e_modulus * inertia[i], seg_len, jumps.get(b), b == s_motor))
-    return plan
+    return tuple(plan)
 
 
 def _mesh(plan, steps: int):
@@ -264,8 +267,7 @@ def _mesh(plan, steps: int):
     return mesh
 
 
-def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
-           history: list | None = None) -> float:
+def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float) -> float:
     """March of (theta, M) from the free tip, where M = 0, to the root,
     panel by panel: on reaching a panel's outboard end it adds the panel's
     point moment and, at the motor station, fixes the thrust direction.
@@ -274,26 +276,18 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
     sin(theta) rx - cos(theta) rz(s) does not depend on theta' = M/EI, so
     each step is the three-stage Runge-Kutta-Nystrom step of order 4, three
     evaluations of F (Hairer, Norsett & Wanner, Solving ODEs I, II.14).
-    Given a history list, the march also integrates x and z from the tip by
-    Simpson's rule, at the cubic-Hermite midpoint angle from theta and M at
-    both ends, and appends one row (s, x, z, theta, M) per step plus one
-    after each point moment. Returns theta(0); raises ValueError when an
-    overflow makes an angle infinite or NaN. A march that does not record
-    skips the sines where the horizontal force rx is 0 (no thrust, or
-    outboard of the motor station), with the same floats but for the sign
-    of a zero F or theta: s * rx is +-0, and +-0 - q differs from -q only
-    in the sign of a zero; M starts at +0, which no sum turns into -0."""
+    Returns theta(0); raises ValueError when an overflow makes an angle
+    infinite or NaN. Where the horizontal force rx is 0 (no thrust, or
+    outboard of the motor station) the step skips the sines, with the same
+    floats as _shape_march but for the sign of a zero F or theta: s * rx is
+    +-0, and +-0 - q differs from -q only in the sign of a zero; M starts at
+    +0, which no sum turns into -0."""
     cos, sin = math.cos, math.sin
-    theta, m, x, z = theta_tip, 0.0, 0.0, 0.0
-    record = history is not None
-    if record:
-        history.append((length, x, z, theta, m))
+    theta, m = theta_tip, 0.0
     rx = tz = 0.0
-    for a, b, _, n, jump, motor, h, g, q in reversed(panels):
+    for _, b, _, n, jump, motor, h, g, q in reversed(panels):
         if jump is not None:
             m += jump
-            if record:
-                history.append((b, x, z, theta, m))
         if motor:
             rx = -thrust * sin(theta)
             tz = thrust * cos(theta)
@@ -301,7 +295,7 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
         q8, q2, q6 = 0.125 * q, 0.5 * q, q / 6.0
         s = b
         rz1 = w_z * (length - s) + tz
-        if not rx and not record:
+        if not rx:
             for _ in range(n):
                 rz2 = w_z * (length - (s - half)) + tz
                 rz3 = w_z * (length - (s - h)) + tz
@@ -318,6 +312,46 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
             rz2 = w_z * (length - (s - half)) + tz
             rz3 = w_z * (length - (s - h)) + tz
             d = g * m
+            f1 = sin(theta) * rx - cos(theta) * rz1
+            t = theta - 0.5 * d + q8 * f1
+            f2 = sin(t) * rx - cos(t) * rz2
+            t = theta - d + q2 * f2
+            f3 = sin(t) * rx - cos(t) * rz3
+            theta += q6 * (f1 + 2.0 * f2) - d
+            m -= h6 * (f1 + 4.0 * f2 + f3)
+            s -= h
+            rz1 = rz3
+    if not math.isfinite(theta):  # an overflow that no cos or sin raised on
+        raise ValueError(f"theta(0) = {theta}")
+    return theta
+
+
+def _shape_march(panels, thrust: float, w_z: float, length: float,
+                 theta_tip: float) -> list[tuple[float, float, float, float, float]]:
+    """The recording march: the steps of _march, with the sines on every
+    panel, that also integrates x and z from the tip by Simpson's rule, at
+    the cubic-Hermite midpoint angle from theta and M at both ends. Returns
+    the rows (s, x, z, theta, M), one at the tip, one per step and one after
+    each point moment; raises ValueError as _march does."""
+    cos, sin = math.cos, math.sin
+    theta, m, x, z = theta_tip, 0.0, 0.0, 0.0
+    history = [(length, x, z, theta, m)]
+    rx = tz = 0.0
+    for a, b, _, n, jump, motor, h, g, q in reversed(panels):
+        if jump is not None:
+            m += jump
+            history.append((b, x, z, theta, m))
+        if motor:
+            rx = -thrust * sin(theta)
+            tz = thrust * cos(theta)
+        half, h6 = 0.5 * h, h / 6.0
+        q8, q2, q6 = 0.125 * q, 0.5 * q, q / 6.0
+        s = b
+        rz1 = w_z * (length - s) + tz
+        for _ in range(n):
+            rz2 = w_z * (length - (s - half)) + tz
+            rz3 = w_z * (length - (s - h)) + tz
+            d = g * m
             c1, s1 = cos(theta), sin(theta)
             f1 = s1 * rx - c1 * rz1
             t = theta - 0.5 * d + q8 * f1
@@ -329,16 +363,14 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
             m -= h6 * (f1 + 4.0 * f2 + f3)
             s -= h
             rz1 = rz3
-            if record:
-                t = 0.5 * (t0 + theta) - 0.125 * g * (m0 - m)  # the angle at s + h/2
-                x -= h6 * (c1 + 4.0 * cos(t) + cos(theta))
-                z -= h6 * (s1 + 4.0 * sin(t) + sin(theta))
-                history.append((s, x, z, theta, m))
-        if record:
-            history[-1] = (a, x, z, theta, m)  # the panel ends exactly on its cut
-    if not math.isfinite(theta):  # an overflow that no cos or sin raised on
+            t = 0.5 * (t0 + theta) - 0.125 * g * (m0 - m)  # the angle at s + h/2
+            x -= h6 * (c1 + 4.0 * cos(t) + cos(theta))
+            z -= h6 * (s1 + 4.0 * sin(t) + sin(theta))
+            history.append((s, x, z, theta, m))
+        history[-1] = (a, x, z, theta, m)  # the panel ends exactly on its cut
+    if not math.isfinite(theta):
         raise ValueError(f"theta(0) = {theta}")
-    return theta
+    return history
 
 
 def solve_elastica(
@@ -359,43 +391,84 @@ def solve_elastica(
     meshed and marched on first read. The default settings are built once,
     at import. Raises NoConvergence when the shooting on the top rung
     misses the tolerance, and ValueError naming the arm length, the
-    smallest EI and the loads when a march overflows."""
+    smallest EI and the loads when a march overflows. solve_sweep solves
+    loads that differ in thrust alone on one set-up."""
+    return _solve(geometry, material, (loads,), settings)[0]
+
+
+def solve_sweep(
+    geometry: ArmGeometry,
+    material,
+    loads,
+    settings: SolverSettings = SolverSettings(),
+) -> list[BeamSolution]:
+    """The solutions of solve_elastica, float for float, for a sequence of
+    load cases that differ in thrust alone, such as a throttle sweep. The
+    set-up that does not depend on the thrust is made once: the effective
+    modulus, the panel plan, which the solutions share, and each rung's
+    mesh, on the first solve that climbs to it. Raises ValueError when two
+    loads differ in gravity or point moments, and when a march overflows;
+    NoConvergence, whose index is the position of the failed load in loads,
+    when a solve misses the tolerance on the top rung."""
+    loads = tuple(loads)
+    if not loads:
+        return []
+    first = loads[0]
+    for case in loads[1:]:
+        if case.gravity != first.gravity or case.point_moments != first.point_moments:
+            raise ValueError(f"the loads of a sweep may differ in thrust alone: {case} "
+                             f"differs from {first}")
+    return _solve(geometry, material, loads, settings)
+
+
+def _solve(geometry: ArmGeometry, material, loads: tuple[LoadCase, ...],
+           settings: SolverSettings) -> list[BeamSolution]:
+    """The ladder of solve_elastica for each of loads, on the set-up of the
+    first: the caller checks that they differ in thrust alone."""
     e_modulus = effective_modulus(material)
     length = geometry.total_length
-    w_z = -geometry.linear_density * loads.gravity  # weight per unit length
+    w_z = -geometry.linear_density * loads[0].gravity  # weight per unit length
     theta_root = -math.radians(geometry.initial_droop_deg)
-    plan = _panel_plan(geometry, loads, e_modulus)
-    integrations = steps = 0
-    theta_tip = theta_root  # the straight arm seeds the first rung
-    mesh_steps = PREDICTOR_STEPS
-    while True:
-        panels = _mesh(plan, mesh_steps)
-        try:
-            theta_tip, defect, n = _shoot(
-                lambda tip: _march(panels, loads.thrust, w_z, length, tip) - theta_root,
-                theta_tip, settings.shooting_tolerance)
-        except ValueError:  # cos or sin of an infinite angle, or a non-finite theta(0)
-            raise ValueError(
-                f"arm length {length} m, smallest EI {min(p[2] for p in plan)} N m^2 and "
-                f"loads {loads} put the elastica out of float range") from None
-        integrations += n
-        steps += n * sum(panel[3] for panel in panels)
-        if not abs(defect) <= settings.shooting_tolerance:  # a NaN defect misses too
-            if mesh_steps == settings.integration_steps:
-                raise NoConvergence("the tip angle did not reach the shooting tolerance")
-            theta_tip = theta_root  # the next rung starts again from the straight arm
-        elif mesh_steps == settings.integration_steps or (mesh_steps > PREDICTOR_STEPS and n == 1):
-            break
-        mesh_steps = min(2 * mesh_steps, settings.integration_steps)
-
-    return BeamSolution(
-        tip_angle_deg=math.degrees(theta_tip),
-        residual=abs(defect),
-        integrations=integrations,
-        steps=steps,
-        mesh_steps=mesh_steps,
-        plan=(plan, settings.integration_steps, loads.thrust, w_z, length, theta_tip),
-    )
+    plan = _panel_plan(geometry, loads[0], e_modulus)
+    tolerance, top = settings.shooting_tolerance, settings.integration_steps
+    meshes = {}  # steps per segment length: that rung's mesh
+    solutions = []
+    for index, case in enumerate(loads):
+        thrust = case.thrust
+        integrations = steps = 0
+        theta_tip = theta_root  # the straight arm seeds the first rung
+        mesh_steps = PREDICTOR_STEPS
+        while True:
+            panels = meshes.get(mesh_steps)
+            if panels is None:
+                panels = meshes[mesh_steps] = _mesh(plan, mesh_steps)
+            try:
+                theta_tip, defect, n = _shoot(
+                    lambda tip: _march(panels, thrust, w_z, length, tip) - theta_root,
+                    theta_tip, tolerance)
+            except ValueError:  # cos or sin of an infinite angle, or a non-finite theta(0)
+                raise ValueError(
+                    f"arm length {length} m, smallest EI {min(p[2] for p in plan)} N m^2 and "
+                    f"loads {case} put the elastica out of float range") from None
+            integrations += n
+            steps += n * sum(panel[3] for panel in panels)
+            if not abs(defect) <= tolerance:  # a NaN defect misses too
+                if mesh_steps == top:
+                    raise NoConvergence("the tip angle did not reach the shooting tolerance",
+                                        index)
+                theta_tip = theta_root  # the next rung starts again from the straight arm
+            elif mesh_steps == top or (mesh_steps > PREDICTOR_STEPS and n == 1):
+                break
+            mesh_steps = min(2 * mesh_steps, top)
+        solutions.append(BeamSolution(
+            tip_angle_deg=math.degrees(theta_tip),
+            residual=abs(defect),
+            integrations=integrations,
+            steps=steps,
+            mesh_steps=mesh_steps,
+            plan=(plan, top, thrust, w_z, length, theta_tip),
+        ))
+    return solutions
 
 
 def _shoot(f, guess: float, tol: float) -> tuple[float, float, int]:

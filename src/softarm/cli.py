@@ -232,15 +232,17 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         aero.thrust_from_rpm(propeller, max_rpm)
 
     # Thrust/deflection sweep over the throttle grid.
+    rpms = [max_rpm * pct / 100.0 for pct in THROTTLE_GRID_PCT]
+    thrusts = [aero.thrust_from_rpm(propeller, rpm) for rpm in rpms]
+    try:
+        solutions = beam.solve_sweep(geometry, mr_params,
+                                     [beam.LoadCase(thrust=thrust) for thrust in thrusts],
+                                     SOLVER_SETTINGS)
+    except NoConvergence as exc:
+        pct = THROTTLE_GRID_PCT[exc.index]
+        raise NoConvergence(f"elastica failed at throttle {pct}%: {exc}") from exc
     sweep_rows = []
-    for pct in THROTTLE_GRID_PCT:
-        rpm = max_rpm * pct / 100.0
-        thrust = aero.thrust_from_rpm(propeller, rpm)
-        loads = beam.LoadCase(thrust=thrust)
-        try:
-            sol = beam.solve_elastica(geometry, mr_params, loads, SOLVER_SETTINGS)
-        except NoConvergence as exc:
-            raise NoConvergence(f"elastica failed at throttle {pct}%: {exc}") from exc
+    for pct, rpm, thrust, sol in zip(THROTTLE_GRID_PCT, rpms, thrusts, solutions):
         eta = aero.efficiency_lookup(table, rpm) if rpm > 0 else 1.0
         if abs(sol.tip_angle_deg) > aero.EFFICIENCY_ANGLE_LIMIT_DEG:
             warnings.warn(

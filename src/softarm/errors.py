@@ -151,7 +151,13 @@ class RankDeficient(FitError):
 
 
 class NoConvergence(SolverError):
-    """Iterative solver failed to converge within its iteration budget."""
+    """Iterative solver failed to converge within its iteration budget.
+    index: the position of the failed load in the loads of
+    beam.solve_sweep (0 from beam.solve_elastica), or None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonPhysicalMaterial(InputError):

@@ -171,15 +171,23 @@ def read_hyperelastic_row(path, infill_pct: float,
                           data: bytes | None = None) -> MooneyRivlinParams:
     """Load the Mooney-Rivlin coefficients [MPa] of one infill rate [%] from
     a hyperelastic table JSON: rows of {rho_pct, c10, c01, c20, c02, c11}
-    under "rows", and no other keys but the unit and _note it may document."""
+    under "rows", and no other keys but the unit and _note it may document.
+    Every row must hold a finite rho_pct and five finite coefficients, and
+    one row, no more, for the infill asked for."""
     payload = load_json(path, "hyperelastic table", data)
     with blame(path, "bad hyperelastic table"):
         _reject_unknown(payload, ("rows", "unit", "_note"), "hyperelastic table")
+        found = None
         for row in payload["rows"]:
             require_finite(rho_pct=row["rho_pct"])  # a true would match an infill of 1
+            params = MooneyRivlinParams(*(row[k] for k in ("c10", "c01", "c20", "c02", "c11")))
             if row["rho_pct"] == infill_pct:
-                return MooneyRivlinParams(*(row[k] for k in ("c10", "c01", "c20", "c02", "c11")))
-        raise ParseError(f"no hyperelastic row for infill {infill_pct}%")
+                if found is not None:
+                    raise ParseError(f"two hyperelastic rows for infill {infill_pct}%")
+                found = params
+        if found is None:
+            raise ParseError(f"no hyperelastic row for infill {infill_pct}%")
+        return found
 
 
 def read_arm_geometry_json(path, data: bytes | None = None) -> ArmGeometry:

@@ -78,6 +78,21 @@ def tendon_moments(tension, eccentricity, folds=FOLDS):
     return [(s, -tension * eccentricity) for s in folds]
 
 
+@pytest.fixture
+def sweeps(monkeypatch):
+    """(arguments, solutions) of each beam.solve_sweep call, filled in as
+    they return: `softarm analyze` solves its throttle grid in one sweep."""
+    calls = []
+    sweep = beam.solve_sweep
+
+    def recording_sweep(*args):
+        calls.append((args, sweep(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(beam, "solve_sweep", recording_sweep)
+    return calls
+
+
 class TestUnloaded:
     def test_straight_at_droop(self):
         geom = uniform_arm(droop=12.0)
@@ -459,8 +474,9 @@ class TestSolverCounters:
 
 
 class TestSolutionArrays:
-    """No march of the solve records; BeamSolution marches its shape again
-    on first access and builds its arrays from those rows."""
+    """No march of the solve records; BeamSolution marches its shape again,
+    by the recording march, on first access and builds its arrays from
+    those rows."""
 
     @staticmethod
     def solve():
@@ -473,26 +489,32 @@ class TestSolutionArrays:
         return self.solve()
 
     def test_shape_is_marched_once_on_first_read(self, monkeypatch):
-        histories = []  # the history argument of each march, None when absent
-        march = beam._march
+        marches, shapes = [0], []  # the solve's marches; each recording march's rows
+        march, shape_march = beam._march, beam._shape_march
 
-        def recording_march(*args):
-            histories.append(args[5] if len(args) > 5 else None)
+        def counting_march(*args):
+            marches[0] += 1
             return march(*args)
 
-        monkeypatch.setattr(beam, "_march", recording_march)
+        def recording_march(*args):
+            shapes.append(shape_march(*args))
+            return shapes[-1]
+
+        monkeypatch.setattr(beam, "_march", counting_march)
+        monkeypatch.setattr(beam, "_shape_march", recording_march)
         sol = self.solve()
-        assert histories == [None] * sol.integrations
+        assert marches == [sol.integrations] and shapes == []  # no march of the solve records
         counters = (sol.integrations, sol.steps)
         rows = sol.history  # the first read makes one recording march
-        assert len(histories) == sol.integrations + 1 and histories[-1] is rows
+        assert len(shapes) == 1 and shapes[0] is rows and marches == [sol.integrations]
         assert sol.history is rows  # the second makes none
-        assert len(histories) == sol.integrations + 1
+        assert len(shapes) == 1
         assert (sol.integrations, sol.steps) == counters
 
     def test_each_mesh_is_built_once(self, monkeypatch):
         # One mesh per rung, the shape's on its first read: a solve accepted
-        # on the 8-step rung meshes 4 and 8 steps per segment length.
+        # on the 8-step rung meshes 4 and 8 steps per segment length, and so
+        # does the sweep of `softarm analyze`, all of whose solves it accepts.
         meshes = []  # the steps of each mesh built, in order
         mesh = beam._mesh
 
@@ -501,8 +523,8 @@ class TestSolutionArrays:
             return mesh(plan, steps)
 
         monkeypatch.setattr(beam, "_mesh", recording_mesh)
-        assert main(["analyze"]) == EXIT_OK  # 11 solves
-        assert meshes == [4, 8] * 11
+        assert main(["analyze"]) == EXIT_OK  # 11 solves in one sweep
+        assert meshes == [4, 8]
         meshes.clear()
         sol = tendon_bend(SHIPPED_ARM, 1.118e6, 5.0, 0.01)
         assert meshes == [4, 8]
@@ -520,10 +542,11 @@ class TestSolutionArrays:
     ], ids=["thrust_and_tendon", "gravity_only", "tendon_only_no_gravity", "thrust_inboard_half",
             "zero_moment_at_a_fold", "droop_up_negative_eccentricity"])
     def test_shape_is_the_accepted_march(self, droop, motor, loads):
-        # The shape is the march on the requested mesh at the accepted tip
-        # angle. It reaches the root bit for bit where the solve's loop does
-        # on the same panels, though that loop skips the sines on panels
-        # without horizontal force and the march behind history does not.
+        # The shape is the recording march on the requested mesh at the
+        # accepted tip angle. It reaches the root bit for bit where the
+        # solve's march does on the same panels, though that march skips the
+        # sines on panels without horizontal force and the recording march
+        # does not.
         # The residual is the root defect of the accepted rung's march. At
         # 1e-9 rad the ladder accepts the 8-step rung in every case. At
         # 1e-14 rad no rung's first march meets the tolerance, so the ladder
@@ -540,6 +563,7 @@ class TestSolutionArrays:
             assert sol.mesh_steps == accepted
             assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
             shape = beam._mesh(*sol.plan[:2])  # the requested mesh
+            assert beam._shape_march(shape, *sol.plan[2:]) == sol.history
             assert beam._march(shape, *sol.plan[2:]) == sol.history[-1][3]
             rung = beam._mesh(beam._panel_plan(geometry, loads, E_SOFT), accepted)
             assert abs(beam._march(rung, *sol.plan[2:]) - theta_root) == sol.residual
@@ -625,25 +649,71 @@ class TestPredictor:
         # each secant happens to stop, not the mesh.
         assert sol.tip_angle_deg == 113.04250391709489
 
-    def test_analyze_angles_hold_on_the_resolved_mesh(self, monkeypatch):
+    def test_analyze_angles_hold_on_the_resolved_mesh(self, sweeps):
         # The 11 throttles of `softarm analyze`, accepted on the 8-step rung,
         # against the solve at 1,024 steps and 1e-12 rad, whose ladder stops
         # between 8 and 128 steps, where the angle holds on twice the mesh to
         # 1e-12 rad. The worst is 1.1e-6 deg.
-        calls = []
-        solve = beam.solve_elastica
-
-        def recording_solve(*args):
-            calls.append((args, solve(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(beam, "solve_elastica", recording_solve)
         assert main(["analyze"]) == EXIT_OK
+        [((geometry, material, loads, settings), solutions)] = sweeps
         resolved = SolverSettings(integration_steps=1024, shooting_tolerance=1e-12)
-        assert [sol.mesh_steps for _, sol in calls] == [8] * 11
-        for (geometry, material, loads, settings), sol in calls:
-            answer = solve(geometry, material, loads, resolved).tip_angle_deg
+        assert [sol.mesh_steps for sol in solutions] == [8] * 11
+        for case, sol in zip(loads, solutions, strict=True):
+            answer = solve_elastica(geometry, material, case, resolved).tip_angle_deg
             assert abs(sol.tip_angle_deg - answer) <= math.degrees(settings.shooting_tolerance)
+
+
+class TestSolveSweep:
+    """beam.solve_sweep gives the solutions of solve_elastica, bit for bit,
+    for loads that differ in thrust alone, from one set-up."""
+
+    @staticmethod
+    def fingerprint(sol):
+        rows = [[value.hex() for value in row] for row in (sol.history[0], sol.history[-1])]
+        return (sol.tip_angle_deg.hex(), sol.residual.hex(), sol.integrations, sol.steps,
+                sol.mesh_steps, rows)
+
+    def test_analyze_throttle_grid(self, sweeps):
+        assert main(["analyze"]) == EXIT_OK
+        [((geometry, material, loads, settings), solutions)] = sweeps
+        assert len(solutions) == 11
+        for case, sol in zip(loads, solutions, strict=True):
+            alone = solve_elastica(geometry, material, case, settings)
+            assert self.fingerprint(sol) == self.fingerprint(alone)
+
+    @pytest.mark.parametrize("geometry, material, thrusts, moments, settings", [
+        (fold_arm(droop=5.0, motor=0.8, density=0.05), E_SOFT, (0.0, 0.5, 2.0, 0.5),
+         tendon_moments(2.0, 0.01), SolverSettings(integration_steps=64)),
+        # The second load climbs to the 32-step rung, the others stop at 8.
+        (SHIPPED_ARM.replace(motor_station=0.9753), 1.118e6, (3.0, 9.3846, 0.0), (),
+         CLI_SETTINGS),
+    ], ids=["tendon_and_thrust", "ladder_climbs"])
+    def test_each_load_as_solved_alone(self, geometry, material, thrusts, moments, settings):
+        loads = [LoadCase(thrust=thrust, point_moments=moments) for thrust in thrusts]
+        solutions = beam.solve_sweep(geometry, material, loads, settings)
+        for case, sol in zip(loads, solutions, strict=True):
+            alone = solve_elastica(geometry, material, case, settings)
+            assert self.fingerprint(sol) == self.fingerprint(alone)
+        plan = solutions[0].plan[0]
+        assert type(plan) is tuple and all(sol.plan[0] is plan for sol in solutions)
+
+    @pytest.mark.parametrize("other", [
+        LoadCase(thrust=1.0, gravity=0.0),
+        LoadCase(thrust=1.0, point_moments=tendon_moments(2.0, 0.01)),
+    ], ids=["gravity", "point_moments"])
+    def test_loads_that_differ_in_more_than_thrust_raise(self, other):
+        with pytest.raises(ValueError, match="may differ in thrust alone"):
+            beam.solve_sweep(fold_arm(), E_SOFT, [LoadCase(thrust=0.5), other])
+
+    def test_failed_solve_names_its_load(self):
+        rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
+        loads = [LoadCase(thrust=thrust) for thrust in (3.0, 1e7, 4.0)]
+        with pytest.raises(NoConvergence, match="did not reach the shooting tolerance") as info:
+            beam.solve_sweep(SHIPPED_ARM, rho6, loads, CLI_SETTINGS)
+        assert info.value.index == 1
+
+    def test_no_loads_no_solutions(self):
+        assert beam.solve_sweep(SHIPPED_ARM, E_SOFT, []) == []
 
 
 class TestShoot:
@@ -736,16 +806,9 @@ class TestShapeDigests:
     to keep every result unchanged must keep these digests. One that is
     meant to change the shapes updates them and says why."""
 
-    def test_analyze_throttle_sweep(self, monkeypatch):
-        solutions = []
-        solve = beam.solve_elastica
-
-        def recording_solve(*args):
-            solutions.append(solve(*args))
-            return solutions[-1]
-
-        monkeypatch.setattr(beam, "solve_elastica", recording_solve)
+    def test_analyze_throttle_sweep(self, sweeps):
         assert main(["analyze"]) == EXIT_OK
+        [(_, solutions)] = sweeps
         assert [sol.mesh_steps for sol in solutions] == [8] * 11
         assert shape_digest(solutions) == (
             "58b61d628eda32fc572bf60b11a15d398c2d1e9fcf1186f36795cd7660955532"

@@ -34,6 +34,8 @@ from softarm.errors import ParseError
 from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
 
 RHO6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
+#: The shipped hyperelastic table's 6% row.
+ROW_6 = {"rho_pct": 6, "c10": -3.19, "c01": 4.23, "c20": 0.64, "c02": -2.65, "c11": 4.37}
 
 
 def write_stress_strain(path, params=RHO6, n=40):
@@ -417,13 +419,13 @@ class TestAnalyzeCommand:
 
     def test_solver_integration_count(self, tmp_path, monkeypatch, capsys):
         solutions = []
-        solve = beam.solve_elastica
+        sweep = beam.solve_sweep
 
-        def recording_solve(*args, **kwargs):
-            solutions.append(solve(*args, **kwargs))
-            return solutions[-1]
+        def recording_sweep(*args, **kwargs):
+            solutions.extend(sweep(*args, **kwargs))
+            return solutions
 
-        monkeypatch.setattr(beam, "solve_elastica", recording_solve)
+        monkeypatch.setattr(beam, "solve_sweep", recording_sweep)
         out = tmp_path / "report.json"
         assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
         assert len(solutions) == 11
@@ -436,13 +438,13 @@ class TestAnalyzeCommand:
         # mesh of the shape (4,343 steps when one march per solve did, 1,881
         # when the ladder started at 8 steps).
         solutions = []
-        solve = beam.solve_elastica
+        sweep = beam.solve_sweep
 
-        def recording_solve(*args, **kwargs):
-            solutions.append(solve(*args, **kwargs))
-            return solutions[-1]
+        def recording_sweep(*args, **kwargs):
+            solutions.extend(sweep(*args, **kwargs))
+            return solutions
 
-        monkeypatch.setattr(beam, "solve_elastica", recording_solve)
+        monkeypatch.setattr(beam, "solve_sweep", recording_sweep)
         out = tmp_path / "report.json"
         assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
         assert len(solutions) == 11
@@ -1328,8 +1330,17 @@ class TestParseBoundary:
             ({"rows": [{"rho_pct": 8, "c10": -4.07, "c01": 4.18, "c20": 0.71, "c02": -2.62,
                         "c11": 4.54}]},
              "no hyperelastic row for infill 6%"),
+            # Every row is checked, not only those up to the one asked for.
+            ({"rows": [ROW_6, {"rho_pct": "x"}, {"rho_pct": 6, "c10": 1e6}]},
+             "bad hyperelastic table: rho_pct must be finite, got 'x'"),
+            ({"rows": [ROW_6, {"rho_pct": 8}]}, "bad hyperelastic table: 'c10'"),
+            ({"rows": [{**ROW_6, "rho_pct": 8, "c02": True}, ROW_6]},
+             "bad hyperelastic table: c02 must be finite, got True"),
+            ({"rows": [ROW_6, {**ROW_6, "c10": 1e6}]}, "two hyperelastic rows for infill 6%"),
         ],
-        ids=["row_without_c11", "list", "no_row_for_infill"],
+        ids=["row_without_c11", "list", "no_row_for_infill", "later_row_without_a_number_for_rho",
+             "later_row_without_coefficients", "earlier_row_with_a_true_coefficient",
+             "second_row_for_infill"],
     )
     def test_bad_hyperelastic_table_names_the_file(self, table, message, tmp_path, capsys):
         p = tmp_path / "hyperelastic.json"

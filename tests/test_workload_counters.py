@@ -4,9 +4,11 @@ The cases are rebuilt from perfbench/reference.json the way the workloads
 build them: `softarm analyze` on the shipped config; one solve at the CLI
 settings per case of the design grid; beam.tendon_bend on the shipped arm
 per tendon case. Every march of every solve is counted, failed solves
-included, but not the march that records a shape on its first read.
-Counters do not depend on the machine, so a change that keeps the solver's
-work must keep these sums; one that changes it updates them and says why.
+included, but not the recording march of a shape on its first read; so is
+the set-up of the solves, the panel plans and the meshes of the rungs, which
+`softarm analyze` makes once for its whole throttle sweep. Counters do not
+depend on the machine, so a change that keeps the solver's work must keep
+these sums; one that changes it updates them and says why.
 """
 
 import json
@@ -31,17 +33,37 @@ ANGLE_TOL_DEG = 1e-4
 
 @pytest.fixture
 def marches(monkeypatch):
-    """[marches, steps] of the solves, filled in as they march."""
+    """[marches, steps] of the solves, filled in as they march: every call
+    of beam._march, which does not record a shape."""
     counts = [0, 0]
     march = beam._march
 
     def counting_march(panels, *args):
-        if len(args) < 5:  # no history: a march of the solve
-            counts[0] += 1
-            counts[1] += sum(p[3] for p in panels)
+        counts[0] += 1
+        counts[1] += sum(p[3] for p in panels)
         return march(panels, *args)
 
     monkeypatch.setattr(beam, "_march", counting_march)
+    return counts
+
+
+@pytest.fixture
+def setups(monkeypatch):
+    """[panel plans, {steps per segment length: meshes}] built by the
+    solves, filled in as they set up."""
+    counts = [0, {}]
+    panel_plan, mesh = beam._panel_plan, beam._mesh
+
+    def counting_plan(*args):
+        counts[0] += 1
+        return panel_plan(*args)
+
+    def counting_mesh(plan, steps):
+        counts[1][steps] = counts[1].get(steps, 0) + 1
+        return mesh(plan, steps)
+
+    monkeypatch.setattr(beam, "_panel_plan", counting_plan)
+    monkeypatch.setattr(beam, "_mesh", counting_mesh)
     return counts
 
 
@@ -60,16 +82,17 @@ def shipped_inputs():
     return geometry, mr_params, propeller, prop["max_rpm"]
 
 
-def test_analyze(marches, tmp_path):
+def test_analyze(marches, setups, tmp_path):
     out = tmp_path / "analyze.json"
     assert cli.main(["analyze", "--out", str(out), "--quiet"]) == cli.EXIT_OK
     rows = json.loads(out.read_text())["results"]["beam"]["throttle_sweep"]
     assert [r["tip_angle_deg"] for r in rows] == pytest.approx(
         REFERENCE["analyze"]["tip_angle_deg"], abs=ANGLE_TOL_DEG)
     assert marches == [44, 1012]
+    assert setups == [1, {4: 1, 8: 1}]  # one sweep of 11 solves, all accepted on 8 steps
 
 
-def test_design_grid(marches):
+def test_design_grid(marches, setups):
     geometry, _, propeller, max_rpm = shipped_inputs()
     for e_pa, station, throttle_pct, ref in REFERENCE["design_grid"]["cases"]:
         rpm = max_rpm * throttle_pct / 100.0
@@ -83,12 +106,14 @@ def test_design_grid(marches):
             if ref is not None:  # some that failed at the reference converge now
                 assert abs(sol.tip_angle_deg - ref) <= ANGLE_TOL_DEG
     assert marches == [1148, 28366]
+    assert setups == [256, {4: 256, 8: 256, 16: 19, 32: 5}]  # per solve
 
 
-def test_tendon_wrap(marches):
+def test_tendon_wrap(marches, setups):
     geometry, mr_params, _, _ = shipped_inputs()
     for tension, eccentricity, ref_angle, ref_contact, *_ in REFERENCE["tendon_wrap"]["cases"]:
         sol = beam.tendon_bend(geometry, mr_params, tension, eccentricity)
         assert abs(sol.tip_angle_deg - ref_angle) <= ANGLE_TOL_DEG
         assert sol.contact_expected == ref_contact
     assert marches == [597, 13391]
+    assert setups == [128, {4: 128, 8: 128}]  # per solve
