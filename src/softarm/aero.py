@@ -97,11 +97,29 @@ def net_vertical_thrust(thrust: float, arm_angle_deg: float, eta: float) -> floa
     """Vertical component [N] of the arm-integrated thrust at a deflected
     arm angle: thrust * eta * cos(angle)."""
     require_finite(thrust=thrust, arm_angle_deg=arm_angle_deg, eta=eta)
+    return _net_vertical_thrusts(thrust, (arm_angle_deg,), eta)[0]
+
+
+def net_vertical_thrust_sweep(thrust: float, arm_angles_deg, eta: float) -> list[float]:
+    """net_vertical_thrust at each of arm_angles_deg, the same floats and
+    errors, with thrust and eta checked once for the sweep: first all three
+    checked finite, the angles together, then eta in (0, 1], then each angle
+    in turn below 90 deg."""
+    arm_angles_deg = tuple(arm_angles_deg)
+    require_finite(thrust=thrust, arm_angles_deg=arm_angles_deg, eta=eta)
+    return _net_vertical_thrusts(thrust, arm_angles_deg, eta)
+
+
+def _net_vertical_thrusts(thrust: float, arm_angles_deg: tuple, eta: float) -> list[float]:
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    if abs(arm_angle_deg) >= 90.0:
-        raise ValueError("arm angle must satisfy |angle| < 90 deg")
-    return thrust * eta * math.cos(math.radians(arm_angle_deg))
+    scale = thrust * eta  # thrust * eta * cos multiplies left to right
+    thrusts = []
+    for angle in arm_angles_deg:
+        if abs(angle) >= 90.0:
+            raise ValueError("arm angle must satisfy |angle| < 90 deg")
+        thrusts.append(scale * math.cos(math.radians(angle)))
+    return thrusts
 
 
 #: Slopes of the efficiency surrogate, a tent in x/c that peaks at
@@ -116,15 +134,27 @@ def efficiency_model(x_c: float, rpm: float, table: EfficiencyTable) -> float:
     """Surrogate thrust efficiency at motor position x/c and speed rpm: the
     table's eta less the slope term, so at most 1. Raises CalibrationFailure
     when the surrogate is not positive there."""
-    if not 0.0 < x_c <= 1.0:
-        raise ValueError(f"x_c must be in (0, 1], got {x_c}")
+    return efficiency_model_sweep((x_c,), rpm, table)[0]
+
+
+def efficiency_model_sweep(stations, rpm: float, table: EfficiencyTable) -> list[float]:
+    """efficiency_model at each of stations (a sequence), the same floats and
+    errors, with rpm checked and looked up in table once for the sweep: every
+    station is checked in (0, 1] first, then rpm, then each station's eta in
+    turn for CalibrationFailure."""
+    for x_c in stations:
+        if not 0.0 < x_c <= 1.0:
+            raise ValueError(f"x_c must be in (0, 1], got {x_c}")
     if rpm <= 0:
         raise ValueError(f"rpm must be > 0, got {rpm}")
     peak = efficiency_lookup(table, rpm)
-    if x_c <= OPTIMUM_MOTOR_STATION:
-        eta = peak - BASE_SLOPE * (OPTIMUM_MOTOR_STATION - x_c)
-    else:
-        eta = peak - TIP_SLOPE * (x_c - OPTIMUM_MOTOR_STATION)
-    if eta <= 0:
-        raise CalibrationFailure(f"eta({x_c}, {rpm}) = {eta:.4g} is not positive")
-    return eta
+    etas = []
+    for x_c in stations:
+        if x_c <= OPTIMUM_MOTOR_STATION:
+            eta = peak - BASE_SLOPE * (OPTIMUM_MOTOR_STATION - x_c)
+        else:
+            eta = peak - TIP_SLOPE * (x_c - OPTIMUM_MOTOR_STATION)
+        if eta <= 0:
+            raise CalibrationFailure(f"eta({x_c}, {rpm}) = {eta:.4g} is not positive")
+        etas.append(eta)
+    return etas

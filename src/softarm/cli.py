@@ -15,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -35,6 +36,9 @@ from .errors import (
 )
 
 EXIT_OK = 0
+#: Standard output closed before the report was written: exit 1, printing
+#: nothing, as Python exits on EPIPE.
+EXIT_STDOUT_CLOSED = 1
 EXIT_INPUT = InputError.exit_code
 EXIT_FIT = FitError.exit_code
 
@@ -92,11 +96,26 @@ def _make_report(results: dict, inputs: dict, warning_list: list[dict], timestam
     return report
 
 
+class _StdoutClosed(Exception):
+    """Standard output is a pipe whose reader has gone, as in
+    `softarm analyze | head -0`."""
+
+
+def _print(text: str) -> None:
+    """Write text to standard output and flush it, so that a closed pipe
+    raises here, as _StdoutClosed, rather than at shutdown."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        raise _StdoutClosed from exc
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
-        sys.stdout.write(text)
+        _print(text)
 
 
 def _emit_json(report: dict, out: str | None, quiet: bool) -> None:
@@ -104,7 +123,7 @@ def _emit_json(report: dict, out: str | None, quiet: bool) -> None:
     # that got this far is an input error rather than a corrupt report.
     _write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
     if out and not quiet:
-        print(out)
+        _print(f"{out}\n")
 
 
 def _emit_csv(results: dict, out: str | None) -> None:
@@ -362,24 +381,23 @@ def cmd_sweep(args) -> tuple[dict, dict]:
     if args.axis == "motor_station":
         table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
         stations = [0.3 + 0.01 * i for i in range(71)]
-        rows = [{"x_c": x, "eta": aero.efficiency_model(x, args.rpm, table)} for x in stations]
+        etas = aero.efficiency_model_sweep(stations, args.rpm, table)
+        rows = [{"x_c": x, "eta": eta} for x, eta in zip(stations, etas)]
     elif args.axis == "arm_angle":
         table = _read_input(inputs, "efficiency_table", sio.read_efficiency_csv, args.table)
         thrust = aero.thrust_from_rpm(aero.DEFAULT_PROPELLER, args.rpm)
         eta = aero.efficiency_lookup(table, args.rpm)
-        rows = [
-            {"alpha_deg": a, "net_vertical_thrust_n": aero.net_vertical_thrust(thrust, a, eta)}
-            for a in map(float, range(-45, 46))
-        ]
+        angles = [float(a) for a in range(-45, 46)]
+        thrusts = aero.net_vertical_thrust_sweep(thrust, angles, eta)
+        rows = [{"alpha_deg": a, "net_vertical_thrust_n": n} for a, n in zip(angles, thrusts)]
     elif args.axis == "throttle":
         coeffs = _read_input(
             inputs, "deflection_coeffs", sio.read_deflection_coeffs_json,
             default_data_dir() / "deflection_coeffs.json",
         )
-        rows = [
-            {"throttle_t": t, "alpha_deg": deflection.eval_deflection(coeffs, args.rho, t)}
-            for t in deflection.THROTTLE_GRID
-        ]
+        grid = deflection.THROTTLE_GRID
+        alphas = deflection.eval_deflection_sweep(coeffs, args.rho, grid)
+        rows = [{"throttle_t": t, "alpha_deg": alpha} for t, alpha in zip(grid, alphas)]
     else:  # infill
         geometry = _read_input(
             inputs, "geometry", sio.read_arm_geometry_json,
@@ -519,6 +537,13 @@ def main(argv=None) -> int:
             report = _make_report(results, inputs, warning_list, args.timestamp)
             _emit_json(report, args.out, args.quiet)
         return EXIT_OK
+    except _StdoutClosed:
+        # As the note on SIGPIPE in the signal module's docs does: point
+        # stdout at devnull, so that its flush at shutdown cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except SoftarmError as exc:
         return _report_error(exc, type(exc))
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:

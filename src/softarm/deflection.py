@@ -79,24 +79,48 @@ class EnvelopeReport(_Record):
 def eval_deflection(coeffs: DeflectionModelCoeffs, infill: float, throttle: float) -> float:
     """Arm deflection angle [deg] at the given infill and throttle."""
     require_finite(infill=infill, throttle=throttle)
+    return _deflections(coeffs, infill, (throttle,))[0]
+
+
+def eval_deflection_sweep(coeffs: DeflectionModelCoeffs, infill: float, throttles) -> list[float]:
+    """eval_deflection at each of throttles, the same floats, warnings and
+    errors, with the infill checked and the throttle coefficients
+    a1 + infill*a2 and b1 + infill*b2 formed once for the sweep: first the
+    infill and all the throttles checked finite, then the infill in
+    (0, 100), then each throttle in turn."""
+    throttles = tuple(throttles)
+    require_finite(infill=infill, throttles=throttles)
+    return _deflections(coeffs, infill, throttles)
+
+
+def _throttle_coeffs(coeffs: DeflectionModelCoeffs, infill: float) -> tuple[float, float]:
+    """The linear and quadratic throttle coefficients at an infill."""
+    return coeffs.a1 + infill * coeffs.a2, coeffs.b1 + infill * coeffs.b2
+
+
+def _deflections(coeffs: DeflectionModelCoeffs, infill: float, throttles: tuple) -> list[float]:
+    """The deflection at each of throttles, once the arguments are checked
+    finite. A warning names the line that called eval_deflection or
+    eval_deflection_sweep."""
     require_infill(infill=infill)
-    if not 0.0 <= throttle <= T_MAX_DEFAULT:
-        raise ValueError(f"throttle {throttle} outside the model range [0, {T_MAX_DEFAULT}]")
-    if infill < NONLINEAR_INFILL_PCT and throttle > 0.8 * T_MAX_DEFAULT:
-        warnings.warn(
-            f"infill {infill}% at throttle {throttle} is in the strongly "
-            "nonlinear regime; the quadratic model underestimates deflection",
-            OutOfEnvelopeWarning,
-            stacklevel=2,
-        )
-    alpha = (
-        coeffs.alpha0
-        + (coeffs.a1 + infill * coeffs.a2) * throttle
-        + (coeffs.b1 + infill * coeffs.b2) * throttle**2
-    )
-    if not math.isfinite(alpha):
-        raise ValueError(f"{coeffs} overflow at infill {infill}% and throttle {throttle}")
-    return alpha
+    a_lin, b_quad = _throttle_coeffs(coeffs, infill)
+    nonlinear = infill < NONLINEAR_INFILL_PCT
+    alphas = []
+    for throttle in throttles:
+        if not 0.0 <= throttle <= T_MAX_DEFAULT:
+            raise ValueError(f"throttle {throttle} outside the model range [0, {T_MAX_DEFAULT}]")
+        if nonlinear and throttle > 0.8 * T_MAX_DEFAULT:
+            warnings.warn(
+                f"infill {infill}% at throttle {throttle} is in the strongly "
+                "nonlinear regime; the quadratic model underestimates deflection",
+                OutOfEnvelopeWarning,
+                stacklevel=3,
+            )
+        alpha = coeffs.alpha0 + a_lin * throttle + b_quad * throttle**2
+        if not math.isfinite(alpha):
+            raise ValueError(f"{coeffs} overflow at infill {infill}% and throttle {throttle}")
+        alphas.append(alpha)
+    return alphas
 
 
 def fit_deflection_coeffs(
@@ -131,8 +155,7 @@ def _peak(coeffs: DeflectionModelCoeffs, infill: float) -> tuple[float, int]:
     to multiples of 5e-324, so the whole grid is scanned. Raises ValueError
     when T = 10 overflows; then every point does."""
     grid = THROTTLE_GRID
-    a_lin = coeffs.a1 + infill * coeffs.a2
-    b_quad = coeffs.b1 + infill * coeffs.b2
+    a_lin, b_quad = _throttle_coeffs(coeffs, infill)
     t = grid[100]
     last = abs(a_lin * t + b_quad * (t * t))  # numpy's grid**2 multiplies too
     # Both terms grow in magnitude with T, so every point is finite when the last is.

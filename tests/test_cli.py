@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import operator
+import random
 import warnings
 from functools import reduce
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from softarm import beam, errors
+from softarm import aero, beam, deflection, errors
 from softarm import io as sio
 from softarm.aero import EfficiencyTable
 from softarm.cli import (
@@ -61,6 +62,29 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def seeded(lo, hi, seed, n=5):
+    """n option values drawn uniformly from [lo, hi] and written as the
+    benchmark's reduced_cli workload writes them."""
+    rng = random.Random(seed)
+    return [f"{rng.uniform(lo, hi):.6g}" for _ in range(n)]
+
+
+SHIPPED_TABLE = sio.read_efficiency_csv(default_data_dir() / "efficiency_table.csv")
+SHIPPED_COEFFS = sio.read_deflection_coeffs_json(default_data_dir() / "deflection_coeffs.json")
+
+
+def per_point(axis, value, row):
+    """What the public per-point function gives at row's grid point of
+    `sweep --axis axis` with the axis's option at value."""
+    if axis == "motor_station":
+        return aero.efficiency_model(row["x_c"], value, SHIPPED_TABLE)
+    if axis == "arm_angle":
+        thrust = aero.thrust_from_rpm(aero.DEFAULT_PROPELLER, value)
+        eta = aero.efficiency_lookup(SHIPPED_TABLE, value)
+        return aero.net_vertical_thrust(thrust, row["alpha_deg"], eta)
+    return eval_deflection(SHIPPED_COEFFS, value, row["throttle_t"])
 
 
 class TestCsvIngestion:
@@ -655,6 +679,45 @@ class TestSweepCommand:
         report = json.loads(out)
         assert report["results"]["sweep"]["axis"] == "arm_angle"
 
+    @pytest.mark.parametrize("axis,option,key,value", [
+        *[("motor_station", "--rpm", "eta", rpm) for rpm in seeded(3000, 6500, seed=1)],
+        *[("arm_angle", "--rpm", "net_vertical_thrust_n", rpm)
+          for rpm in seeded(3000, 6500, seed=2)],
+        *[("throttle", "--rho", "alpha_deg", rho) for rho in [*seeded(5, 12, seed=3), "4.5"]],
+    ])
+    def test_rows_and_warnings_are_the_per_point_functions(self, axis, option, key, value,
+                                                           capsys):
+        code, out = run(capsys, ["sweep", "--axis", axis, option, value, "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(out)
+        rows = report["results"]["sweep"]["rows"]
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            expected = [per_point(axis, float(value), row) for row in rows]
+        assert [row[key].hex() for row in rows] == [v.hex() for v in expected]
+        assert report["warnings"] == _warning_entries(records)
+        assert len(records) == (20 if value == "4.5" else 0)
+
+    @pytest.mark.parametrize("axis,module,name,calls", [
+        ("motor_station", aero, "efficiency_lookup", 1),
+        ("throttle", deflection, "require_infill", 1),
+        # The table's rows, thrust_from_rpm, efficiency_lookup, and the sweep's
+        # thrust, angles and eta together.
+        ("arm_angle", aero, "require_finite", 4),
+    ], ids=["motor_station", "throttle", "arm_angle"])
+    def test_sweep_does_its_fixed_work_once(self, axis, module, name, calls, monkeypatch,
+                                            capsys):
+        counted = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counted.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        assert run(capsys, ["sweep", "--axis", axis])[0] == EXIT_OK
+        assert len(counted) == calls
+
     def test_unknown_axis_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--axis", "banana"])
@@ -732,12 +795,13 @@ class TestNonFiniteInput:
             (["pipe-fit", "--diameter", "0"], "diameter must be > 0"),
             (["efficiency", "--rpm", "0"], "rpm must be > 0, got 0.0"),
             (["efficiency", "--rpm", "4000", "--station", "2"], "x_c must be in (0, 1], got 2.0"),
+            (["sweep", "--axis", "motor_station", "--rpm", "0"], "rpm must be > 0, got 0.0"),
             (["sweep", "--axis", "arm_angle", "--rpm=-1"], "rpm must be >= 0, got -1.0"),
             (["fit-material", "--flexural", "flex.csv", "--inertia", "1e-9"],
              "--flexural requires --length and --inertia"),
         ],
-        ids=["pipe-fit-diameter", "efficiency-rpm", "efficiency-station", "sweep-negative-rpm",
-             "fit-material-length"],
+        ids=["pipe-fit-diameter", "efficiency-rpm", "efficiency-station", "sweep-station-rpm",
+             "sweep-negative-rpm", "fit-material-length"],
     )
     def test_out_of_range_option_exits_2(self, argv, message, capsys):
         code = main(argv)
@@ -759,9 +823,11 @@ class TestInfillRange:
             (["deflect", "--rho", "-50", "--throttle-pct", "50"], -50.0),
             (["deflect", "--rho", "150"], 150.0),
             (["sweep", "--axis", "throttle", "--rho", "-20"], -20.0),
+            (["sweep", "--axis", "throttle", "--rho", "150"], 150.0),
             (["pipe-fit", "--diameter", "0.2", "--infill", "-5"], -5.0),
         ],
-        ids=["deflect-point", "deflect-envelope", "sweep-throttle", "pipe-fit"],
+        ids=["deflect-point", "deflect-envelope", "sweep-throttle", "sweep-throttle-above",
+             "pipe-fit"],
     )
     def test_infill_outside_0_100_exits_2(self, argv, value, capsys):
         code = main(argv)

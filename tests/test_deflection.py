@@ -14,6 +14,7 @@ from softarm.deflection import (
     EnvelopeReport,
     envelope_check,
     eval_deflection,
+    eval_deflection_sweep,
     fit_deflection_coeffs,
 )
 from softarm.errors import OutOfEnvelopeWarning, RankDeficient
@@ -58,6 +59,15 @@ class TestEvalDeflection:
     def test_low_infill_high_throttle_warns(self):
         with pytest.warns(OutOfEnvelopeWarning):
             eval_deflection(MEASURED, 4.9, 9.0)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: eval_deflection(MEASURED, 4.9, 9.0),
+        lambda: eval_deflection_sweep(MEASURED, 4.9, [2.0, 9.0]),
+    ], ids=["point", "sweep"])
+    def test_warning_names_the_calling_line(self, evaluate):
+        with pytest.warns(OutOfEnvelopeWarning) as records:
+            evaluate()
+        assert [r.filename for r in records] == [__file__]
 
     def test_low_infill_low_throttle_silent(self):
         import warnings

@@ -1,6 +1,7 @@
-"""The numeric arguments of the reduced-model functions, of the flexural
-fit and of tendon_bend must be finite (an int too large for a float is not),
-and an infill rate must lie in (0, 100)."""
+"""The numeric arguments of the reduced-model functions and their sweeps, of
+the flexural fit and of tendon_bend must be finite (an int too large for a
+float is not), and an infill rate must lie in (0, 100). A call with two bad
+arguments names the one its checks reach first."""
 
 import math
 import re
@@ -27,10 +28,14 @@ CASES = [
         {"tendon_force": 12.0, "contact_width": 0.05, "contact_arc_length": 0.175},
         ["tendon_force", "contact_width", "contact_arc_length"],
     ),
+    (deflection.eval_deflection_sweep, {"coeffs": COEFFS, "infill": 6.0, "throttles": [5.0]},
+     ["infill"]),
     (aero.efficiency_lookup, {"table": TABLE, "rpm": 4500.0}, ["rpm"]),
     (aero.thrust_from_rpm, {"model": aero.DEFAULT_PROPELLER, "rpm": 4500.0}, ["rpm"]),
     (aero.net_vertical_thrust, {"thrust": 5.0, "arm_angle_deg": 10.0, "eta": 0.9},
      ["thrust", "arm_angle_deg", "eta"]),
+    (aero.net_vertical_thrust_sweep, {"thrust": 5.0, "arm_angles_deg": [10.0], "eta": 0.9},
+     ["thrust", "eta"]),
     (material.fit_flexural_modulus,
      {"samples": FLEXURAL, "length": 0.3, "section_inertia": 1e-9},
      ["length", "section_inertia"]),
@@ -103,3 +108,40 @@ def test_tuple_member_that_is_not_finite_rejected(item):
 def test_infill_outside_0_100_rejected(func, kwargs, bad):
     with pytest.raises(ValueError, match=re.escape(f"infill must be in (0, 100), got {bad}")):
         func(**{**kwargs, "infill": bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, 10**400],
+                         ids=["nan", "inf", "true", "401_digits"])
+@pytest.mark.parametrize("func,kwargs,axis", [
+    (deflection.eval_deflection_sweep, {"coeffs": COEFFS, "infill": 6.0}, "throttles"),
+    (aero.net_vertical_thrust_sweep, {"thrust": 5.0, "eta": 0.9}, "arm_angles_deg"),
+], ids=["eval_deflection_sweep", "net_vertical_thrust_sweep"])
+def test_non_finite_sweep_point_rejected(func, kwargs, axis, bad):
+    func(**kwargs, **{axis: [1.0, 2.0]})
+    with pytest.raises(ValueError, match=f"^{axis} must be finite"):
+        func(**kwargs, **{axis: [1.0, bad]})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: deflection.eval_deflection(COEFFS, 150.0, math.nan), "throttle must be finite"),
+    (lambda: deflection.eval_deflection(COEFFS, 150.0, 11.0), "infill must be in (0, 100)"),
+    (lambda: deflection.eval_deflection_sweep(COEFFS, 150.0, [5.0, math.nan]),
+     "throttles must be finite"),
+    (lambda: deflection.eval_deflection_sweep(COEFFS, 150.0, [5.0, 11.0]),
+     "infill must be in (0, 100)"),
+    (lambda: deflection.eval_deflection_sweep(COEFFS, 6.0, [11.0, 12.0]),
+     "throttle 11.0 outside"),
+    (lambda: aero.efficiency_model(2.0, 0.0, TABLE), "x_c must be in (0, 1], got 2.0"),
+    (lambda: aero.efficiency_model_sweep([0.5, 2.0], 0.0, TABLE), "x_c must be in (0, 1], got 2.0"),
+    (lambda: aero.efficiency_model_sweep([0.5, 1.0], 0.0, TABLE), "rpm must be > 0"),
+    (lambda: aero.net_vertical_thrust(3.0, math.nan, 1.5), "arm_angle_deg must be finite"),
+    (lambda: aero.net_vertical_thrust(3.0, 90.0, 1.5), "eta must be in (0, 1]"),
+    (lambda: aero.net_vertical_thrust_sweep(3.0, [0.0, 90.0], 1.5), "eta must be in (0, 1]"),
+    (lambda: aero.net_vertical_thrust_sweep(3.0, [0.0, 90.0, -95.0], 0.9), "arm angle must"),
+], ids=["deflection-nan-throttle", "deflection-infill", "deflection-sweep-nan-throttle",
+        "deflection-sweep-infill", "deflection-sweep-first-throttle", "efficiency-station",
+        "efficiency-sweep-station", "efficiency-sweep-rpm", "thrust-nan-angle", "thrust-eta",
+        "thrust-sweep-eta", "thrust-sweep-angle"])
+def test_first_failing_check_names_the_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()

@@ -3,7 +3,8 @@ without importing numpy, as does the Mooney-Rivlin stress law, no command
 imports the standard-library machinery it does not run, each command imports
 a pinned set of modules, the records are built without dataclasses or
 inspect, and each input file is opened once and read as UTF-8 whatever the
-locale.
+locale. A command whose standard output is closed exits 1 and prints
+nothing.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already. The child imports the same softarm as this process
@@ -73,15 +74,22 @@ print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
 
+def child_env(env=None) -> dict:
+    """This process's environment with env added, and softarm's parent
+    directory first on PYTHONPATH, so a child imports softarm from where
+    this process did."""
+    env = {**os.environ, **(env or {})}
+    package_root = str(Path(softarm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_child(argv, flags=(), child=CHILD, env=None):
     """(exit code, imported module names, stdout) of cli.main(argv), or of
     another child script, in a fresh interpreter, started with the given
     flags and with env added to this process's environment, that imports
     softarm from where this process did."""
-    env = {**os.environ, **(env or {})}
-    package_root = str(Path(softarm.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", child, *argv], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", child, *argv], env=child_env(env),
                           capture_output=True, text=True, timeout=120)
     status = json.loads(proc.stderr.splitlines()[-1])
     return status["code"], set(status["modules"]), proc.stdout
@@ -255,3 +263,20 @@ def test_utf8_input_is_read_whatever_the_locale(tmp_path):
     c_locale = run_child(argv, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
     assert utf8[0] == c_locale[0] == 0
     assert c_locale[2] == utf8[2]
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--axis", "throttle"]],
+                         ids=["json", "csv"])
+def test_closed_stdout_exits_1_quietly(argv):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE, as under `softarm ... | head -0`.
+    # The child runs the console script's entry point.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from softarm.cli import entrypoint; entrypoint()", *argv],
+            env=child_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
