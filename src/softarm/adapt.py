@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 
-from .beam import ArmGeometry
 from .deflection import (DEFLECTION_BOUND_DEG, NONLINEAR_INFILL_PCT, DeflectionModelCoeffs,
                          _peak, require_infill)
 from .errors import ChordTooLong, EmptyRange, ZeroArea, _Record, require_finite

@@ -3,10 +3,11 @@ machine-readable JSON/CSV reporting.
 
 Every subcommand is one handler that reads each input file once, through
 `_read_input` (which records the SHA-256 digest of the bytes it parses),
-runs the library and returns `(results, inputs)`. `main` wraps them in a
-report, or writes the rows of a `sweep` as CSV and its warnings to stderr,
-and turns an error into the exit code its class carries (see `errors`): 0
-ok, 2 input error, 3 fit failure, 4 solver failure.
+runs the library and returns `(results, inputs)`. `main` first builds the
+report text, a JSON report or the rows of a `sweep` as CSV, and then writes
+it, a CSV table's warnings to stderr first. It turns an error into the exit
+code its class carries (see `errors`): 0 ok, 1 the report could not be
+written, 2 input error, 3 fit failure, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import __version__, adapt, aero, beam, deflection
 from . import io as sio
 from . import material
 from .errors import (
+    INPUT_FAULTS,
     EmptyRange,
     FitError,
     InputError,
@@ -36,9 +38,9 @@ from .errors import (
 )
 
 EXIT_OK = 0
-#: Standard output closed before the report was written: exit 1, printing
-#: nothing, as Python exits on EPIPE.
-EXIT_STDOUT_CLOSED = 1
+#: The report could not be written: exit 1, printing nothing where standard
+#: output is a closed pipe, as Python exits on EPIPE.
+EXIT_OUTPUT = 1
 EXIT_INPUT = InputError.exit_code
 EXIT_FIT = FitError.exit_code
 
@@ -75,66 +77,34 @@ def _read_input(inputs: dict, label: str, reader, path, *args):
     return reader(path, *args, data=data)
 
 
-def _warning_entries(records) -> list[dict]:
-    return [
-        {"code": getattr(rec.category, "code", "GENERIC"), "message": str(rec.message)}
-        for rec in records
-    ]
-
-
-def _make_report(results: dict, inputs: dict, warning_list: list[dict], timestamp: bool) -> dict:
+def _render(results: dict, inputs: dict, records, fmt: str, timestamp: bool) -> tuple[str, str]:
+    """The report as text, and the text for stderr before it. As JSON, the
+    report holds the warnings recorded; as CSV, the rows of the one table in
+    results, with a header, and the warnings go to stderr, since a CSV table
+    has no place for them. No CSV field needs quoting: the keys are names,
+    the cells numbers and booleans."""
+    entries = [(getattr(rec.category, "code", "GENERIC"), str(rec.message)) for rec in records]
+    if fmt == "csv":
+        ((_, table),) = results.items()
+        rows = table["rows"]
+        lines = [",".join(rows[0])]
+        lines += [",".join([("true" if v else "false") if type(v) is bool else f"{v:.10g}"
+                            for v in row.values()]) for row in rows]
+        notes = "".join(f"softarm: warning: {code}: {message}\n" for code, message in entries)
+        return "\n".join(lines) + "\n", notes
     report = {
         "tool": {"name": "softarm", "version": __version__},
         "inputs": inputs,
         "results": results,
-        "warnings": warning_list,
+        "warnings": [{"code": code, "message": message} for code, message in entries],
     }
     if timestamp:
         from datetime import datetime, timezone
 
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return report
-
-
-class _StdoutClosed(Exception):
-    """Standard output is a pipe whose reader has gone, as in
-    `softarm analyze | head -0`."""
-
-
-def _print(text: str) -> None:
-    """Write text to standard output and flush it, so that a closed pipe
-    raises here, as _StdoutClosed, rather than at shutdown."""
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
-        raise _StdoutClosed from exc
-
-
-def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        _print(text)
-
-
-def _emit_json(report: dict, out: str | None, quiet: bool) -> None:
     # allow_nan=False: NaN and Infinity are not JSON, so a non-finite value
     # that got this far is an input error rather than a corrupt report.
-    _write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
-    if out and not quiet:
-        _print(f"{out}\n")
-
-
-def _emit_csv(results: dict, out: str | None) -> None:
-    """Write the rows of the one table in results as CSV, with a header. No
-    field needs quoting: the keys are names, the cells numbers and booleans."""
-    ((_, table),) = results.items()
-    rows = table["rows"]
-    lines = [",".join(rows[0])]
-    lines += [",".join([("true" if v else "false") if type(v) is bool else f"{v:.10g}"
-                        for v in row.values()]) for row in rows]
-    _write("\n".join(lines) + "\n", out)
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", ""
 
 
 def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None:
@@ -523,31 +493,38 @@ def _report_error(exc: Exception, kind: type[SoftarmError]) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv, argparse.Namespace(**_FLAG_DEFAULTS))
+    # Compute: reading the inputs is the only I/O, so an OSError is an input error.
     try:
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always")
             results, inputs = args.handler(args)
-        warning_list = _warning_entries(records)
-        if args.format == "csv":
-            # A CSV table has no place for warnings, so they go to stderr.
-            for entry in warning_list:
-                print(f"softarm: warning: {entry['code']}: {entry['message']}", file=sys.stderr)
-            _emit_csv(results, args.out)
-        else:
-            report = _make_report(results, inputs, warning_list, args.timestamp)
-            _emit_json(report, args.out, args.quiet)
-        return EXIT_OK
-    except _StdoutClosed:
-        # As the note on SIGPIPE in the signal module's docs does: point
-        # stdout at devnull, so that its flush at shutdown cannot raise.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_STDOUT_CLOSED
+        text, notes = _render(results, inputs, records, args.format, args.timestamp)
     except SoftarmError as exc:
         return _report_error(exc, type(exc))
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except INPUT_FAULTS as exc:
         return _report_error(exc, InputError)
+    # Write: the notes, then the report to --out (echoing its path unless
+    # --quiet) or to stdout, flushed here so that a failure raises here.
+    stdout = None
+    try:
+        sys.stderr.write(notes)
+        if args.out:
+            Path(args.out).write_text(text)
+            text = "" if args.quiet else f"{args.out}\n"
+        stdout = sys.stdout
+        stdout.write(text)
+        stdout.flush()
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe prints nothing, as Python does
+            print(f"softarm: output error: {exc}", file=sys.stderr)
+        if stdout is not None:
+            # As the note on SIGPIPE in the signal module's docs does: point
+            # stdout at devnull, so that its flush at shutdown cannot raise.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
+        return EXIT_OUTPUT
+    return EXIT_OK
 
 
 def entrypoint() -> None:

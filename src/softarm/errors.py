@@ -126,6 +126,11 @@ class InputError(SoftarmError):
     exit_code, label = 2, "input"
 
 
+#: The stdlib errors that reading and checking an input raises: `cli.main`
+#: exits 2 for them, as for an InputError, and `io.blame` names their file.
+INPUT_FAULTS = (OSError, KeyError, TypeError, ValueError, OverflowError)
+
+
 class FitError(SoftarmError):
     """A model cannot be fitted or calibrated to the data given."""
 

@@ -19,7 +19,7 @@ from io import StringIO
 from .aero import EfficiencyTable
 from .beam import ArmGeometry, Segment
 from .deflection import DeflectionModelCoeffs
-from .errors import InputError, ParseError, require_finite
+from .errors import INPUT_FAULTS, InputError, ParseError, require_finite
 from .material import FlexuralSample, MooneyRivlinParams, StressStrainCurve
 
 
@@ -35,7 +35,7 @@ def _finite_float(text: str) -> float:
 
 @contextmanager
 def blame(path, *names: str):
-    """Re-raise an input fault inside (an error that `cli.main` exits 2 for)
+    """Re-raise an input fault inside (an InputError, or one of INPUT_FAULTS)
     as a ParseError naming path and, before the message, the names of the
     inputs behind it. A ParseError passes through, given path if it has none."""
     try:
@@ -44,7 +44,7 @@ def blame(path, *names: str):
         if exc.path is not None:
             raise
         raise ParseError(exc.reason, line=exc.line, path=str(path)) from None
-    except (InputError, OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (InputError, *INPUT_FAULTS) as exc:
         raise ParseError(f"{', '.join(names)}: {exc}" if names else str(exc),
                          path=str(path)) from None
 
@@ -148,7 +148,8 @@ def _from_rows(path, rows: list[tuple[int, list[float]]], make):
             passes = k
         except ValueError as exc:
             error, fails = exc, k
-    raise ParseError(str(error), line=rows[fails - 1][0], path=str(path))
+    with blame(path):
+        raise ParseError(str(error), line=rows[fails - 1][0])
 
 
 def read_stress_strain_csv(path, data: bytes | None = None) -> StressStrainCurve:

@@ -205,12 +205,11 @@ def least_squares(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, f
     condition number exceeds COND_LIMIT."""
     import numpy as np
 
-    sv = np.linalg.svd(design, compute_uv=False)
+    coeffs, _, _, sv = np.linalg.lstsq(design, target, rcond=None)
     if sv[-1] == 0 or sv[0] / sv[-1] > COND_LIMIT:
         raise RankDeficient(
             f"design matrix condition {sv[0] / max(sv[-1], 1e-300):.3e} exceeds {COND_LIMIT:.0e}"
         )
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
     return coeffs, float(np.linalg.norm(design @ coeffs - target)), float(sv[0] / sv[-1])
 
 

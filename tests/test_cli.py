@@ -1,6 +1,5 @@
 """File formats and the command-line front end."""
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -23,9 +22,8 @@ from softarm.cli import (
     EXIT_FIT,
     EXIT_INPUT,
     EXIT_OK,
-    _emit_csv,
-    _emit_json,
-    _warning_entries,
+    EXIT_OUTPUT,
+    _render,
     build_parser,
     default_data_dir,
     main,
@@ -62,6 +60,11 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def warning_entries(records) -> list[dict]:
+    """The warnings a JSON report holds for the warnings recorded."""
+    return json.loads(_render({}, {}, records, "json", False)[0])["warnings"]
 
 
 def seeded(lo, hi, seed, n=5):
@@ -360,7 +363,7 @@ class TestWarningCodes:
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always")
             warnings.warn("plain", UserWarning)
-        assert _warning_entries(records) == [{"code": "GENERIC", "message": "plain"}]
+        assert warning_entries(records) == [{"code": "GENERIC", "message": "plain"}]
 
 
 class TestAnalyzeCommand:
@@ -655,10 +658,8 @@ class TestSweepCommand:
         writer.writerow(rows[0].keys())
         writer.writerows([str(v).lower() if isinstance(v, bool) else f"{v:.10g}"
                           for v in row.values()] for row in rows)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            _emit_csv({"sweep": {"axis": "x", "rows": rows}}, None)
-        assert out.getvalue() == expected.getvalue()
+        text, _ = _render({"sweep": {"axis": "x", "rows": rows}}, {}, [], "csv", False)
+        assert text == expected.getvalue()
 
     def test_csv_warnings_go_to_stderr(self, capsys):
         argv = ["sweep", "--axis", "throttle", "--rho", "4"]
@@ -695,7 +696,7 @@ class TestSweepCommand:
             warnings.simplefilter("always")
             expected = [per_point(axis, float(value), row) for row in rows]
         assert [row[key].hex() for row in rows] == [v.hex() for v in expected]
-        assert report["warnings"] == _warning_entries(records)
+        assert report["warnings"] == warning_entries(records)
         assert len(records) == (20 if value == "4.5" else 0)
 
     @pytest.mark.parametrize("axis,module,name,calls", [
@@ -738,6 +739,25 @@ class TestGlobalFlags:
         code = main(["efficiency", "--rpm", "4500", "--out", str(target)])
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == str(target)
+
+    def test_csv_out_echoes_path_by_default(self, tmp_path, capsys):
+        target = tmp_path / "sweep.csv"
+        code, out = run(capsys, ["sweep", "--axis", "arm_angle", "--out", str(target)])
+        assert code == EXIT_OK and out == f"{target}\n"
+        assert target.read_text().startswith("alpha_deg,net_vertical_thrust_n\n")
+
+    @pytest.mark.parametrize("argv", [["efficiency", "--rpm", "4500"],
+                                      ["sweep", "--axis", "arm_angle"]], ids=["json", "csv"])
+    def test_unwritable_out_is_an_output_error(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "report"
+        code = main([*argv, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OUTPUT and captured.out == ""
+        assert captured.err.startswith("softarm: output error: [Errno 2] ")
+        assert len(captured.err.splitlines()) == 1 and not target.parent.exists()
+        # Standard output was not written, so it is left as it was.
+        code, out = run(capsys, argv)
+        assert code == EXIT_OK and out
 
     def test_global_flags_before_subcommand(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -809,10 +829,13 @@ class TestNonFiniteInput:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == f"softarm: input error: {message}\n"
 
-    def test_report_with_nan_is_not_written(self, tmp_path):
-        target = tmp_path / "report.json"
+    def test_report_with_nan_is_not_written(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(ValueError):
-            _emit_json({"results": {"value": float("nan")}}, str(target), quiet=True)
+            _render({"value": float("nan")}, {}, [], "json", False)
+        monkeypatch.setattr(aero, "efficiency_lookup", lambda table, rpm: float("nan"))
+        target = tmp_path / "report.json"
+        code = main(["efficiency", "--rpm", "4500", "--out", str(target), "--quiet"])
+        assert code == EXIT_INPUT and capsys.readouterr().out == ""
         assert not target.exists()
 
 

@@ -280,3 +280,26 @@ def test_closed_stdout_exits_1_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_is_an_output_error():
+    # Every write to /dev/full fails with ENOSPC, as on a full disk.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from softarm.cli import entrypoint; entrypoint()", "analyze"],
+            env=child_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("softarm: output error: [Errno 28] ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_unwritable_out_is_an_output_error(tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", "from softarm.cli import entrypoint; entrypoint()",
+         "efficiency", "--rpm", "4500", "--out", str(target)],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("softarm: output error: ")
+    assert len(proc.stderr.splitlines()) == 1
