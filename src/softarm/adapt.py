@@ -7,7 +7,7 @@ import math
 
 from .deflection import (DEFLECTION_BOUND_DEG, NONLINEAR_INFILL_PCT, DeflectionModelCoeffs,
                          _peak, require_infill)
-from .errors import ChordTooLong, EmptyRange, ZeroArea, _Record, require_finite
+from .errors import ChordTooLong, EmptyRange, InputError, ZeroArea, _Record, require_finite
 
 #: Above this infill rate [%] the arm is too rigid to wrap a pipe.
 BENDABLE_INFILL_MAX_PCT = 15.0
@@ -23,7 +23,7 @@ class PipeSpec(_Record, finite=True):
 
     def __post_init__(self):
         if self.diameter <= 0:
-            raise ValueError("diameter must be > 0")
+            raise InputError("diameter must be > 0")
 
 
 class WrapResult(_Record):
@@ -84,13 +84,13 @@ def contact_pressure(tendon_force: float, contact_width: float, contact_arc_leng
     require_finite(tendon_force=tendon_force, contact_width=contact_width,
                    contact_arc_length=contact_arc_length)
     if tendon_force < 0:
-        raise ValueError(f"tendon_force must be >= 0, got {tendon_force}")
+        raise InputError(f"tendon_force must be >= 0, got {tendon_force}")
     area = contact_width * contact_arc_length
     if contact_width <= 0 or contact_arc_length <= 0 or area == 0:
         raise ZeroArea(f"contact patch {contact_width} m x {contact_arc_length} m has no area")
     pressure = tendon_force / area
     if pressure == math.inf:
-        raise ValueError(f"tendon_force {tendon_force} N on the {contact_width} m x "
+        raise InputError(f"tendon_force {tendon_force} N on the {contact_width} m x "
                          f"{contact_arc_length} m contact patch overflows the pressure")
     return pressure
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CalibrationFailure, _Record, require_finite
+from .errors import CalibrationFailure, InputError, _Record, require_finite
 
 #: Normalized motor position x/c with the best simulated thrust efficiency.
 OPTIMUM_MOTOR_STATION = 0.83
@@ -27,12 +27,12 @@ class EfficiencyTable(_Record):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         require_finite(**vars(self))
         if not self.rows:
-            raise ValueError("efficiency table has no rows")
+            raise InputError("efficiency table has no rows")
         rpms = [r for r, _ in self.rows]
         if any(b <= a for a, b in zip(rpms, rpms[1:])):
-            raise ValueError("rpm values must be strictly increasing")
+            raise InputError("rpm values must be strictly increasing")
         if any(not 0.0 < eta <= 1.0 for _, eta in self.rows):
-            raise ValueError("eta values must be in (0, 1]")
+            raise InputError("eta values must be in (0, 1]")
 
 
 class PropellerModel(_Record, finite=True):
@@ -42,7 +42,7 @@ class PropellerModel(_Record, finite=True):
 
     def __post_init__(self):
         if self.thrust_coefficient <= 0:
-            raise ValueError("thrust_coefficient must be > 0")
+            raise InputError("thrust_coefficient must be > 0")
 
     @classmethod
     def from_nominal(cls, thrust: float, rpm: float) -> "PropellerModel":
@@ -50,14 +50,14 @@ class PropellerModel(_Record, finite=True):
         naming both when they give no finite positive coefficient."""
         require_finite(thrust=thrust, rpm=rpm)
         if rpm <= 0:
-            raise ValueError(f"nominal rpm must be > 0, got {rpm}")
+            raise InputError(f"nominal rpm must be > 0, got {rpm}")
         try:
             return cls(thrust_coefficient=thrust / rpm**2)
         except ArithmeticError:  # rpm**2 overflows, or underflows to 0
             reason = "rpm**2 is out of float range"
-        except ValueError as exc:
+        except InputError as exc:
             reason = str(exc)
-        raise ValueError(f"nominal thrust {thrust} N at nominal rpm {rpm}: {reason}")
+        raise InputError(f"nominal thrust {thrust} N at nominal rpm {rpm}: {reason}")
 
 
 #: The shipped config's propeller: 500 g (4.905 N) of thrust at 4000 rpm.
@@ -68,13 +68,13 @@ def thrust_from_rpm(model: PropellerModel, rpm: float) -> float:
     """Isolated-propeller thrust [N] at the given rotational speed."""
     require_finite(rpm=rpm)
     if rpm < 0:
-        raise ValueError(f"rpm must be >= 0, got {rpm}")
+        raise InputError(f"rpm must be >= 0, got {rpm}")
     try:
         thrust = model.thrust_coefficient * rpm**2
     except OverflowError:
-        raise ValueError(f"rpm {rpm} is out of range: rpm**2 overflows") from None
+        raise InputError(f"rpm {rpm} is out of range: rpm**2 overflows") from None
     if thrust == math.inf:  # a product of finite floats does not raise
-        raise ValueError(f"rpm {rpm} is out of range: thrust_coefficient * rpm**2 overflows")
+        raise InputError(f"rpm {rpm} is out of range: thrust_coefficient * rpm**2 overflows")
     return thrust
 
 
@@ -112,12 +112,12 @@ def net_vertical_thrust_sweep(thrust: float, arm_angles_deg, eta: float) -> list
 
 def _net_vertical_thrusts(thrust: float, arm_angles_deg: tuple, eta: float) -> list[float]:
     if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must be in (0, 1]")
+        raise InputError("eta must be in (0, 1]")
     scale = thrust * eta  # thrust * eta * cos multiplies left to right
     thrusts = []
     for angle in arm_angles_deg:
         if abs(angle) >= 90.0:
-            raise ValueError("arm angle must satisfy |angle| < 90 deg")
+            raise InputError("arm angle must satisfy |angle| < 90 deg")
         thrusts.append(scale * math.cos(math.radians(angle)))
     return thrusts
 
@@ -144,9 +144,9 @@ def efficiency_model_sweep(stations, rpm: float, table: EfficiencyTable) -> list
     turn for CalibrationFailure."""
     for x_c in stations:
         if not 0.0 < x_c <= 1.0:
-            raise ValueError(f"x_c must be in (0, 1], got {x_c}")
+            raise InputError(f"x_c must be in (0, 1], got {x_c}")
     if rpm <= 0:
-        raise ValueError(f"rpm must be > 0, got {rpm}")
+        raise InputError(f"rpm must be > 0, got {rpm}")
     peak = efficiency_lookup(table, rpm)
     etas = []
     for x_c in stations:

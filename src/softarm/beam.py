@@ -27,7 +27,7 @@ import operator
 from functools import cached_property, reduce
 from types import SimpleNamespace
 
-from .errors import NoConvergence, NonPhysicalMaterial, _Record, require_finite
+from .errors import InputError, NoConvergence, NonPhysicalMaterial, _Record, require_finite
 from .material import MooneyRivlinParams, mr_small_strain_modulus
 
 GRAVITY = 9.81
@@ -43,7 +43,7 @@ class Segment(_Record, finite=True):
 
     def __post_init__(self):
         if self.length <= 0:
-            raise ValueError("segment length must be > 0")
+            raise InputError("segment length must be > 0")
 
 
 class ArmGeometry(_Record):
@@ -69,20 +69,20 @@ class ArmGeometry(_Record):
         object.__setattr__(self, "section_inertia", tuple(self.section_inertia))
         require_finite(**{k: v for k, v in vars(self).items() if k != "segments"})
         if not 1 <= len(self.segments) <= 8:
-            raise ValueError("segment count must be in [1, 8]")
+            raise InputError("segment count must be in [1, 8]")
         if len(self.section_inertia) != len(self.segments):
-            raise ValueError("one inertia value per segment is required")
+            raise InputError("one inertia value per segment is required")
         if any(i <= 0 for i in self.section_inertia):
-            raise ValueError("section inertia must be > 0")
+            raise InputError("section inertia must be > 0")
         if not 0.0 < self.motor_station <= 1.0:
-            raise ValueError("motor_station must be in (0, 1]")
+            raise InputError("motor_station must be in (0, 1]")
         if not -90.0 < self.initial_droop_deg < 90.0:
-            raise ValueError(
+            raise InputError(
                 f"initial_droop_deg must be in (-90, 90), got {self.initial_droop_deg}")
         if self.section_half_depth <= 0:
-            raise ValueError("section_half_depth must be > 0")
+            raise InputError("section_half_depth must be > 0")
         if self.linear_density < 0:
-            raise ValueError("linear_density must be >= 0")
+            raise InputError("linear_density must be >= 0")
 
     @property
     def total_length(self) -> float:
@@ -135,7 +135,7 @@ class LoadCase(_Record):
         object.__setattr__(self, "point_moments", tuple(tuple(p) for p in self.point_moments))
         require_finite(**vars(self))
         if self.thrust < 0:
-            raise ValueError("thrust must be >= 0")
+            raise InputError("thrust must be >= 0")
 
 
 class SolverSettings(_Record, finite=True):
@@ -149,9 +149,9 @@ class SolverSettings(_Record, finite=True):
 
     def __post_init__(self):
         if self.integration_steps < 16:
-            raise ValueError("integration_steps must be >= 16")
+            raise InputError("integration_steps must be >= 16")
         if self.shooting_tolerance <= 0:
-            raise ValueError("shooting_tolerance must be > 0")
+            raise InputError("shooting_tolerance must be > 0")
 
 
 class BeamSolution(_Record, hidden=("plan",)):
@@ -237,7 +237,7 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
     jumps: dict[float, float] = {}
     for s_f, m in loads.point_moments:
         if not 0.0 <= s_f <= length:
-            raise ValueError(f"point moment at s = {s_f} m is off the arm, "
+            raise InputError(f"point moment at s = {s_f} m is off the arm, "
                              f"which spans [0, {length}] m")
         jumps[s_f] = jumps.get(s_f, 0.0) + m
     cuts = sorted(set(bounds) | {s_motor} | set(jumps))
@@ -447,7 +447,7 @@ def _solve(geometry: ArmGeometry, material, loads: tuple[LoadCase, ...],
                     lambda tip: _march(panels, thrust, w_z, length, tip) - theta_root,
                     theta_tip, tolerance)
             except ValueError:  # cos or sin of an infinite angle, or a non-finite theta(0)
-                raise ValueError(
+                raise InputError(
                     f"arm length {length} m, smallest EI {min(p[2] for p in plan)} N m^2 and "
                     f"loads {case} put the elastica out of float range") from None
             integrations += n
@@ -538,7 +538,7 @@ def tendon_bend(geometry: ArmGeometry, material, tension: float,
     when the total turning exceeds the fold budget plus a quarter turn."""
     require_finite(tension=tension, eccentricity=eccentricity)
     if tension < 0:
-        raise ValueError(f"tension must be >= 0, got {tension}")
+        raise InputError(f"tension must be >= 0, got {tension}")
     folds = geometry.segment_bounds[1:-1] if tension > 0 and eccentricity != 0 else ()
     loads = LoadCase(thrust=0.0, point_moments=[(s, -tension * eccentricity) for s in folds])
     solution = solve_elastica(geometry, material, loads)

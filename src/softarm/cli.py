@@ -5,9 +5,9 @@ Every subcommand is one handler that reads each input file once, through
 `_read_input` (which records the SHA-256 digest of the bytes it parses),
 runs the library and returns `(results, inputs)`. `main` first builds the
 report text, a JSON report or the rows of a `sweep` as CSV, and then writes
-it, a CSV table's warnings to stderr first. It turns an error into the exit
-code its class carries (see `errors`): 0 ok, 1 the report could not be
-written, 2 input error, 3 fit failure, 4 solver failure.
+it, a CSV table's warnings to stderr first. A SoftarmError exits with the
+code its class carries (see `errors`): 2 input, 3 fit, 4 solver failure; 1 is
+an output error, 0 success. Any other exception is a bug: it propagates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from . import __version__, adapt, aero, beam, deflection
 from . import io as sio
 from . import material
 from .errors import (
-    INPUT_FAULTS,
     EmptyRange,
     FitError,
     InputError,
@@ -103,7 +102,7 @@ def _render(results: dict, inputs: dict, records, fmt: str, timestamp: bool) -> 
 
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
     # allow_nan=False: NaN and Infinity are not JSON, so a non-finite value
-    # that got this far is an input error rather than a corrupt report.
+    # that got this far, past a missing check, raises rather than corrupt the report.
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", ""
 
 
@@ -131,7 +130,7 @@ def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None
         else:
             require_finite(**{name: value})
             if kind == "> 0" and value <= 0:
-                raise ValueError(f"{name} must be > 0, got {_echo(value)}")
+                raise InputError(f"{name} must be > 0, got {_echo(value)}")
 
 
 def _material_block(params: material.MooneyRivlinParams) -> dict:
@@ -209,7 +208,8 @@ def cmd_analyze(args) -> tuple[dict, dict]:
                          config["deflection_coeffs"])
     mr_params = _read_input(inputs, "hyperelastic_table", sio.read_hyperelastic_row,
                             mat_cfg["hyperelastic_table"], infill)
-    results: dict = {"material": {"infill_pct": infill, **_material_block(mr_params)}}
+    with sio.blame(mat_cfg["hyperelastic_table"], f"infill {infill}% row"):
+        results: dict = {"material": {"infill_pct": infill, **_material_block(mr_params)}}
 
     with sio.blame(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm"):
         propeller = aero.PropellerModel.from_nominal(
@@ -486,23 +486,17 @@ def build_parser() -> argparse.ArgumentParser:
 _FLAG_DEFAULTS = {"out": None, "format": "json", "quiet": False, "timestamp": False}
 
 
-def _report_error(exc: Exception, kind: type[SoftarmError]) -> int:
-    print(f"softarm: {kind.label} error: {exc}", file=sys.stderr)
-    return kind.exit_code
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv, argparse.Namespace(**_FLAG_DEFAULTS))
-    # Compute: reading the inputs is the only I/O, so an OSError is an input error.
+    # Compute: the class of a SoftarmError gives its label and exit code.
     try:
         with warnings.catch_warnings(record=True) as records:
             warnings.simplefilter("always")
             results, inputs = args.handler(args)
         text, notes = _render(results, inputs, records, args.format, args.timestamp)
     except SoftarmError as exc:
-        return _report_error(exc, type(exc))
-    except INPUT_FAULTS as exc:
-        return _report_error(exc, InputError)
+        print(f"softarm: {exc.label} error: {exc}", file=sys.stderr)
+        return exc.exit_code
     # Write: the notes, then the report to --out (echoing its path unless
     # --quiet) or to stdout, flushed here so that a failure raises here.
     stdout = None

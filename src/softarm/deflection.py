@@ -12,7 +12,7 @@ import math
 import sys
 import warnings
 
-from .errors import OutOfEnvelopeWarning, RankDeficient, _Record, require_finite
+from .errors import InputError, OutOfEnvelopeWarning, RankDeficient, _Record, require_finite
 from .material import least_squares
 
 #: Throttle units per percent throttle.
@@ -38,7 +38,7 @@ def require_infill(**values) -> None:
     """Raise ValueError naming the first infill rate [%] outside (0, 100)."""
     for name, value in values.items():
         if not 0.0 < value < 100.0:
-            raise ValueError(f"{name} must be in (0, 100), got {value}")
+            raise InputError(f"{name} must be in (0, 100), got {value}")
 
 
 class DeflectionModelCoeffs(_Record, finite=True):
@@ -61,7 +61,7 @@ class DeflectionSample(_Record, finite=True):
 
     def __post_init__(self):
         if self.throttle < 0:
-            raise ValueError("throttle must be >= 0")
+            raise InputError("throttle must be >= 0")
         require_infill(infill_rate=self.infill_rate)
 
 
@@ -108,7 +108,7 @@ def _deflections(coeffs: DeflectionModelCoeffs, infill: float, throttles: tuple)
     alphas = []
     for throttle in throttles:
         if not 0.0 <= throttle <= T_MAX_DEFAULT:
-            raise ValueError(f"throttle {throttle} outside the model range [0, {T_MAX_DEFAULT}]")
+            raise InputError(f"throttle {throttle} outside the model range [0, {T_MAX_DEFAULT}]")
         if nonlinear and throttle > 0.8 * T_MAX_DEFAULT:
             warnings.warn(
                 f"infill {infill}% at throttle {throttle} is in the strongly "
@@ -118,7 +118,7 @@ def _deflections(coeffs: DeflectionModelCoeffs, infill: float, throttles: tuple)
             )
         alpha = coeffs.alpha0 + a_lin * throttle + b_quad * throttle**2
         if not math.isfinite(alpha):
-            raise ValueError(f"{coeffs} overflow at infill {infill}% and throttle {throttle}")
+            raise InputError(f"{coeffs} overflow at infill {infill}% and throttle {throttle}")
         alphas.append(alpha)
     return alphas
 
@@ -160,7 +160,7 @@ def _peak(coeffs: DeflectionModelCoeffs, infill: float) -> tuple[float, int]:
     last = abs(a_lin * t + b_quad * (t * t))  # numpy's grid**2 multiplies too
     # Both terms grow in magnitude with T, so every point is finite when the last is.
     if not math.isfinite(last):
-        raise ValueError(f"{coeffs} overflow at infill {infill}% and throttle {t}")
+        raise InputError(f"{coeffs} overflow at infill {infill}% and throttle {t}")
     window = range(0)
     if max(abs(a_lin), abs(b_quad)) < sys.float_info.min:
         window = range(1, 100)

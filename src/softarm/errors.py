@@ -6,7 +6,7 @@ import math
 
 
 def require_finite(**values) -> None:
-    """Raise ValueError naming the first argument that is NaN, infinite or
+    """Raise InputError naming the first argument that is NaN, infinite or
     not a number (a JSON null or boolean, say), or an int too large for a
     float, and echoing it as _echo does. A tuple is checked number by
     number, nested tuples included; the frozen records check their fields
@@ -15,7 +15,7 @@ def require_finite(**values) -> None:
         if type(value) is float and math.isfinite(value):  # the common case, first
             continue
         if not _all_finite(value):
-            raise ValueError(f"{name} must be finite, got {_echo(value)}")
+            raise InputError(f"{name} must be finite, got {_echo(value)}")
 
 
 def _echo(value) -> str:
@@ -120,15 +120,12 @@ class SoftarmError(Exception):
     exit_code, label = 1, "unexpected"
 
 
-class InputError(SoftarmError):
-    """The inputs are malformed or describe an impossible set-up."""
+class InputError(SoftarmError, ValueError):
+    """The inputs are malformed or describe an impossible set-up: a value
+    that a caller or a file supplies fails a check. It is a ValueError too,
+    so a library caller's `except ValueError` catches it."""
 
     exit_code, label = 2, "input"
-
-
-#: The stdlib errors that reading and checking an input raises: `cli.main`
-#: exits 2 for them, as for an InputError, and `io.blame` names their file.
-INPUT_FAULTS = (OSError, KeyError, TypeError, ValueError, OverflowError)
 
 
 class FitError(SoftarmError):

@@ -19,32 +19,37 @@ from io import StringIO
 from .aero import EfficiencyTable
 from .beam import ArmGeometry, Segment
 from .deflection import DeflectionModelCoeffs
-from .errors import INPUT_FAULTS, InputError, ParseError, require_finite
+from .errors import InputError, ParseError, require_finite
 from .material import FlexuralSample, MooneyRivlinParams, StressStrainCurve
+
+#: The faults that reading and checking an input raise, which `blame` names
+#: the file of: an InputError (a ValueError), and a raw payload's missing key,
+#: string for a number, bad UTF-8, int too large for a float or failed `open`.
+INPUT_FAULTS = (OSError, KeyError, TypeError, ValueError, OverflowError)
 
 
 def _finite_float(text: str) -> float:
-    """float(text), refusing NaN and infinities with ValueError. Also the
+    """float(text), refusing NaN and infinities with InputError. Also the
     argparse type of the CLI's numeric options: argparse turns the
-    ValueError into a usage error, exit 2."""
+    ValueError that either raises into a usage error, exit 2."""
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text} is not allowed")
+        raise InputError(f"non-finite number {text} is not allowed")
     return value
 
 
 @contextmanager
 def blame(path, *names: str):
-    """Re-raise an input fault inside (an InputError, or one of INPUT_FAULTS)
-    as a ParseError naming path and, before the message, the names of the
-    inputs behind it. A ParseError passes through, given path if it has none."""
+    """Re-raise an input fault inside (one of INPUT_FAULTS) as a ParseError
+    naming path and, before the message, the names of the inputs behind it.
+    A ParseError passes through, given path if it has none."""
     try:
         yield
     except ParseError as exc:
         if exc.path is not None:
             raise
         raise ParseError(exc.reason, line=exc.line, path=str(path)) from None
-    except (InputError, *INPUT_FAULTS) as exc:
+    except INPUT_FAULTS as exc:
         raise ParseError(f"{', '.join(names)}: {exc}" if names else str(exc),
                          path=str(path)) from None
 
@@ -132,13 +137,13 @@ def _read_csv_rows(path, expected_header: list[str],
 
 def _from_rows(path, rows: list[tuple[int, list[float]]], make):
     """The record make(values) builds from the rows' values. A record's checks
-    hold for every leading part of valid rows, so a ValueError from make
+    hold for every leading part of valid rows, so an InputError from make
     becomes a ParseError at the first line where the rows up to it fail,
     found by bisection over the number of leading rows."""
     values = [row for _, row in rows]
     try:
         return make(values)
-    except ValueError as exc:
+    except InputError as exc:
         error = exc
     passes, fails = 0, len(rows)  # the leading rows that build, and that fail
     while fails - passes > 1:
@@ -146,7 +151,7 @@ def _from_rows(path, rows: list[tuple[int, list[float]]], make):
         try:
             make(values[:k])
             passes = k
-        except ValueError as exc:
+        except InputError as exc:
             error, fails = exc, k
     with blame(path):
         raise ParseError(str(error), line=rows[fails - 1][0])

@@ -18,6 +18,7 @@ import warnings
 
 from .errors import (
     DegenerateData,
+    InputError,
     InvalidStretch,
     NonPhysicalWarning,
     RankDeficient,
@@ -38,7 +39,7 @@ class FlexuralSample(_Record, finite=True):
 
     def __post_init__(self):
         if self.force < 0:
-            raise ValueError(f"force must be >= 0, got {self.force}")
+            raise InputError(f"force must be >= 0, got {self.force}")
 
 
 class StressStrainCurve(_Record):
@@ -55,11 +56,11 @@ class StressStrainCurve(_Record):
         require_finite(**vars(self))
         strains = [s for s, _ in self.samples]
         if any(b <= a for a, b in zip(strains, strains[1:])):
-            raise ValueError("strains must be strictly increasing")
+            raise InputError("strains must be strictly increasing")
         if any(s <= -1 for s in strains):
-            raise ValueError("engineering strain must be > -1")
+            raise InputError("engineering strain must be > -1")
         if strains and strains[0] == 0.0 and self.samples[0][1] != 0.0:
-            raise ValueError("sample at zero strain must have zero stress")
+            raise InputError("sample at zero strain must have zero stress")
 
     @property
     def strains(self) -> np.ndarray:
@@ -113,9 +114,9 @@ def fit_flexural_modulus(
 
     require_finite(length=length, section_inertia=section_inertia)
     if length <= 0:
-        raise ValueError(f"length must be > 0, got {length}")
+        raise InputError(f"length must be > 0, got {length}")
     if section_inertia <= 0:
-        raise ValueError(f"section_inertia must be > 0, got {section_inertia}")
+        raise InputError(f"section_inertia must be > 0, got {section_inertia}")
     if len(samples) < 2:
         raise DegenerateData("need at least 2 samples")
     forces = np.array([s.force for s in samples])
@@ -131,8 +132,8 @@ def fit_flexural_modulus(
     try:  # length**3 may overflow, or the quotient
         modulus = slope * length**3 / (3.0 * section_inertia)
         require_finite(modulus=modulus)
-    except (OverflowError, ValueError):
-        raise ValueError(f"length {length} m and section_inertia {section_inertia} m^4 give a "
+    except (OverflowError, InputError):
+        raise InputError(f"length {length} m and section_inertia {section_inertia} m^4 give a "
                          "flexural modulus out of float range") from None
     return modulus
 
@@ -202,7 +203,8 @@ def mr_uniaxial_stress(params: MooneyRivlinParams, stretch: float) -> float:
 def least_squares(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Coefficients c minimizing |design @ c - target|, that residual norm
     and the condition number of design. Raises RankDeficient when the
-    condition number exceeds COND_LIMIT."""
+    condition number exceeds COND_LIMIT, and InputError when a result
+    overflows."""
     import numpy as np
 
     coeffs, _, _, sv = np.linalg.lstsq(design, target, rcond=None)
@@ -210,7 +212,9 @@ def least_squares(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, f
         raise RankDeficient(
             f"design matrix condition {sv[0] / max(sv[-1], 1e-300):.3e} exceeds {COND_LIMIT:.0e}"
         )
-    return coeffs, float(np.linalg.norm(design @ coeffs - target)), float(sv[0] / sv[-1])
+    residual, cond = float(np.linalg.norm(design @ coeffs - target)), float(sv[0] / sv[-1])
+    require_finite(coefficients=tuple(coeffs), residual_norm=residual, condition_number=cond)
+    return coeffs, residual, cond
 
 
 def fit_mooney_rivlin(curve: StressStrainCurve) -> tuple[MooneyRivlinParams, dict]:
@@ -222,15 +226,22 @@ def fit_mooney_rivlin(curve: StressStrainCurve) -> tuple[MooneyRivlinParams, dic
     strains = curve.strains
     if np.count_nonzero(np.unique(strains) > 0) < 5:
         raise RankDeficient("need at least 5 distinct positive strains")
-    design = np.column_stack(_stress_terms(1.0 + strains))
+    with np.errstate(all="ignore"):  # an overflow is checked for below
+        design = np.column_stack(_stress_terms(1.0 + strains))
+    finite = np.isfinite(design).all(axis=1)
+    if not finite.all():  # LAPACK would print to stdout, then fail to converge
+        raise InputError(f"strain {float(strains[~finite][0])} puts the fit's stress terms "
+                         "out of float range")
     coeffs, residual, cond = least_squares(design, curve.stresses / 1e6)
     return MooneyRivlinParams(*coeffs), {"residual_norm_mpa": residual, "condition_number": cond}
 
 
 def mr_small_strain_modulus(params: MooneyRivlinParams) -> float:
     """Small-strain Young's modulus [MPa] of the incompressible model,
-    6 (C10 + C01). Warns (NonPhysicalWarning) when not positive."""
+    6 (C10 + C01). Warns (NonPhysicalWarning) when not positive, and
+    raises InputError when it overflows."""
     e0 = 6.0 * (params.c10 + params.c01)
+    require_finite(**{"small-strain modulus 6 (c10 + c01)": e0})
     if e0 <= 0:
         warnings.warn(
             f"small-strain modulus {e0:.4g} MPa is not positive",

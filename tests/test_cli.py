@@ -5,7 +5,10 @@ import hashlib
 import io
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 import warnings
 from functools import reduce
 from pathlib import Path
@@ -330,6 +333,25 @@ class TestFitMaterialCommand:
         p.write_text("strain,stress_pa\n")
         code, _ = run(capsys, ["fit-material", "--stress-strain", str(p)])
         assert code == EXIT_INPUT
+
+    def test_overflowing_strain_is_named_and_nothing_is_printed(self, tmp_path, capfd):
+        # capfd reads fd 1: LAPACK's DLASCL once printed there, and then the
+        # fit failed to converge.
+        p = tmp_path / "curve.csv"
+        p.write_text("strain,stress_pa\n0.1,1\n0.2,2\n0.3,3\n0.4,4\n1e120,5\n")
+        code = main(["fit-material", "--stress-strain", str(p)])
+        captured = capfd.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == ("softarm: input error: strain 1e+120 puts the fit's stress "
+                                "terms out of float range\n")
+
+    def test_overflowing_residual_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "curve.csv"
+        p.write_text("strain,stress_pa\n0.1,1e300\n0.2,2\n0.3,3\n0.4,4\n0.5,5\n")
+        code = main(["fit-material", "--stress-strain", str(p)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == "softarm: input error: residual_norm must be finite, got inf\n"
 
     def test_degenerate_fit_is_fit_error(self, tmp_path, capsys):
         p = tmp_path / "flat.csv"
@@ -834,8 +856,10 @@ class TestNonFiniteInput:
             _render({"value": float("nan")}, {}, [], "json", False)
         monkeypatch.setattr(aero, "efficiency_lookup", lambda table, rpm: float("nan"))
         target = tmp_path / "report.json"
-        code = main(["efficiency", "--rpm", "4500", "--out", str(target), "--quiet"])
-        assert code == EXIT_INPUT and capsys.readouterr().out == ""
+        # A NaN that reaches the report is a bug, a missing check: it propagates.
+        with pytest.raises(ValueError, match="not JSON compliant: nan"):
+            main(["efficiency", "--rpm", "4500", "--out", str(target), "--quiet"])
+        assert capsys.readouterr().out == ""
         assert not target.exists()
 
 
@@ -857,6 +881,26 @@ class TestInfillRange:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == f"softarm: input error: infill must be in (0, 100), got {value}\n"
+
+
+#: Runs the console script's entry point on `efficiency` with the table
+#: reader patched to raise a stray KeyError, as a bug in a handler would.
+STRAY_KEYERROR_CHILD = """\
+import sys
+from softarm import cli
+from softarm import io as sio
+
+def failing_read(path, data=None):
+    raise KeyError("rows")
+
+sio.read_efficiency_csv = failing_read
+sys.argv[1:] = ["efficiency", "--rpm", "4500"]
+cli.entrypoint()
+"""
+#: This environment, with the directory this process imports softarm from
+#: first on PYTHONPATH.
+PACKAGE_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(sio.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def _concrete_errors(cls=errors.SoftarmError):
@@ -899,15 +943,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"softarm: {kind} error: boom\n"
 
-    def test_stdlib_error_is_input_error(self, monkeypatch, capsys):
-        for error in (KeyError("rows"), OverflowError(34, "Numerical result out of range")):
+    def test_stray_stdlib_error_is_a_bug(self, monkeypatch, capsys):
+        # Not a SoftarmError: main lets it out, and the console script's entry
+        # point prints its traceback and exits 1, printing no report.
+        def failing_read(path, data=None):
+            raise KeyError("rows")
 
-            def failing_read(path, data=None, error=error):
-                raise error
+        monkeypatch.setattr(sio, "read_efficiency_csv", failing_read)
+        with pytest.raises(KeyError):
+            main(["efficiency", "--rpm", "4500"])
+        assert capsys.readouterr() == ("", "")
+        proc = subprocess.run([sys.executable, "-c", STRAY_KEYERROR_CHILD], env=PACKAGE_ENV,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        assert proc.stderr.endswith("\nKeyError: 'rows'\n")
 
-            monkeypatch.setattr(sio, "read_efficiency_csv", failing_read)
-            assert main(["efficiency", "--rpm", "4500"]) == EXIT_INPUT
-            assert capsys.readouterr().err.startswith("softarm: input error: ")
+    def test_input_error_is_a_value_error(self):
+        # A library caller's `except ValueError` still catches a range check.
+        with pytest.raises(ValueError) as info:
+            aero.thrust_from_rpm(aero.DEFAULT_PROPELLER, -1.0)
+        assert type(info.value) is errors.InputError
 
 
 def write_config(tmp_path, config):
@@ -1441,6 +1497,18 @@ class TestParseBoundary:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == f"softarm: input error: {p}: {message}\n"
 
+
+    @pytest.mark.parametrize("key", ["c10", "c01"])
+    def test_overflowing_small_strain_modulus_names_the_table(self, key, tmp_path, capsys):
+        p = tmp_path / "hyperelastic.json"
+        p.write_text(json.dumps({"rows": [{**ROW_6, key: 1e308}]}))
+        config = shipped_config()
+        config["material"]["hyperelastic_table"] = str(p)
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (f"softarm: input error: {p}: infill 6% row: small-strain "
+                                "modulus 6 (c10 + c01) must be finite, got inf\n")
 
     @pytest.mark.parametrize("rho", [True, "1", None], ids=["true", "string", "null"])
     def test_hyperelastic_row_without_a_number_for_rho_exits_2(self, rho, tmp_path, capsys):

@@ -4,7 +4,11 @@ the arm geometry) with one or two leaves replaced exits 0, 2, 3 or 4 without a
 traceback; an exit-0 report holds only finite numbers, and an exit-2 message
 names the file or the key. Each numeric option of each command, set to an
 extreme, a non-finite or a non-numeric value, exits 0 or 2, and an exit-0
-report holds only finite numbers."""
+report holds only finite numbers. One number of an input table (a cell of the
+efficiency table, a coefficient of the hyperelastic row, a cell of a
+stress-strain or flexural CSV) set to an extreme exits 0, 2, 3 or 4, and an
+exit-0 report holds only finite numbers. An exception out of main, a bug,
+fails the test."""
 
 import contextlib
 import io
@@ -210,3 +214,79 @@ def test_mutated_numeric_option(template, value, tmp_path):
     assert code in (0, 2), (argv, err)
     if code == 0:
         _assert_finite_report(out)
+
+
+#: The values that replace one number of an input table.
+EXTREMES = [1e308, -1e308, 1e200, -1e200, 1e154, 5e-324, 1e-300, 0]
+EFFICIENCY_ROWS = (default_data_dir() / "efficiency_table.csv").read_text().splitlines()
+HYPERELASTIC = json.loads((default_data_dir() / "hyperelastic_coeffs.json").read_text())
+#: The shipped 6% row's stress-strain curve, and a cantilever test of a
+#: 25 MPa arm (--length=0.3 --inertia=1e-9).
+STRESS_STRAIN_ROWS = ["strain,stress_pa", "0.05,249720", "0.1,433108", "0.15,620672",
+                      "0.2,865077", "0.25,1205730", "0.3,1672180"]
+FLEXURAL_ROWS = ["force_n,deflection_m", "0.5,0.18", "1.0,0.36", "2.0,0.72"]
+
+
+def _cells(rows):
+    """(row, column) of each number of a CSV's rows, whose first is the header."""
+    return [(i, j) for i in range(1, len(rows)) for j in range(len(rows[i].split(",")))]
+
+
+def _replace_cell(rows, cell, value) -> str:
+    """The CSV text of rows with the number at cell replaced by value."""
+    i, j = cell
+    rows = list(rows)
+    cells = rows[i].split(",")
+    cells[j] = repr(value)
+    rows[i] = ",".join(cells)
+    return "\n".join(rows) + "\n"
+
+
+def _assert_contract(argv):
+    """The run exits 0, 2, 3 or 4, an exception out of main fails the test,
+    and an exit-0 report holds only finite numbers."""
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code == 0:
+        _assert_finite_report(out)
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("cell", _cells(EFFICIENCY_ROWS))
+def test_mutated_efficiency_table_cell(cell, value, tmp_path):
+    table = tmp_path / "efficiency_table.csv"
+    table.write_text(_replace_cell(EFFICIENCY_ROWS, cell, value))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_shipped_config(), "efficiency_table": str(table)}))
+    for argv in (["efficiency", "--rpm", "4500", "--table", str(table)],
+                 ["sweep", "--format=json", "--axis=arm_angle", "--table", str(table)],
+                 ["sweep", "--format=json", "--axis=motor_station", "--table", str(table)],
+                 ["analyze", "--config", str(config)]):
+        _assert_contract(argv)
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("key", ["c10", "c01", "c20", "c02", "c11"])
+def test_mutated_hyperelastic_coefficient(key, value, tmp_path):
+    rows = [{**row, key: value} if row["rho_pct"] == CONFIG["material"]["infill_pct"] else row
+            for row in HYPERELASTIC["rows"]]
+    table = tmp_path / "hyperelastic_coeffs.json"
+    table.write_text(json.dumps({**HYPERELASTIC, "rows": rows}))
+    config = _shipped_config()
+    config["material"]["hyperelastic_table"] = str(table)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    _assert_contract(["analyze", "--config", str(path)])
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize(
+    "rows,options",
+    [(STRESS_STRAIN_ROWS, ["--stress-strain"]),
+     (FLEXURAL_ROWS, ["--length=0.3", "--inertia=1e-9", "--flexural"])],
+    ids=["stress_strain", "flexural"])
+def test_mutated_fit_material_cell(rows, options, value, tmp_path):
+    path = tmp_path / "data.csv"
+    for cell in _cells(rows):
+        path.write_text(_replace_cell(rows, cell, value))
+        _assert_contract(["fit-material", *options, str(path)])
