@@ -219,6 +219,8 @@ def effective_modulus(material) -> float:
         raise TypeError(f"unsupported material type {type(material)!r}")
     if e <= 0:
         raise NonPhysicalMaterial(f"effective modulus {e:.4g} Pa is not positive")
+    if e == math.inf:
+        raise InputError(f"effective modulus {e} Pa is out of float range")
     return e
 
 
@@ -249,7 +251,11 @@ def _panel_plan(geometry: ArmGeometry, loads: LoadCase, e_modulus: float):
     for a, b in zip(cuts[:-1], cuts[1:]):
         while i < last and not 0.5 * (a + b) < bounds[i + 1]:
             i += 1
-        plan.append((a, b, e_modulus * inertia[i], seg_len, jumps.get(b), b == s_motor))
+        ei = e_modulus * inertia[i]
+        if not 0.0 < ei < math.inf:
+            raise InputError(f"EI of segment {i + 1}, modulus {e_modulus} Pa times inertia "
+                             f"{inertia[i]} m^4, is out of float range")
+        plan.append((a, b, ei, seg_len, jumps.get(b), b == s_motor))
     return tuple(plan)
 
 

@@ -3,7 +3,8 @@ machine-readable JSON/CSV reporting.
 
 Every subcommand is one handler that reads each input file once, through
 `_read_input` (which records the SHA-256 digest of the bytes it parses),
-runs the library and returns `(results, inputs)`. `main` first builds the
+runs the library and returns `(results, inputs)`; `analyze` reads its config
+through `io.read_json`, against `io.CONFIG_KEYS`. `main` first builds the
 report text, a JSON report or the rows of a `sweep` as CSV, and then writes
 it, a CSV table's warnings to stderr first. A SoftarmError exits with the
 code its class carries (see `errors`): 2 input, 3 fit, 4 solver failure; 1 is
@@ -32,8 +33,6 @@ from .errors import (
     OutOfEnvelopeWarning,
     ParseError,
     SoftarmError,
-    _echo,
-    require_finite,
 )
 
 EXIT_OK = 0
@@ -49,18 +48,6 @@ EXIT_FIT = FitError.exit_code
 SOLVER_SETTINGS = beam.SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
 THROTTLE_GRID_PCT = range(0, 101, 10)
 ENVELOPE_INFILL_PCT = (6, 8, 10)
-#: The keys of an analyze config, all required and no others accepted: a
-#: section maps to its keys, a key to what its value must be, a file (a name
-#: that resolves against the config's directory), a finite number, or a
-#: finite number > 0.
-_CONFIG_KEYS = {
-    "geometry": "file",
-    "efficiency_table": "file",
-    "deflection_coeffs": "file",
-    "material": {"hyperelastic_table": "file", "infill_pct": "finite"},
-    "propeller": {"nominal_thrust_n": "finite", "nominal_rpm": "finite", "max_rpm": "> 0"},
-    "pipe": {"diameter_m": "finite", "contact_width_m": "finite", "tendon_force_n": "finite"},
-}
 
 
 def default_data_dir() -> Path:
@@ -104,33 +91,6 @@ def _render(results: dict, inputs: dict, records, fmt: str, timestamp: bool) -> 
     # allow_nan=False: NaN and Infinity are not JSON, so a non-finite value
     # that got this far, past a missing check, raises rather than corrupt the report.
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", ""
-
-
-def _check_keys(obj: dict, expected: dict, path: Path, prefix: str = "") -> None:
-    """Check obj against expected, a level of _CONFIG_KEYS, in its order:
-    raise ParseError naming the keys of obj that expected lacks, else the
-    first key of expected that obj lacks, is not an object where it names a
-    section (then checked alike), is not the non-empty file name or the
-    number it says; resolve each file name in obj against path's directory."""
-    sio._reject_unknown(obj, expected, "config", prefix)
-    for key, kind in expected.items():
-        name, value = prefix + key, obj.get(key)
-        if key not in obj:
-            kind = "section" if isinstance(kind, dict) else "key"
-            raise ParseError(f"config has no {name!r} {kind}")
-        if isinstance(kind, dict):
-            if not isinstance(value, dict):
-                raise ParseError(f"config section {key!r} must be an object, "
-                                 f"got {type(value).__name__}")
-            _check_keys(value, kind, path, f"{key}.")
-        elif kind == "file":
-            if not isinstance(value, str) or not value:
-                raise ParseError(f"{name} must be a file name, got {_echo(value)}")
-            obj[key] = path.parent / value
-        else:
-            require_finite(**{name: value})
-            if kind == "> 0" and value <= 0:
-                raise InputError(f"{name} must be > 0, got {_echo(value)}")
 
 
 def _material_block(params: material.MooneyRivlinParams) -> dict:
@@ -195,9 +155,7 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
 
 
 def cmd_analyze(args) -> tuple[dict, dict]:
-    config = sio.load_json(args.config, "config")
-    with sio.blame(args.config):
-        _check_keys(config, _CONFIG_KEYS, args.config)
+    config = sio.read_json(args.config, "config", sio.CONFIG_KEYS)
     mat_cfg, prop_cfg, pipe_cfg = config["material"], config["propeller"], config["pipe"]
     infill = mat_cfg["infill_pct"]
     inputs: dict = {}
@@ -210,6 +168,7 @@ def cmd_analyze(args) -> tuple[dict, dict]:
                             mat_cfg["hyperelastic_table"], infill)
     with sio.blame(mat_cfg["hyperelastic_table"], f"infill {infill}% row"):
         results: dict = {"material": {"infill_pct": infill, **_material_block(mr_params)}}
+        modulus = beam.effective_modulus(mr_params)
 
     with sio.blame(args.config, "propeller.nominal_thrust_n", "propeller.nominal_rpm"):
         propeller = aero.PropellerModel.from_nominal(
@@ -224,7 +183,7 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     rpms = [max_rpm * pct / 100.0 for pct in THROTTLE_GRID_PCT]
     thrusts = [aero.thrust_from_rpm(propeller, rpm) for rpm in rpms]
     try:
-        solutions = beam.solve_sweep(geometry, mr_params,
+        solutions = beam.solve_sweep(geometry, modulus,
                                      [beam.LoadCase(thrust=thrust) for thrust in thrusts],
                                      SOLVER_SETTINGS)
     except NoConvergence as exc:

@@ -1,8 +1,9 @@
-"""File formats: CSV ingestion with line-numbered errors, and the geometry,
-coefficient and hyperelastic-table JSON. Each input file is read once, by
-`read_bytes`: a reader parses the bytes passed as data (`cli._read_input`
-hashes them first), or else reads the file, and decodes strict UTF-8
-whatever the locale. `blame` names the file of an input fault, and the keys
+"""File formats: CSV ingestion with line-numbered errors, and the analyze
+config, geometry, coefficient and hyperelastic-table JSON. Each input file is
+read once, by `read_bytes`: a reader parses the bytes passed as data
+(`cli._read_input` hashes them first), or else reads the file, and decodes
+strict UTF-8 whatever the locale. `read_json` checks a JSON input against its
+key table. `blame` names the file of an InputError or OSError, and the keys
 behind it; where a line is known, the arm that knows it names the line. A CSV
 record is numbered by the physical line it starts on, and a row is parsed in
 one pass, cell by cell only when that pass fails, so that the message names
@@ -19,13 +20,31 @@ from io import StringIO
 from .aero import EfficiencyTable
 from .beam import ArmGeometry, Segment
 from .deflection import DeflectionModelCoeffs
-from .errors import InputError, ParseError, require_finite
+from .errors import InputError, ParseError, _all_finite, _echo
 from .material import FlexuralSample, MooneyRivlinParams, StressStrainCurve
 
-#: The faults that reading and checking an input raise, which `blame` names
-#: the file of: an InputError (a ValueError), and a raw payload's missing key,
-#: string for a number, bad UTF-8, int too large for a float or failed `open`.
-INPUT_FAULTS = (OSError, KeyError, TypeError, ValueError, OverflowError)
+#: The key table of each JSON input: what each key of the file holds, in the
+#: order that `_check` checks them. A kind is a table (an object, checked
+#: alike), a list of one kind, "file" (a non-empty name, resolved against the
+#: file's directory), "finite" or "> 0" (a finite number, or one > 0), a float
+#: (an optional finite number, which defaults to it) or "note" (optional, any
+#: value, not read). Every other key is required, and no other is allowed.
+CONFIG_KEYS = {
+    "geometry": "file",
+    "efficiency_table": "file",
+    "deflection_coeffs": "file",
+    "material": {"hyperelastic_table": "file", "infill_pct": "finite"},
+    "propeller": {"nominal_thrust_n": "finite", "nominal_rpm": "finite", "max_rpm": "> 0"},
+    "pipe": {"diameter_m": "finite", "contact_width_m": "finite", "tendon_force_n": "finite"},
+}
+GEOMETRY_KEYS = {"segments": [{"beta_deg": "finite", "length_mm": "finite"}],
+                 "inertia_m4": ["finite"], "half_depth_m": "finite", "alpha0_deg": 0.0,
+                 "motor_station": 1.0, "linear_density_kg_m": 0.0, "_note": "note"}
+COEFFS_KEYS = {"a1": "finite", "a2": "finite", "b1": "finite", "b2": "finite",
+               "alpha0_deg": 0.0, "throttle_unit": "note", "_note": "note"}
+HYPERELASTIC_KEYS = {
+    "rows": [dict.fromkeys(("rho_pct", "c10", "c01", "c20", "c02", "c11"), "finite")],
+    "unit": "note", "_note": "note"}
 
 
 def _finite_float(text: str) -> float:
@@ -40,55 +59,101 @@ def _finite_float(text: str) -> float:
 
 @contextmanager
 def blame(path, *names: str):
-    """Re-raise an input fault inside (one of INPUT_FAULTS) as a ParseError
-    naming path and, before the message, the names of the inputs behind it.
-    A ParseError passes through, given path if it has none."""
+    """Re-raise an InputError or OSError inside as a ParseError naming path
+    and, before the message, the names of the inputs behind it. A ParseError
+    passes through, given path if it has none; any other exception, a bug, as it is."""
     try:
         yield
     except ParseError as exc:
         if exc.path is not None:
             raise
         raise ParseError(exc.reason, line=exc.line, path=str(path)) from None
-    except INPUT_FAULTS as exc:
+    except (InputError, OSError) as exc:
         raise ParseError(f"{', '.join(names)}: {exc}" if names else str(exc),
                          path=str(path)) from None
 
 
 def read_bytes(path) -> bytes:
     """The bytes of the input file at path: the one place an input is read."""
-    with blame(path), open(path, "rb") as fh:
-        return fh.read()
+    with blame(path):
+        try:
+            with open(path, "rb") as fh:
+                return fh.read()
+        except ValueError as exc:  # a name that open cannot pass on: a NUL or a lone surrogate
+            raise ParseError(str(exc)) from None
 
 
 def _text(path, data: bytes | None, newline: str | None) -> StringIO:
     """data, or else the file's bytes, as strict UTF-8 text; newline as `open` takes it."""
-    return StringIO((read_bytes(path) if data is None else data).decode(), newline=newline)
+    try:
+        return StringIO((read_bytes(path) if data is None else data).decode(), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def load_json(path, what: str, data: bytes | None = None) -> dict:
     """Parse a JSON input file, which must hold an object; what names the
     file in that message. An unreadable or non-UTF-8 file, malformed or too
-    deeply nested JSON and a non-finite number (the NaN/Infinity literals, or
-    an overflowing one such as 1e999) all raise ParseError."""
+    deeply nested JSON, an integer of more digits than int() converts and a
+    non-finite number (the NaN/Infinity literals, or an overflowing one such
+    as 1e999) all raise ParseError."""
     with blame(path):
+        text = _text(path, data, None).read()
         try:
-            payload = json.loads(_text(path, data, None).read(),
-                                 parse_constant=_finite_float, parse_float=_finite_float)
+            payload = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, line=exc.lineno) from None
-        except RecursionError as exc:  # arrays or objects nested too deeply to decode
+        except (RecursionError, ValueError) as exc:  # nested too deeply, or a bad number
             raise ParseError(str(exc)) from None
         if not isinstance(payload, dict):
             raise ParseError(f"{what} must be a JSON object")
     return payload
 
 
-def _reject_unknown(payload: dict, known, what: str, prefix: str = "") -> None:
-    """Raise ParseError naming, in file order, each key of payload that known
-    lacks; what names the file in the message."""
-    unknown = [repr(prefix + k) for k in payload if k not in known]
-    if unknown:
-        raise ParseError(f"unknown {what} keys: {', '.join(unknown)}")
+def read_json(path, what: str, keys: dict, data: bytes | None = None) -> dict:
+    """The JSON input what at path, parsed by load_json and checked against
+    its key table keys by _check; path is a Path where the table names files."""
+    payload = load_json(path, what, data)
+    with blame(path):
+        return _check(payload, keys, what, path)
+
+
+def _check(value, kind, what: str, path, name: str = ""):
+    """value, at name in the JSON input what at path, checked as kind says
+    (see CONFIG_KEYS), else a ParseError: for an object, the keys its table
+    lacks, in file order, then each key of the table in order. Returns value,
+    a file name as its path; an object gains the optional numbers it lacks."""
+    if type(kind) is dict:
+        if type(value) is not dict:
+            raise ParseError(f"{what} section {name!r} must be an object, "
+                             f"got {type(value).__name__}")
+        prefix = f"{name}." if name else ""
+        if not value.keys() <= kind.keys():
+            unknown = ", ".join(repr(prefix + key) for key in value if key not in kind)
+            raise ParseError(f"unknown {what} keys: {unknown}")
+        for key, of_key in kind.items():
+            if key in value:
+                value[key] = _check(value[key], of_key, what, path, prefix + key)
+            elif type(of_key) is float:
+                value[key] = of_key
+            elif of_key != "note":
+                noun = "section" if type(of_key) is dict else "key"
+                raise ParseError(f"{what} has no {prefix + key!r} {noun}")
+    elif type(kind) is list:
+        if type(value) is not list:
+            raise ParseError(f"{name} must be a list, got {type(value).__name__}")
+        for i, item in enumerate(value):
+            value[i] = _check(item, kind[0], what, path, f"{name}[{i}]")
+    elif kind == "file":
+        if type(value) is not str or not value:
+            raise ParseError(f"{name} must be a file name, got {_echo(value)}")
+        return path.parent / value
+    elif kind != "note":  # a number: require_finite's test, without a call per number
+        if (type(value) is not float or not math.isfinite(value)) and not _all_finite(value):
+            raise ParseError(f"{name} must be finite, got {_echo(value)}")
+        if kind == "> 0" and value <= 0:
+            raise ParseError(f"{name} must be > 0, got {_echo(value)}")
+    return value
 
 
 def _read_csv_rows(path, expected_header: list[str],
@@ -176,62 +241,34 @@ def read_efficiency_csv(path, data: bytes | None = None) -> EfficiencyTable:
 def read_hyperelastic_row(path, infill_pct: float,
                           data: bytes | None = None) -> MooneyRivlinParams:
     """Load the Mooney-Rivlin coefficients [MPa] of one infill rate [%] from
-    a hyperelastic table JSON: rows of {rho_pct, c10, c01, c20, c02, c11}
-    under "rows", and no other keys but the unit and _note it may document.
-    Every row must hold a finite rho_pct and five finite coefficients, and
-    one row, no more, for the infill asked for."""
-    payload = load_json(path, "hyperelastic table", data)
-    with blame(path, "bad hyperelastic table"):
-        _reject_unknown(payload, ("rows", "unit", "_note"), "hyperelastic table")
-        found = None
-        for row in payload["rows"]:
-            require_finite(rho_pct=row["rho_pct"])  # a true would match an infill of 1
-            params = MooneyRivlinParams(*(row[k] for k in ("c10", "c01", "c20", "c02", "c11")))
-            if row["rho_pct"] == infill_pct:
-                if found is not None:
-                    raise ParseError(f"two hyperelastic rows for infill {infill_pct}%")
-                found = params
-        if found is None:
+    a hyperelastic table JSON (HYPERELASTIC_KEYS), which must hold one row,
+    no more, for the infill asked for."""
+    table = read_json(path, "hyperelastic table", HYPERELASTIC_KEYS, data)
+    rows = [row for row in table["rows"] if row["rho_pct"] == infill_pct]
+    with blame(path):
+        if not rows:
             raise ParseError(f"no hyperelastic row for infill {infill_pct}%")
-        return found
+        if len(rows) > 1:
+            raise ParseError(f"two hyperelastic rows for infill {infill_pct}%")
+    return MooneyRivlinParams(*(rows[0][k] for k in ("c10", "c01", "c20", "c02", "c11")))
 
 
 def read_arm_geometry_json(path, data: bytes | None = None) -> ArmGeometry:
-    """Load the arm geometry JSON schema.
-
-    Expected keys: segments (list of {beta_deg, length_mm}), inertia_m4
-    (per segment), half_depth_m, alpha0_deg, motor_station,
-    linear_density_kg_m; a _note is allowed, any other key is a ParseError.
-    """
-    payload = load_json(path, "geometry", data)
+    """Load the arm geometry JSON (GEOMETRY_KEYS): lengths in mm."""
+    geometry = read_json(path, "geometry", GEOMETRY_KEYS, data)
     with blame(path, "bad geometry"):
-        _reject_unknown(payload, ("segments", "inertia_m4", "half_depth_m", "alpha0_deg",
-                                  "motor_station", "linear_density_kg_m", "_note"), "geometry")
-        segments = []
-        for s in payload["segments"]:
-            require_finite(length_mm=s["length_mm"])  # a true times 1e-3 is a 1 mm segment
-            segments.append(Segment(fold_angle_deg=s["beta_deg"], length=s["length_mm"] * 1e-3))
         return ArmGeometry(
-            segments=segments,
-            section_inertia=tuple(payload["inertia_m4"]),
-            section_half_depth=payload["half_depth_m"],
-            initial_droop_deg=payload.get("alpha0_deg", 0.0),
-            motor_station=payload.get("motor_station", 1.0),
-            linear_density=payload.get("linear_density_kg_m", 0.0),
+            segments=[Segment(fold_angle_deg=s["beta_deg"], length=s["length_mm"] * 1e-3)
+                      for s in geometry["segments"]],
+            section_inertia=geometry["inertia_m4"],
+            section_half_depth=geometry["half_depth_m"],
+            initial_droop_deg=geometry["alpha0_deg"],
+            motor_station=geometry["motor_station"],
+            linear_density=geometry["linear_density_kg_m"],
         )
 
 
 def read_deflection_coeffs_json(path, data: bytes | None = None) -> DeflectionModelCoeffs:
-    """Load deflection coefficients JSON with keys a1, a2, b1, b2, alpha0_deg,
-    and no others but the throttle_unit and _note it may document."""
-    payload = load_json(path, "coefficients", data)
-    with blame(path, "bad coefficients"):
-        _reject_unknown(payload, ("a1", "a2", "b1", "b2", "alpha0_deg", "throttle_unit",
-                                  "_note"), "coefficients")
-        return DeflectionModelCoeffs(
-            a1=payload["a1"],
-            a2=payload["a2"],
-            b1=payload["b1"],
-            b2=payload["b2"],
-            alpha0=payload.get("alpha0_deg", 0.0),
-        )
+    """Load the deflection coefficients JSON (COEFFS_KEYS)."""
+    c = read_json(path, "coefficients", COEFFS_KEYS, data)
+    return DeflectionModelCoeffs(c["a1"], c["a2"], c["b1"], c["b2"], c["alpha0_deg"])

@@ -14,6 +14,7 @@ coefficients and everything derived directly from them, which are in MPa
 
 from __future__ import annotations
 
+import math
 import warnings
 
 from .errors import (
@@ -123,10 +124,13 @@ def fit_flexural_modulus(
     defl = np.array([s.tip_deflection for s in samples])
     if np.all(forces == forces[0]):
         raise DegenerateData("all forces are equal")
-    denom = float(defl @ defl)
+    denom, cross = float(defl @ defl), float(forces @ defl)
+    if not math.isfinite(denom) or not math.isfinite(cross):
+        raise InputError(f"deflections up to {abs(defl).max():g} m and forces up to "
+                         f"{forces.max():g} N put the fit's sums out of float range")
     if denom == 0.0:
         raise DegenerateData("all deflections are zero")
-    slope = float(forces @ defl) / denom
+    slope = cross / denom
     if slope <= 0:
         raise DegenerateData(f"non-positive force/deflection slope {slope}")
     try:  # length**3 may overflow, or the quotient

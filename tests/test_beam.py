@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from softarm import beam
+from softarm import beam, errors
 from softarm.adapt import PipeSpec
 from softarm.aero import EfficiencyTable, PropellerModel
 from softarm.beam import (
@@ -253,6 +253,20 @@ class TestMaterialHandling:
         # rigid arm and True in a 1 Pa one.
         with pytest.raises(ValueError, match="material must be finite"):
             solve_elastica(SHIPPED_ARM, modulus, LoadCase(thrust=1.0), CLI_SETTINGS)
+
+    @pytest.mark.parametrize(
+        "material,inertia,message",
+        [(MooneyRivlinParams(1e303, 4.23, 0.64, -2.65, 4.37), 5e-8,
+          r"^effective modulus inf Pa is out of float range$"),
+         (6.24e6, 1e308, r"^EI of segment 1, modulus 6240000.0 Pa times inertia 1e\+308 m\^4, "),
+         (1e-6, 5e-324, r"^EI of segment 1, modulus 1e-06 Pa times inertia 5e-324 m\^4, ")],
+        ids=["modulus-inf", "ei-inf", "ei-zero"])
+    def test_modulus_or_ei_out_of_float_range_rejected(self, material, inertia, message):
+        # Unchecked, an infinite EI solved as a rigid arm, and an EI of 0
+        # divided by zero in the mesh.
+        with pytest.raises(errors.InputError, match=message):
+            solve_elastica(fold_arm(inertia=(inertia,) * 4), material, LoadCase(thrust=1.0),
+                           CLI_SETTINGS)
 
     def test_unsupported_material_type_rejected(self):
         with pytest.raises(TypeError, match="unsupported material type"):

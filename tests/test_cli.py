@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from softarm import aero, beam, deflection, errors
+from softarm import adapt, aero, beam, deflection, errors
 from softarm import io as sio
 from softarm.aero import EfficiencyTable
 from softarm.cli import (
@@ -352,6 +352,17 @@ class TestFitMaterialCommand:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == "softarm: input error: residual_norm must be finite, got inf\n"
+
+    def test_overflowing_deflection_exits_2(self, tmp_path, capsys):
+        # The sum of squared deflections once overflowed to inf, which read
+        # as a slope of 0: "fit error: non-positive force/deflection slope 0.0".
+        p = tmp_path / "flex.csv"
+        p.write_text("force_n,deflection_m\n0.5,1e200\n1.0,0.36\n2.0,0.72\n")
+        code = main(["fit-material", "--flexural", str(p), "--length", "0.3", "--inertia", "1e-9"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == ("softarm: input error: deflections up to 1e+200 m and forces up "
+                                "to 2 N put the fit's sums out of float range\n")
 
     def test_degenerate_fit_is_fit_error(self, tmp_path, capsys):
         p = tmp_path / "flat.csv"
@@ -959,6 +970,16 @@ class TestExitCodes:
         assert proc.stderr.startswith("Traceback (most recent call last):\n")
         assert proc.stderr.endswith("\nKeyError: 'rows'\n")
 
+    def test_key_error_inside_a_blame_is_a_bug(self, monkeypatch):
+        # io.blame once named any KeyError inside it: "<config>: geometry,
+        # pipe.diameter_m: 'segments'", exit 2.
+        def failing_wrap(geometry, pipe):
+            raise KeyError("segments")
+
+        monkeypatch.setattr(adapt, "wrap_geometry", failing_wrap)
+        with pytest.raises(KeyError, match="segments"):
+            main(["analyze"])
+
     def test_input_error_is_a_value_error(self):
         # A library caller's `except ValueError` still catches a range check.
         with pytest.raises(ValueError) as info:
@@ -1199,16 +1220,17 @@ class TestParseBoundary:
             ("propeller", "max_rpm", "max_rpm"),
             ("propeller", "nominal_rpm", "rpm"),
             ("geometry", "motor_station", "motor_station"),
-            ("geometry", "half_depth_m", "section_half_depth"),
-            ("geometry", "linear_density_kg_m", "linear_density"),
-            ("segment", "length_mm", "length_mm"),
+            ("geometry", "half_depth_m", "half_depth_m"),
+            ("geometry", "linear_density_kg_m", "linear_density_kg_m"),
+            ("segment", "length_mm", "segments[0].length_mm"),
         ],
     )
     def test_json_boolean_for_a_number_exits_2(self, where, key, field, tmp_path, capsys):
         # A JSON true is a Python bool, an int that arithmetic takes as 1: a
         # 1 m pipe, a motor at the tip, a 1 mm segment or (nominal_rpm) a
         # failed solve. A config value is named by its key and the config's
-        # path; field is the library argument that once named it.
+        # path; field is the library argument that once named it, or for a
+        # geometry value the key as written in the file.
         config = shipped_config()
         if where in ("geometry", "segment"):
             geometry = json.loads(Path(config["geometry"]).read_text())
@@ -1229,7 +1251,7 @@ class TestParseBoundary:
         "where,key,field",
         [
             ("coeffs", "a1", "a1"),
-            ("segment", "length_mm", "length_mm"),
+            ("segment", "length_mm", "segments[0].length_mm"),
             ("propeller", "max_rpm", "max_rpm"),
             ("propeller", "nominal_rpm", "rpm"),
             ("pipe", "diameter_m", "diameter"),
@@ -1375,12 +1397,16 @@ class TestParseBoundary:
             (["analyze"], "geometry", ("inertia_m4", 0), 5e-324,
              "arm length 0.17500000000000002 m, smallest EI 3.0829696e-317 N m^2 and loads "
              "LoadCase(thrust=0.0, gravity=9.81, "),
+            # Once an EI of inf: a rigid first segment, and exit 0.
+            (["analyze"], "geometry", ("inertia_m4", 0), 1e308,
+             "EI of segment 1, modulus 6240000.000000003 Pa times inertia 1e+308 m^4, is out of "
+             "float range"),
         ],
         ids=["nominal_rpm-5e-324", "nominal_rpm-1e-160", "nominal_rpm-1e200", "max_rpm-1e200",
              "nominal_thrust_n-1e308",
              "fit-material-length", "sweep-arm_angle-rpm", "pipe-fit-area-underflow", "sweep-infill-area-underflow",
              "pipe-fit-pressure-overflow", "deflect-envelope", "deflect-throttle",
-             "analyze-length_mm", "analyze-inertia_m4"],
+             "analyze-length_mm", "analyze-inertia_m4", "analyze-inertia_m4-ei"],
     )
     def test_out_of_float_range_input_is_named(self, argv, section, key, value, message,
                                               tmp_path, capsys):
@@ -1434,8 +1460,7 @@ class TestParseBoundary:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == (
-            f"softarm: input error: {p}: bad geometry: section_half_depth must be finite, "
-            "got None\n"
+            f"softarm: input error: {p}: half_depth_m must be finite, got None\n"
         )
 
     def test_csv_row_with_an_extra_column_exits_2(self, tmp_path, capsys):
@@ -1452,7 +1477,7 @@ class TestParseBoundary:
         code = main(["deflect", "--rho", "6", "--coeffs", str(p)])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
-        assert captured.err == f"softarm: input error: {p}: bad coefficients: 'b2'\n"
+        assert captured.err == f"softarm: input error: {p}: coefficients has no 'b2' key\n"
 
     @pytest.mark.parametrize("rpm", [0, -4000])
     def test_non_positive_nominal_rpm_exits_2(self, rpm, tmp_path, capsys):
@@ -1469,7 +1494,7 @@ class TestParseBoundary:
         "table,message",
         [
             ({"rows": [{"rho_pct": 6, "c10": -3.19, "c01": 4.23, "c20": 0.64, "c02": -2.65}]},
-             "bad hyperelastic table: 'c11'"),
+             "hyperelastic table has no 'rows[0].c11' key"),
             ([{"rho_pct": 6}],
              "hyperelastic table must be a JSON object"),
             ({"rows": [{"rho_pct": 8, "c10": -4.07, "c01": 4.18, "c20": 0.71, "c02": -2.62,
@@ -1477,10 +1502,10 @@ class TestParseBoundary:
              "no hyperelastic row for infill 6%"),
             # Every row is checked, not only those up to the one asked for.
             ({"rows": [ROW_6, {"rho_pct": "x"}, {"rho_pct": 6, "c10": 1e6}]},
-             "bad hyperelastic table: rho_pct must be finite, got 'x'"),
-            ({"rows": [ROW_6, {"rho_pct": 8}]}, "bad hyperelastic table: 'c10'"),
+             "rows[1].rho_pct must be finite, got 'x'"),
+            ({"rows": [ROW_6, {"rho_pct": 8}]}, "hyperelastic table has no 'rows[1].c10' key"),
             ({"rows": [{**ROW_6, "rho_pct": 8, "c02": True}, ROW_6]},
-             "bad hyperelastic table: c02 must be finite, got True"),
+             "rows[0].c02 must be finite, got True"),
             ({"rows": [ROW_6, {**ROW_6, "c10": 1e6}]}, "two hyperelastic rows for infill 6%"),
         ],
         ids=["row_without_c11", "list", "no_row_for_infill", "later_row_without_a_number_for_rho",
@@ -1510,6 +1535,28 @@ class TestParseBoundary:
         assert captured.err == (f"softarm: input error: {p}: infill 6% row: small-strain "
                                 "modulus 6 (c10 + c01) must be finite, got inf\n")
 
+    @pytest.mark.parametrize("key", ["c10", "c01"])
+    def test_infinite_effective_modulus_names_the_table(self, key, tmp_path, capsys):
+        # 6 (c10 + c01) MPa is finite, but not in Pa: the elastica once
+        # solved a rigid arm, -5.0 deg at every throttle, and exited 0.
+        p = tmp_path / "hyperelastic.json"
+        p.write_text(json.dumps({"rows": [{**ROW_6, key: 1e303}]}))
+        config = shipped_config()
+        config["material"]["hyperelastic_table"] = str(p)
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (f"softarm: input error: {p}: infill 6% row: effective modulus "
+                                "inf Pa is out of float range\n")
+
+    @pytest.mark.parametrize("name", ["a\x00b", "\ud800"], ids=["nul", "lone_surrogate"])
+    def test_file_name_that_open_cannot_take_is_named(self, name, tmp_path):
+        # open raises a ValueError, not an OSError, for a name like these,
+        # which a config's file reference can hold.
+        with pytest.raises(ParseError) as info:
+            sio.read_bytes(tmp_path / name)
+        assert info.value.path == str(tmp_path / name)
+
     @pytest.mark.parametrize("rho", [True, "1", None], ids=["true", "string", "null"])
     def test_hyperelastic_row_without_a_number_for_rho_exits_2(self, rho, tmp_path, capsys):
         # A true equals the infill 1, and so once picked the row's coefficients.
@@ -1521,8 +1568,8 @@ class TestParseBoundary:
         code = main(["analyze", "--config", write_config(tmp_path, config)])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
-        assert captured.err == (f"softarm: input error: {p}: bad hyperelastic table: "
-                                f"rho_pct must be finite, got {rho!r}\n")
+        assert captured.err == (f"softarm: input error: {p}: rows[0].rho_pct must be finite, "
+                                f"got {rho!r}\n")
 
 
 class TestFlagsWhereRead:

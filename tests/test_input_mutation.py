@@ -7,8 +7,9 @@ extreme, a non-finite or a non-numeric value, exits 0 or 2, and an exit-0
 report holds only finite numbers. One number of an input table (a cell of the
 efficiency table, a coefficient of the hyperelastic row, a cell of a
 stress-strain or flexural CSV) set to an extreme exits 0, 2, 3 or 4, and an
-exit-0 report holds only finite numbers. An exception out of main, a bug,
-fails the test."""
+exit-0 report holds only finite numbers. Every node of each shipped JSON
+input, set to each value of a pool, exits 0, 2, 3 or 4, and an exit-2 message
+names the file. An exception out of main, a bug, fails the test."""
 
 import contextlib
 import io
@@ -290,3 +291,67 @@ def test_mutated_fit_material_cell(rows, options, value, tmp_path):
     for cell in _cells(rows):
         path.write_text(_replace_cell(rows, cell, value))
         _assert_contract(["fit-material", *options, str(path)])
+
+
+def _nodes(node, path=()):
+    """The path to each node of a JSON document: the root, then each object,
+    list and value in it, in document order."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, (*path, key))
+
+
+def _replaced(document, path, value):
+    """A copy of document with the node at path replaced by value."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(document))
+    reduce(operator.getitem, path[:-1], copy)[path[-1]] = value
+    return copy
+
+
+#: Each shipped JSON input, and the commands beside `analyze` that read it.
+JSON_INPUTS = {
+    "config.json": [],
+    "arm_geometry.json": [["pipe-fit", "--diameter", "0.2", "--geometry"]],
+    "deflection_coeffs.json": [["deflect", "--rho", "6", "--envelope", "--coeffs"]],
+    "hyperelastic_coeffs.json": [],
+}
+
+
+@pytest.fixture(scope="module")
+def defaults_copy(tmp_path_factory):
+    """A copy of the shipped defaults, whose config names its files by relative path."""
+    folder = tmp_path_factory.mktemp("defaults")
+    for source in default_data_dir().iterdir():
+        (folder / source.name).write_bytes(source.read_bytes())
+    return folder
+
+
+@pytest.mark.parametrize("name", JSON_INPUTS)
+def test_mutated_json_structure(name, defaults_copy):
+    # Every node, the root included, set to each value of the pool: a value
+    # where an object or list belongs, an object or list where a value does,
+    # and each kind of bad number. An exit-2 message names the file or, for
+    # the config, the file that a value names or selects a row of; an
+    # overflow that the library meets after the parse names the values.
+    path = defaults_copy / name
+    shipped = json.loads(path.read_text())
+    named = str(defaults_copy) if name == "config.json" else str(path)
+    runs = [["analyze", "--config", str(defaults_copy / "config.json")],
+            *[[*argv, str(path)] for argv in JSON_INPUTS[name]]]
+    try:
+        for node in _nodes(shipped):
+            for value in POOL:
+                path.write_text(json.dumps(_replaced(shipped, node, value)))
+                for argv in runs:
+                    code, out, err = _run(argv)
+                    assert code in (0, 2, 3, 4), (argv[0], node, value, err)
+                    if code == 0:
+                        _assert_finite_report(out)
+                    elif code == 2:
+                        assert (named in err or "out of float range" in err
+                                or ") overflow at " in err), (argv[0], node, value, err)
+    finally:
+        path.write_text(json.dumps(shipped))
