@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -91,6 +92,28 @@ def _render(results: dict, inputs: dict, records, fmt: str, timestamp: bool) -> 
     # allow_nan=False: NaN and Infinity are not JSON, so a non-finite value
     # that got this far, past a missing check, raises rather than corrupt the report.
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n", ""
+
+
+def _write_report(path, text: str) -> None:
+    """Write text to the file at path in the locale's encoding, as
+    Path.write_text does, but over the old bytes: a truncating open of a
+    non-empty file makes ext4 start writeback of it at close (auto_da_alloc).
+    A regular file is then cut to the length written; a device, FIFO or tty
+    cannot be, nor need be. Neither atomic nor synced: a write that fails
+    part-way leaves the new prefix over the old tail."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="locale") as fh:
+        fh.write(text)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), fh.tell())
+
+
+def _print_error(message: str) -> None:
+    """Print message to stderr, escaping what its encoding cannot hold (a
+    lone surrogate, say) as backslashreplace does, so that a strict stream
+    cannot raise here."""
+    encoding = getattr(sys.stderr, "encoding", None) or "utf-8"
+    print(message.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
 
 
 def _material_block(params: material.MooneyRivlinParams) -> dict:
@@ -227,15 +250,16 @@ def cmd_analyze(args) -> tuple[dict, dict]:
         "eta_model_at_optimum": aero.efficiency_model(station, rpm_ref, table),
     }
 
-    envelope = {
-        str(rho): _envelope_block(deflection.envelope_check(coeffs, rho))
-        for rho in ENVELOPE_INFILL_PCT
-    }
-    try:
-        rec_lo, rec_hi = adapt.recommend_infill(coeffs)
-        recommended = {"min_pct": rec_lo, "max_pct": rec_hi}
-    except EmptyRange:
-        recommended = None
+    with sio.blame(config["deflection_coeffs"]):
+        envelope = {
+            str(rho): _envelope_block(deflection.envelope_check(coeffs, rho))
+            for rho in ENVELOPE_INFILL_PCT
+        }
+        try:
+            rec_lo, rec_hi = adapt.recommend_infill(coeffs)
+            recommended = {"min_pct": rec_lo, "max_pct": rec_hi}
+        except EmptyRange:
+            recommended = None
     results["deflection"] = {
         "coefficients": {
             "a1": coeffs.a1,
@@ -454,7 +478,7 @@ def main(argv=None) -> int:
             results, inputs = args.handler(args)
         text, notes = _render(results, inputs, records, args.format, args.timestamp)
     except SoftarmError as exc:
-        print(f"softarm: {exc.label} error: {exc}", file=sys.stderr)
+        _print_error(f"softarm: {exc.label} error: {exc}")
         return exc.exit_code
     # Write: the notes, then the report to --out (echoing its path unless
     # --quiet) or to stdout, flushed here so that a failure raises here.
@@ -462,14 +486,14 @@ def main(argv=None) -> int:
     try:
         sys.stderr.write(notes)
         if args.out:
-            Path(args.out).write_text(text)
+            _write_report(args.out, text)
             text = "" if args.quiet else f"{args.out}\n"
         stdout = sys.stdout
         stdout.write(text)
         stdout.flush()
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):  # a closed pipe prints nothing, as Python does
-            print(f"softarm: output error: {exc}", file=sys.stderr)
+            _print_error(f"softarm: output error: {exc}")
         if stdout is not None:
             # As the note on SIGPIPE in the signal module's docs does: point
             # stdout at devnull, so that its flush at shutdown cannot raise.

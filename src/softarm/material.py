@@ -15,6 +15,7 @@ coefficients and everything derived directly from them, which are in MPa
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 from .errors import (
@@ -128,8 +129,10 @@ def fit_flexural_modulus(
     if not math.isfinite(denom) or not math.isfinite(cross):
         raise InputError(f"deflections up to {abs(defl).max():g} m and forces up to "
                          f"{forces.max():g} N put the fit's sums out of float range")
-    if denom == 0.0:
-        raise DegenerateData("all deflections are zero")
+    if denom < sys.float_info.min:  # zero, or a sum of squares that underflowed
+        if not defl.any():
+            raise DegenerateData("all deflections are zero")
+        raise InputError(f"deflections up to {abs(defl).max():g} m underflow the fit's sums")
     slope = cross / denom
     if slope <= 0:
         raise DegenerateData(f"non-positive force/deflection slope {slope}")

@@ -364,6 +364,16 @@ class TestFitMaterialCommand:
         assert captured.err == ("softarm: input error: deflections up to 1e+200 m and forces up "
                                 "to 2 N put the fit's sums out of float range\n")
 
+    def test_underflowing_deflection_exits_2(self, tmp_path, capsys):
+        # The sum of squared deflections once underflowed to 0.0, which read
+        # as "fit error: all deflections are zero", exit 3.
+        p = tmp_path / "flex.csv"
+        p.write_text("force_n,deflection_m\n0.5,1e-170\n1.0,2e-170\n2.0,4e-170\n")
+        code = main(["fit-material", "--flexural", str(p), "--length", "0.3", "--inertia", "1e-9"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == "softarm: input error: deflections up to 4e-170 m underflow the fit's sums\n"
+
     def test_degenerate_fit_is_fit_error(self, tmp_path, capsys):
         p = tmp_path / "flat.csv"
         p.write_text("force_n,deflection_m\n1.0,0.0\n2.0,0.0\n")
@@ -465,6 +475,20 @@ class TestAnalyzeCommand:
         code, out = run(capsys, ["analyze", "--config", write_config(tmp_path, config)])
         assert code == EXIT_OK
         assert json.loads(out)["results"]["deflection"]["recommended_infill"] is None
+
+    def test_overflowing_coefficient_names_its_file(self, tmp_path, capsys):
+        # The envelope's overflow once named no file: "softarm: input error:
+        # DeflectionModelCoeffs(a1=1e+308, ...) overflow at infill 6% and throttle 10.0".
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({"a1": 1e308, "a2": 0.0, "b1": 0.0, "b2": 0.0}))
+        config = shipped_config()
+        config["deflection_coeffs"] = str(coeffs)
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (f"softarm: input error: {coeffs}: DeflectionModelCoeffs(a1=1e+308, "
+                                "a2=0.0, b1=0.0, b2=0.0, alpha0=0.0) overflow at infill 6% and "
+                                "throttle 10.0\n")
 
     def test_non_finite_geometry_is_input_error(self, tmp_path, capsys):
         geometry = json.loads((default_data_dir() / "arm_geometry.json").read_text())
@@ -792,6 +816,33 @@ class TestGlobalFlags:
         code, out = run(capsys, argv)
         assert code == EXIT_OK and out
 
+    def test_out_over_a_longer_file_keeps_its_inode_and_mode(self, tmp_path, capsys):
+        # The report is written over the old bytes and the file cut to its
+        # length: no stale tail, and the same file, permissions and all.
+        target = tmp_path / "report.json"
+        golden = (Path(__file__).parent / "data" / "golden" / "analyze.json").read_bytes()
+        target.write_bytes(b"x" * (3 * len(golden)))
+        target.chmod(0o600)
+        before = target.stat()
+        assert main(["analyze", "--out", str(target), "--quiet"]) == EXIT_OK
+        after = target.stat()
+        assert capsys.readouterr() == ("", "")
+        assert target.read_bytes() == golden
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_new_out_file_has_the_umask_mode(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert main(["efficiency", "--rpm", "4500", "--out", str(target), "--quiet"]) == EXIT_OK
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_out_to_dev_null(self, capsys):
+        # A device cannot be cut to the report's length, and need not be.
+        assert main(["analyze", "--out", "/dev/null", "--quiet"]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+
     def test_global_flags_before_subcommand(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(["--out", str(target), "--quiet", "efficiency", "--rpm", "4500"])
@@ -979,6 +1030,17 @@ class TestExitCodes:
         monkeypatch.setattr(adapt, "wrap_geometry", failing_wrap)
         with pytest.raises(KeyError, match="segments"):
             main(["analyze"])
+
+    def test_lone_surrogate_in_a_message_is_escaped(self, tmp_path, capsys):
+        # A file name that UTF-8 cannot encode, echoed in the open error,
+        # once raised UnicodeEncodeError out of main on a strict stream.
+        config = shipped_config()
+        config["geometry"] = "\ud800"
+        code = main(["analyze", "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith(f"softarm: input error: {tmp_path}{os.sep}\\ud800: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_input_error_is_a_value_error(self):
         # A library caller's `except ValueError` still catches a range check.

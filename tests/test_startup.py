@@ -2,9 +2,9 @@
 without importing numpy, as does the Mooney-Rivlin stress law, no command
 imports the standard-library machinery it does not run, each command imports
 a pinned set of modules, the records are built without dataclasses or
-inspect, and each input file is opened once and read as UTF-8 whatever the
-locale. A command whose standard output is closed exits 1 and prints
-nothing.
+inspect, each input file is opened once and read as UTF-8 whatever the
+locale, and `analyze --out` opens its report once, without truncating it.
+A command whose standard output is closed exits 1 and prints nothing.
 
 Each command runs in a fresh interpreter, because this test process has
 imported numpy already. The child imports the same softarm as this process
@@ -249,6 +249,39 @@ def test_each_input_file_is_opened_once(name, tmp_path):
     read = {path: n for path, n in opens.items()
             if Path(path).parent in (data, tmp_path.resolve())}
     assert read == {str(f.resolve()): 1 for f in files}
+
+
+#: Runs cli.main on its arguments, recording the real path and the flags of
+#: each file opened, by os.open or by open, and prints them as the last line
+#: of stdout; reports as CHILD does.
+OPEN_FLAGS_CHILD = """\
+import json, os, sys
+opens = []
+def record(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        opens.append([os.path.realpath(args[0]), args[2]])
+sys.addaudithook(record)
+from softarm.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(opens))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_report_is_opened_once_without_truncating(existing, tmp_path):
+    # On ext4, an open with O_TRUNC of a non-empty file makes its close
+    # start writeback of the new data (auto_da_alloc): 0.1-0.2 ms of an
+    # analyze op. The report is written over the old bytes, then cut.
+    report = tmp_path / "report.json"
+    if existing:
+        report.write_bytes(b"x" * 10_000)
+    code, _, out = run_child(["analyze", "--out", str(report), "--quiet"], child=OPEN_FLAGS_CHILD)
+    assert code == 0
+    flags = [f for path, f in json.loads(out.splitlines()[-1]) if path == str(report.resolve())]
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    golden = Path(__file__).parent / "data" / "golden" / "analyze.json"
+    assert report.read_bytes() == golden.read_bytes()
 
 
 def test_utf8_input_is_read_whatever_the_locale(tmp_path):
