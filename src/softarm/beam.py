@@ -9,9 +9,9 @@ outboard force is known, leaves the tip angle as the only unknown, which
 is shot on until the root angle meets the clamp, on a ladder of meshes of
 4, 8, 16, ... steps per segment length up to the requested mesh (see
 solve_elastica); each rung's mesh carries the step constants of its
-panels, computed once for all its marches (see _mesh). solve_sweep solves
-loads that differ in thrust alone, such as a throttle sweep, on one
-set-up: one panel plan, and each rung's mesh built once for all of them.
+panels, computed once for all its marches (see _mesh). solve_sweep solves a
+sequence of thrusts, such as a throttle sweep, on one set-up: one panel
+plan, and each rung's mesh built once for all of them.
 The shape, the requested-mesh march at the accepted tip angle with x and z,
 is meshed and marched by the recording march (_shape_march) when first
 read; the solver counters leave that march out, and == on solutions does
@@ -398,49 +398,47 @@ def solve_elastica(
     at import. Raises NoConvergence when the shooting on the top rung
     misses the tolerance, and ValueError naming the arm length, the
     smallest EI and the loads when a march overflows. solve_sweep solves
-    loads that differ in thrust alone on one set-up."""
-    return _solve(geometry, material, (loads,), settings)[0]
+    a sequence of thrusts on one set-up."""
+    return _solve(geometry, material, loads, (loads.thrust,), settings)[0]
+
+
+_WEIGHT = LoadCase()  # the loads of a sweep but its thrust: the weight alone
 
 
 def solve_sweep(
     geometry: ArmGeometry,
     material,
-    loads,
+    thrusts,
     settings: SolverSettings = SolverSettings(),
 ) -> list[BeamSolution]:
-    """The solutions of solve_elastica, float for float, for a sequence of
-    load cases that differ in thrust alone, such as a throttle sweep. The
+    """The solutions of solve_elastica, float for float, for
+    LoadCase(thrust=t) for each t in thrusts, such as a throttle sweep. The
     set-up that does not depend on the thrust is made once: the effective
     modulus, the panel plan, which the solutions share, and each rung's
-    mesh, on the first solve that climbs to it. Raises ValueError when two
-    loads differ in gravity or point moments, and when a march overflows;
-    NoConvergence, whose index is the position of the failed load in loads,
-    when a solve misses the tolerance on the top rung."""
-    loads = tuple(loads)
-    if not loads:
-        return []
-    first = loads[0]
-    for case in loads[1:]:
-        if case.gravity != first.gravity or case.point_moments != first.point_moments:
-            raise ValueError(f"the loads of a sweep may differ in thrust alone: {case} "
-                             f"differs from {first}")
-    return _solve(geometry, material, loads, settings)
+    mesh, on the first solve that climbs to it. Raises InputError when a
+    thrust is not finite and >= 0, and when a march overflows;
+    NoConvergence, whose index is the position of the failed thrust in
+    thrusts, when a solve misses the tolerance on the top rung."""
+    thrusts = tuple(thrusts)
+    require_finite(thrusts=thrusts)
+    if any(thrust < 0 for thrust in thrusts):
+        raise InputError(f"thrust must be >= 0, got {min(thrusts)}")
+    return _solve(geometry, material, _WEIGHT, thrusts, settings)
 
 
-def _solve(geometry: ArmGeometry, material, loads: tuple[LoadCase, ...],
+def _solve(geometry: ArmGeometry, material, loads: LoadCase, thrusts: tuple,
            settings: SolverSettings) -> list[BeamSolution]:
-    """The ladder of solve_elastica for each of loads, on the set-up of the
-    first: the caller checks that they differ in thrust alone."""
+    """The ladder of solve_elastica for each of thrusts, with the gravity
+    and point moments of loads, on one set-up."""
     e_modulus = effective_modulus(material)
     length = geometry.total_length
-    w_z = -geometry.linear_density * loads[0].gravity  # weight per unit length
+    w_z = -geometry.linear_density * loads.gravity  # weight per unit length
     theta_root = -math.radians(geometry.initial_droop_deg)
-    plan = _panel_plan(geometry, loads[0], e_modulus)
+    plan = _panel_plan(geometry, loads, e_modulus)
     tolerance, top = settings.shooting_tolerance, settings.integration_steps
     meshes = {}  # steps per segment length: that rung's mesh
     solutions = []
-    for index, case in enumerate(loads):
-        thrust = case.thrust
+    for index, thrust in enumerate(thrusts):
         integrations = steps = 0
         theta_tip = theta_root  # the straight arm seeds the first rung
         mesh_steps = PREDICTOR_STEPS
@@ -453,9 +451,9 @@ def _solve(geometry: ArmGeometry, material, loads: tuple[LoadCase, ...],
                     lambda tip: _march(panels, thrust, w_z, length, tip) - theta_root,
                     theta_tip, tolerance)
             except ValueError:  # cos or sin of an infinite angle, or a non-finite theta(0)
-                raise InputError(
-                    f"arm length {length} m, smallest EI {min(p[2] for p in plan)} N m^2 and "
-                    f"loads {case} put the elastica out of float range") from None
+                raise InputError(f"arm length {length} m, smallest EI {min(p[2] for p in plan)} "
+                                 f"N m^2 and loads {loads.replace(thrust=thrust)} put the "
+                                 f"elastica out of float range") from None
             integrations += n
             steps += n * sum(panel[3] for panel in panels)
             if not abs(defect) <= tolerance:  # a NaN defect misses too

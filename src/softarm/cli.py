@@ -206,9 +206,10 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     rpms = [max_rpm * pct / 100.0 for pct in THROTTLE_GRID_PCT]
     thrusts = [aero.thrust_from_rpm(propeller, rpm) for rpm in rpms]
     try:
-        solutions = beam.solve_sweep(geometry, modulus,
-                                     [beam.LoadCase(thrust=thrust) for thrust in thrusts],
-                                     SOLVER_SETTINGS)
+        with sio.blame(args.config, "geometry", "material.hyperelastic_table",
+                       "propeller.nominal_thrust_n", "propeller.nominal_rpm",
+                       "propeller.max_rpm"):
+            solutions = beam.solve_sweep(geometry, modulus, thrusts, SOLVER_SETTINGS)
     except NoConvergence as exc:
         pct = THROTTLE_GRID_PCT[exc.index]
         raise NoConvergence(f"elastica failed at throttle {pct}%: {exc}") from exc

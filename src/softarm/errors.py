@@ -154,7 +154,7 @@ class RankDeficient(FitError):
 
 class NoConvergence(SolverError):
     """Iterative solver failed to converge within its iteration budget.
-    index: the position of the failed load in the loads of
+    index: the position of the failed thrust in the thrusts of
     beam.solve_sweep (0 from beam.solve_elastica), or None."""
 
     def __init__(self, message: str, index: int | None = None):

@@ -4,6 +4,7 @@ location, robustness at large rotation, solver counters and input validation
 
 import hashlib
 import math
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -25,7 +26,7 @@ from softarm.beam import (
     solve_elastica,
     tendon_bend,
 )
-from softarm.cli import EXIT_OK, default_data_dir, main
+from softarm.cli import EXIT_OK, SOLVER_SETTINGS, default_data_dir, main
 from softarm.deflection import DeflectionModelCoeffs, DeflectionSample
 from softarm.errors import NoConvergence, NonPhysicalMaterial, NonPhysicalWarning
 from softarm.io import read_arm_geometry_json
@@ -69,7 +70,6 @@ def fold_arm(inertia=(5e-8,) * 4, droop=0.0, motor=1.0, density=0.0):
 
 
 SHIPPED_ARM = read_arm_geometry_json(default_data_dir() / "arm_geometry.json")
-CLI_SETTINGS = SolverSettings(integration_steps=64, shooting_tolerance=1e-7)
 FOLDS = fold_arm().segment_bounds[1:-1]  # the interior folds of every fold_arm
 
 
@@ -252,7 +252,7 @@ class TestMaterialHandling:
         # Unchecked, NaN ends in NoConvergence (a solver error), inf in a
         # rigid arm and True in a 1 Pa one.
         with pytest.raises(ValueError, match="material must be finite"):
-            solve_elastica(SHIPPED_ARM, modulus, LoadCase(thrust=1.0), CLI_SETTINGS)
+            solve_elastica(SHIPPED_ARM, modulus, LoadCase(thrust=1.0), SOLVER_SETTINGS)
 
     @pytest.mark.parametrize(
         "material,inertia,message",
@@ -266,7 +266,7 @@ class TestMaterialHandling:
         # divided by zero in the mesh.
         with pytest.raises(errors.InputError, match=message):
             solve_elastica(fold_arm(inertia=(inertia,) * 4), material, LoadCase(thrust=1.0),
-                           CLI_SETTINGS)
+                           SOLVER_SETTINGS)
 
     def test_unsupported_material_type_rejected(self):
         with pytest.raises(TypeError, match="unsupported material type"):
@@ -373,8 +373,8 @@ class TestRobustness:
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
         angles = []
         for thrust in np.linspace(0.0, 60.0, 61):
-            sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=float(thrust)), CLI_SETTINGS)
-            assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+            sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=float(thrust)), SOLVER_SETTINGS)
+            assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
             assert sol.moments[-1] == 0.0
             angles.append(sol.tip_angle_deg)
             if sol.tip_angle_deg > 90.0:
@@ -394,8 +394,8 @@ class TestRobustness:
     def test_very_soft_drooping_arm_converges(self):
         # A very soft arm drooping under its weight, thrust inboard of the tip.
         geom = SHIPPED_ARM.replace(motor_station=0.55)
-        sol = solve_elastica(geom, 1.5e4, LoadCase(thrust=0.2), CLI_SETTINGS)
-        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+        sol = solve_elastica(geom, 1.5e4, LoadCase(thrust=0.2), SOLVER_SETTINGS)
+        assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
         assert sol.moments[-1] == 0.0
         assert np.all(np.isfinite(sol.stations))
 
@@ -403,8 +403,8 @@ class TestRobustness:
         # At 1 kPa the arm hangs almost straight down under its own weight.
         # The defect has a positive local minimum far from the root, where a
         # bracket of the smallest |defect| seen on each side would get stuck.
-        sol = solve_elastica(SHIPPED_ARM, 1e3, LoadCase(thrust=0.0), CLI_SETTINGS)
-        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+        sol = solve_elastica(SHIPPED_ARM, 1e3, LoadCase(thrust=0.0), SOLVER_SETTINGS)
+        assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
         assert -90.0 < sol.tip_angle_deg < -89.9
 
     @pytest.fixture
@@ -429,7 +429,7 @@ class TestRobustness:
         # instead of marching on.
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
         with pytest.raises(NoConvergence, match="did not reach the shooting tolerance"):
-            solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=1e7), CLI_SETTINGS)
+            solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=1e7), SOLVER_SETTINGS)
         # The 4-, 8-, 16-, 32- and 64-step rungs of the shipped arm.
         assert list(rungs) == [19, 35, 66, 130, 258]
         assert list(rungs.values()) == [beam.SHOOTING_MARCHES] * 5
@@ -437,7 +437,7 @@ class TestRobustness:
     def test_nan_defect_never_meets_the_tolerance(self, monkeypatch):
         monkeypatch.setattr(beam, "_march", lambda *args: math.nan)
         with pytest.raises(NoConvergence):
-            solve_elastica(SHIPPED_ARM, E_SOFT, LoadCase(thrust=1.0), CLI_SETTINGS)
+            solve_elastica(SHIPPED_ARM, E_SOFT, LoadCase(thrust=1.0), SOLVER_SETTINGS)
 
     def test_missed_rungs_hand_the_solve_to_the_next(self, rungs):
         # At 144 kN the shooting from the straight arm misses on the 4- and
@@ -445,13 +445,13 @@ class TestRobustness:
         # the straight arm and converges, and the missed marches count. The
         # 64-step answer is 4.3 deg from the 1,024-step one, 117.4645 deg.
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
-        sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=144000.0), CLI_SETTINGS)
+        sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=144000.0), SOLVER_SETTINGS)
         assert rungs == {19: beam.SHOOTING_MARCHES, 35: beam.SHOOTING_MARCHES,
                          66: 3, 130: 3, 258: 3}
         assert sol.integrations == sum(rungs.values()) == 89
         assert sol.steps == sum(steps * n for steps, n in rungs.items())
         assert sol.mesh_steps == 64
-        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+        assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
         assert sol.tip_angle_deg == pytest.approx(121.7670, abs=1e-4)
 
 
@@ -591,7 +591,7 @@ class TestSolutionArrays:
         LoadCase(thrust=1.0, point_moments=((0.0, 0.3),)),
     ], ids=["no_load", "thrust_and_tendon", "moment_at_the_root"])
     def test_station_count_is_the_length_of_the_shape(self, loads):
-        sol = solve_elastica(SHIPPED_ARM, 1.118e6, loads, CLI_SETTINGS)
+        sol = solve_elastica(SHIPPED_ARM, 1.118e6, loads, SOLVER_SETTINGS)
         assert sol.station_count == len(sol.history)
 
     def test_arrays_equal_the_eager_construction(self, sol):
@@ -636,10 +636,10 @@ class TestPredictor:
     def test_prediction_within_tolerance_takes_one_full_mesh_march(self, march_steps):
         # The tip angle shot on 4 steps meets the clamp on 8 at its first
         # march, so the ladder stops there.
-        sol = solve_elastica(SHIPPED_ARM, 1.118e6, LoadCase(thrust=3.0), CLI_SETTINGS)
+        sol = solve_elastica(SHIPPED_ARM, 1.118e6, LoadCase(thrust=3.0), SOLVER_SETTINGS)
         assert sol.mesh_steps == 8
         assert march_steps == [19] * 4 + [35]
-        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+        assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
 
     def test_missed_root_angle_climbs_past_16_steps(self, march_steps):
         # A soft arm bent past 110 deg: the tip angle shot on 4 steps misses
@@ -647,14 +647,14 @@ class TestPredictor:
         # shooting resumes on each; the angle shot on 16 meets it on 32 at
         # the first march.
         geom = SHIPPED_ARM.replace(motor_station=0.9753)
-        sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), CLI_SETTINGS)
+        sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), SOLVER_SETTINGS)
         assert sol.mesh_steps == 32
         assert march_steps == [20] * 4 + [36] * 2 + [66] * 2 + [131]
-        assert sol.residual <= CLI_SETTINGS.shooting_tolerance
+        assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
         # The resolved answer: the 1,024-step mesh shot to 1e-12 rad.
         resolved = 113.04250449870685
         assert sol.tip_angle_deg == pytest.approx(
-            resolved, abs=math.degrees(CLI_SETTINGS.shooting_tolerance))
+            resolved, abs=math.degrees(SOLVER_SETTINGS.shooting_tolerance))
         # Where the secant stops inside that band is pinned bit for bit:
         # 5.8e-7 deg from the resolved answer, while the 32-step mesh itself
         # is 2.8e-8 deg from it. beam._shoot on the 64-step mesh alone, from
@@ -669,17 +669,18 @@ class TestPredictor:
         # between 8 and 128 steps, where the angle holds on twice the mesh to
         # 1e-12 rad. The worst is 1.1e-6 deg.
         assert main(["analyze"]) == EXIT_OK
-        [((geometry, material, loads, settings), solutions)] = sweeps
+        [((geometry, material, thrusts, settings), solutions)] = sweeps
         resolved = SolverSettings(integration_steps=1024, shooting_tolerance=1e-12)
         assert [sol.mesh_steps for sol in solutions] == [8] * 11
-        for case, sol in zip(loads, solutions, strict=True):
-            answer = solve_elastica(geometry, material, case, resolved).tip_angle_deg
+        for thrust, sol in zip(thrusts, solutions, strict=True):
+            loads = LoadCase(thrust=thrust)
+            answer = solve_elastica(geometry, material, loads, resolved).tip_angle_deg
             assert abs(sol.tip_angle_deg - answer) <= math.degrees(settings.shooting_tolerance)
 
 
 class TestSolveSweep:
     """beam.solve_sweep gives the solutions of solve_elastica, bit for bit,
-    for loads that differ in thrust alone, from one set-up."""
+    for each of its thrusts, from one set-up."""
 
     @staticmethod
     def fingerprint(sol):
@@ -689,45 +690,55 @@ class TestSolveSweep:
 
     def test_analyze_throttle_grid(self, sweeps):
         assert main(["analyze"]) == EXIT_OK
-        [((geometry, material, loads, settings), solutions)] = sweeps
+        [((geometry, material, thrusts, settings), solutions)] = sweeps
         assert len(solutions) == 11
-        for case, sol in zip(loads, solutions, strict=True):
-            alone = solve_elastica(geometry, material, case, settings)
+        for thrust, sol in zip(thrusts, solutions, strict=True):
+            alone = solve_elastica(geometry, material, LoadCase(thrust=thrust), settings)
             assert self.fingerprint(sol) == self.fingerprint(alone)
 
-    @pytest.mark.parametrize("geometry, material, thrusts, moments, settings", [
+    @pytest.mark.parametrize("geometry, material, thrusts, settings", [
         (fold_arm(droop=5.0, motor=0.8, density=0.05), E_SOFT, (0.0, 0.5, 2.0, 0.5),
-         tendon_moments(2.0, 0.01), SolverSettings(integration_steps=64)),
-        # The second load climbs to the 32-step rung, the others stop at 8.
-        (SHIPPED_ARM.replace(motor_station=0.9753), 1.118e6, (3.0, 9.3846, 0.0), (),
-         CLI_SETTINGS),
-    ], ids=["tendon_and_thrust", "ladder_climbs"])
-    def test_each_load_as_solved_alone(self, geometry, material, thrusts, moments, settings):
-        loads = [LoadCase(thrust=thrust, point_moments=moments) for thrust in thrusts]
-        solutions = beam.solve_sweep(geometry, material, loads, settings)
-        for case, sol in zip(loads, solutions, strict=True):
-            alone = solve_elastica(geometry, material, case, settings)
+         SolverSettings(integration_steps=64)),
+        # The second thrust climbs to the 32-step rung, the others stop at 8.
+        (SHIPPED_ARM.replace(motor_station=0.9753), 1.118e6, (3.0, 9.3846, 0.0),
+         SOLVER_SETTINGS),
+    ], ids=["fold_arm", "ladder_climbs"])
+    def test_each_thrust_as_solved_alone(self, geometry, material, thrusts, settings):
+        solutions = beam.solve_sweep(geometry, material, thrusts, settings)
+        for thrust, sol in zip(thrusts, solutions, strict=True):
+            alone = solve_elastica(geometry, material, LoadCase(thrust=thrust), settings)
             assert self.fingerprint(sol) == self.fingerprint(alone)
         plan = solutions[0].plan[0]
         assert type(plan) is tuple and all(sol.plan[0] is plan for sol in solutions)
 
-    @pytest.mark.parametrize("other", [
-        LoadCase(thrust=1.0, gravity=0.0),
-        LoadCase(thrust=1.0, point_moments=tendon_moments(2.0, 0.01)),
-    ], ids=["gravity", "point_moments"])
-    def test_loads_that_differ_in_more_than_thrust_raise(self, other):
-        with pytest.raises(ValueError, match="may differ in thrust alone"):
-            beam.solve_sweep(fold_arm(), E_SOFT, [LoadCase(thrust=0.5), other])
+    @pytest.mark.parametrize("thrust, message", [
+        (math.nan, "thrusts must be finite, got (0.5, nan)"),
+        (math.inf, "thrusts must be finite, got (0.5, inf)"),
+        (-1.0, "thrust must be >= 0, got -1.0"),
+    ], ids=["nan", "inf", "negative"])
+    def test_thrust_that_is_not_finite_and_non_negative_raises(self, thrust, message):
+        with pytest.raises(errors.InputError) as info:
+            beam.solve_sweep(fold_arm(), E_SOFT, [0.5, thrust])
+        assert str(info.value) == message
 
-    def test_failed_solve_names_its_load(self):
+    def test_failed_solve_names_its_thrust(self):
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
-        loads = [LoadCase(thrust=thrust) for thrust in (3.0, 1e7, 4.0)]
         with pytest.raises(NoConvergence, match="did not reach the shooting tolerance") as info:
-            beam.solve_sweep(SHIPPED_ARM, rho6, loads, CLI_SETTINGS)
+            beam.solve_sweep(SHIPPED_ARM, rho6, (3.0, 1e7, 4.0), SOLVER_SETTINGS)
         assert info.value.index == 1
 
-    def test_no_loads_no_solutions(self):
+    def test_no_thrusts_no_solutions(self):
         assert beam.solve_sweep(SHIPPED_ARM, E_SOFT, []) == []
+
+    def test_readme_library_example(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("## Library example\n", 1)[1]
+        code = example.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(code, namespace)
+        geometry, sweep = namespace["geometry"], namespace["sweep"]
+        assert sweep == [solve_elastica(geometry, 6.24e6, LoadCase(thrust=thrust))
+                         for thrust in (0.0, 1.5, 3.0)]
 
 
 class TestShoot:
@@ -801,8 +812,8 @@ class TestLoadLayout:
     def test_moment_at_the_root_is_absorbed_by_the_clamp(self):
         loads = LoadCase(thrust=1.0)
         at_root = loads.replace(point_moments=((0.0, 0.3),))
-        assert (self.march_bytes(solve_elastica(SHIPPED_ARM, 1.118e6, at_root, CLI_SETTINGS))
-                == self.march_bytes(solve_elastica(SHIPPED_ARM, 1.118e6, loads, CLI_SETTINGS)))
+        assert (self.march_bytes(solve_elastica(SHIPPED_ARM, 1.118e6, at_root, SOLVER_SETTINGS))
+                == self.march_bytes(solve_elastica(SHIPPED_ARM, 1.118e6, loads, SOLVER_SETTINGS)))
 
 
 def shape_digest(solutions):
@@ -849,7 +860,7 @@ class TestShapeDigests:
 )
 def test_design_range_converges(e_modulus, station, thrust, steps):
     geom = SHIPPED_ARM.replace(motor_station=station)
-    settings = CLI_SETTINGS.replace(integration_steps=steps)
+    settings = SOLVER_SETTINGS.replace(integration_steps=steps)
     sol = solve_elastica(geom, e_modulus, LoadCase(thrust=thrust), settings)
     assert sol.residual <= settings.shooting_tolerance
     assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg

@@ -1499,6 +1499,29 @@ class TestParseBoundary:
         assert captured.err.startswith("softarm: input error: ")
         assert message in captured.err
 
+    @pytest.mark.parametrize("key, message", [
+        (("segments", 0, "length_mm"), "arm length 1e+305 m, smallest EI 0.3120000000000001 N "
+         "m^2 and loads LoadCase(thrust=0.0, gravity=9.81, point_moments=()) put the elastica "
+         "out of float range\n"),
+        (("inertia_m4", 0), "EI of segment 1, modulus 6240000.000000003 Pa times inertia "
+         "1e+308 m^4, is out of float range\n"),
+    ], ids=["length_mm", "inertia_m4"])
+    def test_elastica_overflow_names_the_config(self, key, message, tmp_path, capsys):
+        # Both once named no file: the overflow may come from the geometry,
+        # the modulus of the hyperelastic row or the propeller's thrust.
+        config = shipped_config()
+        geometry = json.loads(Path(config["geometry"]).read_text())
+        reduce(operator.getitem, key[:-1], geometry)[key[-1]] = 1e308
+        config["geometry"] = str(tmp_path / "geometry.json")
+        Path(config["geometry"]).write_text(json.dumps(geometry))
+        path = write_config(tmp_path, config)
+        code = main(["analyze", "--config", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (
+            f"softarm: input error: {path}: geometry, material.hyperelastic_table, "
+            f"propeller.nominal_thrust_n, propeller.nominal_rpm, propeller.max_rpm: {message}")
+
     @pytest.mark.parametrize("droop", [5000, 1e6, -90])
     def test_droop_out_of_range_exits_2(self, droop, tmp_path, capsys):
         # These once exited 0; 5000 reported -5000.2 deg at 0% throttle.
