@@ -33,7 +33,6 @@ class WrapResult(_Record):
     max_gap: float
 
     def __post_init__(self):
-        object.__setattr__(self, "per_segment_subtended", tuple(self.per_segment_subtended))
         if self.coverage_ratio > 1.0:
             raise ValueError("coverage_ratio must be <= 1")
 

@@ -18,14 +18,12 @@ OPTIMUM_MOTOR_STATION = 0.83
 EFFICIENCY_ANGLE_LIMIT_DEG = 20.0
 
 
-class EfficiencyTable(_Record):
+class EfficiencyTable(_Record, finite=True):
     """Thrust efficiency eta versus rotational speed; non-empty, strictly increasing rpm."""
 
     rows: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        require_finite(**vars(self))
         if not self.rows:
             raise InputError("efficiency table has no rows")
         rpms = [r for r, _ in self.rows]

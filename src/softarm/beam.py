@@ -65,8 +65,6 @@ class ArmGeometry(_Record):
     linear_density: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "section_inertia", tuple(self.section_inertia))
         require_finite(**{k: v for k, v in vars(self).items() if k != "segments"})
         if not 1 <= len(self.segments) <= 8:
             raise InputError("segment count must be in [1, 8]")
@@ -118,7 +116,7 @@ ArmGeometry.__dataclass_fields__ = {
     name: SimpleNamespace(name=name, init=True, _field_type=None) for name in ArmGeometry._fields}
 
 
-class LoadCase(_Record):
+class LoadCase(_Record, finite=True):
     """External loads on the arm.
 
     thrust: follower force [N] normal to the local tangent at the motor
@@ -132,8 +130,6 @@ class LoadCase(_Record):
     point_moments: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "point_moments", tuple(tuple(p) for p in self.point_moments))
-        require_finite(**vars(self))
         if self.thrust < 0:
             raise InputError("thrust must be >= 0")
 

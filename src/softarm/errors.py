@@ -44,7 +44,8 @@ class _Record:
     """Base of the frozen records, which compiles no method per class at
     import. The fields are the class's own annotations, in order, a class
     attribute of the same name the default. They bind by position or
-    keyword, each once, into __dict__ in field order; then, with
+    keyword, each once, into __dict__ in field order, a tuple[...] field as
+    a tuple and a tuple[tuple[...], ...] one as a tuple of tuples; then, with
     the class keyword finite=True, require_finite checks them all, and then
     __post_init__ runs. Those named in the class keyword `hidden` stay out of
     repr, == and hash. replace(**changes) builds a changed copy; asdict is
@@ -55,31 +56,27 @@ class _Record:
         size = len(fields)
         cls._shown = tuple(name for name in fields if name not in hidden)
         template = {name: vars(cls).get(name) for name in fields}
-        # After n positional arguments: how many fields without a default are
-        # left, and which fields with one.
-        needs = [sum(f not in vars(cls) for f in fields[n:]) for n in range(size + 1)]
-        optional = [[f for f in fields[n:] if f in vars(cls)] for n in range(size + 1)]
+        # After n positional arguments, the fields left without a default.
+        required = [frozenset(fields[n:]).difference(vars(cls)) for n in range(size + 1)]
+        # (name, nested) of each tuple[...] field, annotated by a string or a type.
+        tuples = [(name, text.startswith("tuple[tuple[")) for name, text in zip(
+            fields, map(str, cls.__annotations__.values())) if text.startswith("tuple[")]
         post_init = getattr(cls, "__post_init__", None)
 
         def __init__(self, *args, **kwargs):
             values, n = self.__dict__, len(args)
             values.update(template)
             if n:
-                for name, value in zip(fields, args):
-                    values[name] = value
+                values.update(zip(fields, args))
             values.update(kwargs)
-            # Too many positions, an unknown keyword (the dict grows), a repeat;
-            # else each keyword names a field after the n-th: count the required.
-            bad = n > size or len(values) > size or (
-                n and kwargs and not kwargs.keys().isdisjoint(fields[:n]))
-            if not bad and needs[n]:
-                given = len(kwargs)
-                for name in optional[n]:
-                    given -= name in kwargs
-                bad = given < needs[n]
-            if bad:
+            # Too many positions, an unknown keyword (the dict grows), a repeat, a field missing.
+            if (n > size or len(values) > size
+                    or (n and kwargs and not kwargs.keys().isdisjoint(fields[:n]))
+                    or required[n] and not kwargs.keys() >= required[n]):
                 raise TypeError(f"{cls.__name__}() takes each of {fields} once, those without a "
                                 f"default too, not {n} positional arguments and {tuple(kwargs)}")
+            for name, nested in tuples:
+                values[name] = tuple(map(tuple, values[name]) if nested else values[name])
             if finite:
                 require_finite(**values)
             if post_init:

@@ -96,17 +96,28 @@ def load_json(path, what: str, data: bytes | None = None) -> dict:
     file in that message. An unreadable or non-UTF-8 file, malformed or too
     deeply nested JSON, an integer of more digits than int() converts and a
     non-finite number (the NaN/Infinity literals, or an overflowing one such
-    as 1e999) all raise ParseError."""
+    as 1e999) and a key given twice in one object all raise ParseError."""
     with blame(path):
         text = _text(path, data, None).read()
         try:
-            payload = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+            payload = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float,
+                                 object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, line=exc.lineno) from None
         except (RecursionError, ValueError) as exc:  # nested too deeply, or a bad number
             raise ParseError(str(exc)) from None
         if not isinstance(payload, dict):
             raise ParseError(f"{what} must be a JSON object")
+    return payload
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object of these key-value pairs; a key given twice raises ParseError."""
+    payload = dict(pairs)
+    if len(payload) < len(pairs):  # name the first key seen a second time
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ParseError(f"duplicate key {key!r}")
     return payload
 
 

@@ -44,7 +44,7 @@ class FlexuralSample(_Record, finite=True):
             raise InputError(f"force must be >= 0, got {self.force}")
 
 
-class StressStrainCurve(_Record):
+class StressStrainCurve(_Record, finite=True):
     """Uniaxial engineering stress-strain samples for one printed specimen.
 
     samples: ordered (strain [-], stress [Pa]) pairs, strictly increasing
@@ -54,8 +54,6 @@ class StressStrainCurve(_Record):
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(tuple(p) for p in self.samples))
-        require_finite(**vars(self))
         strains = [s for s, _ in self.samples]
         if any(b <= a for a, b in zip(strains, strains[1:])):
             raise InputError("strains must be strictly increasing")

@@ -7,6 +7,7 @@ import json
 import operator
 import os
 import random
+import shutil
 import subprocess
 import sys
 import warnings
@@ -761,19 +762,26 @@ class TestSweepCommand:
         ("throttle", deflection, "require_infill", 1),
         # The table's rows, thrust_from_rpm, efficiency_lookup, and the sweep's
         # thrust, angles and eta together.
-        ("arm_angle", aero, "require_finite", 4),
+        ("arm_angle", errors, "require_finite", 4),
     ], ids=["motor_station", "throttle", "arm_angle"])
-    def test_sweep_does_its_fixed_work_once(self, axis, module, name, calls, monkeypatch,
-                                            capsys):
-        counted = []
-        original = getattr(module, name)
+    def test_sweep_does_its_fixed_work_once(self, axis, module, name, calls, capsys):
+        # Counts the function's code object wherever it is called from, as
+        # test_layer_counters.py does: a record's finite=True check calls
+        # require_finite from errors, not from the module of the record.
+        code, counted = getattr(module, name).__code__, []
 
-        def counting(*args, **kwargs):
-            counted.append(name)
-            return original(*args, **kwargs)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                counted.append(name)
 
-        monkeypatch.setattr(module, name, counting)
-        assert run(capsys, ["sweep", "--axis", axis])[0] == EXIT_OK
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            status = main(["sweep", "--axis", axis])
+        finally:
+            sys.setprofile(previous)
+        capsys.readouterr()
+        assert status == EXIT_OK
         assert len(counted) == calls
 
     def test_unknown_axis_rejected(self, capsys):
@@ -1209,6 +1217,27 @@ class TestParseBoundary:
         assert main([*argv, str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"softarm: input error: {path}: unknown {what} keys: 'a', 'b_'\n")
+
+    @pytest.mark.parametrize("where,old,new,key", [
+        ("geometry", '"linear_density_kg_m": 0.15', '"linear_density_kg_m": 0.15, '
+         '"half_depth_m": 0.02', "half_depth_m"),
+        ("geometry", '{"beta_deg": 19, "length_mm": 45}',
+         '{"beta_deg": 19, "length_mm": 45, "beta_deg": 20}', "beta_deg"),
+        ("config", '"deflection_coeffs": ', '"geometry": "arm_geometry.json", '
+         '"deflection_coeffs": ', "geometry"),
+    ], ids=["top_level", "segment", "config"])
+    def test_key_given_twice_exits_2(self, where, old, new, key, tmp_path, capsys):
+        # The last value once won silently, and the command exited 0.
+        shutil.copytree(default_data_dir(), tmp_path, dirs_exist_ok=True)
+        path = tmp_path / ("config.json" if where == "config" else "arm_geometry.json")
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        argv = (["analyze", "--config", str(path)] if where == "config"
+                else ["pipe-fit", "--diameter", "0.2", "--geometry", str(path)])
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "", f"softarm: input error: {path}: duplicate key '{key}'\n")
 
     @pytest.mark.parametrize("argv,name,what", JSON_FILE_OPTIONS)
     @pytest.mark.parametrize("text", ["[1]", "5", '"x"', "null"])

@@ -1,12 +1,14 @@
 """Work counters of the layers outside the solver, pinned per command.
 
 For one warm `cli.main` call of each golden command and of `fit-material`,
-a profile hook counts the calls of three softarm code objects: the
+a profile hook counts the calls of four softarm code objects: the
 `__init__` that every frozen record shares (`errors._Record`), the
-finiteness check `errors.require_finite` and the solver's march
-`beam._march`. Counters do not depend on the machine, so a change that
-keeps the work of a command keeps its counts; one that changes it re-pins
-them and says why. The test edits no source and wraps no function.
+finiteness check `errors.require_finite`, the solver's march `beam._march`
+and the one read of an input file, `io.read_bytes`. It also sums the bytes
+that each read returns and the steps of each march, those of its panels.
+Counters do not depend on the machine, so a change that keeps the work of a
+command keeps its counts; one that changes it re-pins them and says why.
+The test edits no source and wraps no function.
 """
 
 import contextlib
@@ -16,39 +18,50 @@ import sys
 import pytest
 
 from softarm import beam, cli, errors
+from softarm import io as sio
 
 #: The code objects counted: the __init__ that every record shares,
-#: require_finite and the march.
+#: require_finite, the march and the read of an input file.
 COUNTED = (beam.LoadCase.__init__.__code__, errors.require_finite.__code__,
-           beam._march.__code__)
+           beam._march.__code__, sio.read_bytes.__code__)
+MARCH, READ = COUNTED[2:]
 
-#: (records, require_finite calls, marches) per warm op.
+#: (records, require_finite calls, marches, input files read, input bytes
+#: read, march steps) per warm op.
 COUNTS = {
-    ("analyze",): (26, 55, 44),
-    ("deflect", "--rho", "6", "--envelope"): (2, 2, 0),
-    ("deflect", "--rho", "4", "--envelope"): (2, 2, 0),
-    ("efficiency", "--rpm", "4500"): (1, 3, 0),
-    ("efficiency", "--rpm", "4000"): (1, 3, 0),
-    ("efficiency", "--rpm", "3000"): (1, 3, 0),
-    ("efficiency", "--rpm", "7000"): (1, 3, 0),
-    ("pipe-fit", "--diameter", "0.2"): (8, 8, 0),
-    ("sweep", "--axis", "motor_station"): (1, 2, 0),
-    ("sweep", "--axis", "arm_angle"): (1, 4, 0),
-    ("sweep", "--axis", "throttle"): (1, 2, 0),
-    ("sweep", "--axis", "infill"): (38, 39, 0),
-    ("fit-material", "--stress-strain", "STRESS"): (2, 4, 0),
-    ("fit-material", "--flexural", "FLEX", "--length", "0.1", "--inertia", "5e-8"): (40, 42, 0),
+    ("analyze",): (26, 55, 44, 5, 1419, 1012),
+    ("deflect", "--rho", "6", "--envelope"): (2, 2, 0, 1, 127, 0),
+    ("deflect", "--rho", "4", "--envelope"): (2, 2, 0, 1, 127, 0),
+    ("efficiency", "--rpm", "4500"): (1, 3, 0, 1, 41, 0),
+    ("efficiency", "--rpm", "4000"): (1, 3, 0, 1, 41, 0),
+    ("efficiency", "--rpm", "3000"): (1, 3, 0, 1, 41, 0),
+    ("efficiency", "--rpm", "7000"): (1, 3, 0, 1, 41, 0),
+    ("pipe-fit", "--diameter", "0.2"): (8, 8, 0, 1, 531, 0),
+    ("sweep", "--axis", "motor_station"): (1, 2, 0, 1, 41, 0),
+    ("sweep", "--axis", "arm_angle"): (1, 4, 0, 1, 41, 0),
+    ("sweep", "--axis", "throttle"): (1, 2, 0, 1, 127, 0),
+    ("sweep", "--axis", "infill"): (38, 39, 0, 1, 531, 0),
+    ("fit-material", "--stress-strain", "STRESS"): (2, 4, 0, 1, 528, 0),
+    ("fit-material", "--flexural", "FLEX", "--length", "0.1", "--inertia", "5e-8"):
+        (40, 42, 0, 1, 950, 0),
 }
 
 
-def counted_op(argv) -> tuple[int, int, int]:
+def counted_op(argv) -> tuple[int, ...]:
     """The counts of one cli.main(argv) call after a first, warming one;
     the reports go to a string."""
     counts = dict.fromkeys(COUNTED, 0)
+    read = steps = 0  # bytes that the reads return, steps that the marches take
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in counts:
-            counts[frame.f_code] += 1
+        nonlocal read, steps
+        code = frame.f_code
+        if event == "call" and code in counts:
+            counts[code] += 1
+            if code is MARCH:
+                steps += sum(panel[3] for panel in frame.f_locals["panels"])
+        elif event == "return" and code is READ:
+            read += len(arg)
 
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_OK
@@ -59,7 +72,7 @@ def counted_op(argv) -> tuple[int, int, int]:
         finally:
             sys.setprofile(previous)
     assert status == cli.EXIT_OK
-    return tuple(counts.values())
+    return (*counts.values(), read, steps)
 
 
 def test_records_share_one_init():

@@ -3,11 +3,16 @@ converges to the shooting tolerance or fails loudly with NoConvergence, the
 converged count never falls below its recorded floor, and the results are
 pinned bit for bit. A case that the solver once failed is pinned by name.
 The same generator over GENERATOR_DRAWS draws is a `slow` test, which the
-default run deselects: `python -m pytest -m slow tests/test_robustness.py`."""
+default run deselects: `python -m pytest -m slow tests/test_robustness.py`.
+The corpus also checks the solver's scale identities: scaling the forces, or
+the lengths, by a power of two keeps every iterate (see test_scale_free)."""
 
 import hashlib
+import itertools
+import json
 import math
 import random
+import shutil
 
 import pytest
 
@@ -105,3 +110,78 @@ def test_limp_arm_creep_case():
     assert sol.tip_angle_deg == pytest.approx(-76.6256, abs=1e-4)
     assert (sol.integrations, sol.mesh_steps) == (52, 64)
     assert sol.residual <= cli.SOLVER_SETTINGS.shooting_tolerance
+
+
+def iterates(sol) -> tuple:
+    """What a scale identity keeps of a solution: its angle, residual and counters."""
+    return (sol.tip_angle_deg, sol.residual, sol.integrations, sol.steps, sol.mesh_steps,
+            sol.contact_expected)
+
+
+def outcome(solve, *args):
+    """The iterates of each solution in solve(*args), or the index of the
+    NoConvergence it raises."""
+    try:
+        return [iterates(sol) for sol in solve(*args)]
+    except NoConvergence as exc:
+        return exc.index
+
+
+#: (force, length) factors: the modulus, thrust, weight and point moments
+#: times force; the lengths times length, with thrust / length^2, weight /
+#: length^3 and moments / length. The march reads the loads only through
+#: h M / EI and h^2 F / EI, so both keep every angle, and powers of two keep
+#: every float. Each acceptance, clip and give-up rule of the solver is in
+#: radians or counts, so none of them may see the scale.
+SCALES = [(4.0, 1.0), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("force,length", SCALES, ids=["force", "length"])
+def test_scale_free(outcomes, force, length):
+    arm = ARM.replace(segments=[seg.replace(length=seg.length * length) for seg in ARM.segments])
+    scaled = []
+    for modulus, changes, loads in draw_cases(random.Random(SEED), DRAWS):
+        loads = beam.LoadCase(thrust=loads.thrust * force / length ** 2,
+                              gravity=loads.gravity * force / length ** 3,
+                              point_moments=[(s * length, m * force / length)
+                                             for s, m in loads.point_moments])
+        scaled.append(outcome(lambda: [beam.solve_elastica(
+            arm.replace(**changes), modulus * force, loads, cli.SOLVER_SETTINGS)]))
+    assert scaled == [0 if sol is None else [iterates(sol)] for sol in outcomes]
+
+
+def test_sweep_and_tendon_are_force_free():
+    # The sweep's weight is the arm's linear density times GRAVITY, so the
+    # density takes the factor.
+    for (modulus, changes, loads), tension in zip(draw_cases(random.Random(SEED), 40),
+                                                  itertools.cycle([1.0, 10.0, 100.0])):
+        arm = ARM.replace(**changes)
+        heavy = arm.replace(linear_density=arm.linear_density * 4)
+        thrusts = [0.0, 0.5 * (loads.thrust or 1.0), loads.thrust or 1.0]
+        assert outcome(beam.solve_sweep, heavy, modulus * 4, [t * 4 for t in thrusts],
+                       cli.SOLVER_SETTINGS) == outcome(beam.solve_sweep, arm, modulus, thrusts,
+                                                       cli.SOLVER_SETTINGS)
+        assert outcome(lambda: [beam.tendon_bend(heavy, modulus * 4, tension * 4, 0.01)]) == (
+            outcome(lambda: [beam.tendon_bend(arm, modulus, tension, 0.01)]))
+
+
+def test_analyze_report_is_force_free(tmp_path, capsys):
+    # The small-strain modulus is 6 (c10 + c01), and the thrust law's
+    # coefficient nominal_thrust_n / nominal_rpm^2.
+    shutil.copytree(cli.default_data_dir(), tmp_path, dirs_exist_ok=True)
+    files = {name: json.loads((tmp_path / name).read_text())
+             for name in ["hyperelastic_coeffs.json", "config.json", "arm_geometry.json"]}
+    for row in files["hyperelastic_coeffs.json"]["rows"]:
+        row["c10"] *= 4
+        row["c01"] *= 4
+    files["config.json"]["propeller"]["nominal_thrust_n"] *= 4
+    files["arm_geometry.json"]["linear_density_kg_m"] *= 4
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    sweeps = []
+    for argv in [["analyze"], ["analyze", "--config", str(tmp_path / "config.json")]]:
+        assert cli.main(argv) == cli.EXIT_OK
+        sweeps.append(json.loads(capsys.readouterr().out)["results"]["beam"]["throttle_sweep"])
+    shipped, scaled = sweeps
+    assert [row["tip_angle_deg"] for row in scaled] == [row["tip_angle_deg"] for row in shipped]
+    assert [row["thrust_n"] for row in scaled] == [row["thrust_n"] * 4 for row in shipped]
