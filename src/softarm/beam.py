@@ -13,9 +13,9 @@ panels, computed once for all its marches (see _mesh). solve_sweep solves a
 sequence of thrusts, such as a throttle sweep, on one set-up: one panel
 plan, and each rung's mesh built once for all of them.
 The shape, the requested-mesh march at the accepted tip angle with x and z,
-is meshed and marched by the recording march (_shape_march) when first
-read; the solver counters leave that march out, and == on solutions does
-not compare shapes.
+is meshed and marched when first read, by _march given a list to record its
+rows in; the solver counters leave that march out, and == on solutions
+does not compare shapes.
 Coordinates: x horizontal, z up, theta measured from horizontal
 (positive = tip up).
 """
@@ -153,7 +153,7 @@ class SolverSettings(_Record, finite=True):
 class BeamSolution(_Record, hidden=("plan",)):
     """Solved centerline shape and bending moments.
 
-    history: the rows (s, x, z, theta, M) of the recording march on the
+    history: the rows (s, x, z, theta, M) that _march records on the
     integration_steps mesh at the accepted tip angle, tip to root, x and z
     from the tip. plan holds the panel plan, a tuple that the solutions of
     one sweep share, integration_steps and the march's other arguments
@@ -183,7 +183,9 @@ class BeamSolution(_Record, hidden=("plan",)):
 
     @cached_property
     def history(self) -> list[tuple[float, float, float, float, float]]:
-        return _shape_march(_mesh(*self.plan[:2]), *self.plan[2:])
+        rows = []
+        _march(_mesh(*self.plan[:2]), *self.plan[2:], rows)
+        return rows
 
     @property
     def station_count(self) -> int:
@@ -269,7 +271,8 @@ def _mesh(plan, steps: int):
     return mesh
 
 
-def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float) -> float:
+def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float,
+           rows: list | None = None) -> float:
     """March of (theta, M) from the free tip, where M = 0, to the root,
     panel by panel: on reaching a panel's outboard end it adds the panel's
     point moment and, at the motor station, fixes the thrust direction.
@@ -281,15 +284,23 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float) -
     Returns theta(0); raises ValueError when an overflow makes an angle
     infinite or NaN. Where the horizontal force rx is 0 (no thrust, or
     outboard of the motor station) the step skips the sines, with the same
-    floats as _shape_march but for the sign of a zero F or theta: s * rx is
-    +-0, and +-0 - q differs from -q only in the sign of a zero; M starts at
-    +0, which no sum turns into -0."""
+    floats as the loop with them but for the sign of a zero F or theta:
+    s * rx is +-0, and +-0 - q differs from -q only in the sign of a zero; M
+    starts at +0, which no sum turns into -0. Given a list rows, it takes the
+    sines on every panel and appends the shape's rows (s, x, z, theta, M),
+    one at the tip, one per step and one after each point moment, with x and
+    z by Simpson's rule at the cubic-Hermite midpoint angle of each step."""
     cos, sin = math.cos, math.sin
     theta, m = theta_tip, 0.0
-    rx = tz = 0.0
-    for _, b, _, n, jump, motor, h, g, q in reversed(panels):
+    rx = tz = x = z = 0.0
+    record = rows is not None
+    if record:
+        rows.append((length, x, z, theta, m))
+    for a, b, _, n, jump, motor, h, g, q in reversed(panels):
         if jump is not None:
             m += jump
+            if record:
+                rows.append((b, x, z, theta, m))
         if motor:
             rx = -thrust * sin(theta)
             tz = thrust * cos(theta)
@@ -297,7 +308,7 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float) -
         q8, q2, q6 = 0.125 * q, 0.5 * q, q / 6.0
         s = b
         rz1 = w_z * (length - s) + tz
-        if not rx:
+        if not (rx or record):
             for _ in range(n):
                 rz2 = w_z * (length - (s - half)) + tz
                 rz3 = w_z * (length - (s - h)) + tz
@@ -323,56 +334,17 @@ def _march(panels, thrust: float, w_z: float, length: float, theta_tip: float) -
             m -= h6 * (f1 + 4.0 * f2 + f3)
             s -= h
             rz1 = rz3
+            if record:  # the last row holds theta and M at the step's start
+                _, _, _, t0, m0 = rows[-1]
+                t = 0.5 * (t0 + theta) - 0.125 * g * (m0 - m)  # the angle at s + h/2
+                x -= h6 * (cos(t0) + 4.0 * cos(t) + cos(theta))
+                z -= h6 * (sin(t0) + 4.0 * sin(t) + sin(theta))
+                rows.append((s, x, z, theta, m))
+        if record:
+            rows[-1] = (a, x, z, theta, m)  # the panel ends exactly on its cut
     if not math.isfinite(theta):  # an overflow that no cos or sin raised on
         raise ValueError(f"theta(0) = {theta}")
     return theta
-
-
-def _shape_march(panels, thrust: float, w_z: float, length: float,
-                 theta_tip: float) -> list[tuple[float, float, float, float, float]]:
-    """The recording march: the steps of _march, with the sines on every
-    panel, that also integrates x and z from the tip by Simpson's rule, at
-    the cubic-Hermite midpoint angle from theta and M at both ends. Returns
-    the rows (s, x, z, theta, M), one at the tip, one per step and one after
-    each point moment; raises ValueError as _march does."""
-    cos, sin = math.cos, math.sin
-    theta, m, x, z = theta_tip, 0.0, 0.0, 0.0
-    history = [(length, x, z, theta, m)]
-    rx = tz = 0.0
-    for a, b, _, n, jump, motor, h, g, q in reversed(panels):
-        if jump is not None:
-            m += jump
-            history.append((b, x, z, theta, m))
-        if motor:
-            rx = -thrust * sin(theta)
-            tz = thrust * cos(theta)
-        half, h6 = 0.5 * h, h / 6.0
-        q8, q2, q6 = 0.125 * q, 0.5 * q, q / 6.0
-        s = b
-        rz1 = w_z * (length - s) + tz
-        for _ in range(n):
-            rz2 = w_z * (length - (s - half)) + tz
-            rz3 = w_z * (length - (s - h)) + tz
-            d = g * m
-            c1, s1 = cos(theta), sin(theta)
-            f1 = s1 * rx - c1 * rz1
-            t = theta - 0.5 * d + q8 * f1
-            f2 = sin(t) * rx - cos(t) * rz2
-            t = theta - d + q2 * f2
-            f3 = sin(t) * rx - cos(t) * rz3
-            t0, m0 = theta, m
-            theta += q6 * (f1 + 2.0 * f2) - d
-            m -= h6 * (f1 + 4.0 * f2 + f3)
-            s -= h
-            rz1 = rz3
-            t = 0.5 * (t0 + theta) - 0.125 * g * (m0 - m)  # the angle at s + h/2
-            x -= h6 * (c1 + 4.0 * cos(t) + cos(theta))
-            z -= h6 * (s1 + 4.0 * sin(t) + sin(theta))
-            history.append((s, x, z, theta, m))
-        history[-1] = (a, x, z, theta, m)  # the panel ends exactly on its cut
-    if not math.isfinite(theta):
-        raise ValueError(f"theta(0) = {theta}")
-    return history
 
 
 def solve_elastica(

@@ -96,7 +96,8 @@ def load_json(path, what: str, data: bytes | None = None) -> dict:
     file in that message. An unreadable or non-UTF-8 file, malformed or too
     deeply nested JSON, an integer of more digits than int() converts and a
     non-finite number (the NaN/Infinity literals, or an overflowing one such
-    as 1e999) and a key given twice in one object all raise ParseError."""
+    as 1e999) and a key given twice in one object all raise ParseError, which
+    names that key as _check names keys if the text after it parses."""
     with blame(path):
         text = _text(path, data, None).read()
         try:
@@ -104,6 +105,12 @@ def load_json(path, what: str, data: bytes | None = None) -> dict:
                                  object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, line=exc.lineno) from None
+        except ParseError as exc:  # a key given twice
+            try:  # objects as tuples of pairs, integers as text
+                name = next(_duplicates(json.loads(text, parse_int=str, object_pairs_hook=tuple)))
+            except (RecursionError, ValueError):  # the text after the key does not parse
+                raise exc from None
+            raise ParseError(f"duplicate key {name!r}") from None
         except (RecursionError, ValueError) as exc:  # nested too deeply, or a bad number
             raise ParseError(str(exc)) from None
         if not isinstance(payload, dict):
@@ -114,11 +121,24 @@ def load_json(path, what: str, data: bytes | None = None) -> dict:
 def _unique_keys(pairs: list) -> dict:
     """The object of these key-value pairs; a key given twice raises ParseError."""
     payload = dict(pairs)
-    if len(payload) < len(pairs):  # name the first key seen a second time
-        keys = [key for key, _ in pairs]
-        key = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise ParseError(f"duplicate key {key!r}")
+    if len(payload) < len(pairs):
+        raise ParseError(f"duplicate key {next(_duplicates(tuple(pairs)))!r}")
     return payload
+
+
+def _duplicates(value, name: str = ""):
+    """The keys given twice in value, JSON decoded with objects as tuples of
+    pairs, named as _check names keys, in the order that _unique_keys meets
+    them: those of an object after those in the values inside it."""
+    if type(value) is list:
+        for i, item in enumerate(value):
+            yield from _duplicates(item, f"{name}[{i}]")
+    elif type(value) is tuple:
+        prefix = f"{name}." if name else ""
+        for key, item in value:
+            yield from _duplicates(item, prefix + key)
+        keys = [key for key, _ in value]
+        yield from (prefix + key for i, key in enumerate(keys) if key in keys[:i])
 
 
 def read_json(path, what: str, keys: dict, data: bytes | None = None) -> dict:

@@ -410,13 +410,15 @@ class TestRobustness:
     @pytest.fixture
     def rungs(self, monkeypatch):
         """{Steps of a march: marches with that many}, filled in as the
-        solve marches; each rung's mesh has its own step count."""
+        solve marches; each rung's mesh has its own step count. A march
+        that records a shape is not the solve's."""
         rungs = {}
         march = beam._march
 
         def recording_march(*args):
-            steps = sum(p[3] for p in args[0])
-            rungs[steps] = rungs.get(steps, 0) + 1
+            if len(args) == 5:
+                steps = sum(p[3] for p in args[0])
+                rungs[steps] = rungs.get(steps, 0) + 1
             return march(*args)
 
         monkeypatch.setattr(beam, "_march", recording_march)
@@ -504,18 +506,16 @@ class TestSolutionArrays:
 
     def test_shape_is_marched_once_on_first_read(self, monkeypatch):
         marches, shapes = [0], []  # the solve's marches; each recording march's rows
-        march, shape_march = beam._march, beam._shape_march
+        march = beam._march
 
         def counting_march(*args):
-            marches[0] += 1
+            if len(args) == 5:
+                marches[0] += 1
+            else:
+                shapes.append(args[5])
             return march(*args)
 
-        def recording_march(*args):
-            shapes.append(shape_march(*args))
-            return shapes[-1]
-
         monkeypatch.setattr(beam, "_march", counting_march)
-        monkeypatch.setattr(beam, "_shape_march", recording_march)
         sol = self.solve()
         assert marches == [sol.integrations] and shapes == []  # no march of the solve records
         counters = (sol.integrations, sol.steps)
@@ -556,11 +556,11 @@ class TestSolutionArrays:
     ], ids=["thrust_and_tendon", "gravity_only", "tendon_only_no_gravity", "thrust_inboard_half",
             "zero_moment_at_a_fold", "droop_up_negative_eccentricity"])
     def test_shape_is_the_accepted_march(self, droop, motor, loads):
-        # The shape is the recording march on the requested mesh at the
-        # accepted tip angle. It reaches the root bit for bit where the
-        # solve's march does on the same panels, though that march skips the
-        # sines on panels without horizontal force and the recording march
-        # does not.
+        # The shape is the rows that _march records on the requested mesh
+        # at the accepted tip angle. It reaches the root bit for bit where
+        # the march without a list does on the same panels, though that
+        # march skips the sines on panels without horizontal force and the
+        # recording march does not.
         # The residual is the root defect of the accepted rung's march. At
         # 1e-9 rad the ladder accepts the 8-step rung in every case. At
         # 1e-14 rad no rung's first march meets the tolerance, so the ladder
@@ -577,7 +577,9 @@ class TestSolutionArrays:
             assert sol.mesh_steps == accepted
             assert math.degrees(sol.history[0][3]) == sol.tip_angle_deg
             shape = beam._mesh(*sol.plan[:2])  # the requested mesh
-            assert beam._shape_march(shape, *sol.plan[2:]) == sol.history
+            rows = []
+            beam._march(shape, *sol.plan[2:], rows)
+            assert rows == sol.history
             assert beam._march(shape, *sol.plan[2:]) == sol.history[-1][3]
             rung = beam._mesh(beam._panel_plan(geometry, loads, E_SOFT), accepted)
             assert abs(beam._march(rung, *sol.plan[2:]) - theta_root) == sol.residual
@@ -622,12 +624,14 @@ class TestPredictor:
 
     @pytest.fixture
     def march_steps(self, monkeypatch):
-        """Steps of each march of the solve, in order."""
+        """Steps of each march of the solve, in order; a march that records
+        a shape is not the solve's."""
         marches = []
         march = beam._march
 
         def recording_march(*args):
-            marches.append(sum(p[3] for p in args[0]))
+            if len(args) == 5:
+                marches.append(sum(p[3] for p in args[0]))
             return march(*args)
 
         monkeypatch.setattr(beam, "_march", recording_march)

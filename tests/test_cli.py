@@ -1222,12 +1222,18 @@ class TestParseBoundary:
         ("geometry", '"linear_density_kg_m": 0.15', '"linear_density_kg_m": 0.15, '
          '"half_depth_m": 0.02', "half_depth_m"),
         ("geometry", '{"beta_deg": 19, "length_mm": 45}',
-         '{"beta_deg": 19, "length_mm": 45, "beta_deg": 20}', "beta_deg"),
+         '{"beta_deg": 19, "length_mm": 45, "beta_deg": 20}', "segments[2].beta_deg"),
         ("config", '"deflection_coeffs": ', '"geometry": "arm_geometry.json", '
          '"deflection_coeffs": ', "geometry"),
-    ], ids=["top_level", "segment", "config"])
+        ("config", '"infill_pct": 6', '"infill_pct": 6, "infill_pct": 8', "material.infill_pct"),
+        ("geometry", '"_note": ', '"_note": {"by": 1, "by": 2}, "_": ', "_note.by"),
+        ("geometry", '"linear_density_kg_m": 0.15', '"linear_density_kg_m": 0.15, '
+         '"x": {"k": 1, "k": 2}, "y": ,', "k"),
+    ], ids=["top_level", "segment", "config", "config_section", "unread_note", "bad_rest"])
     def test_key_given_twice_exits_2(self, where, old, new, key, tmp_path, capsys):
-        # The last value once won silently, and the command exited 0.
+        # The last value once won silently, and the command exited 0. The
+        # key is named where it is, as the key table's walk names keys; bare
+        # when the text after it does not parse.
         shutil.copytree(default_data_dir(), tmp_path, dirs_exist_ok=True)
         path = tmp_path / ("config.json" if where == "config" else "arm_geometry.json")
         text = path.read_text()

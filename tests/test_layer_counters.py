@@ -5,7 +5,10 @@ a profile hook counts the calls of four softarm code objects: the
 `__init__` that every frozen record shares (`errors._Record`), the
 finiteness check `errors.require_finite`, the solver's march `beam._march`
 and the one read of an input file, `io.read_bytes`. It also sums the bytes
-that each read returns and the steps of each march, those of its panels.
+that each read returns, and of those the bytes returned into
+`cli._read_input`, which hashes them; and it sums the steps of each march,
+those of its panels, and counts the marches given a list of rows, which
+record a shape.
 Counters do not depend on the machine, so a change that keeps the work of a
 command keeps its counts; one that changes it re-pins them and says why.
 The test edits no source and wraps no function.
@@ -25,25 +28,27 @@ from softarm import io as sio
 COUNTED = (beam.LoadCase.__init__.__code__, errors.require_finite.__code__,
            beam._march.__code__, sio.read_bytes.__code__)
 MARCH, READ = COUNTED[2:]
+HASHING = cli._read_input.__code__
 
 #: (records, require_finite calls, marches, input files read, input bytes
-#: read, march steps) per warm op.
+#: read, march steps, input bytes hashed, shape marches) per warm op.
+#: `analyze` hashes all it reads but its config, 422 bytes.
 COUNTS = {
-    ("analyze",): (26, 55, 44, 5, 1419, 1012),
-    ("deflect", "--rho", "6", "--envelope"): (2, 2, 0, 1, 127, 0),
-    ("deflect", "--rho", "4", "--envelope"): (2, 2, 0, 1, 127, 0),
-    ("efficiency", "--rpm", "4500"): (1, 3, 0, 1, 41, 0),
-    ("efficiency", "--rpm", "4000"): (1, 3, 0, 1, 41, 0),
-    ("efficiency", "--rpm", "3000"): (1, 3, 0, 1, 41, 0),
-    ("efficiency", "--rpm", "7000"): (1, 3, 0, 1, 41, 0),
-    ("pipe-fit", "--diameter", "0.2"): (8, 8, 0, 1, 531, 0),
-    ("sweep", "--axis", "motor_station"): (1, 2, 0, 1, 41, 0),
-    ("sweep", "--axis", "arm_angle"): (1, 4, 0, 1, 41, 0),
-    ("sweep", "--axis", "throttle"): (1, 2, 0, 1, 127, 0),
-    ("sweep", "--axis", "infill"): (38, 39, 0, 1, 531, 0),
-    ("fit-material", "--stress-strain", "STRESS"): (2, 4, 0, 1, 528, 0),
+    ("analyze",): (26, 55, 44, 5, 1419, 1012, 997, 0),
+    ("deflect", "--rho", "6", "--envelope"): (2, 2, 0, 1, 127, 0, 127, 0),
+    ("deflect", "--rho", "4", "--envelope"): (2, 2, 0, 1, 127, 0, 127, 0),
+    ("efficiency", "--rpm", "4500"): (1, 3, 0, 1, 41, 0, 41, 0),
+    ("efficiency", "--rpm", "4000"): (1, 3, 0, 1, 41, 0, 41, 0),
+    ("efficiency", "--rpm", "3000"): (1, 3, 0, 1, 41, 0, 41, 0),
+    ("efficiency", "--rpm", "7000"): (1, 3, 0, 1, 41, 0, 41, 0),
+    ("pipe-fit", "--diameter", "0.2"): (8, 8, 0, 1, 531, 0, 531, 0),
+    ("sweep", "--axis", "motor_station"): (1, 2, 0, 1, 41, 0, 41, 0),
+    ("sweep", "--axis", "arm_angle"): (1, 4, 0, 1, 41, 0, 41, 0),
+    ("sweep", "--axis", "throttle"): (1, 2, 0, 1, 127, 0, 127, 0),
+    ("sweep", "--axis", "infill"): (38, 39, 0, 1, 531, 0, 531, 0),
+    ("fit-material", "--stress-strain", "STRESS"): (2, 4, 0, 1, 528, 0, 528, 0),
     ("fit-material", "--flexural", "FLEX", "--length", "0.1", "--inertia", "5e-8"):
-        (40, 42, 0, 1, 950, 0),
+        (40, 42, 0, 1, 950, 0, 950, 0),
 }
 
 
@@ -51,17 +56,20 @@ def counted_op(argv) -> tuple[int, ...]:
     """The counts of one cli.main(argv) call after a first, warming one;
     the reports go to a string."""
     counts = dict.fromkeys(COUNTED, 0)
-    read = steps = 0  # bytes that the reads return, steps that the marches take
+    read = steps = hashed = shapes = 0
 
     def profile(frame, event, arg):
-        nonlocal read, steps
+        nonlocal read, steps, hashed, shapes
         code = frame.f_code
         if event == "call" and code in counts:
             counts[code] += 1
             if code is MARCH:
                 steps += sum(panel[3] for panel in frame.f_locals["panels"])
+                shapes += frame.f_locals["rows"] is not None
         elif event == "return" and code is READ:
             read += len(arg)
+            if frame.f_back.f_code is HASHING:
+                hashed += len(arg)
 
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_OK
@@ -72,7 +80,7 @@ def counted_op(argv) -> tuple[int, ...]:
         finally:
             sys.setprofile(previous)
     assert status == cli.EXIT_OK
-    return (*counts.values(), read, steps)
+    return (*counts.values(), read, steps, hashed, shapes)
 
 
 def test_records_share_one_init():
