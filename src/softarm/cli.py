@@ -371,6 +371,14 @@ def cmd_sweep(args) -> tuple[dict, dict]:
 # argument parsing and dispatch
 
 
+def _file_name(text: str) -> Path:
+    """The argparse type of the input file options: Path(text), but an
+    empty name, which Path reads as the current directory, is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty file name")
+    return Path(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process. parse_args returns a
@@ -399,17 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit-material", help="fit material models from test CSVs", parents=[common])
-    p.add_argument("--stress-strain", help="strain,stress_pa CSV for the hyperelastic fit")
+    p.add_argument("--stress-strain", type=_file_name,
+                   help="strain,stress_pa CSV for the hyperelastic fit")
     p.add_argument("--infill", type=sio._finite_float, default=0.0,
                    help="specimen infill rate [%%]; accepted, not used by the fit")
-    p.add_argument("--flexural", help="force_n,deflection_m CSV for the flexural-modulus fit")
+    p.add_argument("--flexural", type=_file_name,
+                   help="force_n,deflection_m CSV for the flexural-modulus fit")
     p.add_argument("--length", type=sio._finite_float, help="cantilever test length [m]")
     p.add_argument("--inertia", type=sio._finite_float, help="section inertia [m^4]")
     p.set_defaults(handler=cmd_fit_material)
 
     p = sub.add_parser("analyze", help="full analysis pipeline from a run config", parents=[common])
     p.add_argument(
-        "--config", type=Path, default=data / "config.json",
+        "--config", type=_file_name, default=data / "config.json",
         help="run configuration JSON (default: shipped config)",
     )
     p.set_defaults(handler=cmd_analyze)
@@ -419,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--throttle-pct", type=sio._finite_float, help="throttle [%%]")
     p.add_argument("--envelope", action="store_true", help="include the envelope scan")
     p.add_argument(
-        "--coeffs", default=data / "deflection_coeffs.json",
+        "--coeffs", type=_file_name, default=data / "deflection_coeffs.json",
         help="deflection coefficients JSON (default: shipped coefficients)",
     )
     p.add_argument("--alpha0", type=sio._finite_float, help="override unpowered droop [deg]")
@@ -429,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rpm", type=sio._finite_float, required=True)
     p.add_argument("--station", type=sio._finite_float, default=aero.OPTIMUM_MOTOR_STATION)
     p.add_argument(
-        "--table", default=data / "efficiency_table.csv",
+        "--table", type=_file_name, default=data / "efficiency_table.csv",
         help="rpm,eta CSV (default: shipped table)",
     )
     p.set_defaults(handler=cmd_efficiency)
@@ -437,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipe-fit", help="pipe wrap and attachment feasibility", parents=[common])
     p.add_argument("--diameter", type=sio._finite_float, required=True, help="pipe diameter [m]")
     p.add_argument(
-        "--geometry", default=data / "arm_geometry.json",
+        "--geometry", type=_file_name, default=data / "arm_geometry.json",
         help="arm geometry JSON (default: shipped geometry)",
     )
     p.add_argument("--tendon-force", type=sio._finite_float, default=12.0)
@@ -457,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tendon-force", type=sio._finite_float, default=12.0)
     p.add_argument("--contact-width", type=sio._finite_float, default=0.05)
     p.add_argument(
-        "--table", default=data / "efficiency_table.csv",
+        "--table", type=_file_name, default=data / "efficiency_table.csv",
         help="rpm,eta CSV for the motor_station and arm_angle axes (default: shipped table)",
     )
     p.set_defaults(handler=cmd_sweep)
@@ -486,7 +496,7 @@ def main(argv=None) -> int:
     stdout = None
     try:
         sys.stderr.write(notes)
-        if args.out:
+        if args.out is not None:  # an empty name is an output error, as a missing directory is
             _write_report(args.out, text)
             text = "" if args.quiet else f"{args.out}\n"
         stdout = sys.stdout

@@ -4,6 +4,7 @@ location, robustness at large rotation, solver counters and input validation
 
 import hashlib
 import math
+from collections import Counter
 from pathlib import Path
 
 import hypothesis
@@ -78,19 +79,20 @@ def tendon_moments(tension, eccentricity, folds=FOLDS):
     return [(s, -tension * eccentricity) for s in folds]
 
 
-@pytest.fixture
-def sweeps(monkeypatch):
-    """(arguments, solutions) of each beam.solve_sweep call, filled in as
-    they return: `softarm analyze` solves its throttle grid in one sweep."""
-    calls = []
-    sweep = beam.solve_sweep
+def analyze_sweep(record_calls):
+    """(arguments by name, solutions) of the one beam.solve_sweep call of
+    `softarm analyze`, which solves its throttle grid in one sweep."""
+    with record_calls(beam.solve_sweep) as (sweeps,):
+        assert main(["analyze"]) == EXIT_OK
+    [sweep] = sweeps
+    return sweep.args, sweep.result
 
-    def recording_sweep(*args):
-        calls.append((args, sweep(*args)))
-        return calls[-1][1]
 
-    monkeypatch.setattr(beam, "solve_sweep", recording_sweep)
-    return calls
+def march_steps(marches) -> list[int]:
+    """Steps of each of the recorded beam._march calls that a solve made, in
+    order; a march given a list of rows records a shape, and is not the solve's."""
+    return [sum(panel[3] for panel in march.args["panels"])
+            for march in marches if march.args["rows"] is None]
 
 
 class TestUnloaded:
@@ -407,32 +409,18 @@ class TestRobustness:
         assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
         assert -90.0 < sol.tip_angle_deg < -89.9
 
-    @pytest.fixture
-    def rungs(self, monkeypatch):
-        """{Steps of a march: marches with that many}, filled in as the
-        solve marches; each rung's mesh has its own step count. A march
-        that records a shape is not the solve's."""
-        rungs = {}
-        march = beam._march
-
-        def recording_march(*args):
-            if len(args) == 5:
-                steps = sum(p[3] for p in args[0])
-                rungs[steps] = rungs.get(steps, 0) + 1
-            return march(*args)
-
-        monkeypatch.setattr(beam, "_march", recording_march)
-        return rungs
-
-    def test_stalled_bracket_gives_up_instead_of_repeating(self, rungs):
+    def test_stalled_bracket_gives_up_instead_of_repeating(self, record_calls):
         # A 1e7 N follower thrust on the 6% row: the shooting from the
         # straight arm spends its march budget on every rung, each missed
         # rung hands the solve to the next, and the requested mesh raises
         # instead of marching on.
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
-        with pytest.raises(NoConvergence, match="did not reach the shooting tolerance"):
+        with record_calls(beam._march) as (marches,), pytest.raises(
+                NoConvergence, match="did not reach the shooting tolerance"):
             solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=1e7), SOLVER_SETTINGS)
-        # The 4-, 8-, 16-, 32- and 64-step rungs of the shipped arm.
+        # {Steps of a march: marches with that many}: the 4-, 8-, 16-, 32-
+        # and 64-step rungs of the shipped arm.
+        rungs = Counter(march_steps(marches))
         assert list(rungs) == [19, 35, 66, 130, 258]
         assert list(rungs.values()) == [beam.SHOOTING_MARCHES] * 5
 
@@ -441,13 +429,15 @@ class TestRobustness:
         with pytest.raises(NoConvergence):
             solve_elastica(SHIPPED_ARM, E_SOFT, LoadCase(thrust=1.0), SOLVER_SETTINGS)
 
-    def test_missed_rungs_hand_the_solve_to_the_next(self, rungs):
+    def test_missed_rungs_hand_the_solve_to_the_next(self, record_calls):
         # At 144 kN the shooting from the straight arm misses on the 4- and
         # 8-step rungs within its budget; the 16-step rung starts again from
         # the straight arm and converges, and the missed marches count. The
         # 64-step answer is 4.3 deg from the 1,024-step one, 117.4645 deg.
         rho6 = MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37)
-        sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=144000.0), SOLVER_SETTINGS)
+        with record_calls(beam._march) as (marches,):
+            sol = solve_elastica(SHIPPED_ARM, rho6, LoadCase(thrust=144000.0), SOLVER_SETTINGS)
+        rungs = Counter(march_steps(marches))
         assert rungs == {19: beam.SHOOTING_MARCHES, 35: beam.SHOOTING_MARCHES,
                          66: 3, 130: 3, 258: 3}
         assert sol.integrations == sum(rungs.values()) == 89
@@ -504,47 +494,34 @@ class TestSolutionArrays:
     def sol(self):
         return self.solve()
 
-    def test_shape_is_marched_once_on_first_read(self, monkeypatch):
-        marches, shapes = [0], []  # the solve's marches; each recording march's rows
-        march = beam._march
-
-        def counting_march(*args):
-            if len(args) == 5:
-                marches[0] += 1
-            else:
-                shapes.append(args[5])
-            return march(*args)
-
-        monkeypatch.setattr(beam, "_march", counting_march)
-        sol = self.solve()
-        assert marches == [sol.integrations] and shapes == []  # no march of the solve records
-        counters = (sol.integrations, sol.steps)
-        rows = sol.history  # the first read makes one recording march
-        assert len(shapes) == 1 and shapes[0] is rows and marches == [sol.integrations]
-        assert sol.history is rows  # the second makes none
-        assert len(shapes) == 1
+    def test_shape_is_marched_once_on_first_read(self, record_calls):
+        with record_calls(beam._march) as (marches,):
+            sol = self.solve()
+            # no march of the solve records
+            assert len(march_steps(marches)) == len(marches) == sol.integrations
+            counters = (sol.integrations, sol.steps)
+            rows = sol.history  # the first read makes one recording march
+            assert len(marches) == sol.integrations + 1 and marches[-1].args["rows"] is rows
+            assert sol.history is rows  # the second makes none
+            assert len(marches) == sol.integrations + 1
         assert (sol.integrations, sol.steps) == counters
 
-    def test_each_mesh_is_built_once(self, monkeypatch):
+    def test_each_mesh_is_built_once(self, record_calls):
         # One mesh per rung, the shape's on its first read: a solve accepted
         # on the 8-step rung meshes 4 and 8 steps per segment length, and so
         # does the sweep of `softarm analyze`, all of whose solves it accepts.
-        meshes = []  # the steps of each mesh built, in order
-        mesh = beam._mesh
+        def built():  # the steps of each mesh built, in order
+            return [mesh.args["steps"] for mesh in meshes]
 
-        def recording_mesh(plan, steps):
-            meshes.append(steps)
-            return mesh(plan, steps)
-
-        monkeypatch.setattr(beam, "_mesh", recording_mesh)
-        assert main(["analyze"]) == EXIT_OK  # 11 solves in one sweep
-        assert meshes == [4, 8]
-        meshes.clear()
-        sol = tendon_bend(SHIPPED_ARM, 1.118e6, 5.0, 0.01)
-        assert meshes == [4, 8]
-        rows = sol.history
-        assert meshes == [4, 8, 256]
-        assert sol.history is rows and meshes == [4, 8, 256]
+        with record_calls(beam._mesh) as (meshes,):
+            assert main(["analyze"]) == EXIT_OK  # 11 solves in one sweep
+            assert built() == [4, 8]
+            meshes.clear()
+            sol = tendon_bend(SHIPPED_ARM, 1.118e6, 5.0, 0.01)
+            assert built() == [4, 8]
+            rows = sol.history
+            assert built() == [4, 8, 256]
+            assert sol.history is rows and built() == [4, 8, 256]
 
     @pytest.mark.parametrize("droop, motor, loads", [
         (5.0, 0.8, LoadCase(thrust=0.5, point_moments=tendon_moments(2.0, 0.01))),
@@ -622,38 +599,25 @@ class TestPredictor:
     steps; at motor station 0.9753 the 4-, 8-, 16- and 32-step rungs march
     20, 36, 66 and 131."""
 
-    @pytest.fixture
-    def march_steps(self, monkeypatch):
-        """Steps of each march of the solve, in order; a march that records
-        a shape is not the solve's."""
-        marches = []
-        march = beam._march
-
-        def recording_march(*args):
-            if len(args) == 5:
-                marches.append(sum(p[3] for p in args[0]))
-            return march(*args)
-
-        monkeypatch.setattr(beam, "_march", recording_march)
-        return marches
-
-    def test_prediction_within_tolerance_takes_one_full_mesh_march(self, march_steps):
+    def test_prediction_within_tolerance_takes_one_full_mesh_march(self, record_calls):
         # The tip angle shot on 4 steps meets the clamp on 8 at its first
         # march, so the ladder stops there.
-        sol = solve_elastica(SHIPPED_ARM, 1.118e6, LoadCase(thrust=3.0), SOLVER_SETTINGS)
+        with record_calls(beam._march) as (marches,):
+            sol = solve_elastica(SHIPPED_ARM, 1.118e6, LoadCase(thrust=3.0), SOLVER_SETTINGS)
         assert sol.mesh_steps == 8
-        assert march_steps == [19] * 4 + [35]
+        assert march_steps(marches) == [19] * 4 + [35]
         assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
 
-    def test_missed_root_angle_climbs_past_16_steps(self, march_steps):
+    def test_missed_root_angle_climbs_past_16_steps(self, record_calls):
         # A soft arm bent past 110 deg: the tip angle shot on 4 steps misses
         # the root angle on 8, and the one shot on 8 misses it on 16, so the
         # shooting resumes on each; the angle shot on 16 meets it on 32 at
         # the first march.
         geom = SHIPPED_ARM.replace(motor_station=0.9753)
-        sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), SOLVER_SETTINGS)
+        with record_calls(beam._march) as (marches,):
+            sol = solve_elastica(geom, 1.118e6, LoadCase(thrust=9.3846), SOLVER_SETTINGS)
         assert sol.mesh_steps == 32
-        assert march_steps == [20] * 4 + [36] * 2 + [66] * 2 + [131]
+        assert march_steps(marches) == [20] * 4 + [36] * 2 + [66] * 2 + [131]
         assert sol.residual <= SOLVER_SETTINGS.shooting_tolerance
         # The resolved answer: the 1,024-step mesh shot to 1e-12 rad.
         resolved = 113.04250449870685
@@ -667,19 +631,19 @@ class TestPredictor:
         # each secant happens to stop, not the mesh.
         assert sol.tip_angle_deg == 113.04250391709489
 
-    def test_analyze_angles_hold_on_the_resolved_mesh(self, sweeps):
+    def test_analyze_angles_hold_on_the_resolved_mesh(self, record_calls):
         # The 11 throttles of `softarm analyze`, accepted on the 8-step rung,
         # against the solve at 1,024 steps and 1e-12 rad, whose ladder stops
         # between 8 and 128 steps, where the angle holds on twice the mesh to
         # 1e-12 rad. The worst is 1.1e-6 deg.
-        assert main(["analyze"]) == EXIT_OK
-        [((geometry, material, thrusts, settings), solutions)] = sweeps
+        args, solutions = analyze_sweep(record_calls)
         resolved = SolverSettings(integration_steps=1024, shooting_tolerance=1e-12)
+        tolerance = math.degrees(args["settings"].shooting_tolerance)
         assert [sol.mesh_steps for sol in solutions] == [8] * 11
-        for thrust, sol in zip(thrusts, solutions, strict=True):
+        for thrust, sol in zip(args["thrusts"], solutions, strict=True):
             loads = LoadCase(thrust=thrust)
-            answer = solve_elastica(geometry, material, loads, resolved).tip_angle_deg
-            assert abs(sol.tip_angle_deg - answer) <= math.degrees(settings.shooting_tolerance)
+            answer = solve_elastica(args["geometry"], args["material"], loads, resolved)
+            assert abs(sol.tip_angle_deg - answer.tip_angle_deg) <= tolerance
 
 
 class TestSolveSweep:
@@ -692,12 +656,12 @@ class TestSolveSweep:
         return (sol.tip_angle_deg.hex(), sol.residual.hex(), sol.integrations, sol.steps,
                 sol.mesh_steps, rows)
 
-    def test_analyze_throttle_grid(self, sweeps):
-        assert main(["analyze"]) == EXIT_OK
-        [((geometry, material, thrusts, settings), solutions)] = sweeps
+    def test_analyze_throttle_grid(self, record_calls):
+        args, solutions = analyze_sweep(record_calls)
         assert len(solutions) == 11
-        for thrust, sol in zip(thrusts, solutions, strict=True):
-            alone = solve_elastica(geometry, material, LoadCase(thrust=thrust), settings)
+        for thrust, sol in zip(args["thrusts"], solutions, strict=True):
+            alone = solve_elastica(args["geometry"], args["material"], LoadCase(thrust=thrust),
+                                   args["settings"])
             assert self.fingerprint(sol) == self.fingerprint(alone)
 
     @pytest.mark.parametrize("geometry, material, thrusts, settings", [
@@ -835,9 +799,8 @@ class TestShapeDigests:
     to keep every result unchanged must keep these digests. One that is
     meant to change the shapes updates them and says why."""
 
-    def test_analyze_throttle_sweep(self, sweeps):
-        assert main(["analyze"]) == EXIT_OK
-        [(_, solutions)] = sweeps
+    def test_analyze_throttle_sweep(self, record_calls):
+        _, solutions = analyze_sweep(record_calls)
         assert [sol.mesh_steps for sol in solutions] == [8] * 11
         assert shape_digest(solutions) == (
             "58b61d628eda32fc572bf60b11a15d398c2d1e9fcf1186f36795cd7660955532"

@@ -502,39 +502,21 @@ class TestAnalyzeCommand:
         code, _ = run(capsys, ["analyze", "--config", str(p)])
         assert code == EXIT_INPUT
 
-    def test_solver_integration_count(self, tmp_path, monkeypatch, capsys):
-        solutions = []
-        sweep = beam.solve_sweep
-
-        def recording_sweep(*args, **kwargs):
-            solutions.extend(sweep(*args, **kwargs))
-            return solutions
-
-        monkeypatch.setattr(beam, "solve_sweep", recording_sweep)
-        out = tmp_path / "report.json"
-        assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
-        assert len(solutions) == 11
-        assert sum(sol.integrations for sol in solutions) == 44
-        assert "integrations" not in out.read_text()
-
-    def test_solver_step_count(self, tmp_path, monkeypatch, capsys):
+    def test_solver_counts(self, tmp_path, record_calls):
         # Each solve shoots on the 4-step rung, and one march on the 8-step
         # rung accepts its tip angle; no march of the solve steps the 64-step
         # mesh of the shape (4,343 steps when one march per solve did, 1,881
-        # when the ladder started at 8 steps).
-        solutions = []
-        sweep = beam.solve_sweep
-
-        def recording_sweep(*args, **kwargs):
-            solutions.extend(sweep(*args, **kwargs))
-            return solutions
-
-        monkeypatch.setattr(beam, "solve_sweep", recording_sweep)
+        # when the ladder started at 8 steps). Neither count is in the report.
         out = tmp_path / "report.json"
-        assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
+        with record_calls(beam.solve_sweep) as (sweeps,):
+            assert main(["analyze", "--out", str(out), "--quiet"]) == EXIT_OK
+        [sweep] = sweeps
+        solutions = sweep.result
         assert len(solutions) == 11
+        assert sum(sol.integrations for sol in solutions) == 44
         assert sum(sol.steps for sol in solutions) == 1012
-        assert "steps" not in out.read_text()
+        report = out.read_text()
+        assert "integrations" not in report and "steps" not in report
 
     def test_solver_failure_exits_4_without_a_report(self, tmp_path, capsys):
         # Under this thrust the shooting fails at 60% throttle. Should a later
@@ -764,22 +746,13 @@ class TestSweepCommand:
         # thrust, angles and eta together.
         ("arm_angle", errors, "require_finite", 4),
     ], ids=["motor_station", "throttle", "arm_angle"])
-    def test_sweep_does_its_fixed_work_once(self, axis, module, name, calls, capsys):
-        # Counts the function's code object wherever it is called from, as
+    def test_sweep_does_its_fixed_work_once(self, axis, module, name, calls, capsys,
+                                            record_calls):
+        # Counts the calls of the function wherever it is called from, as
         # test_layer_counters.py does: a record's finite=True check calls
         # require_finite from errors, not from the module of the record.
-        code, counted = getattr(module, name).__code__, []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is code:
-                counted.append(name)
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
+        with record_calls(getattr(module, name)) as (counted,):
             status = main(["sweep", "--axis", axis])
-        finally:
-            sys.setprofile(previous)
         capsys.readouterr()
         assert status == EXIT_OK
         assert len(counted) == calls
@@ -823,6 +796,14 @@ class TestGlobalFlags:
         # Standard output was not written, so it is left as it was.
         code, out = run(capsys, argv)
         assert code == EXIT_OK and out
+
+    def test_empty_out_name_is_an_output_error(self, capsys):
+        # An empty name names no file, as a missing directory does; it is not stdout.
+        code = main(["efficiency", "--rpm", "4500", "--out", ""])
+        captured = capsys.readouterr()
+        assert code == EXIT_OUTPUT and captured.out == ""
+        assert captured.err.startswith("softarm: output error: [Errno 2] ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_out_over_a_longer_file_keeps_its_inode_and_mode(self, tmp_path, capsys):
         # The report is written over the old bytes and the file cut to its
@@ -1709,6 +1690,23 @@ class TestFlagsWhereRead:
             main(argv)
         assert info.value.code == EXIT_INPUT
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--config"],
+        ["deflect", "--rho", "6", "--coeffs"],
+        ["efficiency", "--rpm", "4500", "--table"],
+        ["sweep", "--axis", "motor_station", "--table"],
+        ["pipe-fit", "--diameter", "0.2", "--geometry"],
+        ["fit-material", "--stress-strain"],
+        ["fit-material", "--flexural"],
+    ], ids=["config", "coeffs", "table", "sweep_table", "geometry", "stress_strain", "flexural"])
+    def test_empty_input_file_name_is_rejected(self, argv, capsys):
+        # Path("") is the current directory, which no input file option means.
+        with pytest.raises(SystemExit) as info:
+            main([*argv, ""])
+        captured = capsys.readouterr()
+        assert info.value.code == EXIT_INPUT and captured.out == ""
+        assert captured.err.endswith(f": error: argument {argv[-1]}: empty file name\n")
 
     @pytest.mark.parametrize(
         "axis, files",

@@ -13,6 +13,7 @@ these sums; one that changes it updates them and says why.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,41 +33,21 @@ CLI_SETTINGS = beam.SolverSettings(integration_steps=64, shooting_tolerance=1e-7
 ANGLE_TOL_DEG = 1e-4
 
 
-@pytest.fixture
-def marches(monkeypatch):
-    """[marches, steps] of the solves, filled in as they march: every call
+#: The functions counted: the march, the panel plan and the mesh of a rung.
+COUNTED = (beam._march, beam._panel_plan, beam._mesh)
+
+
+def marches(calls) -> list:
+    """[marches, steps] of the solves among the recorded calls: every call
     of beam._march without a list of rows, in which it would record a shape."""
-    counts = [0, 0]
-    march = beam._march
-
-    def counting_march(panels, *args):
-        if len(args) == 4:
-            counts[0] += 1
-            counts[1] += sum(p[3] for p in panels)
-        return march(panels, *args)
-
-    monkeypatch.setattr(beam, "_march", counting_march)
-    return counts
+    solves = [march.args["panels"] for march in calls[0] if march.args["rows"] is None]
+    return [len(solves), sum(panel[3] for panels in solves for panel in panels)]
 
 
-@pytest.fixture
-def setups(monkeypatch):
-    """[panel plans, {steps per segment length: meshes}] built by the
-    solves, filled in as they set up."""
-    counts = [0, {}]
-    panel_plan, mesh = beam._panel_plan, beam._mesh
-
-    def counting_plan(*args):
-        counts[0] += 1
-        return panel_plan(*args)
-
-    def counting_mesh(plan, steps):
-        counts[1][steps] = counts[1].get(steps, 0) + 1
-        return mesh(plan, steps)
-
-    monkeypatch.setattr(beam, "_panel_plan", counting_plan)
-    monkeypatch.setattr(beam, "_mesh", counting_mesh)
-    return counts
+def setups(calls) -> list:
+    """[panel plans, {steps per segment length: meshes}] built by the solves
+    among the recorded calls."""
+    return [len(calls[1]), Counter(mesh.args["steps"] for mesh in calls[2])]
 
 
 def shipped_inputs():
@@ -84,38 +65,41 @@ def shipped_inputs():
     return geometry, mr_params, propeller, prop["max_rpm"]
 
 
-def test_analyze(marches, setups, tmp_path):
+def test_analyze(record_calls, tmp_path):
     out = tmp_path / "analyze.json"
-    assert cli.main(["analyze", "--out", str(out), "--quiet"]) == cli.EXIT_OK
+    with record_calls(*COUNTED) as calls:
+        assert cli.main(["analyze", "--out", str(out), "--quiet"]) == cli.EXIT_OK
     rows = json.loads(out.read_text())["results"]["beam"]["throttle_sweep"]
     assert [r["tip_angle_deg"] for r in rows] == pytest.approx(
         REFERENCE["analyze"]["tip_angle_deg"], abs=ANGLE_TOL_DEG)
-    assert marches == [44, 1012]
-    assert setups == [1, {4: 1, 8: 1}]  # one sweep of 11 solves, all accepted on 8 steps
+    assert marches(calls) == [44, 1012]
+    assert setups(calls) == [1, {4: 1, 8: 1}]  # one sweep of 11 solves, all accepted on 8 steps
 
 
-def test_design_grid(marches, setups):
+def test_design_grid(record_calls):
     geometry, _, propeller, max_rpm = shipped_inputs()
-    for e_pa, station, throttle_pct, ref in REFERENCE["design_grid"]["cases"]:
-        rpm = max_rpm * throttle_pct / 100.0
-        loads = beam.LoadCase(thrust=aero.thrust_from_rpm(propeller, rpm))
-        try:
-            sol = beam.solve_elastica(
-                geometry.replace(motor_station=station), e_pa, loads, CLI_SETTINGS)
-        except NoConvergence:
-            assert ref is None  # None: the reference failed too
-        else:
-            if ref is not None:  # some that failed at the reference converge now
-                assert abs(sol.tip_angle_deg - ref) <= ANGLE_TOL_DEG
-    assert marches == [1148, 28366]
-    assert setups == [256, {4: 256, 8: 256, 16: 19, 32: 5}]  # per solve
+    with record_calls(*COUNTED) as calls:
+        for e_pa, station, throttle_pct, ref in REFERENCE["design_grid"]["cases"]:
+            rpm = max_rpm * throttle_pct / 100.0
+            loads = beam.LoadCase(thrust=aero.thrust_from_rpm(propeller, rpm))
+            try:
+                sol = beam.solve_elastica(
+                    geometry.replace(motor_station=station), e_pa, loads, CLI_SETTINGS)
+            except NoConvergence:
+                assert ref is None  # None: the reference failed too
+            else:
+                if ref is not None:  # some that failed at the reference converge now
+                    assert abs(sol.tip_angle_deg - ref) <= ANGLE_TOL_DEG
+    assert marches(calls) == [1148, 28366]
+    assert setups(calls) == [256, {4: 256, 8: 256, 16: 19, 32: 5}]  # per solve
 
 
-def test_tendon_wrap(marches, setups):
+def test_tendon_wrap(record_calls):
     geometry, mr_params, _, _ = shipped_inputs()
-    for tension, eccentricity, ref_angle, ref_contact, *_ in REFERENCE["tendon_wrap"]["cases"]:
-        sol = beam.tendon_bend(geometry, mr_params, tension, eccentricity)
-        assert abs(sol.tip_angle_deg - ref_angle) <= ANGLE_TOL_DEG
-        assert sol.contact_expected == ref_contact
-    assert marches == [597, 13391]
-    assert setups == [128, {4: 128, 8: 128}]  # per solve
+    with record_calls(*COUNTED) as calls:
+        for tension, eccentricity, ref_angle, ref_contact, *_ in REFERENCE["tendon_wrap"]["cases"]:
+            sol = beam.tendon_bend(geometry, mr_params, tension, eccentricity)
+            assert abs(sol.tip_angle_deg - ref_angle) <= ANGLE_TOL_DEG
+            assert sol.contact_expected == ref_contact
+    assert marches(calls) == [597, 13391]
+    assert setups(calls) == [128, {4: 128, 8: 128}]  # per solve
