@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import stat
 import sys
 import warnings
@@ -472,6 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=cmd_sweep)
 
+    # An argument that starts like a negative number (-1, -.5, -1e-3) is a
+    # value: argparse's own pattern, up to 3.13, has no exponent form, so it
+    # took `--alpha0 -1e-3` for an option missing its argument.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

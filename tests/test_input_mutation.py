@@ -57,7 +57,9 @@ OPTION_RUNS = [
     "fit-material --flexural=FLEX --length={} --inertia=1e-9",
     "fit-material --flexural=FLEX --length=0.3 --inertia={}",
 ]
-#: Passed as --option=value: argparse would take a bare -1e308 for an option.
+#: Each is passed joined to its option, --option=value, and spaced from it,
+#: --option value, where the parser takes one that starts like a negative
+#: number, -1e308 too, for a value.
 OPTION_VALUES = ["0", "1", "-1", "5e-324", "-5e-324", "1e-300", "1e308", "-1e308", "1e400",
                  "nan", "x"]
 
@@ -205,12 +207,13 @@ def _option_id(template):
     return "-".join([words[0], *axis, option])
 
 
+@pytest.mark.parametrize("form", ["={}", " {}"], ids=["joined", "spaced"])
 @pytest.mark.parametrize("value", OPTION_VALUES)
 @pytest.mark.parametrize("template", OPTION_RUNS, ids=[_option_id(t) for t in OPTION_RUNS])
-def test_mutated_numeric_option(template, value, tmp_path):
+def test_mutated_numeric_option(template, value, form, tmp_path):
     flexural = tmp_path / "flex.csv"
     flexural.write_text("force_n,deflection_m\n0.1,0.001\n0.2,0.002\n")
-    argv = template.replace("FLEX", str(flexural)).format(value).split()
+    argv = template.replace("FLEX", str(flexural)).replace("={}", form).format(value).split()
     code, out, err = _run(argv)
     assert code in (0, 2), (argv, err)
     if code == 0:

@@ -4,25 +4,27 @@ tuple[tuple[...], ...] as a tuple of tuples, whatever iterable is passed
 annotated plain tuple, is stored as given."""
 
 import pytest
+from test_records import EXAMPLES
 
 from softarm.adapt import WrapResult
 from softarm.aero import EfficiencyTable
-from softarm.beam import ArmGeometry, BeamSolution, LoadCase, Segment
+from softarm.beam import ArmGeometry, BeamSolution, LoadCase
 from softarm.errors import _Record
 from softarm.material import StressStrainCurve
 
-#: One valid record of each class with tuple[...] fields, built from tuples,
-#: and the names of those fields.
-RECORDS = [
-    (ArmGeometry(segments=(Segment(10.0, 0.05), Segment(20.0, 0.04)),
-                 section_inertia=(2e-10, 1e-10), section_half_depth=0.005),
-     ["segments", "section_inertia"]),
-    (LoadCase(thrust=1.0, point_moments=((0.1, 0.2), (0.05, -0.1))), ["point_moments"]),
-    (WrapResult(total_turning=90.0, per_segment_subtended=(30.0, 60.0), coverage_ratio=0.5,
-                max_gap=0.001), ["per_segment_subtended"]),
-    (EfficiencyTable(rows=((3000.0, 0.5), (5000.0, 0.6))), ["rows"]),
-    (StressStrainCurve(samples=((0.0, 0.0), (0.1, 1e5))), ["samples"]),
-]
+#: The names of the tuple[...] fields of each class that has them.
+TUPLE_FIELDS = {
+    ArmGeometry: ["segments", "section_inertia"],
+    LoadCase: ["point_moments"],
+    WrapResult: ["per_segment_subtended"],
+    EfficiencyTable: ["rows"],
+    StressStrainCurve: ["samples"],
+}
+
+#: The valid record of each of those classes in test_records.EXAMPLES, built
+#: from tuples, and the names of its tuple fields.
+RECORDS = [(next(record for record in EXAMPLES if type(record) is cls), names)
+           for cls, names in TUPLE_FIELDS.items()]
 
 
 def as_lists(value):

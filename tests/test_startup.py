@@ -7,16 +7,19 @@ locale, and `analyze --out` opens its report once, without truncating it.
 A command whose standard output is closed exits 1 and prints nothing.
 
 Each command runs in a fresh interpreter, because this test process has
-imported numpy already. The child imports the same softarm as this process
-(a source tree or the installed package), so the test also checks an
-installed copy when run from outside the checkout.
+imported numpy already, through one child script that reports its exit
+code, its modules and the files it opens. The child imports the same
+softarm as this process (a source tree or the installed package), so the
+test also checks an installed copy when run from outside the checkout.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,12 +28,20 @@ from softarm.cli import default_data_dir
 from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
 
 #: Runs cli.main on its arguments and reports, as the last line of stderr,
-#: the exit code and the names of the imported modules.
+#: the exit code, the names of the imported modules and, in order, the real
+#: path and the flags of each file opened. An audit hook records the opens:
+#: it sees every way of opening a file, by os.open or by open.
 CHILD = """\
-import json, sys
+import json, os, sys
+opens = []
+def record(event, args):
+    if event == "open" and isinstance(args[0], (str, os.PathLike)):
+        opens.append([os.path.realpath(args[0]), args[2]])
+sys.addaudithook(record)
 from softarm.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
+print(json.dumps({"code": code, "modules": sorted(sys.modules), "opens": opens}),
+      file=sys.stderr)
 """
 
 #: Standard-library modules that no command needs at start-up: the data
@@ -52,7 +63,7 @@ NUMPY_FREE = {
 
 
 #: Prints the shipped 6% row's uniaxial stress at stretch 1.1, and reports
-#: as CHILD does.
+#: its code and modules as CHILD does.
 STRESS_CHILD = """\
 import json, sys
 from softarm.material import MooneyRivlinParams, mr_uniaxial_stress
@@ -62,7 +73,7 @@ print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
 
 
 #: Prints the modules that importing softarm.errors adds, then those that
-#: importing softarm.cli adds, and reports as CHILD does.
+#: importing softarm.cli adds, and reports its code and modules as CHILD does.
 RECORDS_CHILD = """\
 import json, sys
 before = set(sys.modules)
@@ -84,22 +95,24 @@ def child_env(env=None) -> dict:
     return env
 
 
-def run_child(argv, flags=(), child=CHILD, env=None):
-    """(exit code, imported module names, stdout) of cli.main(argv), or of
-    another child script, in a fresh interpreter, started with the given
-    flags and with env added to this process's environment, that imports
-    softarm from where this process did."""
+def run_child(argv, flags=(), child=CHILD, env=None) -> SimpleNamespace:
+    """The report of cli.main(argv), or of another child script, run in a
+    fresh interpreter, started with the given flags and with env added to
+    this process's environment, that imports softarm from where this process
+    did: its code, its modules as a set and, from CHILD, its opens; and the
+    child's stdout as out."""
     proc = subprocess.run([sys.executable, *flags, "-c", child, *argv], env=child_env(env),
                           capture_output=True, text=True, timeout=120)
-    status = json.loads(proc.stderr.splitlines()[-1])
-    return status["code"], set(status["modules"]), proc.stdout
+    report = json.loads(proc.stderr.splitlines()[-1])
+    modules = set(report.pop("modules"))
+    return SimpleNamespace(**report, modules=modules, out=proc.stdout)
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE)
 def test_command_does_not_import_numpy(name):
-    code, modules, _ = run_child(NUMPY_FREE[name])
-    assert code == 0
-    assert "numpy" not in modules
+    child = run_child(NUMPY_FREE[name])
+    assert child.code == 0
+    assert "numpy" not in child.modules
 
 
 @pytest.mark.parametrize(
@@ -115,12 +128,13 @@ def test_command_does_not_import_numpy(name):
 def test_command_imports_no_unused_machinery(argv, expected):
     # -S leaves out the site hooks (.pth files), which may import some of
     # these modules before softarm starts and so hide what softarm imports.
-    code, modules, _ = run_child(argv, flags=["-S"])
-    assert code == 0
-    assert modules & MACHINERY == expected
+    child = run_child(argv, flags=["-S"])
+    assert child.code == 0
+    assert child.modules & MACHINERY == expected
 
 
-#: Reports as CHILD does, having imported only what every command needs.
+#: Reports its code and modules as CHILD does, having imported only what
+#: every command needs.
 BASE_CHILD = """\
 import argparse, csv, hashlib, json, sys
 print(json.dumps({"code": 0, "modules": sorted(sys.modules)}), file=sys.stderr)
@@ -143,16 +157,16 @@ STARTUP_MODULES = {
 
 @pytest.fixture(scope="module")
 def base_modules():
-    return run_child([], flags=["-S"], child=BASE_CHILD)[1]
+    return run_child([], flags=["-S"], child=BASE_CHILD).modules
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE)
 def test_command_imports_the_pinned_modules(name, base_modules):
     # Under -S, as above; fit-material is left out because -S also leaves
     # site-packages, and with it numpy, off the path.
-    code, modules, _ = run_child(NUMPY_FREE[name], flags=["-S"])
-    assert code == 0
-    added = modules - base_modules
+    child = run_child(NUMPY_FREE[name], flags=["-S"])
+    assert child.code == 0
+    added = child.modules - base_modules
     if sys.version_info[:2] not in {(3, 11), (3, 12)}:
         added = {m for m in added if m.partition(".")[0] == "softarm"}
         expected = {m for m in STARTUP_MODULES if m.partition(".")[0] == "softarm"}
@@ -162,9 +176,9 @@ def test_command_imports_the_pinned_modules(name, base_modules):
 
 
 def test_stress_law_does_not_import_numpy():
-    _, modules, out = run_child([], child=STRESS_CHILD)
-    assert "numpy" not in modules
-    assert float(out) == mr_uniaxial_stress(MooneyRivlinParams(-3.19, 4.23, 0.64, -2.65, 4.37), 1.1)
+    child = run_child([], child=STRESS_CHILD)
+    assert "numpy" not in child.modules
+    assert float(child.out) == mr_uniaxial_stress(RHO6, 1.1)
 
 
 def test_records_are_built_without_dataclasses():
@@ -173,8 +187,7 @@ def test_records_are_built_without_dataclasses():
     # typing; the records derive from errors._Record instead. ArmGeometry's
     # __dataclass_fields__, which serves perfbench's dataclasses.replace
     # calls, imports nothing.
-    _, _, out = run_child([], flags=["-S"], child=RECORDS_CHILD)
-    found = json.loads(out)
+    found = json.loads(run_child([], flags=["-S"], child=RECORDS_CHILD).out)
     assert not {"dataclasses", "inspect"} & set(found["cli_imports"])
     assert set(found["errors_imports"]) <= {"softarm", "softarm.errors", "math"}
 
@@ -196,29 +209,13 @@ def fit_material_argv(tmp_path):
 
 
 def test_fit_material_still_fits(tmp_path):
-    code, _, out = run_child(fit_material_argv(tmp_path))
-    assert code == 0
-    fitted = json.loads(out)["results"]["material"]
+    child = run_child(fit_material_argv(tmp_path))
+    assert child.code == 0
+    fitted = json.loads(child.out)["results"]["material"]
     assert fitted["mooney_rivlin"]["c10"] == pytest.approx(RHO6.c10, rel=1e-6)
     # slope 100 N/m, so E = 100 * 0.1**3 / (3 * 1e-10)
     assert fitted["flexural_modulus_pa"] == pytest.approx(1e9 / 3, rel=1e-9)
 
-
-#: Runs cli.main on its arguments, counting each file opened (through an
-#: audit hook, which sees every way of opening one), prints the counts by
-#: real path as the last line of stdout, and reports as CHILD does.
-OPENS_CHILD = """\
-import collections, json, os, sys
-opens = collections.Counter()
-def count(event, args):
-    if event == "open" and isinstance(args[0], (str, os.PathLike)):
-        opens[os.path.realpath(args[0])] += 1
-sys.addaudithook(count)
-from softarm.cli import main
-code = main(sys.argv[1:])
-print(json.dumps(opens))
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
-"""
 
 #: The shipped files that each command of NUMPY_FREE reads.
 INPUTS = {
@@ -243,29 +240,11 @@ def test_each_input_file_is_opened_once(name, tmp_path):
         argv, files = fit_material_argv(tmp_path), [tmp_path / "ss.csv", tmp_path / "flex.csv"]
     else:
         argv, files = NUMPY_FREE[name], [data / f for f in INPUTS[name]]
-    code, _, out = run_child(argv, child=OPENS_CHILD)
-    assert code == 0
-    opens = json.loads(out.splitlines()[-1])
-    read = {path: n for path, n in opens.items()
-            if Path(path).parent in (data, tmp_path.resolve())}
+    child = run_child(argv)
+    assert child.code == 0
+    read = Counter(path for path, _ in child.opens
+                   if Path(path).parent in (data, tmp_path.resolve()))
     assert read == {str(f.resolve()): 1 for f in files}
-
-
-#: Runs cli.main on its arguments, recording the real path and the flags of
-#: each file opened, by os.open or by open, and prints them as the last line
-#: of stdout; reports as CHILD does.
-OPEN_FLAGS_CHILD = """\
-import json, os, sys
-opens = []
-def record(event, args):
-    if event == "open" and isinstance(args[0], (str, os.PathLike)):
-        opens.append([os.path.realpath(args[0]), args[2]])
-sys.addaudithook(record)
-from softarm.cli import main
-code = main(sys.argv[1:])
-print(json.dumps(opens))
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}), file=sys.stderr)
-"""
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
@@ -276,9 +255,9 @@ def test_report_is_opened_once_without_truncating(existing, tmp_path):
     report = tmp_path / "report.json"
     if existing:
         report.write_bytes(b"x" * 10_000)
-    code, _, out = run_child(["analyze", "--out", str(report), "--quiet"], child=OPEN_FLAGS_CHILD)
-    assert code == 0
-    flags = [f for path, f in json.loads(out.splitlines()[-1]) if path == str(report.resolve())]
+    child = run_child(["analyze", "--out", str(report), "--quiet"])
+    assert child.code == 0
+    flags = [f for path, f in child.opens if path == str(report.resolve())]
     assert len(flags) == 1 and not flags[0] & os.O_TRUNC
     golden = Path(__file__).parent / "data" / "golden" / "analyze.json"
     assert report.read_bytes() == golden.read_bytes()
@@ -294,8 +273,8 @@ def test_utf8_input_is_read_whatever_the_locale(tmp_path):
     argv = ["pipe-fit", "--diameter", "0.2", "--geometry", str(p)]
     utf8 = run_child(argv, env={"PYTHONUTF8": "1"})
     c_locale = run_child(argv, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
-    assert utf8[0] == c_locale[0] == 0
-    assert c_locale[2] == utf8[2]
+    assert utf8.code == c_locale.code == 0
+    assert c_locale.out == utf8.out
 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--axis", "throttle"]],
