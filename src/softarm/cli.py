@@ -162,6 +162,8 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
     inputs: dict = {}
     if not args.stress_strain and not args.flexural:
         raise ParseError("one of --stress-strain or --flexural is required")
+    if args.flexural and (args.length is None or args.inertia is None):
+        raise ParseError("--flexural requires --length and --inertia")
     if args.stress_strain:
         curve = _read_input(
             inputs, "stress_strain_csv", sio.read_stress_strain_csv, args.stress_strain
@@ -170,8 +172,6 @@ def cmd_fit_material(args) -> tuple[dict, dict]:
         results["material"].update(_material_block(params))
         results["material"].update(diagnostics)
     if args.flexural:
-        if args.length is None or args.inertia is None:
-            raise ParseError("--flexural requires --length and --inertia")
         samples = _read_input(inputs, "flexural_csv", sio.read_flexural_csv, args.flexural)
         e_pa = material.fit_flexural_modulus(samples, args.length, args.inertia)
         results["material"]["flexural_modulus_pa"] = e_pa

@@ -1,4 +1,5 @@
-"""The call recorder that the work-counter tests share.
+"""The helpers that the tests share: the call recorder of the work-counter
+tests, and the edited copy of the shipped defaults of the input tests.
 
 `record_calls(f, g, ...)` is a context manager that yields one list per
 function given, in order, and fills it, while the block runs, with a `Call`
@@ -10,9 +11,15 @@ resumes, the hook sees another call.
 """
 
 import contextlib
+import json
+import operator
 import sys
+from functools import reduce
+from pathlib import Path
 
 import pytest
+
+from softarm.cli import default_data_dir
 
 
 class Call:
@@ -53,3 +60,37 @@ def _recording(*functions):
 def record_calls():
     """The call recorder: `with record_calls(beam._march) as (marches,):`."""
     return _recording
+
+
+#: The value of an edit that deletes its key.
+DROP = object()
+#: The bytes of each file of the shipped defaults, by name.
+DEFAULTS = {path.name: path.read_bytes() for path in default_data_dir().iterdir()}
+
+
+def copy_defaults(folder, edits=None):
+    """Copy the shipped defaults into folder, whose config then names its
+    files by relative path, and apply edits in order. A key "name" sets the
+    whole text (or bytes) of the file name in folder; a key "name:a.0.b" sets
+    the value at the key path a, 0, b (a digit is a list index) of the JSON
+    file name, or deletes that key where the value is DROP. A file that
+    already holds its bytes is left as it is. Returns folder."""
+    files = dict(DEFAULTS)
+    for key, value in (edits or {}).items():
+        name, _, keys = key.partition(":")
+        if not keys:
+            files[name] = value.encode() if isinstance(value, str) else value
+            continue
+        document = json.loads(files[name])
+        *parents, last = [int(k) if k.isdigit() else k for k in keys.split(".")]
+        holder = reduce(operator.getitem, parents, document)
+        if value is DROP:
+            del holder[last]
+        else:
+            holder[last] = value
+        files[name] = json.dumps(document).encode()
+    for name, data in files.items():
+        path = Path(folder, name)
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+    return Path(folder)

@@ -19,6 +19,7 @@ import operator
 from functools import reduce
 
 import pytest
+from conftest import copy_defaults
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,25 +111,16 @@ def _assert_finite_report(out):
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    """A coefficients copy, rewritten by each example, and a config using it."""
-    folder = tmp_path_factory.mktemp("mutation")
-    data = default_data_dir()
-    config = json.loads((data / "config.json").read_text())
-    for key in ("geometry", "efficiency_table"):
-        config[key] = str(data / config[key])
-    config["material"]["hyperelastic_table"] = str(data / config["material"]["hyperelastic_table"])
-    coeffs = folder / "deflection_coeffs.json"
-    config["deflection_coeffs"] = str(coeffs)
-    (folder / "config.json").write_text(json.dumps(config))
-    return coeffs, folder / "config.json"
+def folder(tmp_path_factory):
+    """Where each example copies the shipped defaults and edits the copy."""
+    return tmp_path_factory.mktemp("defaults")
 
 
 @settings(max_examples=150, deadline=None)
 @given(changes=_mutations(COEFFS), rho=st.sampled_from([4.0, 6.0, 8.0, 12.5]))
-def test_mutated_deflection_coefficients(files, changes, rho):
-    coeffs, config = files
-    coeffs.write_text(json.dumps({**COEFFS, **changes}))
+def test_mutated_deflection_coefficients(folder, changes, rho):
+    copy_defaults(folder, {"deflection_coeffs.json": json.dumps({**COEFFS, **changes})})
+    coeffs, config = folder / "deflection_coeffs.json", folder / "config.json"
     for argv in (["deflect", "--rho", str(rho), "--envelope", "--coeffs", str(coeffs)],
                  ["analyze", "--config", str(config)]):
         code, out, err = _run(argv)
@@ -139,38 +131,27 @@ def test_mutated_deflection_coefficients(files, changes, rho):
             assert str(coeffs) in err or any(key in err for key in changes), err
 
 
-@pytest.fixture(scope="module")
-def config_path(tmp_path_factory):
-    """Where each example writes its config; file references stay absolute."""
-    return tmp_path_factory.mktemp("config") / "config.json"
-
-
-def _shipped_config():
-    """A copy of the shipped config with its file references made absolute."""
-    data = default_data_dir()
-    config = json.loads(json.dumps(CONFIG))
-    for key in ("geometry", "efficiency_table", "deflection_coeffs"):
-        config[key] = str(data / config[key])
-    config["material"]["hyperelastic_table"] = str(data / config["material"]["hyperelastic_table"])
-    return config
-
-
 @settings(max_examples=200, deadline=None)
 @given(changes=st.dictionaries(st.sampled_from(CONFIG_NUMBERS),
                                st.sampled_from([*POOL, -5e-324]), min_size=1, max_size=2))
-def test_mutated_config_numbers(config_path, changes):
+def test_mutated_config_numbers(folder, changes):
     assert len(CONFIG_NUMBERS) == 7
-    config = _shipped_config()
-    table = config["material"]["hyperelastic_table"]
-    for (section, key), value in changes.items():
-        config[section][key] = value
-    config_path.write_text(json.dumps(config))
-    code, out, err = _run(["analyze", "--config", str(config_path)])
+    copy_defaults(folder, {f"config.json:{s}.{k}": value for (s, k), value in changes.items()})
+    table = str(folder / "hyperelastic_coeffs.json")
+    code, out, err = _run(["analyze", "--config", str(folder / "config.json")])
     assert code in (0, 2, 3, 4), err
     if code == 0:
         _assert_finite_report(out)
     elif code == 2:  # the key, or the table the infill selects a row of
         assert any(f"{s}.{k}" in err for s, k in changes) or table in err, err
+
+
+def _edit(name, node, value):
+    """The copy_defaults edit that sets the node at path node of the JSON
+    file name to value: the whole text, for the root."""
+    if not node:
+        return {name: json.dumps(value)}
+    return {f"{name}:{'.'.join(map(str, node))}": value}
 
 
 def _geometry_mutation():
@@ -181,14 +162,11 @@ def _geometry_mutation():
 
 @settings(max_examples=100, deadline=None)
 @given(mutation=_geometry_mutation())
-def test_mutated_geometry_number(config_path, mutation):
-    (*parents, last), value = mutation
-    geometry = json.loads(json.dumps(GEOMETRY))
-    reduce(operator.getitem, parents, geometry)[last] = value
-    path = config_path.with_name("geometry.json")
-    path.write_text(json.dumps(geometry))
-    config_path.write_text(json.dumps({**_shipped_config(), "geometry": str(path)}))
-    for argv in (["analyze", "--config", str(config_path)],
+def test_mutated_geometry_number(folder, mutation):
+    node, value = mutation
+    copy_defaults(folder, _edit("arm_geometry.json", node, value))
+    path = folder / "arm_geometry.json"
+    for argv in (["analyze", "--config", str(folder / "config.json")],
                  ["pipe-fit", "--diameter", "0.2", "--geometry", str(path)]):
         code, out, err = _run(argv)
         assert code in (0, 2, 3, 4), (argv, err)
@@ -258,10 +236,8 @@ def _assert_contract(argv):
 @pytest.mark.parametrize("value", EXTREMES)
 @pytest.mark.parametrize("cell", _cells(EFFICIENCY_ROWS))
 def test_mutated_efficiency_table_cell(cell, value, tmp_path):
-    table = tmp_path / "efficiency_table.csv"
-    table.write_text(_replace_cell(EFFICIENCY_ROWS, cell, value))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**_shipped_config(), "efficiency_table": str(table)}))
+    copy_defaults(tmp_path, {"efficiency_table.csv": _replace_cell(EFFICIENCY_ROWS, cell, value)})
+    table, config = tmp_path / "efficiency_table.csv", tmp_path / "config.json"
     for argv in (["efficiency", "--rpm", "4500", "--table", str(table)],
                  ["sweep", "--format=json", "--axis=arm_angle", "--table", str(table)],
                  ["sweep", "--format=json", "--axis=motor_station", "--table", str(table)],
@@ -274,13 +250,8 @@ def test_mutated_efficiency_table_cell(cell, value, tmp_path):
 def test_mutated_hyperelastic_coefficient(key, value, tmp_path):
     rows = [{**row, key: value} if row["rho_pct"] == CONFIG["material"]["infill_pct"] else row
             for row in HYPERELASTIC["rows"]]
-    table = tmp_path / "hyperelastic_coeffs.json"
-    table.write_text(json.dumps({**HYPERELASTIC, "rows": rows}))
-    config = _shipped_config()
-    config["material"]["hyperelastic_table"] = str(table)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    _assert_contract(["analyze", "--config", str(path)])
+    copy_defaults(tmp_path, {"hyperelastic_coeffs.json:rows": rows})
+    _assert_contract(["analyze", "--config", str(tmp_path / "config.json")])
 
 
 @pytest.mark.parametrize("value", EXTREMES)
@@ -305,15 +276,6 @@ def _nodes(node, path=()):
             yield from _nodes(child, (*path, key))
 
 
-def _replaced(document, path, value):
-    """A copy of document with the node at path replaced by value."""
-    if not path:
-        return value
-    copy = json.loads(json.dumps(document))
-    reduce(operator.getitem, path[:-1], copy)[path[-1]] = value
-    return copy
-
-
 #: Each shipped JSON input, and the commands beside `analyze` that read it.
 JSON_INPUTS = {
     "config.json": [],
@@ -323,38 +285,26 @@ JSON_INPUTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def defaults_copy(tmp_path_factory):
-    """A copy of the shipped defaults, whose config names its files by relative path."""
-    folder = tmp_path_factory.mktemp("defaults")
-    for source in default_data_dir().iterdir():
-        (folder / source.name).write_bytes(source.read_bytes())
-    return folder
-
-
 @pytest.mark.parametrize("name", JSON_INPUTS)
-def test_mutated_json_structure(name, defaults_copy):
+def test_mutated_json_structure(name, folder):
     # Every node, the root included, set to each value of the pool: a value
     # where an object or list belongs, an object or list where a value does,
     # and each kind of bad number. An exit-2 message names the file or, for
     # the config, the file that a value names or selects a row of; an
     # overflow that the library meets after the parse names the values.
-    path = defaults_copy / name
-    shipped = json.loads(path.read_text())
-    named = str(defaults_copy) if name == "config.json" else str(path)
-    runs = [["analyze", "--config", str(defaults_copy / "config.json")],
+    path = folder / name
+    shipped = json.loads((default_data_dir() / name).read_text())
+    named = str(folder) if name == "config.json" else str(path)
+    runs = [["analyze", "--config", str(folder / "config.json")],
             *[[*argv, str(path)] for argv in JSON_INPUTS[name]]]
-    try:
-        for node in _nodes(shipped):
-            for value in POOL:
-                path.write_text(json.dumps(_replaced(shipped, node, value)))
-                for argv in runs:
-                    code, out, err = _run(argv)
-                    assert code in (0, 2, 3, 4), (argv[0], node, value, err)
-                    if code == 0:
-                        _assert_finite_report(out)
-                    elif code == 2:
-                        assert (named in err or "out of float range" in err
-                                or ") overflow at " in err), (argv[0], node, value, err)
-    finally:
-        path.write_text(json.dumps(shipped))
+    for node in _nodes(shipped):
+        for value in POOL:
+            copy_defaults(folder, _edit(name, node, value))
+            for argv in runs:
+                code, out, err = _run(argv)
+                assert code in (0, 2, 3, 4), (argv[0], node, value, err)
+                if code == 0:
+                    _assert_finite_report(out)
+                elif code == 2:
+                    assert (named in err or "out of float range" in err
+                            or ") overflow at " in err), (argv[0], node, value, err)

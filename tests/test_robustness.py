@@ -12,9 +12,9 @@ import itertools
 import json
 import math
 import random
-import shutil
 
 import pytest
+from conftest import copy_defaults
 
 from softarm import beam, cli
 from softarm.errors import NoConvergence
@@ -168,16 +168,14 @@ def test_sweep_and_tendon_are_force_free():
 def test_analyze_report_is_force_free(tmp_path, capsys):
     # The small-strain modulus is 6 (c10 + c01), and the thrust law's
     # coefficient nominal_thrust_n / nominal_rpm^2.
-    shutil.copytree(cli.default_data_dir(), tmp_path, dirs_exist_ok=True)
-    files = {name: json.loads((tmp_path / name).read_text())
-             for name in ["hyperelastic_coeffs.json", "config.json", "arm_geometry.json"]}
-    for row in files["hyperelastic_coeffs.json"]["rows"]:
-        row["c10"] *= 4
-        row["c01"] *= 4
-    files["config.json"]["propeller"]["nominal_thrust_n"] *= 4
-    files["arm_geometry.json"]["linear_density_kg_m"] *= 4
-    for name, data in files.items():
-        (tmp_path / name).write_text(json.dumps(data))
+    table, config = (json.loads((cli.default_data_dir() / name).read_text())
+                     for name in ["hyperelastic_coeffs.json", "config.json"])
+    copy_defaults(tmp_path, {
+        "hyperelastic_coeffs.json:rows": [{**row, "c10": row["c10"] * 4, "c01": row["c01"] * 4}
+                                          for row in table["rows"]],
+        "config.json:propeller.nominal_thrust_n": config["propeller"]["nominal_thrust_n"] * 4,
+        "arm_geometry.json:linear_density_kg_m": ARM.linear_density * 4,
+    })
     sweeps = []
     for argv in [["analyze"], ["analyze", "--config", str(tmp_path / "config.json")]]:
         assert cli.main(argv) == cli.EXIT_OK
