@@ -484,6 +484,7 @@ INPUT_FAULTS = [
         ("geometry", "pipe-fit --diameter 0.2 --geometry"),
         ("stress_strain", "fit-material --stress-strain"),
         ("flexural", "fit-material --flexural")]],
+    ("without_a_command", "", {}, "softarm: error: the following arguments are required: command"),
     # The whole stderr: a missing required option, an invalid choice and a
     # value that is not a number.
     *[(f"{command.replace('-', '_')}_without_{option[2:]}", command, {},
